@@ -193,7 +193,8 @@ func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
 		RecordMetric("fp16-path", fmt.Sprintf("decode/modeled_step_speedup/b%d", b), float64(s32)/float64(s16))
 	}
 	t.flush()
-	fmt.Fprintln(w, "(cpu columns are the pure-Go emulation — fp16 pays software encode/decode there;")
+	fmt.Fprintln(w, "(cpu columns are the pure-Go emulation — fp16 there runs the fp32 kernels on operands rounded")
+	fmt.Fprintln(w, " once, plus a decode of the binary16 KV at each access, so it can only approach fp32;")
 	fmt.Fprintln(w, " the gemm columns are the tensor-core device model the fp16 claim is priced on)")
 
 	gateStatus := "PASS"

@@ -1,22 +1,28 @@
 package blas
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/tensor"
 )
 
-// FP16 GEMM route: the Turbo-TC emulation. Tensor Cores consume binary16
-// operands and accumulate in fp32 (§6.2.1), so this route stores operands as
-// binary16 bit patterns, decodes them into fp32 scratch at the GEMM boundary
-// (the "load conversion" a Tensor Core does in hardware), and runs the exact
-// same fp32-accumulating kernels as the fp32 route. Because every binary16
-// value is exactly representable in float32, GemmF16 over encoded operands is
-// bit-identical to Gemm over the same operands rounded through
-// tensor.RoundSliceF16 — the property the fp16 path's exactness tests pin.
-// The decode scratch is host-side emulation cost and is not charged to the
-// simulated device; on real hardware the conversion happens inside the MMA
-// load, not in a separate buffer.
+// FP16 GEMM route: GEMMs over operands held as binary16 STORAGE. Tensor Cores
+// consume binary16 operands and accumulate in fp32 (§6.2.1), so this route
+// takes operands as binary16 bit patterns, decodes them into fp32 scratch at
+// the GEMM boundary (the "load conversion" a Tensor Core does in hardware),
+// and runs the exact same fp32-accumulating kernels as the fp32 route.
+// Because every binary16 value is exactly representable in float32, GemmF16
+// over encoded operands is bit-identical to Gemm over the same operands
+// rounded through tensor.RoundF16Into — the property the exactness tests pin,
+// and the reason the serving path does not come through here for weights or
+// activations: those are rounded once where they are produced and fed to
+// Gemm directly, with no per-call decode. What serving still reads through
+// this route is what really is binary16 storage — KV blocks and the cross
+// memory (the B operands of decode attention). The decode scratch is
+// host-side emulation cost and is not charged to the simulated device; on
+// real hardware the conversion happens inside the MMA load, not in a
+// separate buffer.
 
 // Half is a binary16-encoded operand: each element is an IEEE 754 binary16
 // bit pattern as produced by tensor.F32ToF16Bits. It aliases []uint16 so
@@ -25,13 +31,15 @@ import (
 type Half = []uint16
 
 // f16Scratch pools the fp32 decode buffers so steady-state serving does not
-// allocate per GEMM call.
+// allocate per GEMM call. Capacities are powers of two: a KV operand grows by
+// one row per decode step, and an exact-fit buffer would be outgrown — and
+// reallocated — on every one of them.
 var f16Scratch = sync.Pool{New: func() any { s := make([]float32, 0, 4096); return &s }}
 
 func getF16Scratch(n int) (*[]float32, []float32) {
 	p := f16Scratch.Get().(*[]float32)
 	if cap(*p) < n {
-		*p = make([]float32, n)
+		*p = make([]float32, 1<<bits.Len(uint(n-1)))
 	}
 	buf := (*p)[:n]
 	return p, buf
@@ -118,32 +126,48 @@ func unionElems(trans bool, rows, cols, ld, stride, count int) int {
 	return (count-1)*stride + one
 }
 
+// f16GroupScratch is the per-call state of GroupedStridedBatchedGemmF16 —
+// the fp32 group descriptors and the pooled decode buffers they point into —
+// pooled so a steady-state decode step allocates nothing here.
+type f16GroupScratch struct {
+	plain []StridedBatch
+	pins  []*[]float32
+}
+
+var f16GroupPool = sync.Pool{New: func() any { return new(f16GroupScratch) }}
+
+// decode expands a Half operand's strided union into pooled fp32 scratch.
+func (s *f16GroupScratch) decode(h Half, n int) []float32 {
+	p, buf := getF16Scratch(n)
+	tensor.DecodeF16Slice(buf, h[:n])
+	s.pins = append(s.pins, p)
+	return buf
+}
+
 // GroupedStridedBatchedGemmF16 runs variable-shape groups of strided-batched
 // binary16 GEMMs with fp32 accumulation. Each group's Half operands are
 // decoded once (the whole strided union, not per sub-problem) and the result
 // is computed by GroupedStridedBatchedGemm, keeping the fp32 route's
-// accumulation order and parallel schedule bit for bit.
+// accumulation order and parallel schedule bit for bit. AF/BF operands
+// (binary16-valued fp32) are passed through untouched.
 func GroupedStridedBatchedGemmF16(transA, transB bool, alpha, beta float32, groups []StridedBatchF16) {
 	if len(groups) == 0 {
 		return
 	}
-	plain := make([]StridedBatch, len(groups))
-	pins := make([]*[]float32, 0, 2*len(groups))
+	s := f16GroupPool.Get().(*f16GroupScratch)
+	if cap(s.plain) < len(groups) {
+		s.plain = make([]StridedBatch, len(groups))
+	}
+	plain := s.plain[:len(groups)]
 	for i := range groups {
 		g := &groups[i]
 		af := g.AF
 		if af == nil {
-			na := unionElems(transA, g.M, g.K, g.Lda, g.StrideA, g.Count)
-			p, buf := getF16Scratch(na)
-			tensor.DecodeF16Slice(buf, g.A[:na])
-			af, pins = buf, append(pins, p)
+			af = s.decode(g.A, unionElems(transA, g.M, g.K, g.Lda, g.StrideA, g.Count))
 		}
 		bf := g.BF
 		if bf == nil {
-			nb := unionElems(transB, g.K, g.N, g.Ldb, g.StrideB, g.Count)
-			p, buf := getF16Scratch(nb)
-			tensor.DecodeF16Slice(buf, g.B[:nb])
-			bf, pins = buf, append(pins, p)
+			bf = s.decode(g.B, unionElems(transB, g.K, g.N, g.Ldb, g.StrideB, g.Count))
 		}
 		plain[i] = StridedBatch{
 			M: g.M, N: g.N, K: g.K,
@@ -154,9 +178,13 @@ func GroupedStridedBatchedGemmF16(transA, transB bool, alpha, beta float32, grou
 		}
 	}
 	GroupedStridedBatchedGemm(transA, transB, alpha, beta, plain)
-	for _, p := range pins {
+	for i, p := range s.pins {
 		putF16Scratch(p)
+		s.pins[i] = nil
 	}
+	s.pins = s.pins[:0]
+	clear(plain) // drop the callers' operand and output references
+	f16GroupPool.Put(s)
 }
 
 // EncodeHalf rounds src through binary16 into a freshly allocated Half.

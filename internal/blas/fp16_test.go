@@ -179,3 +179,29 @@ func TestGemmScaleInAlphaCommutes(t *testing.T) {
 	}
 	bitsEqual(t, pre, post, "alpha-folded scale")
 }
+
+// BenchmarkGroupedStridedBatchedGemmF16 times the decode-attention shape of
+// the grouped fp16 route — per session, heads single-query problems against
+// that session's binary16 keys, the query as the binary16-valued fp32 AF
+// operand — and reports allocs/op: the descriptors and decode buffers are
+// pooled, so what remains is the fp32 grouped kernel's own bookkeeping.
+func BenchmarkGroupedStridedBatchedGemmF16(b *testing.B) {
+	r := rand.New(rand.NewSource(17))
+	const heads, hd, sessions, ctx = 4, 32, 8, 48
+	hidden := heads * hd
+	groups := make([]StridedBatchF16, sessions)
+	for i := range groups {
+		groups[i] = StridedBatchF16{
+			M: 1, N: ctx, K: hd,
+			AF: roundedCopy(randSlice(r, hidden)), Lda: hd, StrideA: hd,
+			B: encoded(randSlice(r, ctx*hidden)), Ldb: hidden, StrideB: hd,
+			C: make([]float32, heads*ctx), Ldc: ctx, StrideC: ctx,
+			Count: heads,
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GroupedStridedBatchedGemmF16(false, true, 0.176, 0, groups)
+	}
+}

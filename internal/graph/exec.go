@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,18 +24,16 @@ type Executor struct {
 
 	zeroBias []float32 // shared zero bias for unfused transposes
 
-	// tensorCore emulates the Turbo-TC numeric path: GEMM operands are
-	// rounded through binary16 while accumulation stays FP32 — exactly
-	// what Tensor Cores compute. Enabled via EnableTensorCoreEmulation.
+	// tensorCore selects the Turbo-TC numeric path: GEMM operands are
+	// binary16-valued (weights rounded once into halfWeights, activations
+	// rounded once per op into pooled scratch) while the GEMMs themselves
+	// and their accumulation stay FP32 — exactly what Tensor Cores compute.
+	// Enabled via EnableTensorCoreEmulation or EnableFP16; fp16 only records
+	// which of the two asked (the serving stack reports it).
 	tensorCore  bool
+	fp16        bool
 	halfWeights map[int]*tensor.Tensor
 
-	// fp16 is the serving fast path over the same numerics: weights held as
-	// binary16 storage (halfW), activations encoded at GEMM boundaries, and
-	// the fused-chain ops active. Enabled via EnableFP16; bit-identical to
-	// the tensorCore emulation on any shared graph.
-	fp16          bool
-	halfW         map[int]blas.Half
 	fusedLaunches atomic.Int64
 }
 
@@ -108,16 +107,59 @@ func (e *Executor) EnableTensorCoreEmulation() {
 	}
 }
 
-// gemmOperand returns the activation buffer to feed a GEMM: the raw data
-// in FP32 mode, or an FP16-rounded copy under Tensor-Core emulation.
-func (e *Executor) gemmOperand(in []float32) []float32 {
-	if !e.tensorCore {
+// EnableFP16 is the serving name of the same numeric route: weights rounded
+// through binary16 once here, activations once at each GEMM boundary, FP32
+// kernels on the binary16-valued result. Idempotent.
+func (e *Executor) EnableFP16() {
+	e.EnableTensorCoreEmulation()
+	e.fp16 = true
+}
+
+// FP16Enabled reports whether EnableFP16 was called.
+func (e *Executor) FP16Enabled() bool { return e.fp16 }
+
+// FusedLaunches returns how many fused-chain kernel launches
+// (qk_scaled_softmax, pv_transpose_back) this executor has run. The bench
+// compares this against the launch count the unfused graphs would have paid
+// to price the fusion win.
+func (e *Executor) FusedLaunches() int64 { return e.fusedLaunches.Load() }
+
+// roundScratch pools the binary16-rounded activation copies. Package-level
+// (not an executor field) because concurrent Run/RunPacked calls on one
+// executor are legal and must not share scratch.
+var roundScratch = sync.Pool{New: func() any { s := make([]float32, 0, 4096); return &s }}
+
+// gemmOperands hands one op the activation buffers to feed its GEMMs: the
+// raw data in FP32 mode, or a copy rounded through binary16 (one pass, into
+// pooled scratch) on the Turbo-TC route. release returns the copies.
+type gemmOperands struct {
+	round bool
+	pins  [2]*[]float32 // no op feeds more than two activations to GEMMs
+	n     int
+}
+
+func (e *Executor) operands() gemmOperands { return gemmOperands{round: e.tensorCore} }
+
+func (o *gemmOperands) get(in []float32) []float32 {
+	if !o.round {
 		return in
 	}
-	rounded := make([]float32, len(in))
-	copy(rounded, in)
-	tensor.RoundSliceF16(rounded)
+	p := roundScratch.Get().(*[]float32)
+	if cap(*p) < len(in) {
+		*p = make([]float32, len(in))
+	}
+	rounded := (*p)[:len(in)]
+	tensor.RoundF16Into(rounded, in)
+	o.pins[o.n] = p
+	o.n++
 	return rounded
+}
+
+func (o *gemmOperands) release() {
+	for _, p := range o.pins[:o.n] {
+		roundScratch.Put(p)
+	}
+	o.n = 0
 }
 
 // gemmWeight returns the weight buffer for a GEMM under the current
@@ -178,19 +220,14 @@ func (e *Executor) RunWithPlan(input *tensor.Tensor, seqLens []int, plan *alloca
 // (padded or packed); the return reports whether the op was handled here.
 func (e *Executor) execRowOp(op *Op, data func(int) []float32, elems func(int) int) (bool, error) {
 	rowsOf := func(id int, cols int) int { return elems(id) / cols }
+	ops := e.operands()
+	defer ops.release()
 
 	switch op.Kind {
 	case OpGemm:
 		out := data(op.Outputs[0])
 		m := rowsOf(op.Inputs[0], op.Attr.K)
-		if e.fp16 {
-			pin, in := encodeActivation(data(op.Inputs[0])[:m*op.Attr.K])
-			blas.GemmF16(false, false, m, op.Attr.N, op.Attr.K, 1, in, op.Attr.K,
-				e.halfW[op.Weights[0]], op.Attr.N, 0, out, op.Attr.N)
-			putHalfScratch(pin)
-			break
-		}
-		in := e.gemmOperand(data(op.Inputs[0]))
+		in := ops.get(data(op.Inputs[0]))
 		w := e.gemmWeight(op.Weights[0])
 		blas.Gemm(false, false, m, op.Attr.N, op.Attr.K, 1, in, op.Attr.K, w, op.Attr.N, 0, out, op.Attr.N)
 
@@ -198,24 +235,7 @@ func (e *Executor) execRowOp(op *Op, data func(int) []float32, elems func(int) i
 		out := data(op.Outputs[0])
 		k := op.Attr.K
 		m := rowsOf(op.Inputs[0], k)
-		if e.fp16 {
-			pin, in := encodeActivation(data(op.Inputs[0])[:m*k])
-			switch len(op.Weights) {
-			case 1:
-				blas.GemmF16(false, false, m, op.Attr.N, k, 1, in, k, e.halfW[op.Weights[0]], op.Attr.N, 0, out, op.Attr.N)
-			case 3:
-				n := op.Attr.N / 3
-				for i, wid := range op.Weights {
-					blas.GemmF16(false, false, m, n, k, 1, in, k, e.halfW[wid], n, 0, out[i*n:], op.Attr.N)
-				}
-			default:
-				putHalfScratch(pin)
-				return true, fmt.Errorf("fused QKV gemm needs 1 or 3 weights, has %d", len(op.Weights))
-			}
-			putHalfScratch(pin)
-			break
-		}
-		in := e.gemmOperand(data(op.Inputs[0]))
+		in := ops.get(data(op.Inputs[0]))
 		switch len(op.Weights) {
 		case 1: // pre-concatenated [K, 3H] weight
 			w := e.gemmWeight(op.Weights[0])
@@ -286,6 +306,8 @@ func (e *Executor) execOp(op *Op, data func(int) []float32, batch, seq int, seqL
 	if handled, err := e.execRowOp(op, data, elems); handled {
 		return err
 	}
+	ops := e.operands()
+	defer ops.release()
 
 	switch op.Kind {
 	case OpTransposeForScore:
@@ -308,22 +330,8 @@ func (e *Executor) execOp(op *Op, data func(int) []float32, batch, seq int, seqL
 
 	case OpBatchedGemmQK:
 		out := data(op.Outputs[0])
-		if e.fp16 {
-			pq, q := encodeActivation(data(op.Inputs[0])[:batch*seq*H])
-			pk, k := encodeActivation(data(op.Inputs[1])[:batch*seq*H])
-			blas.GroupedStridedBatchedGemmF16(false, true, 1, 0, []blas.StridedBatchF16{{
-				M: seq, N: seq, K: hd,
-				A: q, Lda: hd, StrideA: seq * hd,
-				B: k, Ldb: hd, StrideB: seq * hd,
-				C: out, Ldc: seq, StrideC: seq * seq,
-				Count: batch * heads,
-			}})
-			putHalfScratch(pq)
-			putHalfScratch(pk)
-			break
-		}
-		q := e.gemmOperand(data(op.Inputs[0]))
-		k := e.gemmOperand(data(op.Inputs[1]))
+		q := ops.get(data(op.Inputs[0]))
+		k := ops.get(data(op.Inputs[1]))
 		blas.StridedBatchedGemm(false, true, seq, seq, hd, 1,
 			q, hd, seq*hd, k, hd, seq*hd, 0, out, seq, seq*seq, batch*heads)
 
@@ -333,30 +341,11 @@ func (e *Executor) execOp(op *Op, data func(int) []float32, batch, seq int, seqL
 		copy(out[:n], in[:n])
 		scale := float32(1 / math.Sqrt(float64(hd)))
 		kernels.MaskedScaledSoftmax(out, batch, heads, seq, seq, scale, seqLens)
-		if e.fp16 {
-			// The fused fp16 softmax writes binary16 probabilities — the
-			// Tensor Core A operand of the PV GEMM.
-			tensor.RoundSliceF16(out[:n])
-		}
 
 	case OpBatchedGemmPV:
 		out := data(op.Outputs[0])
-		if e.fp16 {
-			// Probabilities are already binary16-valued (rounded by the
-			// softmax) — the AF mixed-operand form.
-			pv, v := encodeActivation(data(op.Inputs[1])[:batch*seq*H])
-			blas.GroupedStridedBatchedGemmF16(false, false, 1, 0, []blas.StridedBatchF16{{
-				M: seq, N: hd, K: seq,
-				AF: data(op.Inputs[0]), Lda: seq, StrideA: seq * seq,
-				B: v, Ldb: hd, StrideB: seq * hd,
-				C: out, Ldc: hd, StrideC: seq * hd,
-				Count: batch * heads,
-			}})
-			putHalfScratch(pv)
-			break
-		}
-		p := e.gemmOperand(data(op.Inputs[0]))
-		v := e.gemmOperand(data(op.Inputs[1]))
+		p := ops.get(data(op.Inputs[0]))
+		v := ops.get(data(op.Inputs[1]))
 		blas.StridedBatchedGemm(false, false, seq, hd, seq, 1,
 			p, seq, seq*seq, v, hd, seq*hd, 0, out, hd, seq*hd, batch*heads)
 
@@ -367,28 +356,11 @@ func (e *Executor) execOp(op *Op, data func(int) []float32, batch, seq int, seqL
 		e.fusedLaunches.Add(1)
 		out := data(op.Outputs[0])
 		scale := float32(1 / math.Sqrt(float64(hd)))
-		if e.fp16 {
-			pq, q := encodeActivation(data(op.Inputs[0])[:batch*seq*H])
-			pk, k := encodeActivation(data(op.Inputs[1])[:batch*seq*H])
-			blas.GroupedStridedBatchedGemmF16(false, true, scale, 0, []blas.StridedBatchF16{{
-				M: seq, N: seq, K: hd,
-				A: q, Lda: hd, StrideA: seq * hd,
-				B: k, Ldb: hd, StrideB: seq * hd,
-				C: out, Ldc: seq, StrideC: seq * seq,
-				Count: batch * heads,
-			}})
-			putHalfScratch(pq)
-			putHalfScratch(pk)
-		} else {
-			q := e.gemmOperand(data(op.Inputs[0]))
-			k := e.gemmOperand(data(op.Inputs[1]))
-			blas.StridedBatchedGemm(false, true, seq, seq, hd, scale,
-				q, hd, seq*hd, k, hd, seq*hd, 0, out, seq, seq*seq, batch*heads)
-		}
+		q := ops.get(data(op.Inputs[0]))
+		k := ops.get(data(op.Inputs[1]))
+		blas.StridedBatchedGemm(false, true, seq, seq, hd, scale,
+			q, hd, seq*hd, k, hd, seq*hd, 0, out, seq, seq*seq, batch*heads)
 		kernels.MaskedScaledSoftmax(out, batch, heads, seq, seq, 1, seqLens)
-		if e.fp16 {
-			tensor.RoundSliceF16(out[:elems(op.Outputs[0])])
-		}
 
 	case OpPVTransposeBack:
 		// Fused chain: the PV GEMM writes [B,S,H] layout directly through
@@ -398,25 +370,8 @@ func (e *Executor) execOp(op *Op, data func(int) []float32, batch, seq int, seqL
 		// bit-identical to batch_gemm4 + transpose_back.
 		e.fusedLaunches.Add(1)
 		out := data(op.Outputs[0])
-		if e.fp16 {
-			pv, v := encodeActivation(data(op.Inputs[1])[:batch*seq*H])
-			p := data(op.Inputs[0])
-			groups := make([]blas.StridedBatchF16, batch)
-			for b := 0; b < batch; b++ {
-				groups[b] = blas.StridedBatchF16{
-					M: seq, N: hd, K: seq,
-					AF: p[b*heads*seq*seq:], Lda: seq, StrideA: seq * seq,
-					B: v[b*heads*seq*hd:], Ldb: hd, StrideB: seq * hd,
-					C: out[b*seq*H:], Ldc: H, StrideC: hd,
-					Count: heads,
-				}
-			}
-			blas.GroupedStridedBatchedGemmF16(false, false, 1, 0, groups)
-			putHalfScratch(pv)
-			break
-		}
-		p := e.gemmOperand(data(op.Inputs[0]))
-		v := e.gemmOperand(data(op.Inputs[1]))
+		p := ops.get(data(op.Inputs[0]))
+		v := ops.get(data(op.Inputs[1]))
 		groups := make([]blas.StridedBatch, batch)
 		for b := 0; b < batch; b++ {
 			groups[b] = blas.StridedBatch{

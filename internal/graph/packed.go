@@ -132,6 +132,8 @@ func (e *Executor) execOpPacked(op *Op, data func(int) []float32, pd *packedDims
 	if handled, err := e.execRowOp(op, data, elems); handled {
 		return err
 	}
+	ops := e.operands()
+	defer ops.release()
 
 	switch op.Kind {
 	case OpTransposeForScore:
@@ -154,17 +156,8 @@ func (e *Executor) execOpPacked(op *Op, data func(int) []float32, pd *packedDims
 
 	case OpBatchedGemmQK:
 		out := data(op.Outputs[0])
-		if e.fp16 {
-			tokens := int(pd.tokens) * H
-			pq, q := encodeActivation(data(op.Inputs[0])[:tokens])
-			pk, k := encodeActivation(data(op.Inputs[1])[:tokens])
-			blas.GroupedStridedBatchedGemmF16(false, true, 1, 0, e.attnGroupsF16(pd, q, nil, k, out, true))
-			putHalfScratch(pq)
-			putHalfScratch(pk)
-			break
-		}
-		q := e.gemmOperand(data(op.Inputs[0]))
-		k := e.gemmOperand(data(op.Inputs[1]))
+		q := ops.get(data(op.Inputs[0]))
+		k := ops.get(data(op.Inputs[1]))
 		blas.GroupedStridedBatchedGemm(false, true, 1, 0, e.attnGroups(pd, q, k, out, true))
 
 	case OpSoftmax:
@@ -173,22 +166,11 @@ func (e *Executor) execOpPacked(op *Op, data func(int) []float32, pd *packedDims
 		copy(out[:n], in[:n])
 		scale := float32(1 / math.Sqrt(float64(hd)))
 		kernels.PackedScaledSoftmax(out, pd.lens, pd.sqOffs, heads, scale)
-		if e.fp16 {
-			// Binary16 probabilities for the PV GEMM's A operand.
-			tensor.RoundSliceF16(out[:n])
-		}
 
 	case OpBatchedGemmPV:
 		out := data(op.Outputs[0])
-		if e.fp16 {
-			pv, v := encodeActivation(data(op.Inputs[1])[:int(pd.tokens)*H])
-			blas.GroupedStridedBatchedGemmF16(false, false, 1, 0,
-				e.attnGroupsF16(pd, nil, data(op.Inputs[0]), v, out, false))
-			putHalfScratch(pv)
-			break
-		}
-		p := e.gemmOperand(data(op.Inputs[0]))
-		v := e.gemmOperand(data(op.Inputs[1]))
+		p := ops.get(data(op.Inputs[0]))
+		v := ops.get(data(op.Inputs[1]))
 		blas.GroupedStridedBatchedGemm(false, false, 1, 0, e.attnGroups(pd, p, v, out, false))
 
 	case OpQKScaledSoftmax:
@@ -197,22 +179,10 @@ func (e *Executor) execOpPacked(op *Op, data func(int) []float32, pd *packedDims
 		e.fusedLaunches.Add(1)
 		out := data(op.Outputs[0])
 		scale := float32(1 / math.Sqrt(float64(hd)))
-		if e.fp16 {
-			tokens := int(pd.tokens) * H
-			pq, q := encodeActivation(data(op.Inputs[0])[:tokens])
-			pk, k := encodeActivation(data(op.Inputs[1])[:tokens])
-			blas.GroupedStridedBatchedGemmF16(false, true, scale, 0, e.attnGroupsF16(pd, q, nil, k, out, true))
-			putHalfScratch(pq)
-			putHalfScratch(pk)
-		} else {
-			q := e.gemmOperand(data(op.Inputs[0]))
-			k := e.gemmOperand(data(op.Inputs[1]))
-			blas.GroupedStridedBatchedGemm(false, true, scale, 0, e.attnGroups(pd, q, k, out, true))
-		}
+		q := ops.get(data(op.Inputs[0]))
+		k := ops.get(data(op.Inputs[1]))
+		blas.GroupedStridedBatchedGemm(false, true, scale, 0, e.attnGroups(pd, q, k, out, true))
 		kernels.PackedScaledSoftmax(out, pd.lens, pd.sqOffs, heads, 1)
-		if e.fp16 {
-			tensor.RoundSliceF16(out[:elems(op.Outputs[0])])
-		}
 
 	case OpPVTransposeBack:
 		// Fused chain, packed form: per-request probs·V writing token-major
@@ -220,15 +190,8 @@ func (e *Executor) execOpPacked(op *Op, data func(int) []float32, pd *packedDims
 		// tokens). Bit-identical to batch_gemm4 + packed transpose_back.
 		e.fusedLaunches.Add(1)
 		out := data(op.Outputs[0])
-		if e.fp16 {
-			pv, v := encodeActivation(data(op.Inputs[1])[:int(pd.tokens)*H])
-			blas.GroupedStridedBatchedGemmF16(false, false, 1, 0,
-				e.pvTransposeBackGroupsF16(pd, data(op.Inputs[0]), v, out))
-			putHalfScratch(pv)
-			break
-		}
-		p := e.gemmOperand(data(op.Inputs[0]))
-		v := e.gemmOperand(data(op.Inputs[1]))
+		p := ops.get(data(op.Inputs[0]))
+		v := ops.get(data(op.Inputs[1]))
 		blas.GroupedStridedBatchedGemm(false, false, 1, 0, e.pvTransposeBackGroups(pd, p, v, out))
 
 	default:
@@ -268,34 +231,6 @@ func (e *Executor) attnGroups(pd *packedDims, a, b, c []float32, qk bool) []blas
 	return groups
 }
 
-// attnGroupsF16 is attnGroups with binary16 operands: exactly one of
-// aH/aF supplies the A side (encoded activations vs binary16-valued fp32
-// probabilities); B is always binary16.
-func (e *Executor) attnGroupsF16(pd *packedDims, aH blas.Half, aF []float32, b blas.Half, c []float32, qk bool) []blas.StridedBatchF16 {
-	hd := e.G.HeadDim
-	hidden := e.G.Hidden
-	heads := e.G.Heads
-	groups := make([]blas.StridedBatchF16, len(pd.lens))
-	for i, n := range pd.lens {
-		tokBase := pd.offs[i] * hidden
-		scoreBase := heads * pd.sqOffs[i]
-		g := blas.StridedBatchF16{Count: heads}
-		if qk {
-			g.M, g.N, g.K = n, n, hd
-			g.A, g.Lda, g.StrideA = aH[tokBase:], hd, n*hd
-			g.B, g.Ldb, g.StrideB = b[tokBase:], hd, n*hd
-			g.C, g.Ldc, g.StrideC = c[scoreBase:], n, n*n
-		} else {
-			g.M, g.N, g.K = n, hd, n
-			g.AF, g.Lda, g.StrideA = aF[scoreBase:], n, n*n
-			g.B, g.Ldb, g.StrideB = b[tokBase:], hd, n*hd
-			g.C, g.Ldc, g.StrideC = c[tokBase:], hd, n*hd
-		}
-		groups[i] = g
-	}
-	return groups
-}
-
 // pvTransposeBackGroups builds the fused probs·V chain's groups: per
 // request i, `heads` problems of shape len_i×headDim×len_i whose outputs
 // interleave directly into token-major [Σlen, H] layout (ldc hidden across
@@ -311,27 +246,6 @@ func (e *Executor) pvTransposeBackGroups(pd *packedDims, p, v, out []float32) []
 		groups[i] = blas.StridedBatch{
 			M: n, N: hd, K: n,
 			A: p[scoreBase:], Lda: n, StrideA: n * n,
-			B: v[tokBase:], Ldb: hd, StrideB: n * hd,
-			C: out[tokBase:], Ldc: hidden, StrideC: hd,
-			Count: heads,
-		}
-	}
-	return groups
-}
-
-// pvTransposeBackGroupsF16 is the binary16 form: fp32 binary16-valued
-// probabilities (AF) against encoded values.
-func (e *Executor) pvTransposeBackGroupsF16(pd *packedDims, p []float32, v blas.Half, out []float32) []blas.StridedBatchF16 {
-	hd := e.G.HeadDim
-	hidden := e.G.Hidden
-	heads := e.G.Heads
-	groups := make([]blas.StridedBatchF16, len(pd.lens))
-	for i, n := range pd.lens {
-		tokBase := pd.offs[i] * hidden
-		scoreBase := heads * pd.sqOffs[i]
-		groups[i] = blas.StridedBatchF16{
-			M: n, N: hd, K: n,
-			AF: p[scoreBase:], Lda: n, StrideA: n * n,
 			B: v[tokBase:], Ldb: hd, StrideB: n * hd,
 			C: out[tokBase:], Ldc: hidden, StrideC: hd,
 			Count: heads,

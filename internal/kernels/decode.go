@@ -53,10 +53,11 @@ type DecodeWorkspace struct {
 	groups []blas.StridedBatch
 	offs   []int
 
-	// fp16-route scratch: grouped descriptors with binary16 operands and the
-	// encoded query rows (the Tensor Core load conversion of q).
+	// fp16-route scratch: grouped descriptors with binary16 K/V operands and
+	// the query rows rounded through binary16 (the Tensor Core load
+	// conversion of q, done once per attention call).
 	groupsF16 []blas.StridedBatchF16
-	qh        blas.Half
+	qr        []float32
 }
 
 func (ws *DecodeWorkspace) groupsFor(n int) []blas.StridedBatch {

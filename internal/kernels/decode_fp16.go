@@ -9,10 +9,11 @@ import (
 )
 
 // FP16 (Turbo-TC) variants of the grouped decode-attention primitives. The
-// KV context arrives as binary16 storage (blas.Half), the query row is
-// encoded through binary16 at the kernel boundary, and all accumulation
-// stays fp32 — the tensor-core numerics of §6.2.1. Two fusions that the
-// fp32 path runs as separate passes are folded in:
+// KV context arrives as binary16 storage (blas.Half) and is decoded at
+// access, the query rows are rounded through binary16 once at the kernel
+// boundary and go in as the binary16-valued fp32 AF operand, and all
+// accumulation stays fp32 — the tensor-core numerics of §6.2.1. Two fusions
+// that the fp32 path runs as separate passes are folded in:
 //
 //   - the softmax scale rides in the QK GEMM's alpha (bit-identical: the NT
 //     kernel applies alpha as the single per-element multiply either way),
@@ -40,15 +41,15 @@ func (ws *DecodeWorkspace) releaseGroupsF16() {
 	}
 }
 
-// encodeQ rounds the batch's query rows through binary16 into the reused
-// ws.qh buffer.
-func (ws *DecodeWorkspace) encodeQ(q []float32, n int) blas.Half {
-	if cap(ws.qh) < n {
-		ws.qh = make(blas.Half, n)
+// roundQ rounds the batch's query rows through binary16 into the reused
+// ws.qr buffer (one pass; the caller's q keeps its fp32 values).
+func (ws *DecodeWorkspace) roundQ(q []float32, n int) []float32 {
+	if cap(ws.qr) < n {
+		ws.qr = make([]float32, n)
 	}
-	ws.qh = ws.qh[:n]
-	tensor.EncodeF16Slice(ws.qh, q[:n])
-	return ws.qh
+	ws.qr = ws.qr[:n]
+	tensor.RoundF16Into(ws.qr, q[:n])
+	return ws.qr
 }
 
 func checkLenF16(what string, s blas.Half, want int) {
@@ -70,14 +71,14 @@ func (ws *DecodeWorkspace) ScoresF16(q []float32, keys []blas.Half, ctxLens []in
 	hidden := heads * headDim
 	checkLen("DecodeScoresF16 q", q, rows*hidden)
 	checkLen("DecodeScoresF16 scores", scores, decodeScoreFloats(ctxLens, heads))
-	qh := ws.encodeQ(q, rows*hidden)
+	qr := ws.roundQ(q, rows*hidden)
 	groups := ws.groupsF16For(rows)
 	off := 0
 	for i, T := range ctxLens {
 		checkLenF16("DecodeScoresF16 keys", keys[i], T*hidden)
 		groups[i] = blas.StridedBatchF16{
 			M: 1, N: T, K: headDim,
-			A: qh[i*hidden:], Lda: headDim, StrideA: headDim,
+			AF: qr[i*hidden:], Lda: headDim, StrideA: headDim,
 			B: keys[i], Ldb: hidden, StrideB: headDim,
 			C: scores[off:], Ldc: T, StrideC: T,
 			Count: heads,
@@ -192,7 +193,7 @@ func (ws *DecodeWorkspace) ScoresBlockedF16(q []float32, keyBlocks [][]blas.Half
 		checkBlockTableF16("DecodeScoresBlockedF16 keys", keyBlocks[i], T, blockTokens, hidden, i)
 		total += numBlocks(T, blockTokens)
 	}
-	qh := ws.encodeQ(q, rows*hidden)
+	qr := ws.roundQ(q, rows*hidden)
 	groups := ws.groupsF16For(total)
 	gi, off := 0, 0
 	for i, T := range ctxLens {
@@ -200,7 +201,7 @@ func (ws *DecodeWorkspace) ScoresBlockedF16(q []float32, keyBlocks [][]blas.Half
 			n := blockRows(T, blockTokens, b)
 			groups[gi] = blas.StridedBatchF16{
 				M: 1, N: n, K: headDim,
-				A: qh[i*hidden:], Lda: headDim, StrideA: headDim,
+				AF: qr[i*hidden:], Lda: headDim, StrideA: headDim,
 				B: keyBlocks[i][b], Ldb: hidden, StrideB: headDim,
 				C: scores[off+b*blockTokens:], Ldc: T, StrideC: T,
 				Count: heads,

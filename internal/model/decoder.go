@@ -51,10 +51,14 @@ type Decoder struct {
 	// in the same MemoryStats as encoder activations and KV caches.
 	scr *decodeScratch
 
-	// fp16 fast path (EnableFP16): weights encoded to binary16 once, decode
-	// GEMMs run fp16-storage/fp32-accumulate, KV caches store binary16.
-	fp16  bool
-	halfW map[*tensor.Tensor]blas.Half
+	// fp16 fast path (EnableFP16): layersF16/projF16 carry every GEMM weight
+	// rounded through binary16 once — binary16-valued fp32, so the decode
+	// GEMMs are the plain fp32 kernels with no per-call conversion (biases
+	// and LayerNorm parameters are shared with layers). KV caches and the
+	// cross memory store real binary16.
+	fp16      bool
+	layersF16 []decoderLayerWeights
+	projF16   *tensor.Tensor
 }
 
 // NewDecoder builds a decoder with deterministic random weights.

@@ -9,35 +9,36 @@ import (
 )
 
 // FP16 decode support: the Turbo-TC route through the Seq2Seq decoder.
-// Weights are rounded to binary16 once at enable time; activations round at
-// every GEMM boundary (the Tensor Core load conversion); KV rows are stored
-// as binary16 (see KVCache/BlockKVCache half mode); accumulation and all
-// reductions stay fp32. The per-row oracles below dispatch the exact GEMM
-// kernel the grouped fp16 decode path (kernels.AttentionF16 /
-// AttentionBlockedF16) runs per (session, head) problem, so the two routes
-// are bit-identical by construction — the same contract the fp32 pair
-// (attend / DecodeAttention) keeps.
+// Weights are rounded to binary16 once at enable time and activations once
+// where they are produced (the Tensor Core load conversion), both kept as
+// binary16-VALUED fp32 so every weight GEMM is the plain fp32 kernel; KV rows
+// and the cross memory are binary16 STORAGE (see KVCache/BlockKVCache half
+// mode), decoded at access; accumulation and all reductions stay fp32. The
+// per-row oracles below dispatch the exact GEMM kernel the grouped fp16
+// decode path (kernels.AttentionF16 / AttentionBlockedF16) runs per
+// (session, head) problem, so the two routes are bit-identical by
+// construction — the same contract the fp32 pair (attend / DecodeAttention)
+// keeps.
 
-// EnableFP16 switches the decoder's generation route to binary16 storage
-// with fp32 accumulation, pre-encoding every GEMM weight. Must be called
-// before sessions are opened (existing fp32 KV caches are not converted).
-// Idempotent.
+// EnableFP16 switches the decoder's generation route to binary16 numerics
+// with fp32 accumulation, rounding every GEMM weight through binary16 once.
+// Must be called before sessions are opened (existing fp32 KV caches are not
+// converted). Idempotent.
 func (d *Decoder) EnableFP16() {
 	if d.fp16 {
 		return
 	}
 	d.fp16 = true
-	d.halfW = make(map[*tensor.Tensor]blas.Half)
-	enc := func(w *tensor.Tensor) { d.halfW[w] = blas.EncodeHalf(w.Data()) }
-	enc(d.Proj)
-	for l := range d.layers {
-		lw := &d.layers[l]
-		for _, w := range []*tensor.Tensor{
-			lw.selfWq, lw.selfWk, lw.selfWv, lw.selfWo,
-			lw.crossWq, lw.crossWk, lw.crossWv, lw.crossWo,
-			lw.ffnW1, lw.ffnW2,
+	d.projF16 = d.Proj.RoundedF16()
+	d.layersF16 = append([]decoderLayerWeights(nil), d.layers...)
+	for l := range d.layersF16 {
+		lw := &d.layersF16[l]
+		for _, w := range []**tensor.Tensor{
+			&lw.selfWq, &lw.selfWk, &lw.selfWv, &lw.selfWo,
+			&lw.crossWq, &lw.crossWk, &lw.crossWv, &lw.crossWo,
+			&lw.ffnW1, &lw.ffnW2,
 		} {
-			enc(w)
+			*w = (*w).RoundedF16()
 		}
 	}
 }
@@ -46,21 +47,22 @@ func (d *Decoder) EnableFP16() {
 func (d *Decoder) FP16Enabled() bool { return d.fp16 }
 
 // buildCrossCacheF16 is buildCrossCache on the fp16 route: the encoder
-// memory and the K/V projection weights round through binary16 into the
-// GEMM, and the projected rows are stored as binary16 — the cross memory is
-// KV storage, so it halves along with the decode cache.
+// memory rounds through binary16 once, the K/V projections are fp32 GEMMs
+// against the pre-rounded weights, and the projected rows are stored as
+// binary16 — the cross memory is KV storage, so it halves along with the
+// decode cache.
 func (d *Decoder) buildCrossCacheF16(memory *tensor.Tensor) *crossCache {
 	h := d.Cfg.Hidden
 	srcLen := memory.Dim(0)
 	cc := &crossCache{srcLen: srcLen, half: true}
-	mh := blas.EncodeHalf(memory.Data())
+	mr := memory.RoundedF16().Data()
 	k := make([]float32, srcLen*h)
 	v := make([]float32, srcLen*h)
-	for l := range d.layers {
-		lw := &d.layers[l]
-		blas.GemmF16(false, false, srcLen, h, h, 1, mh, h, d.halfW[lw.crossWk], h, 0, k, h)
+	for l := range d.layersF16 {
+		lw := &d.layersF16[l]
+		blas.Gemm(false, false, srcLen, h, h, 1, mr, h, lw.crossWk.Data(), h, 0, k, h)
 		kernels.AddBias(k, lw.crossBk.Data(), srcLen, h)
-		blas.GemmF16(false, false, srcLen, h, h, 1, mh, h, d.halfW[lw.crossWv], h, 0, v, h)
+		blas.Gemm(false, false, srcLen, h, h, 1, mr, h, lw.crossWv.Data(), h, 0, v, h)
 		kernels.AddBias(v, lw.crossBv.Data(), srcLen, h)
 		cc.kh = append(cc.kh, blas.EncodeHalf(k))
 		cc.vh = append(cc.vh, blas.EncodeHalf(v))

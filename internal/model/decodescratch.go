@@ -58,12 +58,12 @@ type decodeScratch struct {
 	kb, vb         [][][]float32
 
 	// fp16-route gather lists: the binary16 twins of keys/vals and the
-	// flattened block tables, plus xh, the activation-encode scratch the
-	// batched fp16 projections round through.
+	// flattened block tables, plus xr, the host-side scratch an activation
+	// rounds into when its fp32 values are still needed.
 	keysH, valsH     []blas.Half
 	flatKBH, flatVBH []blas.Half
 	kbh, vbh         [][]blas.Half
-	xh               blas.Half
+	xr               []float32
 
 	// ws caches the grouped-GEMM descriptors the decode kernels build.
 	ws kernels.DecodeWorkspace
@@ -161,14 +161,14 @@ func (s *decodeScratch) gatherBlockedF16() ([]blas.Half, []blas.Half, []int, []i
 	return s.flatKBH, s.flatVBH, s.blkCounts, s.lens
 }
 
-// halfIn returns the activation-encode scratch sized for n elements,
+// roundedIn returns the rounded-activation scratch sized for n elements,
 // growing it as needed. Must be called with mu held; the slice is valid
-// until the next halfIn call.
-func (s *decodeScratch) halfIn(n int) blas.Half {
-	if cap(s.xh) < n {
-		s.xh = make(blas.Half, n)
+// until the next roundedIn call.
+func (s *decodeScratch) roundedIn(n int) []float32 {
+	if cap(s.xr) < n {
+		s.xr = make([]float32, n)
 	}
-	return s.xh[:n]
+	return s.xr[:n]
 }
 
 // clearGather drops the KV references collected during an iteration

@@ -1,0 +1,207 @@
+package model
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/allocator"
+	"repro/internal/blas"
+	"repro/internal/tensor"
+)
+
+// Golden fp16 outputs, recorded at the commit BEFORE the convert-once
+// rewrite (PR 12's parent, where every GEMM decoded binary16 operands per
+// call) and required to hold after it: the fp16 route's numerics are
+// defined by where values round through binary16, not by how the rounding
+// is implemented, so a faster implementation must reproduce these digests
+// bit for bit. The digests cover float arithmetic whose fusion differs by
+// architecture, so they are pinned on amd64 only.
+
+func skipUnlessAMD64(t *testing.T) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests were recorded on amd64; %s may fuse multiply-adds differently", runtime.GOARCH)
+	}
+}
+
+func digestStreams(streams [][]int) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, s := range streams {
+		binary.LittleEndian.PutUint64(b[:], uint64(len(s)))
+		h.Write(b[:])
+		for _, tok := range s {
+			binary.LittleEndian.PutUint64(b[:], uint64(tok))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+func digestFloats(x []float32) string {
+	h := sha256.New()
+	var b [4]byte
+	for _, v := range x {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// goldenSchedule draws one fuzzed ragged schedule: session count, prompt
+// memory lengths, decode budgets (long enough to cross the 64-token fp16
+// block boundary), join steps and mid-run evictions.
+func goldenSchedule(seed int64) (mems, budgets, joinAt, evictAt []int) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(6)
+	mems, budgets = make([]int, n), make([]int, n)
+	joinAt, evictAt = make([]int, n), make([]int, n)
+	for i := 0; i < n; i++ {
+		mems[i] = 1 + rng.Intn(23)
+		budgets[i] = 1 + rng.Intn(90)
+		joinAt[i] = rng.Intn(9)
+		evictAt[i] = -1
+		if rng.Intn(4) == 0 {
+			evictAt[i] = 1 + rng.Intn(12)
+		}
+	}
+	joinAt[0] = 0
+	return
+}
+
+// goldenRun drives one schedule and digests, besides the token streams, the
+// vocabulary logits of every decode iteration — the greedy argmax alone is
+// too coarse to notice a one-ulp drift.
+func goldenRun(t *testing.T, g *Generator, paged bool, mems, budgets, joinAt, evictAt []int, seed int64) (streams, logits string) {
+	t.Helper()
+	lh := sha256.New()
+	var b [4]byte
+	out := scheduleRun(t, g, paged, mems, budgets, joinAt, evictAt, seed, func(live []*GenSession) {
+		for _, v := range g.dec.scr.logits[:len(live)*g.Cfg.Vocab] {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			lh.Write(b[:])
+		}
+	})
+	return digestStreams(out), hex.EncodeToString(lh.Sum(nil)[:8])
+}
+
+// TestGoldenFP16TokenStreams pins greedy fp16 token streams (and the logits
+// behind them) on fuzzed ragged schedules; contiguous and paged KV must both
+// reproduce the recorded pair.
+func TestGoldenFP16TokenStreams(t *testing.T) {
+	skipUnlessAMD64(t)
+	cfg := genTestConfig()
+	cfg.MaxTargetLen = 96
+	want := map[int64][2]string{ // seed → {streams, logits}
+		9001: {"9135684df55279ae", "500374c0fa8a6e15"},
+		9002: {"9482c34fa35744d1", "6f6102d9423d4d28"},
+		9003: {"8c3e8fcf10ca1acf", "e1c0e9290ccdb8d4"},
+		9004: {"a43ba5210bc073a5", "3d66442fad2ca0f6"},
+		9005: {"9a8c2d2518170a5d", "4af4b25ee281833e"},
+		9006: {"c70a8826375c83f5", "8fb85114117a0c90"},
+	}
+	for seed := int64(9001); seed <= 9006; seed++ {
+		mems, budgets, joinAt, evictAt := goldenSchedule(seed)
+		for _, paged := range []bool{false, true} {
+			var g *Generator
+			if paged {
+				g, _, _ = newPagedGenerator(t, cfg, 4096, 0)
+			} else {
+				var err error
+				if g, err = NewGenerator(cfg, 42, allocator.NewDevice()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g.EnableFP16()
+			streams, logits := goldenRun(t, g, paged, mems, budgets, joinAt, evictAt, seed)
+			if got := [2]string{streams, logits}; got != want[seed] {
+				t.Errorf("seed %d paged=%v (%d sessions): digests %q, recorded %q", seed, paged, len(mems), got, want[seed])
+			}
+		}
+	}
+}
+
+// TestGoldenFP16PackedLogits pins the fp16 packed classifier's logits
+// (embedding → fused-chain encoder on the binary16 route → head) on fixed
+// mixed-length batches.
+func TestGoldenFP16PackedLogits(t *testing.T) {
+	skipUnlessAMD64(t)
+	cfg := BertBase().Scaled(32, 4, 64, 2)
+	enc, err := NewEncoderFusedChains(cfg, 11, allocator.NewTurbo(allocator.NewDevice()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc.EnableFP16()
+	emb := NewEmbedding(cfg, 12)
+	head := NewClassifier(cfg.Hidden, 5, 13)
+	want := []string{
+		"a27ba3034353847e", "467a02281d5431a0", "8906f7c1b2007cb7",
+		"23cff6e3f89394dd", "9b9759dc54fd2eb3", "85b815254f964fe6",
+	}
+	rng := rand.New(rand.NewSource(9100))
+	for trial := range want {
+		batch := fuzzBatch(rng, cfg.Vocab)
+		in, err := emb.EncodePacked(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hidden, _, err := enc.ForwardPacked(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logits, err := head.LogitsPacked(hidden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digestFloats(logits.Data()); got != want[trial] {
+			t.Errorf("batch %d (%d requests): digest %q, recorded %q", trial, len(batch), got, want[trial])
+		}
+	}
+}
+
+// TestFP16ProjectionMatchesGemmF16Oracle keeps the storage-form primitive as
+// the oracle of the convert-once route: a decoder projection computed the way
+// stepF16 does it — activation rounded once, fp32 GEMM against the weight
+// EnableFP16 pre-rounded — must equal blas.GemmF16 over the EncodeHalf'ed
+// activation and ORIGINAL weight bit for bit, bias and all.
+func TestFP16ProjectionMatchesGemmF16Oracle(t *testing.T) {
+	cfg := genTestConfig()
+	d, err := NewDecoder(cfg, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.EnableFP16()
+	const rows = 5
+	for l := range d.layers {
+		orig, pre := &d.layers[l], &d.layersF16[l]
+		for _, w := range []struct {
+			name      string
+			orig, pre *tensor.Tensor
+		}{
+			{"selfWq", orig.selfWq, pre.selfWq},
+			{"crossWk", orig.crossWk, pre.crossWk},
+			{"ffnW1", orig.ffnW1, pre.ffnW1},
+			{"ffnW2", orig.ffnW2, pre.ffnW2},
+		} {
+			k, n := w.orig.Dim(0), w.orig.Dim(1)
+			x := tensor.RandN(int64(300+l), 1.5, rows, k).Data()
+
+			want := make([]float32, rows*n)
+			blas.GemmF16(false, false, rows, n, k, 1, blas.EncodeHalf(x), k, blas.EncodeHalf(w.orig.Data()), n, 0, want, n)
+
+			xr := make([]float32, len(x))
+			tensor.RoundF16Into(xr, x)
+			got := make([]float32, rows*n)
+			blas.Gemm(false, false, rows, n, k, 1, xr, k, w.pre.Data(), n, 0, got, n)
+
+			if digestFloats(got) != digestFloats(want) {
+				t.Fatalf("layer %d %s: rounded-fp32 projection diverges from GemmF16 over encoded operands", l, w.name)
+			}
+		}
+	}
+}

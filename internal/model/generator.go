@@ -290,7 +290,7 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 	switch {
 	case entry != nil:
 		ccr = entry.ccr.retain()
-		g.prefix.hits++
+		g.prefix.noteHit()
 	case memory == nil:
 		return nil, fmt.Errorf("model %s: prompt not cached and no memory supplied", g.Cfg.Name)
 	default:
@@ -299,7 +299,7 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 				g.Cfg.Name, memory.Shape(), g.Cfg.Hidden)
 		}
 		ccr = newCCRef(g.dev, g.dec.newCrossCache(memory), g.Cfg.Hidden)
-		g.prefix.misses++
+		g.prefix.noteMiss()
 	}
 	newPKV := NewBlockKVCache
 	if g.dec.fp16 {
@@ -332,7 +332,7 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 		s.toks = append(s.toks, entry.toks[:replay]...)
 		s.pos = replay
 		s.done = true
-		g.prefix.replayToks += int64(replay)
+		g.prefix.noteReplay(replay)
 		return s, nil
 	}
 	// Continuation: the cached stream is shorter than the budget and open-
@@ -348,7 +348,7 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 		s.toks = append(s.toks, entry.toks[:replay]...)
 		s.pos = replay
 		s.next = entry.toks[replay-1]
-		g.prefix.replayToks += int64(replay)
+		g.prefix.noteReplay(replay)
 	}
 	return s, nil
 }

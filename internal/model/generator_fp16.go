@@ -11,9 +11,11 @@ import (
 
 // stepF16 is Step on the binary16 fast path. The structure mirrors Step
 // exactly — same iteration shape, same scratch plan, same 4-way attention
-// dispatch — but every projection runs as a GemmF16 (activations rounded
-// through binary16 into pooled scratch, weights pre-encoded by EnableFP16),
-// attention reads the binary16 KV storage through the fused fp16 kernel
+// dispatch — but every projection's operands are binary16-valued: the
+// weights were rounded once by EnableFP16, each activation rounds once where
+// it is produced, and the GEMM itself is the fp32 kernel (bit-identical to
+// blas.GemmF16 over the encoded operands, without its per-call decode).
+// Attention reads the binary16 KV storage through the fused fp16 kernel
 // chains (scale folded into the score GEMM, probabilities cast in the
 // softmax pass), and the per-row oracle is attendF16/attendBlockedF16.
 // Token streams are bit-identical across the four dispatch arms, like the
@@ -81,28 +83,34 @@ func (g *Generator) stepF16(sessions []*GenSession) ([]int, error) {
 	}
 	kernels.LayerNorm(x, d.Embed.Gamma.Data(), d.Embed.Beta.Data(), rows, h, 1e-5)
 
-	// batchedLinear on the fp16 route: the input rounds through binary16
-	// into the workspace's encode scratch (the Tensor Core load conversion),
-	// the weight comes pre-encoded from EnableFP16, accumulation is fp32.
-	batchedLinear := func(in []float32, w, b *tensor.Tensor, out []float32) {
-		wk, wn := w.Dim(0), w.Dim(1)
-		xh := scr.halfIn(rows * wk)
-		tensor.EncodeF16Slice(xh, in[:rows*wk])
-		blas.GemmF16(false, false, rows, wn, wk, 1, xh, wk, d.halfW[w], wn, 0, out, wn)
-		if b != nil {
-			kernels.AddBias(out, b.Data(), rows, wn)
+	// rounded is the Tensor Core load conversion of an activation that is
+	// still needed unrounded (x feeds the residual): one pass into the
+	// workspace's operand scratch, valid until the next call. Activations
+	// with the GEMM as their only consumer (attention context, FFN
+	// intermediate, the final hidden rows) round in place instead.
+	rounded := func(in []float32) []float32 {
+		xr := scr.roundedIn(len(in))
+		tensor.RoundF16Into(xr, in)
+		return xr
+	}
+	// batchedLinear takes a binary16-valued input and a pre-rounded weight.
+	batchedLinear := func(in []float32, w *tensorMat, out []float32) {
+		blas.Gemm(false, false, rows, w.n, w.k, 1, in, w.k, w.data, w.n, 0, out, w.n)
+		if w.bias != nil {
+			kernels.AddBias(out, w.bias, rows, w.n)
 		}
 	}
 
-	for l := range d.layers {
-		lw := &d.layers[l]
+	for l := range d.layersF16 {
+		lw := &d.layersF16[l]
 
 		// Self-attention over the binary16 cache. AppendRow performs the
 		// store-side cast; the kernels read the halves back through the
 		// mixed-operand GEMMs.
-		batchedLinear(x, lw.selfWq, lw.selfBq, q)
-		batchedLinear(x, lw.selfWk, lw.selfBk, kNew)
-		batchedLinear(x, lw.selfWv, lw.selfBv, vNew)
+		xr := rounded(x)
+		batchedLinear(xr, mat(lw.selfWq, lw.selfBq), q)
+		batchedLinear(xr, mat(lw.selfWk, lw.selfBk), kNew)
+		batchedLinear(xr, mat(lw.selfWv, lw.selfBv), vNew)
 		switch {
 		case g.PerRowAttention && paged:
 			for ri, s := range sessions {
@@ -154,12 +162,13 @@ func (g *Generator) stepF16(sessions []*GenSession) ([]int, error) {
 			scr.ws.AttentionF16(q, keys, vals, lens, heads, hd, scale, scr.scores[:heads*sumSelf], ctx)
 			g.fusedLaunches.Add(1)
 		}
-		batchedLinear(ctx, lw.selfWo, lw.selfBo, proj)
+		tensor.RoundSliceF16(ctx)
+		batchedLinear(ctx, mat(lw.selfWo, lw.selfBo), proj)
 		kernels.AddResidual(x, proj)
 		kernels.LayerNorm(x, lw.selfLnG.Data(), lw.selfLnB.Data(), rows, h, 1e-5)
 
 		// Cross-attention against each session's binary16 prompt memory.
-		batchedLinear(x, lw.crossWq, lw.crossBq, q)
+		batchedLinear(rounded(x), mat(lw.crossWq, lw.crossBq), q)
 		if g.PerRowAttention {
 			for ri, s := range sessions {
 				d.attendF16(q[ri*h:(ri+1)*h], s.cc.kh[l], s.cc.vh[l], s.cc.srcLen, ctx[ri*h:(ri+1)*h])
@@ -175,21 +184,24 @@ func (g *Generator) stepF16(sessions []*GenSession) ([]int, error) {
 			scr.ws.AttentionF16(q, keys, vals, lens, heads, hd, scale, scr.scores[:heads*sumCross], ctx)
 			g.fusedLaunches.Add(1)
 		}
-		batchedLinear(ctx, lw.crossWo, lw.crossBo, proj)
+		tensor.RoundSliceF16(ctx)
+		batchedLinear(ctx, mat(lw.crossWo, lw.crossBo), proj)
 		kernels.AddResidual(x, proj)
 		kernels.LayerNorm(x, lw.crossLnG.Data(), lw.crossLnB.Data(), rows, h, 1e-5)
 
 		// Feed-forward network, batched.
-		batchedLinear(x, lw.ffnW1, lw.ffnB1, interBuf)
+		batchedLinear(rounded(x), mat(lw.ffnW1, lw.ffnB1), interBuf)
 		kernels.Act(g.Cfg.Act, interBuf)
-		batchedLinear(interBuf, lw.ffnW2, lw.ffnB2, proj)
+		tensor.RoundSliceF16(interBuf)
+		batchedLinear(interBuf, mat(lw.ffnW2, lw.ffnB2), proj)
 		kernels.AddResidual(x, proj)
 		kernels.LayerNorm(x, lw.ffnLnG.Data(), lw.ffnLnB.Data(), rows, h, 1e-5)
 	}
 
 	// Vocabulary projection and greedy argmax per session.
 	logits := scr.logits[:rows*vocab]
-	batchedLinear(x, d.Proj, nil, logits)
+	tensor.RoundSliceF16(x)
+	batchedLinear(x, mat(d.projF16, nil), logits)
 	out := make([]int, rows)
 	for ri, s := range sessions {
 		tok := argmax(logits[ri*vocab : (ri+1)*vocab])

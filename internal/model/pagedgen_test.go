@@ -12,7 +12,7 @@ import (
 
 // newPagedGenerator builds a generator in paged-KV mode over its own device
 // and pool. Pool capacity is in blocks; block size follows KVChunkTokens.
-func newPagedGenerator(t *testing.T, cfg Config, capBlocks, prefixCap int) (*Generator, *allocator.Device, *allocator.BlockPool) {
+func newPagedGenerator(t testing.TB, cfg Config, capBlocks, prefixCap int) (*Generator, *allocator.Device, *allocator.BlockPool) {
 	t.Helper()
 	dev := allocator.NewDevice()
 	g, err := NewGenerator(cfg, 42, dev)
@@ -24,60 +24,10 @@ func newPagedGenerator(t *testing.T, cfg Config, capBlocks, prefixCap int) (*Gen
 	return g, dev, pool
 }
 
-// pagedRun mirrors raggedRun for paged sessions: session i joins at
-// joinAt[i] with a unique prompt (no sharing — pure paging), steps raggedly,
-// leaves when done or at evictAt[i].
+// pagedRun is scheduleRun over paged sessions with unique prompts.
 func pagedRun(t *testing.T, g *Generator, mems []int, budgets, joinAt, evictAt []int, seed int64) [][]int {
 	t.Helper()
-	n := len(mems)
-	sessions := make([]*GenSession, n)
-	streams := make([][]int, n)
-	var live []*GenSession
-	started := 0
-	for step := 0; step < 512; step++ {
-		for i := 0; i < n; i++ {
-			if sessions[i] == nil && joinAt[i] == step {
-				mem := testMemory(seed+int64(i), mems[i], g.Cfg.Hidden)
-				prompt := []int{1000 + i, int(seed), mems[i]} // unique per session
-				s, err := g.NewPagedSession(int64(i), prompt, mem, budgets[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				sessions[i] = s
-				live = append(live, s)
-				started++
-			}
-		}
-		if len(live) == 0 {
-			if started == n {
-				break
-			}
-			continue
-		}
-		if _, err := g.Step(live); err != nil {
-			t.Fatal(err)
-		}
-		kept := live[:0]
-		for _, s := range live {
-			i := int(s.ID)
-			if evictAt[i] >= 0 && len(s.Generated()) >= evictAt[i] && !s.Done() {
-				streams[i] = append([]int(nil), s.Generated()...)
-				s.Close()
-				continue
-			}
-			if s.Done() {
-				streams[i] = append([]int(nil), s.Generated()...)
-				s.Close()
-				continue
-			}
-			kept = append(kept, s)
-		}
-		live = kept
-	}
-	if len(live) != 0 || started != n {
-		t.Fatalf("paged run did not terminate: %d live, %d/%d started", len(live), started, n)
-	}
-	return streams
+	return scheduleRun(t, g, true, mems, budgets, joinAt, evictAt, seed, nil)
 }
 
 // TestPagedDecodeBitIdenticalToContiguousFuzz is the paged tentpole

@@ -122,13 +122,23 @@ type PrefixCacheStats struct {
 
 // PrefixCache maps full prompts to retired generations (the WeChat FAQ
 // workload: a fixed question set asked over and over). Owned by the
-// Generator and confined to the decode loop's goroutine, like sessions.
+// Generator and mutated only from the decode loop's goroutine, like
+// sessions — but /v1/stats snapshots it from HTTP goroutines, so the map,
+// every entry's mutable fields (kv, lastUse) and the counters sit behind
+// mu. An entry handed out by lookup is read by the decode goroutine after
+// the unlock; that is safe because only that goroutine ever writes entries.
 type PrefixCache struct {
-	cap     int
-	entries map[uint64]*prefixEntry
-	tick    int64
+	cap int
 
-	hits, misses, evictions, scavenges, replayToks int64
+	mu      sync.Mutex
+	entries map[uint64]*prefixEntry // guarded by mu
+	tick    int64                   // guarded by mu
+
+	hits       int64 // guarded by mu
+	misses     int64 // guarded by mu
+	evictions  int64 // guarded by mu
+	scavenges  int64 // guarded by mu
+	replayToks int64 // guarded by mu
 }
 
 // newPrefixCache builds a cache holding at most capacity retired prompts.
@@ -141,6 +151,8 @@ func newPrefixCache(capacity int) *PrefixCache {
 
 // lookup returns the entry for the exact prompt, bumping its LRU stamp.
 func (pc *PrefixCache) lookup(prompt []int) *prefixEntry {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	e := pc.entries[hashPrompt(prompt)]
 	if e == nil || !sameProm(e.prompt, prompt) {
 		return nil
@@ -150,8 +162,28 @@ func (pc *PrefixCache) lookup(prompt []int) *prefixEntry {
 	return e
 }
 
-// dropEntry releases everything an entry holds.
-func (pc *PrefixCache) dropEntry(key uint64, e *prefixEntry) {
+// noteHit, noteMiss and noteReplay move the session-open counters, which
+// the Generator bumps as NewPagedSession decides how a prompt is served.
+func (pc *PrefixCache) noteHit() {
+	pc.mu.Lock()
+	pc.hits++
+	pc.mu.Unlock()
+}
+
+func (pc *PrefixCache) noteMiss() {
+	pc.mu.Lock()
+	pc.misses++
+	pc.mu.Unlock()
+}
+
+func (pc *PrefixCache) noteReplay(toks int) {
+	pc.mu.Lock()
+	pc.replayToks += int64(toks)
+	pc.mu.Unlock()
+}
+
+// dropEntryLocked releases everything an entry holds.
+func (pc *PrefixCache) dropEntryLocked(key uint64, e *prefixEntry) {
 	if e.kv != nil {
 		e.kv.Free()
 		e.kv = nil
@@ -165,11 +197,13 @@ func (pc *PrefixCache) dropEntry(key uint64, e *prefixEntry) {
 // already covers at least as many tokens.
 func (pc *PrefixCache) insert(prompt []int, ccr *ccRef, toks []int, hitEos bool, kv *BlockKVCache) bool {
 	key := hashPrompt(prompt)
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	if old := pc.entries[key]; old != nil {
 		if !sameProm(old.prompt, prompt) || len(old.toks) >= len(toks) {
 			return false // hash collision (keep first) or no upgrade
 		}
-		pc.dropEntry(key, old)
+		pc.dropEntryLocked(key, old)
 	}
 	pc.tick++
 	pc.entries[key] = &prefixEntry{
@@ -181,12 +215,12 @@ func (pc *PrefixCache) insert(prompt []int, ccr *ccRef, toks []int, hitEos bool,
 		lastUse: pc.tick,
 	}
 	for len(pc.entries) > pc.cap {
-		pc.evictOldest()
+		pc.evictOldestLocked()
 	}
 	return true
 }
 
-func (pc *PrefixCache) evictOldest() {
+func (pc *PrefixCache) evictOldestLocked() {
 	var oldKey uint64
 	var old *prefixEntry
 	for k, e := range pc.entries {
@@ -195,7 +229,7 @@ func (pc *PrefixCache) evictOldest() {
 		}
 	}
 	if old != nil {
-		pc.dropEntry(oldKey, old)
+		pc.dropEntryLocked(oldKey, old)
 		pc.evictions++
 	}
 }
@@ -205,6 +239,8 @@ func (pc *PrefixCache) evictOldest() {
 // number freed. Token streams stay replayable; only continuation-by-
 // mapping is lost.
 func (pc *PrefixCache) scavenge(need int) int {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	freed := 0
 	for freed < need {
 		var victim *prefixEntry
@@ -229,13 +265,17 @@ func (pc *PrefixCache) scavenge(need int) int {
 
 // drop releases every entry (generator shutdown).
 func (pc *PrefixCache) drop() {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	for k, e := range pc.entries {
-		pc.dropEntry(k, e)
+		pc.dropEntryLocked(k, e)
 	}
 }
 
-// stats snapshots the cache's counters.
+// stats snapshots the cache's counters. Safe from any goroutine.
 func (pc *PrefixCache) stats() PrefixCacheStats {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	st := PrefixCacheStats{
 		Entries:    len(pc.entries),
 		Hits:       pc.hits,

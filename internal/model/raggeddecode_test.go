@@ -7,27 +7,39 @@ import (
 	"repro/internal/allocator"
 )
 
-// raggedRun drives a fuzzed continuous-batching schedule on g: session i
-// joins at joinAt[i], steps raggedly with whoever is live, leaves when done
-// (or is force-closed at evictAt[i] if set). Returns each session's stream.
-func raggedRun(t *testing.T, g *Generator, mems []int, budgets, joinAt, evictAt []int, seed int64) [][]int {
+// scheduleRun drives a fuzzed continuous-batching schedule on g: session i
+// joins at joinAt[i] (a contiguous-KV session, or a paged one over a prompt
+// unique to it — no sharing, pure paging), steps raggedly with whoever is
+// live, and leaves when done or, if evictAt[i] is set, once it has
+// generated that many tokens (a request whose client vanished leaves the
+// batch even though it is not done). afterStep, if non-nil, sees the live
+// batch after every decode iteration. Returns each session's stream.
+func scheduleRun(t *testing.T, g *Generator, paged bool, mems, budgets, joinAt, evictAt []int, seed int64, afterStep func(live []*GenSession)) [][]int {
 	t.Helper()
 	n := len(mems)
-	sessions := make([]*GenSession, n)
+	opened := make([]bool, n)
 	streams := make([][]int, n)
 	var live []*GenSession
 	started := 0
 	for step := 0; step < 512; step++ {
 		for i := 0; i < n; i++ {
-			if sessions[i] == nil && joinAt[i] == step {
-				s, err := g.NewSession(int64(i), testMemory(seed+int64(i), mems[i], g.Cfg.Hidden), budgets[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				sessions[i] = s
-				live = append(live, s)
-				started++
+			if opened[i] || joinAt[i] != step {
+				continue
 			}
+			mem := testMemory(seed+int64(i), mems[i], g.Cfg.Hidden)
+			var s *GenSession
+			var err error
+			if paged {
+				s, err = g.NewPagedSession(int64(i), []int{1000 + i, int(seed), mems[i]}, mem, budgets[i])
+			} else {
+				s, err = g.NewSession(int64(i), mem, budgets[i])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened[i] = true
+			live = append(live, s)
+			started++
 		}
 		if len(live) == 0 {
 			if started == n {
@@ -38,17 +50,13 @@ func raggedRun(t *testing.T, g *Generator, mems []int, budgets, joinAt, evictAt 
 		if _, err := g.Step(live); err != nil {
 			t.Fatal(err)
 		}
+		if afterStep != nil {
+			afterStep(live)
+		}
 		kept := live[:0]
 		for _, s := range live {
 			i := int(s.ID)
-			// Mid-run eviction: a request whose client vanished leaves the
-			// batch even though it is not done.
-			if evictAt[i] >= 0 && len(s.Generated()) >= evictAt[i] && !s.Done() {
-				streams[i] = append([]int(nil), s.Generated()...)
-				s.Close()
-				continue
-			}
-			if s.Done() {
+			if s.Done() || (evictAt[i] >= 0 && len(s.Generated()) >= evictAt[i]) {
 				streams[i] = append([]int(nil), s.Generated()...)
 				s.Close()
 				continue
@@ -58,9 +66,15 @@ func raggedRun(t *testing.T, g *Generator, mems []int, budgets, joinAt, evictAt 
 		live = kept
 	}
 	if len(live) != 0 || started != n {
-		t.Fatalf("ragged run did not terminate: %d live, %d/%d started", len(live), started, n)
+		t.Fatalf("schedule run did not terminate: %d live, %d/%d started", len(live), started, n)
 	}
 	return streams
+}
+
+// raggedRun is scheduleRun over contiguous-KV sessions.
+func raggedRun(t *testing.T, g *Generator, mems []int, budgets, joinAt, evictAt []int, seed int64) [][]int {
+	t.Helper()
+	return scheduleRun(t, g, false, mems, budgets, joinAt, evictAt, seed, nil)
 }
 
 // TestRaggedDecodeBitIdenticalToPerRowFuzz is the tentpole property test:

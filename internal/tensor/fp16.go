@@ -89,17 +89,53 @@ func RoundF16(x float32) float32 {
 }
 
 // RoundSliceF16 rounds every element through binary16 in place.
-func RoundSliceF16(x []float32) {
-	for i, v := range x {
-		x[i] = RoundF16(v)
+func RoundSliceF16(x []float32) { RoundF16Into(x, x) }
+
+// Float32 bit patterns that bound RoundF16Into's fast paths.
+const (
+	f16MinNormalBits = 0x38800000 // 2⁻¹⁴, the smallest normal half
+	f16ToInfBits     = 0x477ff000 // 65520, the first magnitude that rounds to +Inf
+)
+
+// RoundF16Into writes src rounded through binary16 into dst (which may be
+// src itself): dst[i] = F16BitsToF32(F32ToF16Bits(src[i])) bit for bit, but
+// without materialising the half. This is the fp16 route's one conversion:
+// a value rounds once where it is produced and every GEMM that consumes it
+// runs the plain fp32 kernels on the result.
+//
+// In the normal half range the rounding is round-to-nearest-even on the 13
+// dropped mantissa bits, done on the float32 bits (a carry out of the
+// mantissa bumps the exponent, which is still the right answer below
+// 65520). Below 2⁻¹⁴ the half is denormal, a multiple of 2⁻²⁴; adding 0.5
+// lands the value in [0.5, 1), where float32's own ulp is 2⁻²⁴, so the FPU's
+// round-to-nearest-even does the work and subtracting 0.5 is exact. Only
+// NaN, ±Inf and magnitudes that round to ±Inf take the codec.
+func RoundF16Into(dst, src []float32) {
+	if len(dst) != len(src) {
+		panic("tensor: RoundF16Into length mismatch")
+	}
+	for i, v := range src {
+		u := math.Float32bits(v)
+		sign, abs := u&0x80000000, u&0x7fffffff
+		switch {
+		case abs-f16MinNormalBits < f16ToInfBits-f16MinNormalBits:
+			abs += 0xfff + (abs>>13)&1
+			dst[i] = math.Float32frombits(sign | abs&^0x1fff)
+		case abs < f16MinNormalBits:
+			r := float32(math.Float32frombits(abs)+0.5) - 0.5
+			dst[i] = math.Float32frombits(sign | math.Float32bits(r))
+		default:
+			dst[i] = RoundF16(v)
+		}
 	}
 }
 
 // RoundedF16 returns a new tensor with every element rounded through
 // binary16, leaving t untouched.
 func (t *Tensor) RoundedF16() *Tensor {
-	c := t.Clone()
-	RoundSliceF16(c.Data())
+	c := New(t.shape...)
+	c.name = t.name
+	RoundF16Into(c.data, t.data)
 	return c
 }
 

@@ -109,6 +109,85 @@ func TestF16SliceCodecMatchesScalar(t *testing.T) {
 	}
 }
 
+// roundedBits runs one value through the slice rounding kernel, in place and
+// into a separate destination, and returns the (agreeing) result bits.
+func roundedBits(x float32) uint32 {
+	in := [1]float32{x}
+	var out [1]float32
+	RoundF16Into(out[:], in[:])
+	RoundSliceF16(in[:])
+	if math.Float32bits(in[0]) != math.Float32bits(out[0]) {
+		panic("RoundSliceF16 and RoundF16Into disagree")
+	}
+	return math.Float32bits(out[0])
+}
+
+// TestRoundSliceF16MatchesCodecExhaustive pins the rounding kernel to the
+// codec, F16BitsToF32∘F32ToF16Bits, bit for bit on every input class where
+// the two could part: all 65 536 half values, each one's two float32
+// neighbours, both midpoints to the adjacent halves and THEIR neighbours
+// (ties and just-off ties), every power of two from 2⁻²⁷ to 2¹⁷ with its
+// neighbours, the overflow threshold, denormals, ±0, ±Inf and NaN payloads.
+func TestRoundSliceF16MatchesCodecExhaustive(t *testing.T) {
+	var inputs []uint32
+	around := func(u uint32) { inputs = append(inputs, u-1, u, u+1) }
+	for h := 0; h < 1<<16; h++ {
+		v := F16BitsToF32(uint16(h))
+		u := math.Float32bits(v)
+		around(u)
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			continue
+		}
+		// Midpoints to the next half away from and toward zero, computed in
+		// float64 (exact: halves carry 11 significant bits).
+		mag := uint16(h) & 0x7fff
+		sign := u & 0x80000000
+		for _, nb := range []uint16{mag + 1, mag - 1} {
+			if nb > 0x7c00 { // mag-1 wrapped below zero, or past Inf
+				continue
+			}
+			other := float64(65536) // the value Inf's slot would hold
+			if nb != 0x7c00 {
+				other = float64(F16BitsToF32(nb))
+			}
+			mid := float32((float64(F16BitsToF32(mag)) + other) / 2)
+			around(sign | math.Float32bits(mid))
+		}
+	}
+	for e := -27; e <= 17; e++ {
+		p := math.Float32bits(float32(math.Ldexp(1, e)))
+		around(p)
+		around(p | 0x80000000)
+	}
+	for _, u := range []uint32{
+		0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007fffff, 0x00800000, // ±0, float32 denormals
+		0x477fe000, 0x477fefff, 0x477ff000, 0x477ff001, 0xc77ff000, // 65504 … 65520
+		0x7f7fffff, 0xff7fffff, 0x7f800000, 0xff800000, // max float32, ±Inf
+		0x7f800001, 0x7fc00000, 0x7fc00001, 0x7fffffff, 0xff800001, 0xffc12345, // NaN payloads
+	} {
+		around(u)
+	}
+
+	src := make([]float32, len(inputs))
+	for i, u := range inputs {
+		src[i] = math.Float32frombits(u)
+	}
+	dst := make([]float32, len(src))
+	RoundF16Into(dst, src)
+	inPlace := append([]float32(nil), src...)
+	RoundSliceF16(inPlace)
+	for i, u := range inputs {
+		want := math.Float32bits(F16BitsToF32(F32ToF16Bits(src[i])))
+		if got := math.Float32bits(dst[i]); got != want {
+			t.Fatalf("RoundF16Into(%#08x = %g) = %#08x, codec gives %#08x", u, src[i], got, want)
+		}
+		if got := math.Float32bits(inPlace[i]); got != want {
+			t.Fatalf("RoundSliceF16(%#08x = %g) = %#08x, codec gives %#08x", u, src[i], got, want)
+		}
+	}
+	t.Logf("%d inputs bit-identical", len(inputs))
+}
+
 // FuzzF16RoundTrip fuzzes the conversion pair over raw float32 bit patterns
 // with oracle-free invariants: NaN/Inf preservation, and for finite inputs
 // that RoundF16(x) is the NEAREST representable binary16 neighbour of x with
@@ -132,6 +211,12 @@ func FuzzF16RoundTrip(f *testing.F) {
 		x := math.Float32frombits(bits)
 		h := F32ToF16Bits(x)
 		r := F16BitsToF32(h)
+
+		// The slice kernel's bit-domain fast paths must agree with the codec
+		// on every input, in place and out of place.
+		if got := roundedBits(x); got != math.Float32bits(r) {
+			t.Fatalf("RoundSliceF16(%#08x) = %#08x, codec gives %#08x", bits, got, math.Float32bits(r))
+		}
 
 		switch {
 		case math.IsNaN(float64(x)):
