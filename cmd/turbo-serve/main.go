@@ -63,7 +63,6 @@ func main() {
 	genMaxBatch := flag.Int("gen-max-batch", 8, "max concurrent decode sequences")
 	genTokenBudget := flag.Int("gen-token-budget", 0, "cap on summed worst-case context tokens across running generations (0 = unlimited)")
 	genMaxNew := flag.Int("gen-max-new", 32, "default max_new_tokens for /v1/generate")
-	genPerRow := flag.Bool("gen-per-row", false, "decode with the per-row reference attention instead of the grouped ragged kernels (bit-identical oracle, for debugging/benchmarks)")
 	genPaged := flag.Bool("gen-paged", false, "page the generation KV cache through a fixed block pool with shared-prefix caching (block-gated admission, lossless preemption)")
 	genKVBlocks := flag.Int("gen-kv-blocks", 0, "paged-KV block pool capacity (0 = derive from decoder geometry)")
 	genPrefixEntries := flag.Int("gen-prefix-entries", 0, "retired generations the prefix cache keeps for prompt-identical replay (0 = default 64)")
@@ -126,9 +125,6 @@ func main() {
 			turbo.WithGenTokenBudget(*genTokenBudget),
 			turbo.WithGenDefaultMaxNew(*genMaxNew),
 		)
-		if *genPerRow {
-			opts = append(opts, turbo.WithPerRowDecode())
-		}
 		if *genPaged {
 			opts = append(opts, turbo.WithPagedKV(*genKVBlocks))
 			if *genPrefixEntries > 0 {
@@ -224,10 +220,6 @@ func main() {
 		log.Printf("routing over %d replicas, policy %s", *replicas, policy)
 	}
 	if *generate {
-		attn := "grouped ragged"
-		if *genPerRow {
-			attn = "per-row oracle"
-		}
 		kv := "contiguous KV"
 		if *genPaged {
 			kv = "paged KV + prefix cache"
@@ -235,8 +227,8 @@ func main() {
 		if *fp16 {
 			kv = "binary16 " + kv
 		}
-		log.Printf("generation enabled: decoder %d layers, hidden %d, max batch %d, %s decode attention, batched packed prefill, %s",
-			*layers, *hidden, *genMaxBatch, attn, kv)
+		log.Printf("generation enabled: decoder %d layers, hidden %d, max batch %d, grouped ragged decode attention, batched packed prefill, %s",
+			*layers, *hidden, *genMaxBatch, kv)
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}

@@ -39,12 +39,12 @@ func defaultFP16PathParams() fp16PathParams {
 // fp32, …) so host noise hits both alike; returns best-of-reps per-token
 // seconds for each, plus the fp16 engine's fused-launch count.
 func fp16DecodeMeasure(p genDecodeParams, batch int) (fp32Tok, fp16Tok float64, fused int64, err error) {
-	m32, err := newGenDecodeModeOpts(p, batch, core.Options{Seed: 17})
+	m32, err := newGenDecodeModeOpts(p, batch, core.Options{Seed: 17}, false)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer m32.close()
-	m16, err := newGenDecodeModeOpts(p, batch, core.Options{Seed: 17, FP16: true})
+	m16, err := newGenDecodeModeOpts(p, batch, core.Options{Seed: 17, FP16: true}, false)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -207,12 +207,12 @@ func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
 
 	// --- 2. Oracle: fp16 grouped vs per-row token streams ---------------
 	bigBatch := p.batches[len(p.batches)-1]
-	mg, err := newGenDecodeModeOpts(p, bigBatch, core.Options{Seed: 17, FP16: true})
+	mg, err := newGenDecodeModeOpts(p, bigBatch, core.Options{Seed: 17, FP16: true}, false)
 	if err != nil {
 		return err
 	}
 	defer mg.close()
-	mo, err := newGenDecodeModeOpts(p, bigBatch, core.Options{Seed: 17, FP16: true, PerRowDecode: true})
+	mo, err := newGenDecodeModeOpts(p, bigBatch, core.Options{Seed: 17, FP16: true}, true)
 	if err != nil {
 		return err
 	}

@@ -62,18 +62,20 @@ type genDecodeMode struct {
 }
 
 func newGenDecodeMode(p genDecodeParams, batch int, perRow bool) (*genDecodeMode, error) {
-	return newGenDecodeModeOpts(p, batch, core.Options{Seed: 17, PerRowDecode: perRow})
+	return newGenDecodeModeOpts(p, batch, core.Options{Seed: 17}, perRow)
 }
 
 // newGenDecodeModeOpts is the generalised constructor: the fp16-path
 // experiment reuses the same constant-occupancy decode loop under
-// different engine options (FP16 on/off, per-row oracle).
-func newGenDecodeModeOpts(p genDecodeParams, batch int, opts core.Options) (*genDecodeMode, error) {
+// different engine options (FP16 on/off) and either attention arm (perRow
+// selects the Generator's per-row oracle).
+func newGenDecodeModeOpts(p genDecodeParams, batch int, opts core.Options, perRow bool) (*genDecodeMode, error) {
 	encCfg, decCfg := genDecodeConfigs(p)
 	engine, err := core.NewGenEngine(encCfg, decCfg, opts)
 	if err != nil {
 		return nil, err
 	}
+	engine.Generator.PerRowAttention = perRow
 	m := &genDecodeMode{p: p, engine: engine, decCfg: decCfg, rng: rand.New(rand.NewSource(53))}
 	// Initial fill: one packed prefill pass for the whole batch.
 	ids := make([]int64, batch)

@@ -68,12 +68,6 @@ type Options struct {
 	// so no FLOP is ever spent on a padding row and no mask exists. The
 	// padded path remains available as the reference oracle.
 	Packed bool
-	// PerRowDecode makes a GenEngine's decode loop run the per-row
-	// reference attention (one blas call per session and head) instead of
-	// the grouped ragged decode kernels. Token streams are bit-identical
-	// either way — this is the oracle for property tests and the gen-decode
-	// benchmark.
-	PerRowDecode bool
 	// PagedKV pages a GenEngine's self-attention KV through a fixed-size
 	// block pool instead of contiguous worst-case buffers: admission gates
 	// on actual block consumption, and retired generations are kept in a

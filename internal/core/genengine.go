@@ -38,8 +38,7 @@ type GenEngine struct {
 
 // NewGenEngine builds the generation runtime. Encoder and decoder must
 // agree on hidden size; opts.Allocator selects the encoder's activation
-// planner (default: turbo) and opts.PerRowDecode selects the reference
-// decode-attention oracle.
+// planner (default: turbo).
 func NewGenEngine(encCfg, decCfg model.Config, opts Options) (*GenEngine, error) {
 	if !decCfg.IsDecoder {
 		return nil, fmt.Errorf("core: generation needs a decoder config, got %s", decCfg.Name)
@@ -60,7 +59,6 @@ func NewGenEngine(encCfg, decCfg model.Config, opts Options) (*GenEngine, error)
 	if err != nil {
 		return nil, err
 	}
-	gen.PerRowAttention = opts.PerRowDecode
 	if opts.FP16 {
 		gen.EnableFP16()
 	}

@@ -85,10 +85,11 @@ func TestStartSessionsSinglePackedPass(t *testing.T) {
 	got := drainEngine(t, packed, sessions)
 
 	// Padded oracle: same engine seed, one StartSession per prompt.
-	oracle, err := NewGenEngine(encCfg, decCfg, Options{Seed: 5, PerRowDecode: true})
+	oracle, err := NewGenEngine(encCfg, decCfg, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	oracle.Generator.PerRowAttention = true
 	for i, p := range prompts {
 		sess, err := oracle.StartSession(ids[i], p, budgets[i])
 		if err != nil {
@@ -193,12 +194,11 @@ func TestRaggedEnginePropertyFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracleOpts := opts
-			oracleOpts.PerRowDecode = true
-			oracle, err := NewGenEngine(encCfg, decCfg, oracleOpts)
+			oracle, err := NewGenEngine(encCfg, decCfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			oracle.Generator.PerRowAttention = true
 			got := run(ragged, true)
 			want := run(oracle, false)
 			for i := range want {

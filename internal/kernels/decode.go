@@ -2,35 +2,55 @@ package kernels
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/blas"
 	"repro/internal/parallel"
+	"repro/internal/tensor"
 )
 
-// Grouped single-query (decode) attention primitives. One autoregressive
-// decode iteration holds a batch of sessions, each contributing exactly one
-// query row but attending over its own context — its private self-attention
-// KV cache (length grows every step) or its own cross-attention memory
-// (length fixed at the prompt). The batch is therefore ragged in the
-// context dimension, and padding it to the longest context would reintroduce
-// exactly the waste the packed encoder path removed.
+// Grouped single-query (decode) attention. One autoregressive decode
+// iteration holds a batch of sessions, each contributing exactly one query
+// row but attending over its own context — its private self-attention KV
+// (length grows every step) or its own cross-attention memory (length fixed
+// at the prompt). The batch is ragged in the context dimension, and padding
+// it to the longest context would reintroduce exactly the waste the packed
+// encoder path removed. Instead every session's per-head problems become
+// groups of a blas.GroupedStridedBatchedGemm call and the softmax runs over
+// the concatenated score rows.
 //
-// Instead, every session's per-head problems become one group of a
-// blas.GroupedStridedBatchedGemm call (ragged m/n/k per group, like the
-// packed encoder's attention), and the scaled softmax runs over the
-// concatenated score rows. Layouts:
+// There is ONE kernel. Each session's context arrives as a KVSpans view, and
+// the two things that vary underneath it — how many spans the rows are split
+// into, and whether they are stored as fp32 or binary16 — are read off the
+// view, not selected by the caller:
 //
-//   - q:   [rows, hidden] — one query row per session, heads interleaved
-//     along the row as usual (head h at columns [h*headDim, (h+1)*headDim));
-//   - keys[i], vals[i]: session i's [ctxLens[i], hidden] context;
+//   - q is [rows, hidden], one query row per session, heads interleaved
+//     along the row (head h at columns [h*headDim, (h+1)*headDim));
 //   - scores: session i's block starts at element heads*Σ_{j<i} ctxLens[j]
 //     and is shaped [heads, ctxLens[i]] — no block is padded to a batch
-//     maximum, mirroring the packed encoder's score layout at seqQ = 1.
+//     maximum. On return it holds the attention probabilities.
+//   - Scores (q·Kᵀ) run one group per (session, span). The reduction is over
+//     headDim, which spans never split — a span only selects output columns
+//     — so every score is the exact one-span dot product. The softmax scale
+//     rides in the GEMM's alpha: gemmNT writes 0 + alpha·sum, the same
+//     single multiply a separate scaling sweep would apply.
+//   - Context (probs·V) reduces over the context length, which spans DO
+//     split — so spans are applied in ascending rounds, round 0 with beta=0
+//     and later rounds with beta=1. gemmNN accumulates into C with one
+//     multiply-add per element in strictly ascending k order, so round r
+//     resumes the exact accumulation sequence round r-1 left off: the sum is
+//     bit-for-bit the one-span kernel's, and with one span the rounds ARE
+//     the contiguous kernel, group for group.
+//   - On binary16 views the tensor-core numerics of §6.2.1 switch on: q is
+//     rounded through binary16 once, spans are decoded into workspace
+//     scratch at access, the probabilities are rounded in the softmax pass
+//     (the cast a fused fp16 softmax performs when it writes into Tensor
+//     Core registers), and all accumulation stays fp32.
 //
-// Because each (session, head) problem runs through the same GEMM kernel a
-// per-session blas-backed reference uses, the grouped path is bit-identical
-// to the per-row oracle — parallelism across the flattened (session, head)
-// space changes wall-clock, never results.
+// Every (session, span, head) problem runs through the same GEMM kernel the
+// per-row oracle (model.Decoder.attend) dispatches, so the grouped path is
+// bit-identical to it — parallelism across the flattened problem space
+// changes wall-clock, never results.
 
 // decodeScoreFloats returns the score-buffer length the batch needs.
 func decodeScoreFloats(ctxLens []int, heads int) int {
@@ -44,167 +64,135 @@ func decodeScoreFloats(ctxLens []int, heads int) int {
 	return heads * total
 }
 
-// DecodeWorkspace holds the grow-only group descriptors and offset tables
-// the decode primitives build per call, so a decode loop that runs them
-// every sub-layer of every iteration does not churn small allocations. The
-// zero value is ready to use; a workspace must not be shared between
-// concurrent calls.
+// DecodeWorkspace holds the grow-only group descriptors, offset table and
+// binary16 conversion scratch the decode kernel builds per call, so a decode
+// loop that runs it every sub-layer of every iteration does not churn small
+// allocations. The zero value is ready to use; a workspace must not be
+// shared between concurrent calls.
 type DecodeWorkspace struct {
 	groups []blas.StridedBatch
 	offs   []int
 
-	// fp16-route scratch: grouped descriptors with binary16 K/V operands and
-	// the query rows rounded through binary16 (the Tensor Core load
-	// conversion of q, done once per attention call).
-	groupsF16 []blas.StridedBatchF16
-	qr        []float32
+	// Binary16 views only: the query rows rounded through binary16, and the
+	// fp32 expansion of the spans the current phase reads (host-side
+	// emulation of the MMA load conversion, not device memory).
+	qr, spanF []float32
 }
 
-func (ws *DecodeWorkspace) groupsFor(n int) []blas.StridedBatch {
-	if cap(ws.groups) < n {
-		ws.groups = make([]blas.StridedBatch, n)
+// growF32 returns buf resized to n, reallocating to the next power of two
+// when it is outgrown: decode contexts grow by a row per step, and an
+// exact-fit buffer would be reallocated on every one of them.
+func growF32(buf []float32, n int) []float32 {
+	if cap(buf) < n {
+		buf = make([]float32, 1<<bits.Len(uint(n-1)))
 	}
-	ws.groups = ws.groups[:n]
-	return ws.groups
+	return buf[:n]
 }
 
-func (ws *DecodeWorkspace) offsFor(n int) []int {
-	if cap(ws.offs) < n {
-		ws.offs = make([]int, n)
-	}
-	ws.offs = ws.offs[:n]
-	return ws.offs
-}
-
-// Scores computes raw (unscaled) single-query attention scores for a
-// ragged decode batch: for every session i and head h,
-// scores[i][h][t] = q_ih · keys[i][t]_h. One grouped GEMM call covers the
-// whole batch; group i runs heads problems of shape [1, ctxLens[i], headDim].
-func (ws *DecodeWorkspace) Scores(q []float32, keys [][]float32, ctxLens []int, heads, headDim int, scores []float32) {
+// Attention runs grouped decode attention for one ragged batch: scaled
+// scores, softmax, context. keys[i]/vals[i] are session i's views, of which
+// the first ctxLens[i] rows are attended; all views share one storage
+// format. scores is caller-provided scratch of at least heads*Σ ctxLens
+// floats; ctx receives [rows, hidden], previous contents ignored.
+func (ws *DecodeWorkspace) Attention(q []float32, keys, vals []KVSpans, ctxLens []int, heads, headDim int, scale float32, scores, ctx []float32) {
 	rows := len(ctxLens)
+	if len(keys) != rows || len(vals) != rows {
+		panic(fmt.Sprintf("kernels: DecodeAttention %d sessions with %d/%d key/val views", rows, len(keys), len(vals)))
+	}
 	if rows == 0 {
 		return
 	}
 	hidden := heads * headDim
-	checkLen("DecodeScores q", q, rows*hidden)
-	checkLen("DecodeScores scores", scores, decodeScoreFloats(ctxLens, heads))
-	groups := ws.groupsFor(rows)
-	off := 0
+	checkLen("DecodeAttention q", q, rows*hidden)
+	checkLen("DecodeAttention ctx", ctx, rows*hidden)
+	checkLen("DecodeAttention scores", scores, decodeScoreFloats(ctxLens, heads))
+	half := keys[0].Half()
+	sumCtx, spans, maxSpans := 0, 0, 0
 	for i, T := range ctxLens {
-		checkLen("DecodeScores keys", keys[i], T*hidden)
-		groups[i] = blas.StridedBatch{
-			M: 1, N: T, K: headDim,
-			A: q[i*hidden:], Lda: headDim, StrideA: headDim,
-			B: keys[i], Ldb: hidden, StrideB: headDim,
-			C: scores[off:], Ldc: T, StrideC: T,
-			Count: heads,
+		if !keys[i].Covers(T, hidden) || !vals[i].Covers(T, hidden) {
+			panic(fmt.Sprintf("kernels: DecodeAttention session %d views do not hold %d rows of %d", i, T, hidden))
+		}
+		if keys[i].Half() != half || vals[i].Half() != half {
+			panic(fmt.Sprintf("kernels: DecodeAttention session %d mixes storage formats", i))
+		}
+		sumCtx += T
+		spans += keys[i].count(T)
+		maxSpans = max(maxSpans, vals[i].count(T))
+	}
+	if half {
+		ws.qr = growF32(ws.qr, rows*hidden)
+		tensor.RoundF16Into(ws.qr, q[:rows*hidden])
+		q = ws.qr
+		ws.spanF = growF32(ws.spanF, sumCtx*hidden)
+	}
+	// offs[i] = element offset of session i's score region.
+	if cap(ws.offs) < rows {
+		ws.offs = make([]int, rows)
+	}
+	offs := ws.offs[:rows]
+
+	// Scores: one group per (session, span), each writing its own column
+	// range of the session's [heads, T] score region.
+	if cap(ws.groups) < spans {
+		ws.groups = make([]blas.StridedBatch, 0, spans)
+	}
+	groups := ws.groups[:0]
+	off, done := 0, 0
+	for i, T := range ctxLens {
+		offs[i] = off
+		for b := 0; b < keys[i].count(T); b++ {
+			n := keys[i].rowsIn(T, b)
+			groups = append(groups, blas.StridedBatch{
+				M: 1, N: n, K: headDim,
+				A: q[i*hidden:], Lda: headDim, StrideA: headDim,
+				B: keys[i].decodeSpan(b, n*hidden, ws.spanF, done*hidden), Ldb: hidden, StrideB: headDim,
+				C: scores[off+b*keys[i].Rows:], Ldc: T, StrideC: T,
+				Count: heads,
+			})
+			done += n
 		}
 		off += heads * T
 	}
-	blas.GroupedStridedBatchedGemm(false, true, 1, 0, groups)
-	ws.releaseGroups()
-}
+	blas.GroupedStridedBatchedGemm(false, true, scale, 0, groups)
 
-// ScaledSoftmax is the packed scaled softmax over the concatenated decode
-// score rows: every [1, ctxLens[i]] row (heads per session) is scaled then
-// softmaxed over its own context length. As with the packed encoder softmax
-// there is no mask parameter — padding never exists on this path.
-func (ws *DecodeWorkspace) ScaledSoftmax(scores []float32, ctxLens []int, heads int, scale float32) {
-	batch := len(ctxLens)
-	if batch == 0 {
-		return
-	}
-	checkLen("DecodeScaledSoftmax scores", scores, decodeScoreFloats(ctxLens, heads))
-	// offs[i] = elements before session i's block (heads*ctx per session).
-	offs := ws.offsFor(batch + 1)
-	offs[0] = 0
-	for i, n := range ctxLens {
-		offs[i+1] = offs[i] + heads*n
-	}
-	parallel.For(batch*heads, rowGrain, func(lo, hi int) {
+	parallel.For(rows*heads, rowGrain, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			s := r / heads
-			n := ctxLens[s]
-			start := offs[s] + (r%heads)*n
+			n := ctxLens[r/heads]
+			start := offs[r/heads] + (r%heads)*n
 			row := scores[start : start+n]
-			for j := range row {
-				row[j] *= scale
-			}
 			softmaxRow(row)
+			if half {
+				tensor.RoundSliceF16(row)
+			}
 		}
 	})
-}
 
-// Context folds the softmaxed scores back through each session's values:
-// ctx[i]_h = scores[i][h] · vals[i]_h, one grouped GEMM call with ragged k
-// per group. ctx is [rows, hidden]; previous contents are ignored.
-func (ws *DecodeWorkspace) Context(scores []float32, vals [][]float32, ctxLens []int, heads, headDim int, ctx []float32) {
-	rows := len(ctxLens)
-	if rows == 0 {
-		return
-	}
-	hidden := heads * headDim
-	checkLen("DecodeContext ctx", ctx, rows*hidden)
-	checkLen("DecodeContext scores", scores, decodeScoreFloats(ctxLens, heads))
-	groups := ws.groupsFor(rows)
-	off := 0
-	for i, T := range ctxLens {
-		checkLen("DecodeContext vals", vals[i], T*hidden)
-		groups[i] = blas.StridedBatch{
-			M: 1, N: headDim, K: T,
-			A: scores[off:], Lda: T, StrideA: T,
-			B: vals[i], Ldb: hidden, StrideB: headDim,
-			C: ctx[i*hidden:], Ldc: headDim, StrideC: headDim,
-			Count: heads,
+	// Context: ascending rounds over each session's value spans.
+	done = 0
+	for round := 0; round < maxSpans; round++ {
+		groups = groups[:0]
+		for i, T := range ctxLens {
+			if round >= vals[i].count(T) {
+				continue
+			}
+			n := vals[i].rowsIn(T, round)
+			groups = append(groups, blas.StridedBatch{
+				M: 1, N: headDim, K: n,
+				A: scores[offs[i]+round*vals[i].Rows:], Lda: T, StrideA: T,
+				B: vals[i].decodeSpan(round, n*hidden, ws.spanF, done*hidden), Ldb: hidden, StrideB: headDim,
+				C: ctx[i*hidden:], Ldc: headDim, StrideC: headDim,
+				Count: heads,
+			})
+			done += n
 		}
-		off += heads * T
+		beta := float32(1)
+		if round == 0 {
+			beta = 0
+		}
+		blas.GroupedStridedBatchedGemm(false, false, 1, beta, groups)
 	}
-	blas.GroupedStridedBatchedGemm(false, false, 1, 0, groups)
-	ws.releaseGroups()
-}
-
-// releaseGroups drops the KV/score references captured in the group
-// descriptors, so a workspace held by an idle decode loop does not pin
-// closed sessions' cache arrays.
-func (ws *DecodeWorkspace) releaseGroups() {
-	for i := range ws.groups {
-		ws.groups[i] = blas.StridedBatch{}
-	}
-}
-
-// Attention runs the full grouped decode attention for one ragged batch:
-// scores, scaled softmax, context — the decode-path analogue of the packed
-// encoder's attention pipeline. scores is caller-provided scratch of at
-// least heads*Σ ctxLens floats (its contents on return are the attention
-// probabilities, useful for tests); ctx receives [rows, hidden].
-func (ws *DecodeWorkspace) Attention(q []float32, keys, vals [][]float32, ctxLens []int, heads, headDim int, scale float32, scores, ctx []float32) {
-	if len(keys) != len(ctxLens) || len(vals) != len(ctxLens) {
-		panic(fmt.Sprintf("kernels: DecodeAttention %d sessions with %d/%d key/val blocks",
-			len(ctxLens), len(keys), len(vals)))
-	}
-	ws.Scores(q, keys, ctxLens, heads, headDim, scores)
-	ws.ScaledSoftmax(scores, ctxLens, heads, scale)
-	ws.Context(scores, vals, ctxLens, heads, headDim, ctx)
-}
-
-// DecodeScores, DecodeScaledSoftmax, DecodeContext, and DecodeAttention are
-// the convenience forms over a throwaway workspace (tests, one-shot
-// callers); a decode loop should hold a DecodeWorkspace instead.
-func DecodeScores(q []float32, keys [][]float32, ctxLens []int, heads, headDim int, scores []float32) {
-	(&DecodeWorkspace{}).Scores(q, keys, ctxLens, heads, headDim, scores)
-}
-
-// DecodeScaledSoftmax — see DecodeWorkspace.ScaledSoftmax.
-func DecodeScaledSoftmax(scores []float32, ctxLens []int, heads int, scale float32) {
-	(&DecodeWorkspace{}).ScaledSoftmax(scores, ctxLens, heads, scale)
-}
-
-// DecodeContext — see DecodeWorkspace.Context.
-func DecodeContext(scores []float32, vals [][]float32, ctxLens []int, heads, headDim int, ctx []float32) {
-	(&DecodeWorkspace{}).Context(scores, vals, ctxLens, heads, headDim, ctx)
-}
-
-// DecodeAttention — see DecodeWorkspace.Attention.
-func DecodeAttention(q []float32, keys, vals [][]float32, ctxLens []int, heads, headDim int, scale float32, scores, ctx []float32) {
-	(&DecodeWorkspace{}).Attention(q, keys, vals, ctxLens, heads, headDim, scale, scores, ctx)
+	// Drop the KV/score references captured in the descriptors, so a
+	// workspace held by an idle decode loop does not pin closed sessions'
+	// storage.
+	clear(ws.groups[:cap(ws.groups)])
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // pageKV splits one session's contiguous [T, hidden] context into
-// blockTokens-row blocks, the layout a paged KV cache hands the kernels.
-// Blocks are full-capacity (blockTokens*hidden) with only the leading rows
+// blockTokens-row spans, the view a paged KV cache hands the kernel. Spans
+// are full-capacity (blockTokens*hidden) with only the leading rows
 // meaningful, exactly like a partially filled tail block in the pool.
-func pageKV(contig []float32, T, blockTokens, hidden int, rng *rand.Rand) [][]float32 {
+func pageKV(contig []float32, T, blockTokens, hidden int, rng *rand.Rand) KVSpans {
 	var blocks [][]float32
 	for b := 0; b*blockTokens < T; b++ {
 		rows := T - b*blockTokens
@@ -24,16 +24,15 @@ func pageKV(contig []float32, T, blockTokens, hidden int, rng *rand.Rand) [][]fl
 		copy(blk, contig[b*blockTokens*hidden:(b*blockTokens+rows)*hidden])
 		blocks = append(blocks, blk)
 	}
-	return blocks
+	return KVSpans{F32: blocks, Rows: blockTokens}
 }
 
 // TestDecodeAttentionBlockedBitIdenticalFuzz is the paged-KV correctness
-// tentpole: on fuzzed ragged batches the blocked kernels — reading K/V
-// through block tables with partially filled tails — must produce scores,
-// probabilities, and context vectors BIT-IDENTICAL to the contiguous path.
-// Exact comparison, no tolerance: the block-table walk must preserve the
-// contiguous kernels' floating-point accumulation order (see the design
-// comment in decode_blocked.go).
+// tentpole: on fuzzed ragged batches the kernel over many-span views — K/V
+// read through block tables with partially filled tails — must produce
+// probabilities and context vectors BIT-IDENTICAL to the one-span views.
+// Exact comparison, no tolerance: the span walk must preserve the one-span
+// floating-point accumulation order (see the design comment in decode.go).
 func TestDecodeAttentionBlockedBitIdenticalFuzz(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -53,8 +52,8 @@ func TestDecodeAttentionBlockedBitIdenticalFuzz(t *testing.T) {
 			keys[0] = keys[0][:ctxLens[0]*heads*headDim]
 			vals[0] = vals[0][:ctxLens[0]*heads*headDim]
 		}
-		keyBlocks := make([][][]float32, rows)
-		valBlocks := make([][][]float32, rows)
+		keyBlocks := make([]KVSpans, rows)
+		valBlocks := make([]KVSpans, rows)
 		for i := 0; i < rows; i++ {
 			keyBlocks[i] = pageKV(keys[i], ctxLens[i], blockTokens, heads*headDim, rng)
 			valBlocks[i] = pageKV(vals[i], ctxLens[i], blockTokens, heads*headDim, rng)
@@ -67,11 +66,11 @@ func TestDecodeAttentionBlockedBitIdenticalFuzz(t *testing.T) {
 		var wantWS, gotWS DecodeWorkspace
 		wantScores := make([]float32, scoreLen)
 		wantCtx := make([]float32, rows*hidden)
-		wantWS.Attention(q, keys, vals, ctxLens, heads, headDim, scale, wantScores, wantCtx)
+		wantWS.Attention(q, oneSpans(keys, ctxLens, false), oneSpans(vals, ctxLens, false), ctxLens, heads, headDim, scale, wantScores, wantCtx)
 
 		gotScores := make([]float32, scoreLen)
 		gotCtx := make([]float32, rows*hidden)
-		gotWS.AttentionBlocked(q, keyBlocks, valBlocks, ctxLens, blockTokens, heads, headDim, scale, gotScores, gotCtx)
+		gotWS.Attention(q, keyBlocks, valBlocks, ctxLens, heads, headDim, scale, gotScores, gotCtx)
 
 		for i := range wantScores {
 			if gotScores[i] != wantScores[i] {
@@ -97,8 +96,7 @@ func TestDecodeBlockedRejectsShortTable(t *testing.T) {
 		}
 	}()
 	q := make([]float32, 8)
-	blocks := [][][]float32{{make([]float32, 4*8)}} // 1 block of 4 rows
-	var ws DecodeWorkspace
+	blocks := []KVSpans{{F32: [][]float32{make([]float32, 4*8)}, Rows: 4}} // 1 block of 4 rows
 	// ctxLen 5 needs two blocks of 4.
-	ws.ScoresBlocked(q, blocks, []int{5}, 4, 2, 4, make([]float32, 2*5))
+	decodeAttention(q, blocks, blocks, []int{5}, 2, 4, 1, make([]float32, 2*5), make([]float32, 8))
 }

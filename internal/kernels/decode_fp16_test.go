@@ -17,15 +17,12 @@ func randVec(r *rand.Rand, n int) []float32 {
 	return s
 }
 
-func toHalf(src []float32) blas.Half {
-	h := make(blas.Half, len(src))
-	tensor.EncodeF16Slice(h, src)
-	return h
-}
-
-// perRowF16Attention is the scalar-per-row fp16 oracle: for each session and
-// head, a rounded-q dot binary16-K GEMM with the scale in alpha, softmax,
-// binary16 rounding of the probabilities, then probs dot binary16-V.
+// perRowF16Attention is the scalar-per-row fp16 oracle, built on the
+// storage-form primitive blas.GemmF16 rather than anything the kernel calls:
+// for each session and head, a rounded-q dot binary16-K GEMM with the scale
+// in alpha, softmax, binary16 rounding of the probabilities, then probs dot
+// binary16-V. q and the probabilities are binary16-valued when they are
+// encoded, so the encode is exact.
 func perRowF16Attention(q []float32, keys, vals []blas.Half, ctxLens []int, heads, headDim int, scale float32) []float32 {
 	hidden := heads * headDim
 	ctx := make([]float32, len(ctxLens)*hidden)
@@ -35,13 +32,22 @@ func perRowF16Attention(q []float32, keys, vals []blas.Half, ctxLens []int, head
 		for h := 0; h < heads; h++ {
 			off := h * headDim
 			scores := make([]float32, T)
-			blas.GemmF16A32(false, true, 1, T, headDim, scale, qr[off:off+headDim], headDim, keys[i][off:], hidden, 0, scores, T)
+			blas.GemmF16(false, true, 1, T, headDim, scale, blas.EncodeHalf(qr[off:off+headDim]), headDim, keys[i][off:], hidden, 0, scores, T)
 			Softmax(scores, 1, T)
 			tensor.RoundSliceF16(scores)
-			blas.GemmF16A32(false, false, 1, headDim, T, 1, scores, T, vals[i][off:], hidden, 0, ctx[i*hidden+off:i*hidden+off+headDim], headDim)
+			blas.GemmF16(false, false, 1, headDim, T, 1, blas.EncodeHalf(scores), T, vals[i][off:], hidden, 0, ctx[i*hidden+off:i*hidden+off+headDim], headDim)
 		}
 	}
 	return ctx
+}
+
+// halfSpans wraps each session's contiguous binary16 rows as a one-span view.
+func halfSpans(data []blas.Half, lens []int) []KVSpans {
+	views := make([]KVSpans, len(data))
+	for i := range data {
+		views[i] = KVSpans{F16: [][]uint16{data[i]}, Rows: lens[i]}
+	}
+	return views
 }
 
 // TestDecodeAttentionF16MatchesPerRowOracle pins the grouped fp16 decode
@@ -58,15 +64,15 @@ func TestDecodeAttentionF16MatchesPerRowOracle(t *testing.T) {
 	keys := make([]blas.Half, rows)
 	vals := make([]blas.Half, rows)
 	for i, T := range ctxLens {
-		keys[i] = toHalf(randVec(r, T*hidden))
-		vals[i] = toHalf(randVec(r, T*hidden))
+		keys[i] = blas.EncodeHalf(randVec(r, T*hidden))
+		vals[i] = blas.EncodeHalf(randVec(r, T*hidden))
 	}
 	want := perRowF16Attention(q, keys, vals, ctxLens, heads, headDim, scale)
 
 	scores := make([]float32, decodeScoreFloats(ctxLens, heads))
 	got := make([]float32, rows*hidden)
 	var ws DecodeWorkspace
-	ws.AttentionF16(q, keys, vals, ctxLens, heads, headDim, scale, scores, got)
+	ws.Attention(q, halfSpans(keys, ctxLens), halfSpans(vals, ctxLens), ctxLens, heads, headDim, scale, scores, got)
 
 	for i := range got {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -89,32 +95,33 @@ func TestDecodeAttentionBlockedF16MatchesContiguous(t *testing.T) {
 	q := randVec(r, rows*hidden)
 	keys := make([]blas.Half, rows)
 	vals := make([]blas.Half, rows)
-	keyBlocks := make([][]blas.Half, rows)
-	valBlocks := make([][]blas.Half, rows)
+	keyBlocks := make([]KVSpans, rows)
+	valBlocks := make([]KVSpans, rows)
 	for i, T := range ctxLens {
-		keys[i] = toHalf(randVec(r, T*hidden))
-		vals[i] = toHalf(randVec(r, T*hidden))
-		for b := 0; b < numBlocks(T, blockTok); b++ {
-			n := blockRows(T, blockTok, b)
+		keys[i] = blas.EncodeHalf(randVec(r, T*hidden))
+		vals[i] = blas.EncodeHalf(randVec(r, T*hidden))
+		keyBlocks[i].Rows, valBlocks[i].Rows = blockTok, blockTok
+		for b := 0; b*blockTok < T; b++ {
+			n := min(blockTok, T-b*blockTok)
 			// Oversized backing (full blocks) with only n rows meaningful,
 			// as a real block pool hands out.
 			kb := make(blas.Half, blockTok*hidden)
 			vb := make(blas.Half, blockTok*hidden)
 			copy(kb, keys[i][b*blockTok*hidden:b*blockTok*hidden+n*hidden])
 			copy(vb, vals[i][b*blockTok*hidden:b*blockTok*hidden+n*hidden])
-			keyBlocks[i] = append(keyBlocks[i], kb)
-			valBlocks[i] = append(valBlocks[i], vb)
+			keyBlocks[i].F16 = append(keyBlocks[i].F16, kb)
+			valBlocks[i].F16 = append(valBlocks[i].F16, vb)
 		}
 	}
 
 	scoreN := decodeScoreFloats(ctxLens, heads)
 	want := make([]float32, rows*hidden)
 	var ws1 DecodeWorkspace
-	ws1.AttentionF16(q, keys, vals, ctxLens, heads, headDim, scale, make([]float32, scoreN), want)
+	ws1.Attention(q, halfSpans(keys, ctxLens), halfSpans(vals, ctxLens), ctxLens, heads, headDim, scale, make([]float32, scoreN), want)
 
 	got := make([]float32, rows*hidden)
 	var ws2 DecodeWorkspace
-	ws2.AttentionBlockedF16(q, keyBlocks, valBlocks, ctxLens, blockTok, heads, headDim, scale, make([]float32, scoreN), got)
+	ws2.Attention(q, keyBlocks, valBlocks, ctxLens, heads, headDim, scale, make([]float32, scoreN), got)
 
 	for i := range got {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -143,18 +150,18 @@ func TestDecodeAttentionF16ToleranceVsFP32(t *testing.T) {
 	for i, T := range ctxLens {
 		keysF[i] = randVec(r, T*hidden)
 		valsF[i] = randVec(r, T*hidden)
-		keys[i] = toHalf(keysF[i])
-		vals[i] = toHalf(valsF[i])
+		keys[i] = blas.EncodeHalf(keysF[i])
+		vals[i] = blas.EncodeHalf(valsF[i])
 	}
 
 	scoreN := decodeScoreFloats(ctxLens, heads)
 	ref := make([]float32, rows*hidden)
 	var ws1 DecodeWorkspace
-	ws1.Attention(q, keysF, valsF, ctxLens, heads, headDim, scale, make([]float32, scoreN), ref)
+	ws1.Attention(q, oneSpans(keysF, ctxLens, false), oneSpans(valsF, ctxLens, false), ctxLens, heads, headDim, scale, make([]float32, scoreN), ref)
 
 	got := make([]float32, rows*hidden)
 	var ws2 DecodeWorkspace
-	ws2.AttentionF16(q, keys, vals, ctxLens, heads, headDim, scale, make([]float32, scoreN), got)
+	ws2.Attention(q, halfSpans(keys, ctxLens), halfSpans(vals, ctxLens), ctxLens, heads, headDim, scale, make([]float32, scoreN), got)
 
 	maxRel := 0.0
 	for i := range got {

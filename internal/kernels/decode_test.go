@@ -70,6 +70,21 @@ func randomDecodeBatch(rng *rand.Rand, rows, heads, headDim, maxCtx int) (q []fl
 	return q, keys, vals, ctxLens
 }
 
+// oneSpans wraps each session's contiguous [T, hidden] rows as a one-span
+// view — fp32 storage, or binary16 when half.
+func oneSpans(data [][]float32, lens []int, half bool) []KVSpans {
+	views := make([]KVSpans, len(data))
+	for i := range data {
+		views[i] = OneSpan(data[i], lens[i], half)
+	}
+	return views
+}
+
+// decodeAttention runs the kernel on a throwaway workspace.
+func decodeAttention(q []float32, keys, vals []KVSpans, ctxLens []int, heads, headDim int, scale float32, scores, ctx []float32) {
+	(&DecodeWorkspace{}).Attention(q, keys, vals, ctxLens, heads, headDim, scale, scores, ctx)
+}
+
 // TestDecodeAttentionMatchesScalarReference checks the grouped path against
 // the independent float64 reference on fuzzed ragged batches.
 func TestDecodeAttentionMatchesScalarReference(t *testing.T) {
@@ -84,7 +99,7 @@ func TestDecodeAttentionMatchesScalarReference(t *testing.T) {
 		hidden := heads * headDim
 		scores := make([]float32, decodeScoreFloats(lens, heads))
 		ctx := make([]float32, rows*hidden)
-		DecodeAttention(q, keys, vals, lens, heads, headDim, scale, scores, ctx)
+		decodeAttention(q, oneSpans(keys, lens, false), oneSpans(vals, lens, false), lens, heads, headDim, scale, scores, ctx)
 
 		want := refDecodeAttention(q, keys, vals, lens, heads, headDim, scale)
 		for i := range want {
@@ -98,7 +113,9 @@ func TestDecodeAttentionMatchesScalarReference(t *testing.T) {
 // TestDecodeAttentionBitIdenticalToPerRowGemm pins the bit-identity claim
 // the generator's oracle rests on: the grouped call must produce EXACTLY
 // the floats a per-(session, head) blas.Gemm loop produces, because both
-// dispatch the same GEMM kernel per problem.
+// dispatch the same GEMM kernel per problem. The loop below applies the
+// softmax scale as its own sweep, so this also pins that folding it into the
+// score GEMM's alpha changes no bit.
 func TestDecodeAttentionBitIdenticalToPerRowGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
@@ -111,10 +128,10 @@ func TestDecodeAttentionBitIdenticalToPerRowGemm(t *testing.T) {
 
 		scores := make([]float32, decodeScoreFloats(lens, heads))
 		got := make([]float32, rows*hidden)
-		DecodeAttention(q, keys, vals, lens, heads, headDim, scale, scores, got)
+		decodeAttention(q, oneSpans(keys, lens, false), oneSpans(vals, lens, false), lens, heads, headDim, scale, scores, got)
 
-		// Per-row oracle: one Gemm + softmax + Gemm per (session, head),
-		// mirroring Decoder.attend.
+		// Per-row oracle: one Gemm + scale + softmax + Gemm per (session,
+		// head).
 		want := make([]float32, rows*hidden)
 		for i, T := range lens {
 			rowScores := make([]float32, T)
@@ -136,17 +153,14 @@ func TestDecodeAttentionBitIdenticalToPerRowGemm(t *testing.T) {
 	}
 }
 
-// TestDecodeScaledSoftmaxRowsNormalise: every ragged row sums to one over
-// its own length.
-func TestDecodeScaledSoftmaxRowsNormalise(t *testing.T) {
-	lens := []int{3, 1, 7}
-	const heads = 2
+// TestDecodeSoftmaxRowsNormalise: the probabilities the kernel leaves in the
+// score buffer sum to one over every ragged row's own length.
+func TestDecodeSoftmaxRowsNormalise(t *testing.T) {
+	const heads, headDim = 2, 4
+	q, keys, vals, lens := randomDecodeBatch(rand.New(rand.NewSource(3)), 3, heads, headDim, 7)
 	scores := make([]float32, decodeScoreFloats(lens, heads))
-	rng := rand.New(rand.NewSource(3))
-	for i := range scores {
-		scores[i] = float32(rng.NormFloat64()) * 4
-	}
-	DecodeScaledSoftmax(scores, lens, heads, 0.5)
+	ctx := make([]float32, len(lens)*heads*headDim)
+	decodeAttention(q, oneSpans(keys, lens, false), oneSpans(vals, lens, false), lens, heads, headDim, 0.5, scores, ctx)
 	off := 0
 	for s, n := range lens {
 		for h := 0; h < heads; h++ {
@@ -175,14 +189,68 @@ func TestDecodeAttentionRejectsBadShapes(t *testing.T) {
 		fn()
 	}
 	q := make([]float32, 4)
-	kv := [][]float32{make([]float32, 4)}
+	kv := []KVSpans{OneSpan(make([]float32, 4), 1, false)}
 	expectPanic("zero context", func() {
-		DecodeAttention(q, kv, kv, []int{0}, 2, 2, 1, make([]float32, 4), make([]float32, 4))
+		decodeAttention(q, kv, kv, []int{0}, 2, 2, 1, make([]float32, 4), make([]float32, 4))
 	})
 	expectPanic("mismatched gather", func() {
-		DecodeAttention(q, kv, nil, []int{1}, 2, 2, 1, make([]float32, 4), make([]float32, 4))
+		decodeAttention(q, kv, nil, []int{1}, 2, 2, 1, make([]float32, 4), make([]float32, 4))
 	})
 	expectPanic("short scores", func() {
-		DecodeAttention(q, kv, kv, []int{1}, 2, 2, 1, make([]float32, 1), make([]float32, 4))
+		decodeAttention(q, kv, kv, []int{1}, 2, 2, 1, make([]float32, 1), make([]float32, 4))
 	})
+	expectPanic("mixed storage formats", func() {
+		decodeAttention(q, kv, []KVSpans{OneSpan(make([]float32, 4), 1, true)}, []int{1}, 2, 2, 1, make([]float32, 4), make([]float32, 4))
+	})
+}
+
+// BenchmarkDecodeAttention times the one decode-attention kernel at the
+// ledger's decoder shape (hidden 128, 4 heads, batch 8) over the two axes the
+// span view hides: how many spans a session's rows are split into (one, as a
+// contiguous cache hands them over, or 32-row blocks, as the paged cache
+// does) and how they are stored. Allocations are the grouped GEMM's own
+// bookkeeping; the workspace supplies everything else.
+func BenchmarkDecodeAttention(b *testing.B) {
+	const heads, headDim, rows, ctxLen, blockRows = 4, 32, 8, 100, 32
+	hidden := heads * headDim
+	r := rand.New(rand.NewSource(5))
+	q := randVec(r, rows*hidden)
+	lens, keys, vals := make([]int, rows), make([][]float32, rows), make([][]float32, rows)
+	for i := range lens {
+		lens[i], keys[i], vals[i] = ctxLen, randVec(r, ctxLen*hidden), randVec(r, ctxLen*hidden)
+	}
+	// paged re-cuts one-span views into blockRows-row spans of their own.
+	paged := func(one []KVSpans) []KVSpans {
+		out := make([]KVSpans, len(one))
+		for i, v := range one {
+			out[i].Rows = blockRows
+			for lo := 0; lo < ctxLen; lo += blockRows {
+				hi := min(lo+blockRows, ctxLen) * hidden
+				if v.Half() {
+					out[i].F16 = append(out[i].F16, v.F16[0][lo*hidden:hi])
+				} else {
+					out[i].F32 = append(out[i].F32, v.F32[0][lo*hidden:hi])
+				}
+			}
+		}
+		return out
+	}
+	for _, layout := range []string{"one-span", "32-row-spans"} {
+		for _, prec := range []string{"fp32", "fp16"} {
+			k, v := oneSpans(keys, lens, prec == "fp16"), oneSpans(vals, lens, prec == "fp16")
+			if layout != "one-span" {
+				k, v = paged(k), paged(v)
+			}
+			b.Run(layout+"/"+prec, func(b *testing.B) {
+				var ws DecodeWorkspace
+				scores := make([]float32, decodeScoreFloats(lens, heads))
+				ctx := make([]float32, rows*hidden)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ws.Attention(q, k, v, lens, heads, headDim, 0.176, scores, ctx)
+				}
+			})
+		}
+	}
 }

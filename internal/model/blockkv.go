@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/allocator"
-	"repro/internal/blas"
-	"repro/internal/tensor"
+	"repro/internal/kernels"
 )
 
 // BlockKVCache is the paged replacement for KVCache: one generation
@@ -37,6 +36,7 @@ type BlockKVCache struct {
 	half     bool // binary16 rows: 2 bytes/element, double the tokens per block
 	blockTok int
 	k, v     [][]*allocator.Block // [layer][block]
+	ks, vs   []kernels.KVSpans    // [layer]: one span per block of k, v (Rows = blockTok)
 	owned    [][]bool             // [layer][block]: this cache may write K and V there
 	length   int                  // committed rows
 
@@ -63,35 +63,45 @@ func newBlockKVCache(pool *allocator.BlockPool, layers, hidden int, half bool) (
 	if layers <= 0 || hidden <= 0 {
 		return nil, fmt.Errorf("model: invalid paged KV geometry layers=%d hidden=%d", layers, hidden)
 	}
-	rowBytes := int64(hidden) * 4
-	if half {
-		rowBytes = int64(hidden) * 2
-	}
+	rowBytes := int64(hidden) * kvElemBytes(half)
 	if pool.BlockBytes() < rowBytes || pool.BlockBytes()%rowBytes != 0 {
 		return nil, fmt.Errorf("model: pool block %d bytes not a multiple of the %d-byte KV row",
 			pool.BlockBytes(), rowBytes)
 	}
-	return &BlockKVCache{
+	c := &BlockKVCache{
 		pool:     pool,
 		hidden:   hidden,
 		half:     half,
 		blockTok: int(pool.BlockBytes() / rowBytes),
 		k:        make([][]*allocator.Block, layers),
 		v:        make([][]*allocator.Block, layers),
+		ks:       make([]kernels.KVSpans, layers),
+		vs:       make([]kernels.KVSpans, layers),
 		owned:    make([][]bool, layers),
-	}, nil
+	}
+	for l := range c.ks {
+		c.ks[l].Rows, c.vs[l].Rows = c.blockTok, c.blockTok
+	}
+	return c, nil
 }
 
-// Half reports whether the cache stores binary16 rows.
-func (c *BlockKVCache) Half() bool { return c.half }
+// setBlock installs b as block bi of layer l's K (or V) table — appending
+// when bi is one past the end — and points the matching span at it.
+func (c *BlockKVCache) setBlock(l int, isV bool, bi int, b *allocator.Block) {
+	table, view := &c.k[l], &c.ks[l]
+	if isV {
+		table, view = &c.v[l], &c.vs[l]
+	}
+	if bi == len(*table) {
+		*table = append(*table, b)
+	} else {
+		(*table)[bi] = b
+	}
+	setSpan(view, bi, b, c.half)
+}
 
 // rowBytes returns the committed size of one [hidden] row.
-func (c *BlockKVCache) rowBytes() int64 {
-	if c.half {
-		return int64(c.hidden) * 2
-	}
-	return int64(c.hidden) * 4
-}
+func (c *BlockKVCache) rowBytes() int64 { return int64(c.hidden) * kvElemBytes(c.half) }
 
 // BlockTokens returns the pool's block size in rows.
 func (c *BlockKVCache) BlockTokens() int { return c.blockTok }
@@ -137,8 +147,8 @@ func (c *BlockKVCache) MapFrom(src *BlockKVCache, rows int) error {
 		for b := 0; b < nb; b++ {
 			c.pool.Retain(src.k[l][b])
 			c.pool.Retain(src.v[l][b])
-			c.k[l] = append(c.k[l], src.k[l][b])
-			c.v[l] = append(c.v[l], src.v[l][b])
+			c.setBlock(l, false, b, src.k[l][b])
+			c.setBlock(l, true, b, src.v[l][b])
 			c.owned[l] = append(c.owned[l], false)
 		}
 	}
@@ -201,28 +211,21 @@ func (c *BlockKVCache) EnsureAppendable() bool {
 		blocks[i] = b
 	}
 
-	// Phase 3: apply (infallible).
-	tailElems := (c.length % c.blockTok) * c.hidden
+	// Phase 3: apply (infallible). A copy-on-write replaces the read-only
+	// tail with a private copy of its committed rows.
+	tail := c.length % c.blockTok
 	for i, w := range items {
-		table := &c.k[w.layer]
-		if w.isV {
-			table = &c.v[w.layer]
-		}
 		b := blocks[i]
 		if w.cow {
-			old := (*table)[bi]
-			if c.half {
-				copy(b.DataU16()[:tailElems], old.DataU16()[:tailElems])
-				c.pool.Commit(b, int64(tailElems)*2)
-			} else {
-				copy(b.Data()[:tailElems], old.Data()[:tailElems])
-				c.pool.Commit(b, int64(tailElems)*4)
+			old := c.k[w.layer][bi]
+			if w.isV {
+				old = c.v[w.layer][bi]
 			}
+			copyWords(b, old, tail*c.hidden, c.half)
+			c.pool.Commit(b, int64(tail)*c.rowBytes())
 			c.pool.Release(old)
-			(*table)[bi] = b
-		} else {
-			*table = append(*table, b)
 		}
+		c.setBlock(w.layer, w.isV, bi, b)
 	}
 	for l := range c.owned {
 		for len(c.owned[l]) <= bi {
@@ -241,22 +244,31 @@ func (c *BlockKVCache) AppendRow(layer int, kRow, vRow []float32) {
 	if len(kRow) != c.hidden || len(vRow) != c.hidden {
 		panic(fmt.Sprintf("model: KV row size %d/%d, want %d", len(kRow), len(vRow), c.hidden))
 	}
-	bi, off := c.length/c.blockTok, (c.length%c.blockTok)*c.hidden
+	c.checkWritable(layer)
+	c.ks[layer].PutRow(c.length, kRow)
+	c.vs[layer].PutRow(c.length, vRow)
+}
+
+// appendRaw is AppendRow for row t of two views already in this cache's
+// storage format (import): storage words are copied untouched. Same
+// EnsureAppendable contract.
+func (c *BlockKVCache) appendRaw(layer int, k, v kernels.KVSpans, t int) {
+	c.checkWritable(layer)
+	c.ks[layer].CopyRow(c.length, k, t, c.hidden)
+	c.vs[layer].CopyRow(c.length, v, t, c.hidden)
+}
+
+// checkWritable panics unless the next row's block exists in layer's K and V
+// tables and no other holder can see it.
+func (c *BlockKVCache) checkWritable(layer int) {
+	bi := c.length / c.blockTok
 	kt, vt := c.k[layer], c.v[layer]
 	if bi >= len(kt) || bi >= len(vt) || !c.owned[layer][bi] {
-		panic("model: AppendRow without EnsureAppendable")
+		panic("model: append without EnsureAppendable")
 	}
-	kb, vb := kt[bi], vt[bi]
-	if kb.Shared() || vb.Shared() {
-		panic("model: AppendRow into a shared block")
+	if kt[bi].Shared() || vt[bi].Shared() {
+		panic("model: append into a shared block")
 	}
-	if c.half {
-		tensor.EncodeF16Slice(kb.DataU16()[off:off+c.hidden], kRow)
-		tensor.EncodeF16Slice(vb.DataU16()[off:off+c.hidden], vRow)
-		return
-	}
-	copy(kb.Data()[off:off+c.hidden], kRow)
-	copy(vb.Data()[off:off+c.hidden], vRow)
 }
 
 // Advance commits the row appended to every layer this step, charging the
@@ -271,58 +283,10 @@ func (c *BlockKVCache) Advance() {
 	c.length++
 }
 
-// KBlocks appends layer l's key blocks covering tokens rows (tokens may
-// include the row appended but not yet advanced) to dst — each a
-// full-capacity block slice, the layout kernels.AttentionBlocked reads
-// through. Append-style so the decode scratch can reuse one backing array
-// across sessions and steps. Panics on a binary16 cache — use KBlocksH.
-func (c *BlockKVCache) KBlocks(dst [][]float32, l, tokens int) [][]float32 {
-	if c.half {
-		panic("model: KBlocks on a binary16 paged cache; use KBlocksH")
-	}
-	return appendBlockSlices(dst, c.k[l], tokens, c.blockTok)
-}
-
-// VBlocks appends layer l's value blocks, like KBlocks.
-func (c *BlockKVCache) VBlocks(dst [][]float32, l, tokens int) [][]float32 {
-	if c.half {
-		panic("model: VBlocks on a binary16 paged cache; use VBlocksH")
-	}
-	return appendBlockSlices(dst, c.v[l], tokens, c.blockTok)
-}
-
-func appendBlockSlices(dst [][]float32, table []*allocator.Block, tokens, blockTok int) [][]float32 {
-	nb := (tokens + blockTok - 1) / blockTok
-	for b := 0; b < nb; b++ {
-		dst = append(dst, table[b].Data())
-	}
-	return dst
-}
-
-// KBlocksH appends layer l's key blocks as binary16 storage (fp16 caches
-// only), the layout kernels.AttentionBlockedF16 reads through.
-func (c *BlockKVCache) KBlocksH(dst []blas.Half, l, tokens int) []blas.Half {
-	if !c.half {
-		panic("model: KBlocksH on an fp32 paged cache; use KBlocks")
-	}
-	return appendBlockSlicesU16(dst, c.k[l], tokens, c.blockTok)
-}
-
-// VBlocksH appends layer l's value blocks, like KBlocksH.
-func (c *BlockKVCache) VBlocksH(dst []blas.Half, l, tokens int) []blas.Half {
-	if !c.half {
-		panic("model: VBlocksH on an fp32 paged cache; use VBlocks")
-	}
-	return appendBlockSlicesU16(dst, c.v[l], tokens, c.blockTok)
-}
-
-func appendBlockSlicesU16(dst []blas.Half, table []*allocator.Block, tokens, blockTok int) []blas.Half {
-	nb := (tokens + blockTok - 1) / blockTok
-	for b := 0; b < nb; b++ {
-		dst = append(dst, table[b].DataU16())
-	}
-	return dst
-}
+// Spans returns layer l's K and V as one span per held block — each a
+// full-capacity block slice the attention kernel reads straight through, no
+// gather copy.
+func (c *BlockKVCache) Spans(l int) (k, v kernels.KVSpans) { return c.ks[l], c.vs[l] }
 
 // Free releases every held block back to the pool (the pool adjusts both
 // gauges for blocks whose last holder leaves). Idempotent.
@@ -338,6 +302,6 @@ func (c *BlockKVCache) Free() {
 			c.pool.Release(b)
 		}
 	}
-	c.k, c.v, c.owned = nil, nil, nil
+	c.k, c.v, c.ks, c.vs, c.owned = nil, nil, nil, nil, nil
 	c.length = 0
 }

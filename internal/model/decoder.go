@@ -127,116 +127,86 @@ func (s *decodeState) clone(layers int) *decodeState {
 }
 
 // crossCache holds the per-layer projected encoder memory, shared by all
-// beams (it depends only on the source sentence). In fp16 mode (half) the
-// projections are stored as binary16 (kh/vh) and k/v stay nil — the cross
-// memory is KV storage like the decode cache, so it halves with it.
+// beams (it depends only on the source sentence): per layer one K and one V
+// span of [srcLen, hidden] — binary16 storage on the fp16 route, since the
+// cross memory is KV storage like the decode cache and halves with it.
 type crossCache struct {
-	k, v   [][]float32 // [layer][srcLen*hidden], fp32 mode
-	kh, vh []blas.Half // [layer][srcLen*hidden], fp16 mode
-	half   bool
-	srcLen int
+	k, v           []kernels.KVSpans // [layer]
+	srcLen, hidden int
 }
 
-func (cc *crossCache) layers() int {
-	if cc.half {
-		return len(cc.kh)
-	}
-	return len(cc.k)
+func (cc *crossCache) half() bool { return cc.k[0].Half() }
+
+// bytes is the cache's KV footprint: srcLen rows of K and V in every layer.
+func (cc *crossCache) bytes() int64 {
+	return int64(cc.srcLen) * int64(len(cc.k)) * 2 * int64(cc.hidden) * kvElemBytes(cc.half())
 }
 
-func (cc *crossCache) elemBytes() int64 {
-	if cc.half {
-		return 2
-	}
-	return 4
-}
-
-// newCrossCache builds the cross cache on the decoder's active numeric
-// route (fp32, or binary16 after EnableFP16).
-func (d *Decoder) newCrossCache(memory *tensor.Tensor) *crossCache {
-	if d.fp16 {
-		return d.buildCrossCacheF16(memory)
-	}
-	return d.buildCrossCache(memory)
-}
-
-// buildCrossCache projects the encoder memory through every layer's
-// cross-attention K/V weights once per Decode call.
-func (d *Decoder) buildCrossCache(memory *tensor.Tensor) *crossCache {
+// newCrossCache projects the encoder memory through every layer's
+// cross-attention K/V weights once per request. On the fp16 route (half) the
+// memory rounds through binary16 once, the projections are fp32 GEMMs
+// against the pre-rounded weights, and the projected rows are stored as
+// binary16.
+func (d *Decoder) newCrossCache(memory *tensor.Tensor, half bool) *crossCache {
 	h := d.Cfg.Hidden
 	srcLen := memory.Dim(0)
-	cc := &crossCache{srcLen: srcLen}
-	for l := range d.layers {
-		lw := &d.layers[l]
+	layers, mem := d.layers, memory.Data()
+	if half {
+		layers, mem = d.layersF16, memory.RoundedF16().Data()
+	}
+	cc := &crossCache{srcLen: srcLen, hidden: h}
+	for l := range layers {
+		lw := &layers[l]
 		k := make([]float32, srcLen*h)
 		v := make([]float32, srcLen*h)
-		blas.Gemm(false, false, srcLen, h, h, 1, memory.Data(), h, lw.crossWk.Data(), h, 0, k, h)
+		blas.Gemm(false, false, srcLen, h, h, 1, mem, h, lw.crossWk.Data(), h, 0, k, h)
 		kernels.AddBias(k, lw.crossBk.Data(), srcLen, h)
-		blas.Gemm(false, false, srcLen, h, h, 1, memory.Data(), h, lw.crossWv.Data(), h, 0, v, h)
+		blas.Gemm(false, false, srcLen, h, h, 1, mem, h, lw.crossWv.Data(), h, 0, v, h)
 		kernels.AddBias(v, lw.crossBv.Data(), srcLen, h)
-		cc.k = append(cc.k, k)
-		cc.v = append(cc.v, v)
+		cc.k = append(cc.k, kernels.OneSpan(k, srcLen, half))
+		cc.v = append(cc.v, kernels.OneSpan(v, srcLen, half))
 	}
 	return cc
 }
 
 // attend computes single-query multi-head attention for one beam or
-// session: q [hidden] against keys/vals [T, hidden], writing ctx [hidden].
-// This is the per-row reference oracle for the grouped ragged decode path
-// (kernels.DecodeAttention): each head's score and context products go
-// through the same blas GEMM kernel the grouped call dispatches per
-// (session, head) problem, so the two paths are bit-identical by
-// construction and property tests can pin exact token streams.
-func (d *Decoder) attend(q, keys, vals []float32, T int, ctx []float32) {
+// session: q [hidden] against the first T rows of the keys/vals views,
+// writing ctx [hidden]. This is the per-row reference oracle for the grouped
+// decode kernel (kernels.DecodeWorkspace.Attention) on every layout and
+// precision: each (span, head) score and context product goes through the
+// same blas GEMM kernel the grouped call dispatches per problem — scale in
+// the score GEMM's alpha, context spans applied in ascending order with
+// beta=1 continuation — and binary16 views round q and the probabilities
+// and decode their spans exactly where the kernel does. The two paths are
+// bit-identical by construction, so property tests pin exact token streams.
+func (d *Decoder) attend(q []float32, keys, vals kernels.KVSpans, T int, ctx []float32) {
 	h, heads := d.Cfg.Hidden, d.Cfg.Heads
 	hd := h / heads
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	scores := make([]float32, T)
-	for head := 0; head < heads; head++ {
-		off := head * hd
-		blas.Gemm(false, true, 1, T, hd, 1, q[off:off+hd], hd, keys[off:], h, 0, scores, T)
-		for t := range scores {
-			scores[t] *= scale
-		}
-		kernels.Softmax(scores, 1, T)
-		blas.Gemm(false, false, 1, hd, T, 1, scores, T, vals[off:], h, 0, ctx[off:off+hd], hd)
+	half := keys.Half()
+	if half {
+		q = append([]float32(nil), q...)
+		tensor.RoundSliceF16(q)
 	}
-}
-
-// attendBlocked is attend reading K/V through a paged cache's block tables
-// — the per-row reference oracle for kernels.AttentionBlocked. Scores only
-// partition the output columns per block; the context product applies the
-// blocks in ascending order with beta=1 continuation, resuming the same
-// ascending floating-point accumulation the contiguous GEMM runs — so this
-// path is bit-identical to attend over the same logical rows.
-func (d *Decoder) attendBlocked(q []float32, keyBlocks, valBlocks [][]float32, T, blockTok int, ctx []float32) {
-	h, heads := d.Cfg.Hidden, d.Cfg.Heads
-	hd := h / heads
-	scale := float32(1 / math.Sqrt(float64(hd)))
+	kf, vf := keys.Decoded(T, h), vals.Decoded(T, h)
 	scores := make([]float32, T)
 	for head := 0; head < heads; head++ {
 		off := head * hd
-		for b := 0; b*blockTok < T; b++ {
-			n := T - b*blockTok
-			if n > blockTok {
-				n = blockTok
-			}
-			blas.Gemm(false, true, 1, n, hd, 1, q[off:off+hd], hd, keyBlocks[b][off:], h, 0, scores[b*blockTok:], n)
-		}
-		for t := range scores {
-			scores[t] *= scale
+		for b, span := range kf {
+			n := len(span) / h
+			blas.Gemm(false, true, 1, n, hd, scale, q[off:off+hd], hd, span[off:], h, 0, scores[b*keys.Rows:], n)
 		}
 		kernels.Softmax(scores, 1, T)
-		for b := 0; b*blockTok < T; b++ {
-			n := T - b*blockTok
-			if n > blockTok {
-				n = blockTok
-			}
+		if half {
+			tensor.RoundSliceF16(scores)
+		}
+		for b, span := range vf {
+			n := len(span) / h
 			beta := float32(1)
 			if b == 0 {
 				beta = 0
 			}
-			blas.Gemm(false, false, 1, hd, n, 1, scores[b*blockTok:], n, valBlocks[b][off:], h, beta, ctx[off:off+hd], hd)
+			blas.Gemm(false, false, 1, hd, n, 1, scores[b*vals.Rows:], n, span[off:], h, beta, ctx[off:off+hd], hd)
 		}
 	}
 }
@@ -280,7 +250,7 @@ func (d *Decoder) step(st *decodeState, cc *crossCache, tok, pos int) []float32 
 		st.selfK[l] = append(st.selfK[l], kNew...)
 		st.selfV[l] = append(st.selfV[l], vNew...)
 		T := len(st.selfK[l]) / h
-		d.attend(q, st.selfK[l], st.selfV[l], T, ctx)
+		d.attend(q, kernels.OneSpan(st.selfK[l], T, false), kernels.OneSpan(st.selfV[l], T, false), T, ctx)
 		linear(ctx, lw.selfWo, lw.selfBo, proj)
 		for i := range x {
 			x[i] += proj[i]
@@ -353,7 +323,7 @@ func (d *Decoder) BeamSearch(memory *tensor.Tensor, maxLen int) ([]Hypothesis, e
 		maxLen = d.Cfg.MaxTargetLen
 	}
 	beamSize := d.Cfg.BeamSize
-	cc := d.buildCrossCache(memory)
+	cc := d.newCrossCache(memory, false)
 	layers := d.Cfg.Layers
 
 	// Hold the decode workspace for the whole search: every position reuses

@@ -73,7 +73,7 @@ func (d *Decoder) stepAllLocked(states []*decodeState, cc *crossCache, toks []in
 			st.selfK[l] = append(st.selfK[l], kNew[bi*h:(bi+1)*h]...)
 			st.selfV[l] = append(st.selfV[l], vNew[bi*h:(bi+1)*h]...)
 			T := len(st.selfK[l]) / h
-			d.attend(q[bi*h:(bi+1)*h], st.selfK[l], st.selfV[l], T, ctx[bi*h:(bi+1)*h])
+			d.attend(q[bi*h:(bi+1)*h], kernels.OneSpan(st.selfK[l], T, false), kernels.OneSpan(st.selfV[l], T, false), T, ctx[bi*h:(bi+1)*h])
 		}
 		batchedLinear(ctx, mat(lw.selfWo, lw.selfBo), proj)
 		kernels.AddResidual(x, proj)

@@ -18,7 +18,7 @@ func TestStepAllMatchesSingleStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	memory := tensor.RandN(7, 0.5, 6, cfg.Hidden)
-	cc := dec.buildCrossCache(memory)
+	cc := dec.newCrossCache(memory, false)
 
 	layers := cfg.Layers
 	mkStates := func(n int) []*decodeState {
@@ -69,7 +69,7 @@ func TestStepAllSingleBeamDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	memory := tensor.RandN(3, 0.5, 4, cfg.Hidden)
-	cc := dec.buildCrossCache(memory)
+	cc := dec.newCrossCache(memory, false)
 	st := &decodeState{
 		selfK: make([][]float32, cfg.Layers),
 		selfV: make([][]float32, cfg.Layers),

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/allocator"
-	"repro/internal/blas"
 	"repro/internal/kernels"
 )
 
@@ -43,27 +42,16 @@ type decodeScratch struct {
 	scores                []float32 // [heads, planCtx] concatenated ragged rows
 	pe                    []float32 // [hidden] position-encoding row
 
-	// Host-side per-session gather lists for the grouped attention call
-	// (pointers into KV caches, not device data) — reused across steps and
-	// cleared at the end of every iteration so an idle generator does not
-	// pin closed sessions' cache arrays.
-	keys, vals [][]float32
+	// Host-side per-session gather lists for one attention call (span views
+	// into KV stores, not device data) — reused across steps and cleared at
+	// the end of every iteration so an idle generator does not pin closed
+	// sessions' storage.
+	keys, vals []kernels.KVSpans
 	lens       []int
 
-	// Paged-mode gather: all sessions' K/V blocks flattened (flatKB/flatVB),
-	// per-session block counts, and the per-session sub-slices handed to the
-	// blocked kernels. Same reuse-and-clear discipline as keys/vals.
-	flatKB, flatVB [][]float32
-	blkCounts      []int
-	kb, vb         [][][]float32
-
-	// fp16-route gather lists: the binary16 twins of keys/vals and the
-	// flattened block tables, plus xr, the host-side scratch an activation
-	// rounds into when its fp32 values are still needed.
-	keysH, valsH     []blas.Half
-	flatKBH, flatVBH []blas.Half
-	kbh, vbh         [][]blas.Half
-	xr               []float32
+	// xr is the host-side scratch an fp16-route activation rounds into when
+	// its fp32 values are still needed.
+	xr []float32
 
 	// ws caches the grouped-GEMM descriptors the decode kernels build.
 	ws kernels.DecodeWorkspace
@@ -134,33 +122,6 @@ func (s *decodeScratch) bytes() int64 {
 	return s.buf.Size
 }
 
-// gather resets and returns the per-session gather lists, reusing their
-// backing arrays.
-func (s *decodeScratch) gather() ([][]float32, [][]float32, []int) {
-	s.clearGather()
-	return s.keys, s.vals, s.lens
-}
-
-// gatherBlocked resets and returns the paged-mode gather lists (flattened
-// block slices, per-session counts, context lengths), reusing their backing
-// arrays.
-func (s *decodeScratch) gatherBlocked() ([][]float32, [][]float32, []int, []int) {
-	s.clearGather()
-	return s.flatKB, s.flatVB, s.blkCounts, s.lens
-}
-
-// gatherF16 is gather for the binary16 route.
-func (s *decodeScratch) gatherF16() ([]blas.Half, []blas.Half, []int) {
-	s.clearGather()
-	return s.keysH, s.valsH, s.lens
-}
-
-// gatherBlockedF16 is gatherBlocked for the binary16 route.
-func (s *decodeScratch) gatherBlockedF16() ([]blas.Half, []blas.Half, []int, []int) {
-	s.clearGather()
-	return s.flatKBH, s.flatVBH, s.blkCounts, s.lens
-}
-
 // roundedIn returns the rounded-activation scratch sized for n elements,
 // growing it as needed. Must be called with mu held; the slice is valid
 // until the next roundedIn call.
@@ -172,39 +133,10 @@ func (s *decodeScratch) roundedIn(n int) []float32 {
 }
 
 // clearGather drops the KV references collected during an iteration
-// (truncating alone would leave stale slice headers alive in the backing
-// array, keeping freed sessions' K/V storage reachable). Called with mu
-// held.
+// (truncating alone would leave stale views alive in the backing arrays,
+// keeping freed sessions' K/V storage reachable). Called with mu held.
 func (s *decodeScratch) clearGather() {
-	clearRows := func(v [][]float32) [][]float32 {
-		full := v[:cap(v)]
-		for i := range full {
-			full[i] = nil
-		}
-		return v[:0]
-	}
-	s.keys, s.vals = clearRows(s.keys), clearRows(s.vals)
-	s.flatKB, s.flatVB = clearRows(s.flatKB), clearRows(s.flatVB)
-	for _, v := range [2][][][]float32{s.kb[:cap(s.kb)], s.vb[:cap(s.vb)]} {
-		for i := range v {
-			v[i] = nil
-		}
-	}
-	s.kb, s.vb = s.kb[:0], s.vb[:0]
-	clearHalves := func(v []blas.Half) []blas.Half {
-		full := v[:cap(v)]
-		for i := range full {
-			full[i] = nil
-		}
-		return v[:0]
-	}
-	s.keysH, s.valsH = clearHalves(s.keysH), clearHalves(s.valsH)
-	s.flatKBH, s.flatVBH = clearHalves(s.flatKBH), clearHalves(s.flatVBH)
-	for _, v := range [2][][]blas.Half{s.kbh[:cap(s.kbh)], s.vbh[:cap(s.vbh)]} {
-		for i := range v {
-			v[i] = nil
-		}
-	}
-	s.kbh, s.vbh = s.kbh[:0], s.vbh[:0]
-	s.lens, s.blkCounts = s.lens[:0], s.blkCounts[:0]
+	clear(s.keys[:cap(s.keys)])
+	clear(s.vals[:cap(s.vals)])
+	s.keys, s.vals, s.lens = s.keys[:0], s.vals[:0], s.lens[:0]
 }

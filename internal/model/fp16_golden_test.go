@@ -90,21 +90,14 @@ func goldenRun(t *testing.T, g *Generator, paged bool, mems, budgets, joinAt, ev
 	return digestStreams(out), hex.EncodeToString(lh.Sum(nil)[:8])
 }
 
-// TestGoldenFP16TokenStreams pins greedy fp16 token streams (and the logits
-// behind them) on fuzzed ragged schedules; contiguous and paged KV must both
-// reproduce the recorded pair.
-func TestGoldenFP16TokenStreams(t *testing.T) {
+// checkGoldenStreams runs every recorded schedule on a contiguous and a paged
+// generator of the given precision; both must reproduce the recorded
+// {streams, logits} pair.
+func checkGoldenStreams(t *testing.T, fp16 bool, want map[int64][2]string) {
+	t.Helper()
 	skipUnlessAMD64(t)
 	cfg := genTestConfig()
 	cfg.MaxTargetLen = 96
-	want := map[int64][2]string{ // seed → {streams, logits}
-		9001: {"9135684df55279ae", "500374c0fa8a6e15"},
-		9002: {"9482c34fa35744d1", "6f6102d9423d4d28"},
-		9003: {"8c3e8fcf10ca1acf", "e1c0e9290ccdb8d4"},
-		9004: {"a43ba5210bc073a5", "3d66442fad2ca0f6"},
-		9005: {"9a8c2d2518170a5d", "4af4b25ee281833e"},
-		9006: {"c70a8826375c83f5", "8fb85114117a0c90"},
-	}
 	for seed := int64(9001); seed <= 9006; seed++ {
 		mems, budgets, joinAt, evictAt := goldenSchedule(seed)
 		for _, paged := range []bool{false, true} {
@@ -117,13 +110,45 @@ func TestGoldenFP16TokenStreams(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			g.EnableFP16()
+			if fp16 {
+				g.EnableFP16()
+			}
 			streams, logits := goldenRun(t, g, paged, mems, budgets, joinAt, evictAt, seed)
 			if got := [2]string{streams, logits}; got != want[seed] {
-				t.Errorf("seed %d paged=%v (%d sessions): digests %q, recorded %q", seed, paged, len(mems), got, want[seed])
+				t.Errorf("seed %d fp16=%v paged=%v (%d sessions): digests %q, recorded %q", seed, fp16, paged, len(mems), got, want[seed])
 			}
 		}
 	}
+}
+
+// TestGoldenFP16TokenStreams pins greedy fp16 token streams (and the logits
+// behind them) on fuzzed ragged schedules; contiguous and paged KV must both
+// reproduce the recorded pair.
+func TestGoldenFP16TokenStreams(t *testing.T) {
+	checkGoldenStreams(t, true, map[int64][2]string{ // seed → {streams, logits}
+		9001: {"9135684df55279ae", "500374c0fa8a6e15"},
+		9002: {"9482c34fa35744d1", "6f6102d9423d4d28"},
+		9003: {"8c3e8fcf10ca1acf", "e1c0e9290ccdb8d4"},
+		9004: {"a43ba5210bc073a5", "3d66442fad2ca0f6"},
+		9005: {"9a8c2d2518170a5d", "4af4b25ee281833e"},
+		9006: {"c70a8826375c83f5", "8fb85114117a0c90"},
+	})
+}
+
+// TestGoldenFP32TokenStreams pins the fp32 route on the same schedules. The
+// digests were recorded at PR 13's parent — separate Scores/ScaledSoftmax/
+// Context kernels per KV layout, the softmax scale applied as its own sweep
+// — and must hold over the one span kernel with the scale folded into the
+// score GEMM's alpha: the proof that the collapse changed no fp32 bit.
+func TestGoldenFP32TokenStreams(t *testing.T) {
+	checkGoldenStreams(t, false, map[int64][2]string{
+		9001: {"9135684df55279ae", "ec75869968eb407c"},
+		9002: {"9482c34fa35744d1", "796566d2c9ffcef0"},
+		9003: {"8c3e8fcf10ca1acf", "1a652c6832653601"},
+		9004: {"a43ba5210bc073a5", "be8112227b8d5f18"},
+		9005: {"9a8c2d2518170a5d", "2b9cd8decffe7b97"},
+		9006: {"c70a8826375c83f5", "8c7d9a145de8f100"},
+	})
 }
 
 // TestGoldenFP16PackedLogits pins the fp16 packed classifier's logits
@@ -166,7 +191,7 @@ func TestGoldenFP16PackedLogits(t *testing.T) {
 
 // TestFP16ProjectionMatchesGemmF16Oracle keeps the storage-form primitive as
 // the oracle of the convert-once route: a decoder projection computed the way
-// stepF16 does it — activation rounded once, fp32 GEMM against the weight
+// Step does it on the fp16 route — activation rounded once, fp32 GEMM against the weight
 // EnableFP16 pre-rounded — must equal blas.GemmF16 over the EncodeHalf'ed
 // activation and ORIGINAL weight bit for bit, bias and all.
 func TestFP16ProjectionMatchesGemmF16Oracle(t *testing.T) {

@@ -21,14 +21,17 @@ import (
 // Every projection is batched across sessions ([rows,H]×[H,N] GEMMs) even
 // though the sessions sit at different positions with different context
 // lengths — and the ragged parts run grouped: self- and cross-attention
-// execute as one kernels.DecodeAttention call per sub-layer, a grouped
-// strided-batched GEMM over the flattened (session, head) space with each
-// session's own context length as its group shape, plus a packed scaled
+// execute as one kernels.DecodeWorkspace.Attention call per sub-layer, a
+// grouped strided-batched GEMM over the flattened (session, span, head)
+// space with each session's own context length as its group shape, plus a
 // softmax over the concatenated score rows. No session is ever padded to a
-// batch-maximum context. Because every (session, head) problem runs the
-// same GEMM kernel the per-row oracle uses, a session's token stream is
-// bit-identical whether it runs alone, batched with strangers, or through
-// the PerRowAttention reference path.
+// batch-maximum context. Where a session's KV lives (one contiguous span or
+// pool blocks) and how it is stored (fp32 or binary16) reaches the kernel as
+// a kernels.KVSpans view, so there is one Step for all four combinations.
+// Because every (session, span, head) problem runs the same GEMM kernel the
+// per-row oracle uses, a session's token stream is bit-identical whether it
+// runs alone, batched with strangers, or through the PerRowAttention
+// reference path.
 //
 // Step draws its activations from the decoder's device-accounted decode
 // scratch, so concurrent Step calls on one Generator serialise on that
@@ -40,9 +43,10 @@ type Generator struct {
 	dev *allocator.Device
 
 	// PerRowAttention selects the reference oracle: per-session single-query
-	// attention (Decoder.attend) instead of the grouped ragged kernels.
-	// Token streams are bit-identical either way — property tests and the
-	// gen-decode benchmark pin it.
+	// attention (Decoder.attend) instead of the grouped ragged kernel. Token
+	// streams are bit-identical either way — property tests and the
+	// gen-decode benchmark pin it. Set by tests and experiments only; it is
+	// not a serving mode.
 	PerRowAttention bool
 
 	// Paged-KV mode (EnablePagedKV): sessions draw fixed-size KV blocks from
@@ -120,16 +124,12 @@ func (g *Generator) ClosePrefix() {
 // path halves it: binary16 rows cost 2 bytes per element, so the same
 // device budget admits ~2× the context tokens.
 func (g *Generator) KVRowBytes() int64 {
-	elem := int64(4)
-	if g.dec.fp16 {
-		elem = 2
-	}
-	return int64(g.Cfg.Layers) * 2 * int64(g.Cfg.Hidden) * elem
+	return int64(g.Cfg.Layers) * 2 * int64(g.Cfg.Hidden) * kvElemBytes(g.dec.fp16)
 }
 
 // EnableFP16 switches generation to the binary16 fast path: weights encoded
-// once, KV caches (self and cross) stored as binary16, decode attention
-// dispatched through the fused fp16 kernel chains. Must be called before
+// once, KV caches (self and cross) stored as binary16, which switches the
+// decode-attention kernel to its fused fp16 numerics. Must be called before
 // any session is opened. Idempotent.
 func (g *Generator) EnableFP16() { g.dec.EnableFP16() }
 
@@ -167,13 +167,12 @@ type GenSession struct {
 	ID int64
 
 	cc     *crossCache
-	ccr    *ccRef        // refcounted, device-accounted handle on cc
-	kv     *KVCache      // legacy contiguous cache (nil in paged mode)
-	pkv    *BlockKVCache // paged cache (nil in legacy mode)
-	prompt []int         // prompt tokens, paged mode only (prefix key)
-	toks   []int         // generated tokens, EOS included if hit
-	next   int           // token fed at the next step (BOS, then last generated)
-	pos    int           // next decode position
+	ccr    *ccRef  // refcounted, device-accounted handle on cc
+	kv     kvStore // self-attention KV: *KVCache or *BlockKVCache; nil once closed
+	prompt []int   // prompt tokens, paged mode only (prefix key)
+	toks   []int   // generated tokens, EOS included if hit
+	next   int     // token fed at the next step (BOS, then last generated)
+	pos    int     // next decode position
 	maxNew int
 	done   bool
 	ctx    context.Context // nil = never cancelled
@@ -199,30 +198,20 @@ func (s *GenSession) Generated() []int { return s.toks }
 func (s *GenSession) Done() bool { return s.done }
 
 // ContextLen returns the number of tokens in the self-attention cache.
-func (s *GenSession) ContextLen() int {
-	if s.pkv != nil {
-		return s.pkv.Len()
-	}
-	return s.kv.Len()
-}
+func (s *GenSession) ContextLen() int { return s.kv.Len() }
 
 // SrcLen returns the cross-attention memory length (the prompt width).
 func (s *GenSession) SrcLen() int { return s.cc.srcLen }
 
 // KVBytes returns the session's current KV-cache device footprint.
-func (s *GenSession) KVBytes() int64 {
-	if s.pkv != nil {
-		return s.pkv.Bytes()
-	}
-	return s.kv.Bytes()
-}
+func (s *GenSession) KVBytes() int64 { return s.kv.Bytes() }
 
 // KVBlocks returns the pool blocks the session holds (0 in legacy mode).
 func (s *GenSession) KVBlocks() int {
-	if s.pkv == nil {
-		return 0
+	if pkv, ok := s.kv.(*BlockKVCache); ok {
+		return pkv.Blocks()
 	}
-	return s.pkv.Blocks()
+	return 0
 }
 
 // EnsureAppendable pre-acquires (and copy-on-writes) whatever blocks the
@@ -230,10 +219,7 @@ func (s *GenSession) KVBlocks() int {
 // supply them — the serving loop's pre-step reservation hook. Always true
 // for legacy or finished sessions. Idempotent.
 func (s *GenSession) EnsureAppendable() bool {
-	if s.pkv == nil || s.done {
-		return true
-	}
-	return s.pkv.EnsureAppendable()
+	return s.kv == nil || s.done || s.kv.EnsureAppendable()
 }
 
 // NewSession opens a generation session over encoder memory
@@ -248,15 +234,11 @@ func (g *Generator) NewSession(id int64, memory *tensor.Tensor, maxNew int) (*Ge
 	if maxNew <= 0 || maxNew > g.Cfg.MaxTargetLen {
 		maxNew = g.Cfg.MaxTargetLen
 	}
-	newKV := NewKVCache
-	if g.dec.fp16 {
-		newKV = NewKVCacheF16
-	}
-	kv, err := newKV(g.dev, g.Cfg.Layers, g.Cfg.Hidden, maxNew)
+	kv, err := newKVCache(g.dev, g.Cfg.Layers, g.Cfg.Hidden, maxNew, g.dec.fp16)
 	if err != nil {
 		return nil, err
 	}
-	ccr := newCCRef(g.dev, g.dec.newCrossCache(memory), g.Cfg.Hidden)
+	ccr := newCCRef(g.dev, g.dec.newCrossCache(memory, g.dec.fp16))
 	return &GenSession{
 		ID:     id,
 		cc:     ccr.cc,
@@ -298,14 +280,10 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 			return nil, fmt.Errorf("model %s: memory shape %v, want [srcLen, %d]",
 				g.Cfg.Name, memory.Shape(), g.Cfg.Hidden)
 		}
-		ccr = newCCRef(g.dev, g.dec.newCrossCache(memory), g.Cfg.Hidden)
+		ccr = newCCRef(g.dev, g.dec.newCrossCache(memory, g.dec.fp16))
 		g.prefix.noteMiss()
 	}
-	newPKV := NewBlockKVCache
-	if g.dec.fp16 {
-		newPKV = NewBlockKVCacheF16
-	}
-	pkv, err := newPKV(g.pool, g.Cfg.Layers, g.Cfg.Hidden)
+	pkv, err := newBlockKVCache(g.pool, g.Cfg.Layers, g.Cfg.Hidden, g.dec.fp16)
 	if err != nil {
 		ccr.release()
 		return nil, err
@@ -314,7 +292,7 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 		ID:     id,
 		cc:     ccr.cc,
 		ccr:    ccr,
-		pkv:    pkv,
+		kv:     pkv,
 		prompt: append([]int(nil), prompt...),
 		next:   TokBos,
 		maxNew: maxNew,
@@ -362,14 +340,15 @@ func (g *Generator) Retire(s *GenSession) {
 	if s == nil {
 		return
 	}
-	if g.prefix == nil || s.pkv == nil || s.prompt == nil || !s.done {
+	pkv, paged := s.kv.(*BlockKVCache)
+	if g.prefix == nil || !paged || s.prompt == nil || !s.done {
 		s.Close()
 		return
 	}
 	hitEos := len(s.toks) > 0 && s.toks[len(s.toks)-1] == TokEos
-	if g.prefix.insert(s.prompt, s.ccr, s.toks, hitEos, s.pkv) {
+	if g.prefix.insert(s.prompt, s.ccr, s.toks, hitEos, pkv) {
 		// Ownership moved to the cache entry.
-		s.ccr, s.pkv, s.kv = nil, nil, nil
+		s.ccr, s.kv = nil, nil
 		return
 	}
 	s.Close()
@@ -381,10 +360,6 @@ func (s *GenSession) Close() {
 		s.kv.Free()
 		s.kv = nil
 	}
-	if s.pkv != nil {
-		s.pkv.Free()
-		s.pkv = nil
-	}
 	if s.ccr != nil {
 		s.ccr.release()
 		s.ccr = nil
@@ -394,47 +369,44 @@ func (s *GenSession) Close() {
 // Step advances every session by one greedy token and returns the token
 // chosen for each, in order. Sessions marked done are rejected — the
 // continuous scheduler must evict them between iterations.
+//
+// On the fp16 route the loop is the same and every projection's operands are
+// binary16-valued: the weights were rounded once by EnableFP16, each
+// activation rounds once where it is produced, and the GEMM itself is the
+// fp32 kernel (bit-identical to blas.GemmF16 over the encoded operands,
+// without its per-call decode). The KV stores cast rows to binary16 as they
+// are appended, and the attention kernel reads that off the span views.
 func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
-	if g.dec.fp16 {
-		return g.stepF16(sessions)
-	}
 	rows := len(sessions)
 	if rows == 0 {
 		return nil, nil
 	}
+	d := g.dec
 	// Iteration shape: Σ self-context (including the row each session is
 	// about to append) and Σ cross-context size the score scratch must hold.
-	paged := sessions[0].pkv != nil
 	sumSelf, sumCross := 0, 0
 	for _, s := range sessions {
 		if s.done {
 			return nil, fmt.Errorf("model %s: session %d already done", g.Cfg.Name, s.ID)
 		}
-		if s.kv == nil && s.pkv == nil {
+		if s.kv == nil {
 			return nil, fmt.Errorf("model %s: session %d closed", g.Cfg.Name, s.ID)
 		}
-		if (s.pkv != nil) != paged {
-			return nil, fmt.Errorf("model %s: mixed paged and contiguous sessions in one batch", g.Cfg.Name)
+		if s.cc.half() != d.fp16 {
+			return nil, fmt.Errorf("model %s: session %d opened on the other numeric route (EnableFP16 after open?)", g.Cfg.Name, s.ID)
 		}
 		sumSelf += s.ContextLen() + 1
 		sumCross += s.cc.srcLen
 	}
-	// Paged sessions pre-acquire this step's boundary/CoW blocks so the
-	// append loop below cannot fail mid-iteration. Serving loops call
+	// Pre-acquire this step's rows (paged: boundary/CoW blocks) so the append
+	// loop below cannot fail mid-iteration. Serving loops call
 	// EnsureAppendable themselves before stepping (to scavenge or preempt on
 	// exhaustion); this re-check is then a cheap no-op.
-	if paged {
-		for _, s := range sessions {
-			if !s.pkv.EnsureAppendable() {
-				return nil, ErrKVPoolExhausted
-			}
+	for _, s := range sessions {
+		if !s.kv.EnsureAppendable() {
+			return nil, ErrKVPoolExhausted
 		}
 	}
-	maxCtx := sumSelf
-	if sumCross > maxCtx {
-		maxCtx = sumCross
-	}
-	d := g.dec
 	h, inter, vocab, heads := g.Cfg.Hidden, g.Cfg.Inter, g.Cfg.Vocab, g.Cfg.Heads
 	hd := h / heads
 	scale := float32(1 / math.Sqrt(float64(hd)))
@@ -446,7 +418,7 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 	// generator never pins evicted sessions' caches (LIFO: runs before
 	// the unlock above).
 	defer scr.clearGather()
-	scr.plan(&g.Cfg, rows, maxCtx)
+	scr.plan(&g.Cfg, rows, max(sumSelf, sumCross))
 	x := scr.x[:rows*h]
 	q := scr.q[:rows*h]
 	kNew := scr.k[:rows*h]
@@ -467,101 +439,85 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 	}
 	kernels.LayerNorm(x, d.Embed.Gamma.Data(), d.Embed.Beta.Data(), rows, h, 1e-5)
 
+	// The numeric route, picked once. operand is the Tensor Core load
+	// conversion of an activation that is still needed unrounded (x feeds the
+	// residual): one pass into the workspace's operand scratch, valid until
+	// the next call. Activations with the GEMM as their only consumer
+	// (attention context, FFN intermediate, the final hidden rows) round in
+	// place. On fp32 both are the identity.
+	layers, vocabProj := d.layers, d.Proj
+	operand := func(in []float32) []float32 { return in }
+	roundInPlace := func([]float32) {}
+	if d.fp16 {
+		layers, vocabProj = d.layersF16, d.projF16
+		operand = func(in []float32) []float32 {
+			xr := scr.roundedIn(len(in))
+			tensor.RoundF16Into(xr, in)
+			return xr
+		}
+		roundInPlace = tensor.RoundSliceF16
+	}
 	batchedLinear := func(in []float32, w *tensorMat, out []float32) {
 		blas.Gemm(false, false, rows, w.n, w.k, 1, in, w.k, w.data, w.n, 0, out, w.n)
 		if w.bias != nil {
 			kernels.AddBias(out, w.bias, rows, w.n)
 		}
 	}
-
-	for l := range d.layers {
-		lw := &d.layers[l]
-
-		// Self-attention: batched projections, grouped ragged attention over
-		// each session's own cache (per-row oracle when PerRowAttention).
-		batchedLinear(x, mat(lw.selfWq, lw.selfBq), q)
-		batchedLinear(x, mat(lw.selfWk, lw.selfBk), kNew)
-		batchedLinear(x, mat(lw.selfWv, lw.selfBv), vNew)
-		switch {
-		case g.PerRowAttention && paged:
-			for ri, s := range sessions {
-				s.pkv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
-				T := s.pkv.Len() + 1 // include the row just appended
-				d.attendBlocked(q[ri*h:(ri+1)*h],
-					s.pkv.KBlocks(nil, l, T), s.pkv.VBlocks(nil, l, T),
-					T, s.pkv.BlockTokens(), ctx[ri*h:(ri+1)*h])
+	// attention runs the gathered views (scr.keys/vals/lens, one entry per
+	// session) through the grouped kernel, or the per-row oracle.
+	attention := func(sumCtx int) {
+		if g.PerRowAttention {
+			for ri := range sessions {
+				d.attend(q[ri*h:(ri+1)*h], scr.keys[ri], scr.vals[ri], scr.lens[ri], ctx[ri*h:(ri+1)*h])
 			}
-		case g.PerRowAttention:
-			for ri, s := range sessions {
-				s.kv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
-				T := s.kv.Len() + 1 // include the row just appended
-				d.attend(q[ri*h:(ri+1)*h], s.kv.K(l, T), s.kv.V(l, T), T, ctx[ri*h:(ri+1)*h])
+		} else {
+			scr.ws.Attention(q, scr.keys, scr.vals, scr.lens, heads, hd, scale, scr.scores[:heads*sumCtx], ctx)
+			if d.fp16 {
+				g.fusedLaunches.Add(1)
 			}
-		case paged:
-			// Grouped blocked attention: the kernels read K/V straight
-			// through each session's block tables — no gather copy, and
-			// bit-identical to the contiguous grouped path.
-			flatK, flatV, counts, lens := scr.gatherBlocked()
-			for ri, s := range sessions {
-				s.pkv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
-				T := s.pkv.Len() + 1
-				before := len(flatK)
-				flatK = s.pkv.KBlocks(flatK, l, T)
-				flatV = s.pkv.VBlocks(flatV, l, T)
-				counts = append(counts, len(flatK)-before)
-				lens = append(lens, T)
-			}
-			kb, vb := scr.kb[:0], scr.vb[:0]
-			off := 0
-			for _, n := range counts {
-				kb = append(kb, flatK[off:off+n])
-				vb = append(vb, flatV[off:off+n])
-				off += n
-			}
-			scr.flatKB, scr.flatVB, scr.blkCounts, scr.lens = flatK, flatV, counts, lens
-			scr.kb, scr.vb = kb, vb
-			scr.ws.AttentionBlocked(q, kb, vb, lens, sessions[0].pkv.BlockTokens(),
-				heads, hd, scale, scr.scores[:heads*sumSelf], ctx)
-		default:
-			keys, vals, lens := scr.gather()
-			for ri, s := range sessions {
-				s.kv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
-				T := s.kv.Len() + 1
-				keys = append(keys, s.kv.K(l, T))
-				vals = append(vals, s.kv.V(l, T))
-				lens = append(lens, T)
-			}
-			scr.keys, scr.vals, scr.lens = keys, vals, lens
-			scr.ws.Attention(q, keys, vals, lens, heads, hd, scale, scr.scores[:heads*sumSelf], ctx)
 		}
+		roundInPlace(ctx)
+	}
+
+	for l := range layers {
+		lw := &layers[l]
+
+		// Self-attention: batched projections, then ragged attention over
+		// each session's own KV — the row just appended included — read
+		// straight through its span view, no gather copy.
+		xr := operand(x)
+		batchedLinear(xr, mat(lw.selfWq, lw.selfBq), q)
+		batchedLinear(xr, mat(lw.selfWk, lw.selfBk), kNew)
+		batchedLinear(xr, mat(lw.selfWv, lw.selfBv), vNew)
+		scr.clearGather()
+		for ri, s := range sessions {
+			s.kv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
+			k, v := s.kv.Spans(l)
+			scr.keys, scr.vals = append(scr.keys, k), append(scr.vals, v)
+			scr.lens = append(scr.lens, s.kv.Len()+1)
+		}
+		attention(sumSelf)
 		batchedLinear(ctx, mat(lw.selfWo, lw.selfBo), proj)
 		kernels.AddResidual(x, proj)
 		kernels.LayerNorm(x, lw.selfLnG.Data(), lw.selfLnB.Data(), rows, h, 1e-5)
 
 		// Cross-attention against each session's own prompt memory, grouped
 		// the same way (ragged srcLen per session).
-		batchedLinear(x, mat(lw.crossWq, lw.crossBq), q)
-		if g.PerRowAttention {
-			for ri, s := range sessions {
-				d.attend(q[ri*h:(ri+1)*h], s.cc.k[l], s.cc.v[l], s.cc.srcLen, ctx[ri*h:(ri+1)*h])
-			}
-		} else {
-			keys, vals, lens := scr.gather()
-			for _, s := range sessions {
-				keys = append(keys, s.cc.k[l])
-				vals = append(vals, s.cc.v[l])
-				lens = append(lens, s.cc.srcLen)
-			}
-			scr.keys, scr.vals, scr.lens = keys, vals, lens
-			scr.ws.Attention(q, keys, vals, lens, heads, hd, scale, scr.scores[:heads*sumCross], ctx)
+		batchedLinear(operand(x), mat(lw.crossWq, lw.crossBq), q)
+		scr.clearGather()
+		for _, s := range sessions {
+			scr.keys, scr.vals = append(scr.keys, s.cc.k[l]), append(scr.vals, s.cc.v[l])
+			scr.lens = append(scr.lens, s.cc.srcLen)
 		}
+		attention(sumCross)
 		batchedLinear(ctx, mat(lw.crossWo, lw.crossBo), proj)
 		kernels.AddResidual(x, proj)
 		kernels.LayerNorm(x, lw.crossLnG.Data(), lw.crossLnB.Data(), rows, h, 1e-5)
 
 		// Feed-forward network, batched.
-		batchedLinear(x, mat(lw.ffnW1, lw.ffnB1), interBuf)
+		batchedLinear(operand(x), mat(lw.ffnW1, lw.ffnB1), interBuf)
 		kernels.Act(g.Cfg.Act, interBuf)
+		roundInPlace(interBuf)
 		batchedLinear(interBuf, mat(lw.ffnW2, lw.ffnB2), proj)
 		kernels.AddResidual(x, proj)
 		kernels.LayerNorm(x, lw.ffnLnG.Data(), lw.ffnLnB.Data(), rows, h, 1e-5)
@@ -569,17 +525,14 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 
 	// Vocabulary projection and greedy argmax per session.
 	logits := scr.logits[:rows*vocab]
-	blas.Gemm(false, false, rows, vocab, h, 1, x, h, d.Proj.Data(), vocab, 0, logits, vocab)
+	roundInPlace(x)
+	batchedLinear(x, mat(vocabProj, nil), logits)
 	out := make([]int, rows)
 	for ri, s := range sessions {
 		tok := argmax(logits[ri*vocab : (ri+1)*vocab])
 		out[ri] = tok
 		s.toks = append(s.toks, tok)
-		if s.pkv != nil {
-			s.pkv.Advance()
-		} else {
-			s.kv.Advance()
-		}
+		s.kv.Advance()
 		s.pos++
 		s.next = tok
 		if tok == TokEos || len(s.toks) >= s.maxNew {

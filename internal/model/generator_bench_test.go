@@ -9,19 +9,34 @@ import (
 // (cmd/turbo-ledger: Seq2SeqDecoder().Scaled(128,4,512,2)).
 func stepBenchConfig() Config { return Seq2SeqDecoder().Scaled(128, 4, 512, 2) }
 
-// openStepSessions opens n paged sessions over distinct prompts with a
-// 16-row prompt memory and the decoder's full budget, and steps them a few
-// times so the decode workspace, the gather lists and the pooled scratch
-// have reached their steady-state sizes.
+// stepBenchGenerator builds the generator of one benchmark cell.
+func stepBenchGenerator(tb testing.TB, paged, fp16 bool) *Generator {
+	tb.Helper()
+	var g *Generator
+	if paged {
+		g, _, _ = newPagedGenerator(tb, stepBenchConfig(), 4096, 0)
+	} else {
+		var err error
+		if g, err = NewGenerator(stepBenchConfig(), 42, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if fp16 {
+		g.EnableFP16()
+	}
+	return g
+}
+
+// openStepSessions opens n sessions over distinct prompts — paged or
+// contiguous, whichever the generator runs — with a 16-row prompt memory and
+// the decoder's full budget, and steps them a few times so the decode
+// workspace, the gather lists and the conversion scratch have reached their
+// steady-state sizes.
 func openStepSessions(tb testing.TB, g *Generator, n int) []*GenSession {
 	tb.Helper()
 	live := make([]*GenSession, n)
 	for i := range live {
-		s, err := g.NewPagedSession(int64(i), []int{7000 + i}, testMemory(int64(40+i), 16, g.Cfg.Hidden), g.Cfg.MaxTargetLen)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		live[i] = s
+		live[i] = openScheduleSession(tb, g, g.Paged(), i, 16, g.Cfg.MaxTargetLen, 40)
 	}
 	for warm := 0; warm < 4 && !anyDone(live); warm++ {
 		if _, err := g.Step(live); err != nil {
@@ -46,54 +61,55 @@ func closeAll(live []*GenSession) {
 	}
 }
 
-// BenchmarkGeneratorStep times one paged decode iteration by precision and
-// batch size, with allocs/op (ROADMAP open item (a)). The context grows by
-// one row per iteration, as it does in serving; when a session ends the
-// batch is reopened off the clock.
+// BenchmarkGeneratorStep times one decode iteration by KV layout, precision
+// and batch size, with allocs/op (ROADMAP open item (a)) — the numbers that
+// price contiguous KV against paged KV over the one decode path. The context
+// grows by one row per iteration, as it does in serving; when a session ends
+// the batch is reopened off the clock.
 func BenchmarkGeneratorStep(b *testing.B) {
-	for _, fp16 := range []bool{false, true} {
-		for _, batch := range []int{1, 4, 8} {
-			name := fmt.Sprintf("fp32/b%d", batch)
-			if fp16 {
-				name = fmt.Sprintf("fp16/b%d", batch)
+	for _, layout := range []string{"contig", "paged"} {
+		for _, prec := range []string{"fp32", "fp16"} {
+			for _, batch := range []int{1, 4, 8} {
+				b.Run(fmt.Sprintf("%s/%s/b%d", layout, prec, batch), func(b *testing.B) {
+					g := stepBenchGenerator(b, layout == "paged", prec == "fp16")
+					live := openStepSessions(b, g, batch)
+					defer func() { closeAll(live) }()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if anyDone(live) {
+							b.StopTimer()
+							closeAll(live)
+							live = openStepSessions(b, g, batch)
+							b.StartTimer()
+						}
+						if _, err := g.Step(live); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
-			b.Run(name, func(b *testing.B) {
-				g, _, _ := newPagedGenerator(b, stepBenchConfig(), 4096, 0)
-				if fp16 {
-					g.EnableFP16()
-				}
-				live := openStepSessions(b, g, batch)
-				defer func() { closeAll(live) }()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if anyDone(live) {
-						b.StopTimer()
-						closeAll(live)
-						live = openStepSessions(b, g, batch)
-						b.StartTimer()
-					}
-					if _, err := g.Step(live); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }
 
+// pagedStepAllocsAtPR12 is what one steady-state paged decode iteration
+// (batch 4, either precision) allocated at PR 12, before the decode paths
+// were collapsed — measured by the loop below, which testing.AllocsPerRun
+// runs at GOMAXPROCS=1, so the count does not depend on the machine.
+const pagedStepAllocsAtPR12 = 69
+
 // TestStepF16AllocsNoMoreThanStep: a steady-state fp16 decode iteration must
 // not allocate more than the fp32 iteration over the same sessions — every
-// conversion buffer of the binary16 route is planned or pooled.
+// conversion buffer of the binary16 route is planned or workspace-owned —
+// and neither may allocate more than the paged iteration did before the
+// collapse to one decode path.
 func TestStepF16AllocsNoMoreThanStep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	allocs := func(fp16 bool) float64 {
-		g, _, _ := newPagedGenerator(t, stepBenchConfig(), 4096, 0)
-		if fp16 {
-			g.EnableFP16()
-		}
+		g := stepBenchGenerator(t, true, fp16)
 		live := openStepSessions(t, g, 4)
 		defer closeAll(live)
 		return testing.AllocsPerRun(12, func() {
@@ -108,6 +124,9 @@ func TestStepF16AllocsNoMoreThanStep(t *testing.T) {
 	a32, a16 := allocs(false), allocs(true)
 	t.Logf("allocs per decode iteration: fp32 %.0f, fp16 %.0f", a32, a16)
 	if a16 > a32 {
-		t.Fatalf("stepF16 allocates %.0f per iteration, Step %.0f", a16, a32)
+		t.Fatalf("fp16 Step allocates %.0f per iteration, fp32 %.0f", a16, a32)
+	}
+	if a32 > pagedStepAllocsAtPR12 {
+		t.Fatalf("paged Step allocates %.0f per iteration, %d before the one-path collapse", a32, pagedStepAllocsAtPR12)
 	}
 }

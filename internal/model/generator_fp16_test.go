@@ -10,9 +10,9 @@ import (
 
 // TestFP16RaggedDecodeBitIdenticalToPerRowFuzz is the fp16 twin of the fp32
 // tentpole property test: on fuzzed continuous-batching schedules, the
-// grouped fp16 decode path (fused-chain kernels over binary16 KV) must
+// grouped fp16 decode path (the span kernel over binary16 KV views) must
 // produce BIT-IDENTICAL token streams to the per-row fp16 reference
-// (attendF16) — batching strangers together must never perturb a stream.
+// (Decoder.attend) — batching strangers together must never perturb a stream.
 func TestFP16RaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 	trials := 8
 	if testing.Short() {

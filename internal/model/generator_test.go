@@ -182,7 +182,8 @@ func TestKVCacheGrowthAndAccounting(t *testing.T) {
 		t.Fatalf("capacity %d not chunk-aligned", c.CapTokens())
 	}
 	// Rows must survive the growth copy.
-	k := c.K(1, c.Len())
+	ks, _ := c.Spans(1)
+	k := ks.F32[0]
 	for tok := 0; tok < c.Len(); tok++ {
 		if k[tok*hidden] != float32(tok*hidden) {
 			t.Fatalf("row %d corrupted after growth: %f", tok, k[tok*hidden])

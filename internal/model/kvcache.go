@@ -4,9 +4,75 @@ import (
 	"fmt"
 
 	"repro/internal/allocator"
-	"repro/internal/blas"
-	"repro/internal/tensor"
+	"repro/internal/kernels"
 )
+
+// kvStore is the surface a session's self-attention KV presents to the
+// decode path, whichever store holds it — KVCache (one contiguous span per
+// layer) or BlockKVCache (one span per pool block). Step, export and import
+// are written once against it.
+type kvStore interface {
+	// EnsureAppendable reserves room for the next row in every layer,
+	// returning false (store unchanged) when it cannot.
+	EnsureAppendable() bool
+	// AppendRow stores one token's fp32 K and V rows for a layer at the next
+	// position (cast to binary16 by a half store); appendRaw stores row t of
+	// two views of the store's own format as raw words (import).
+	AppendRow(layer int, kRow, vRow []float32)
+	appendRaw(layer int, k, v kernels.KVSpans, t int)
+	// Advance commits the row appended to every layer this step.
+	Advance()
+	Len() int
+	Bytes() int64
+	Free()
+	// Spans returns layer l's K and V views; they hold Len() committed rows
+	// plus the row appended but not yet advanced, if any.
+	Spans(l int) (k, v kernels.KVSpans)
+}
+
+// storage is what both device allocations (Buffer, Block) offer a span.
+type storage interface {
+	Data() []float32
+	DataU16() []uint16
+}
+
+// copyWords copies the first n storage words of src into dst.
+func copyWords(dst, src storage, n int, half bool) {
+	if half {
+		copy(dst.DataU16()[:n], src.DataU16()[:n])
+		return
+	}
+	copy(dst.Data()[:n], src.Data()[:n])
+}
+
+// setSpan points span i of the view at st's backing array (appending when i
+// is one past the end), keeping a store's views in step with its buffers or
+// block table. An allocation is one format for its whole lifetime.
+func setSpan(s *kernels.KVSpans, i int, st storage, half bool) {
+	if half {
+		s.F16 = setAt(s.F16, i, st.DataU16())
+	} else {
+		s.F32 = setAt(s.F32, i, st.Data())
+	}
+}
+
+func setAt[T any](list []T, i int, v T) []T {
+	if i == len(list) {
+		return append(list, v)
+	}
+	list[i] = v
+	return list
+}
+
+// kvElemBytes is the storage width of one KV element: 4 for fp32, 2 for the
+// binary16 fast path. Halving this is exactly the "~2× KV capacity" lever —
+// every gauge, grant, and buffer size scales with it.
+func kvElemBytes(half bool) int64 {
+	if half {
+		return 2
+	}
+	return 4
+}
 
 // KVChunkTokens is the granularity of KV-cache capacity growth. Like
 // Algorithm 1's 2 MB activation chunks, growing in fixed token chunks
@@ -52,20 +118,13 @@ type KVCache struct {
 	hidden      int
 	half        bool                // binary16 storage (fp16 fast path): 2 bytes/element
 	k, v        []*allocator.Buffer // one per layer
+	ks, vs      []kernels.KVSpans   // one-span views over k, v, built by Spans
 	length      int                 // tokens currently stored
 	capTok      int                 // token capacity of every buffer
 	reservedTok int                 // tokens charged to the KV-reserved gauge
 }
 
-// elemBytes returns the storage width of one element: 4 for fp32, 2 for the
-// binary16 fast path. Halving this is exactly the "~2× KV capacity" lever —
-// every gauge, grant, and buffer size below scales with it.
-func (c *KVCache) elemBytes() int64 {
-	if c.half {
-		return 2
-	}
-	return 4
-}
+func (c *KVCache) elemBytes() int64 { return kvElemBytes(c.half) }
 
 // roundUpTokens applies the growth policy: headroom-scaled and rounded to
 // the chunk granularity, clamped so the result never exceeds maxKVTokens
@@ -136,6 +195,7 @@ func newKVCache(dev *allocator.Device, layers, hidden, expectTokens int, half bo
 	if total := bytes * 2 * int64(layers); bytes != 0 && total/bytes != 2*int64(layers) {
 		return nil, fmt.Errorf("model: KV cache footprint overflows (%d layers × %d bytes)", layers, bytes)
 	}
+	c.ks, c.vs = make([]kernels.KVSpans, layers), make([]kernels.KVSpans, layers)
 	for l := 0; l < layers; l++ {
 		c.k = append(c.k, dev.Malloc(bytes))
 		c.v = append(c.v, dev.Malloc(bytes))
@@ -192,22 +252,16 @@ func (c *KVCache) grow(need int) {
 	if err != nil {
 		panic(fmt.Sprintf("model: KV growth past validated grant: %v", err))
 	}
+	c.capTok = newCap
 	live := c.length * c.hidden
 	for l := range c.k {
-		nk := c.dev.Malloc(bytes)
-		nv := c.dev.Malloc(bytes)
-		if c.half {
-			copy(nk.DataU16()[:live], c.k[l].DataU16()[:live])
-			copy(nv.DataU16()[:live], c.v[l].DataU16()[:live])
-		} else {
-			copy(nk.Data()[:live], c.k[l].Data()[:live])
-			copy(nv.Data()[:live], c.v[l].Data()[:live])
-		}
+		nk, nv := c.dev.Malloc(bytes), c.dev.Malloc(bytes)
+		copyWords(nk, c.k[l], live, c.half)
+		copyWords(nv, c.v[l], live, c.half)
 		c.dev.Free(c.k[l])
 		c.dev.Free(c.v[l])
 		c.k[l], c.v[l] = nk, nv
 	}
-	c.capTok = newCap
 }
 
 // AppendRow stores one token's K and V rows for the given layer at the
@@ -219,20 +273,28 @@ func (c *KVCache) AppendRow(layer int, kRow, vRow []float32) {
 	if len(kRow) != c.hidden || len(vRow) != c.hidden {
 		panic(fmt.Sprintf("model: KV row size %d/%d, want %d", len(kRow), len(vRow), c.hidden))
 	}
+	c.EnsureAppendable()
+	k, v := c.Spans(layer)
+	k.PutRow(c.length, kRow)
+	v.PutRow(c.length, vRow)
+}
+
+// appendRaw is AppendRow for row t of two views already in this cache's
+// storage format — the import-side twin, copying storage words untouched.
+func (c *KVCache) appendRaw(layer int, k, v kernels.KVSpans, t int) {
+	c.EnsureAppendable()
+	dk, dv := c.Spans(layer)
+	dk.CopyRow(c.length, k, t, c.hidden)
+	dv.CopyRow(c.length, v, t, c.hidden)
+}
+
+// EnsureAppendable grows the buffers when the next row would not fit. A
+// contiguous cache draws straight from the device, so it always succeeds.
+func (c *KVCache) EnsureAppendable() bool {
 	if c.length+1 > c.capTok {
 		c.grow(c.length + 1)
 	}
-	off := c.length * c.hidden
-	if c.half {
-		// The write-side cast of the fp16 path: rows are rounded through
-		// binary16 as they enter the cache, the same conversion a Tensor
-		// Core store performs.
-		tensor.EncodeF16Slice(c.k[layer].DataU16()[off:off+c.hidden], kRow)
-		tensor.EncodeF16Slice(c.v[layer].DataU16()[off:off+c.hidden], vRow)
-		return
-	}
-	copy(c.k[layer].Data()[off:off+c.hidden], kRow)
-	copy(c.v[layer].Data()[off:off+c.hidden], vRow)
+	return true
 }
 
 // Advance commits the row appended to every layer this step. A session
@@ -247,41 +309,17 @@ func (c *KVCache) Advance() {
 	c.dev.AddKVUsed(c.rowBytes())
 }
 
-// Half reports whether the cache stores binary16 rows.
-func (c *KVCache) Half() bool { return c.half }
-
-// K returns layer l's keys as a contiguous [tokens, hidden] slice covering
-// tokens rows (tokens may include the row appended but not yet advanced).
-// Panics on a binary16 cache — the fp16 decode path reads KH/VH.
-func (c *KVCache) K(l, tokens int) []float32 {
-	if c.half {
-		panic("model: K on a binary16 KV cache; use KH")
+// Spans returns layer l's K and V as one-span views over the whole buffers.
+// The views are built at first use and rebuilt after a grow (Rows tracks the
+// capacity they were built at), so a cache that is reserved but never read
+// or written never materialises its buffers' backing arrays.
+func (c *KVCache) Spans(l int) (k, v kernels.KVSpans) {
+	if c.ks[l].Rows != c.capTok {
+		c.ks[l], c.vs[l] = kernels.KVSpans{Rows: c.capTok}, kernels.KVSpans{Rows: c.capTok}
+		setSpan(&c.ks[l], 0, c.k[l], c.half)
+		setSpan(&c.vs[l], 0, c.v[l], c.half)
 	}
-	return c.k[l].Data()[:tokens*c.hidden]
-}
-
-// V returns layer l's values, like K.
-func (c *KVCache) V(l, tokens int) []float32 {
-	if c.half {
-		panic("model: V on a binary16 KV cache; use VH")
-	}
-	return c.v[l].Data()[:tokens*c.hidden]
-}
-
-// KH returns layer l's keys as binary16 storage (fp16 caches only).
-func (c *KVCache) KH(l, tokens int) blas.Half {
-	if !c.half {
-		panic("model: KH on an fp32 KV cache; use K")
-	}
-	return c.k[l].DataU16()[:tokens*c.hidden]
-}
-
-// VH returns layer l's values as binary16 storage, like KH.
-func (c *KVCache) VH(l, tokens int) blas.Half {
-	if !c.half {
-		panic("model: VH on an fp32 KV cache; use V")
-	}
-	return c.v[l].DataU16()[:tokens*c.hidden]
+	return c.ks[l], c.vs[l]
 }
 
 // Free returns all buffers to the device (request evicted or finished) and
@@ -298,6 +336,6 @@ func (c *KVCache) Free() {
 		c.dev.Free(c.k[l])
 		c.dev.Free(c.v[l])
 	}
-	c.k, c.v = nil, nil
+	c.k, c.v, c.ks, c.vs = nil, nil, nil, nil
 	c.length, c.capTok, c.reservedTok = 0, 0, 0
 }

@@ -3,7 +3,7 @@ package model
 import (
 	"fmt"
 
-	"repro/internal/blas"
+	"repro/internal/kernels"
 )
 
 // SessionSnapshot is a GenSession serialized for migration between engines
@@ -28,20 +28,18 @@ type SessionSnapshot struct {
 	MaxNew int   // decode budget (the admission grant the importer re-reserves)
 	Done   bool
 
-	Half   bool // binary16 storage on both cache kinds
+	Half   bool // binary16 storage, cross memory and self KV alike
 	Hidden int
 	Layers int
 
-	// Cross-attention memory: per layer one [SrcLen*Hidden] K and V slab.
-	// Exactly one of the fp32/fp16 pairs is populated, matching Half.
-	SrcLen           int
-	CrossK, CrossV   [][]float32
-	CrossKH, CrossVH [][]uint16
+	// Cross-attention memory: per layer one K and one V view holding SrcLen
+	// rows, in the format Half names.
+	SrcLen         int
+	CrossK, CrossV []kernels.KVSpans
 
-	// Self-attention KV: KVLen committed rows per layer, same layout.
-	KVLen          int
-	SelfK, SelfV   [][]float32
-	SelfKH, SelfVH [][]uint16
+	// Self-attention KV: KVLen committed rows per layer, same format.
+	KVLen        int
+	SelfK, SelfV []kernels.KVSpans
 }
 
 // Bytes returns the KV payload size of the snapshot — the figure the
@@ -50,51 +48,7 @@ type SessionSnapshot struct {
 // rows plus committed self rows), so migrated-bytes totals reconcile
 // directly against the allocator gauges.
 func (s *SessionSnapshot) Bytes() int64 {
-	elem := int64(4)
-	if s.Half {
-		elem = 2
-	}
-	return int64(s.SrcLen+s.KVLen) * int64(s.Layers) * 2 * int64(s.Hidden) * elem
-}
-
-// appendRowH stores one raw binary16 K/V row for the given layer, the
-// import-side twin of AppendRow: no float32 round trip, so imported rows
-// are the exporter's exact storage words (NaN payloads and all).
-func (c *KVCache) appendRowH(layer int, kRow, vRow []uint16) {
-	if !c.half {
-		panic("model: appendRowH on an fp32 KV cache")
-	}
-	if len(kRow) != c.hidden || len(vRow) != c.hidden {
-		panic(fmt.Sprintf("model: KV row size %d/%d, want %d", len(kRow), len(vRow), c.hidden))
-	}
-	if c.length+1 > c.capTok {
-		c.grow(c.length + 1)
-	}
-	off := c.length * c.hidden
-	copy(c.k[layer].DataU16()[off:off+c.hidden], kRow)
-	copy(c.v[layer].DataU16()[off:off+c.hidden], vRow)
-}
-
-// appendRowH is KVCache.appendRowH for the paged cache: raw binary16 rows,
-// same EnsureAppendable contract as AppendRow.
-func (c *BlockKVCache) appendRowH(layer int, kRow, vRow []uint16) {
-	if !c.half {
-		panic("model: appendRowH on an fp32 paged cache")
-	}
-	if len(kRow) != c.hidden || len(vRow) != c.hidden {
-		panic(fmt.Sprintf("model: KV row size %d/%d, want %d", len(kRow), len(vRow), c.hidden))
-	}
-	bi, off := c.length/c.blockTok, (c.length%c.blockTok)*c.hidden
-	kt, vt := c.k[layer], c.v[layer]
-	if bi >= len(kt) || bi >= len(vt) || !c.owned[layer][bi] {
-		panic("model: appendRowH without EnsureAppendable")
-	}
-	kb, vb := kt[bi], vt[bi]
-	if kb.Shared() || vb.Shared() {
-		panic("model: appendRowH into a shared block")
-	}
-	copy(kb.DataU16()[off:off+c.hidden], kRow)
-	copy(vb.DataU16()[off:off+c.hidden], vRow)
+	return int64(s.SrcLen+s.KVLen) * int64(s.Layers) * 2 * int64(s.Hidden) * kvElemBytes(s.Half)
 }
 
 // Export snapshots the session's full state as plain heap data — the
@@ -103,15 +57,11 @@ func (c *BlockKVCache) appendRowH(layer int, kRow, vRow []uint16) {
 // an iteration boundary is the caller's responsibility, like every other
 // session operation. Only open sessions export.
 func (s *GenSession) Export() (*SessionSnapshot, error) {
-	if s.cc == nil || (s.kv == nil && s.pkv == nil) {
+	if s.cc == nil || s.kv == nil {
 		return nil, fmt.Errorf("model: export of a closed session %d", s.ID)
 	}
-	var hidden, layers int
-	if s.pkv != nil {
-		hidden, layers = s.pkv.hidden, len(s.pkv.k)
-	} else {
-		hidden, layers = s.kv.hidden, len(s.kv.k)
-	}
+	layers := len(s.cc.k)
+	hidden := s.cc.hidden
 	snap := &SessionSnapshot{
 		ID:     s.ID,
 		Prompt: append([]int(nil), s.prompt...),
@@ -120,79 +70,63 @@ func (s *GenSession) Export() (*SessionSnapshot, error) {
 		Pos:    s.pos,
 		MaxNew: s.maxNew,
 		Done:   s.done,
-		Half:   s.cc.half,
+		Half:   s.cc.half(),
 		Hidden: hidden,
 		Layers: layers,
 		SrcLen: s.cc.srcLen,
+		KVLen:  s.kv.Len(),
 	}
-
-	// Cross cache: deep-copy the per-layer slabs on the active numeric route.
-	if s.cc.half {
-		for l := 0; l < layers; l++ {
-			snap.CrossKH = append(snap.CrossKH, append([]uint16(nil), s.cc.kh[l]...))
-			snap.CrossVH = append(snap.CrossVH, append([]uint16(nil), s.cc.vh[l]...))
-		}
-	} else {
-		for l := 0; l < layers; l++ {
-			snap.CrossK = append(snap.CrossK, append([]float32(nil), s.cc.k[l]...))
-			snap.CrossV = append(snap.CrossV, append([]float32(nil), s.cc.v[l]...))
-		}
-	}
-
-	// Self KV: every committed row, raw. Right after prefill this is empty —
-	// the dominant hand-off migrates only the cross memory — but a mid-flight
+	// Every layer's cross memory and committed self rows, raw, whatever the
+	// store's layout. Right after prefill the self part is empty — the
+	// dominant hand-off migrates only the cross memory — but a mid-flight
 	// export (tests, future live migration) carries the full context.
-	switch {
-	case s.pkv != nil:
-		n, bt := s.pkv.length, s.pkv.blockTok
-		snap.KVLen = n
-		for l := 0; l < layers; l++ {
-			if snap.Half {
-				kf := make([]uint16, n*hidden)
-				vf := make([]uint16, n*hidden)
-				for t := 0; t < n; {
-					rows := bt
-					if n-t < rows {
-						rows = n - t
-					}
-					bi := t / bt
-					copy(kf[t*hidden:(t+rows)*hidden], s.pkv.k[l][bi].DataU16()[:rows*hidden])
-					copy(vf[t*hidden:(t+rows)*hidden], s.pkv.v[l][bi].DataU16()[:rows*hidden])
-					t += rows
-				}
-				snap.SelfKH = append(snap.SelfKH, kf)
-				snap.SelfVH = append(snap.SelfVH, vf)
-			} else {
-				kf := make([]float32, n*hidden)
-				vf := make([]float32, n*hidden)
-				for t := 0; t < n; {
-					rows := bt
-					if n-t < rows {
-						rows = n - t
-					}
-					bi := t / bt
-					copy(kf[t*hidden:(t+rows)*hidden], s.pkv.k[l][bi].Data()[:rows*hidden])
-					copy(vf[t*hidden:(t+rows)*hidden], s.pkv.v[l][bi].Data()[:rows*hidden])
-					t += rows
-				}
-				snap.SelfK = append(snap.SelfK, kf)
-				snap.SelfV = append(snap.SelfV, vf)
-			}
-		}
-	default:
-		n := s.kv.length
-		snap.KVLen = n
-		for l := 0; l < layers; l++ {
-			if snap.Half {
-				snap.SelfKH = append(snap.SelfKH, append([]uint16(nil), s.kv.k[l].DataU16()[:n*hidden]...))
-				snap.SelfVH = append(snap.SelfVH, append([]uint16(nil), s.kv.v[l].DataU16()[:n*hidden]...))
-			} else {
-				snap.SelfK = append(snap.SelfK, append([]float32(nil), s.kv.k[l].Data()[:n*hidden]...))
-				snap.SelfV = append(snap.SelfV, append([]float32(nil), s.kv.v[l].Data()[:n*hidden]...))
-			}
-		}
+	for l := 0; l < layers; l++ {
+		k, v := s.kv.Spans(l)
+		snap.CrossK = append(snap.CrossK, s.cc.k[l].Flatten(snap.SrcLen, hidden))
+		snap.CrossV = append(snap.CrossV, s.cc.v[l].Flatten(snap.SrcLen, hidden))
+		snap.SelfK = append(snap.SelfK, k.Flatten(snap.KVLen, hidden))
+		snap.SelfV = append(snap.SelfV, v.Flatten(snap.KVLen, hidden))
 	}
 	return snap, nil
+}
+
+// validate checks that the snapshot is internally consistent and fits an
+// engine of the given geometry and numeric route, so that nothing past this
+// point — the import replay, or a later Step — can index out of range.
+func (s *SessionSnapshot) validate(cfg *Config, half bool) error {
+	if s.Hidden != cfg.Hidden || s.Layers != cfg.Layers {
+		return fmt.Errorf("snapshot geometry %dx%d, want %dx%d", s.Layers, s.Hidden, cfg.Layers, cfg.Hidden)
+	}
+	if s.Half != half {
+		return fmt.Errorf("snapshot numeric route half=%v, engine half=%v", s.Half, half)
+	}
+	if s.SrcLen < 1 || s.KVLen < 0 {
+		return fmt.Errorf("snapshot holds %d cross rows and %d KV rows", s.SrcLen, s.KVLen)
+	}
+	if s.Next < 0 || s.Next >= cfg.Vocab || s.Pos < 0 {
+		return fmt.Errorf("snapshot resumes at token %d position %d, vocab %d", s.Next, s.Pos, cfg.Vocab)
+	}
+	for _, part := range []struct {
+		name  string
+		views []kernels.KVSpans
+		rows  int
+	}{
+		{"CrossK", s.CrossK, s.SrcLen}, {"CrossV", s.CrossV, s.SrcLen},
+		{"SelfK", s.SelfK, s.KVLen}, {"SelfV", s.SelfV, s.KVLen},
+	} {
+		if len(part.views) != s.Layers {
+			return fmt.Errorf("snapshot %s has %d layers, want %d", part.name, len(part.views), s.Layers)
+		}
+		for l, v := range part.views {
+			if part.rows > 0 && v.Half() != half {
+				return fmt.Errorf("snapshot %s layer %d stored half=%v, engine half=%v", part.name, l, v.Half(), half)
+			}
+			if !v.Covers(part.rows, s.Hidden) {
+				return fmt.Errorf("snapshot %s layer %d does not hold %d rows of %d", part.name, l, part.rows, s.Hidden)
+			}
+		}
+	}
+	return nil
 }
 
 // ImportSession rebuilds a session from a snapshot on THIS generator's
@@ -205,91 +139,57 @@ func (s *GenSession) Export() (*SessionSnapshot, error) {
 // imported again (each import deep-copies).
 //
 // The destination must run the same geometry and numeric route as the
-// exporter; a paged destination that cannot supply the blocks returns
-// ErrKVPoolExhausted with nothing held.
+// exporter, and the snapshot must hold the rows it declares; anything else
+// is rejected up front. A paged destination that cannot supply the blocks
+// returns ErrKVPoolExhausted. Every error return holds nothing.
 func (g *Generator) ImportSession(snap *SessionSnapshot) (*GenSession, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("model: import of a nil snapshot")
 	}
-	if snap.Hidden != g.Cfg.Hidden || snap.Layers != g.Cfg.Layers {
-		return nil, fmt.Errorf("model %s: snapshot geometry %dx%d, want %dx%d",
-			g.Cfg.Name, snap.Layers, snap.Hidden, g.Cfg.Layers, g.Cfg.Hidden)
-	}
-	if snap.Half != g.dec.fp16 {
-		return nil, fmt.Errorf("model %s: snapshot numeric route half=%v, engine half=%v",
-			g.Cfg.Name, snap.Half, g.dec.fp16)
+	if err := snap.validate(&g.Cfg, g.dec.fp16); err != nil {
+		return nil, fmt.Errorf("model %s: %w", g.Cfg.Name, err)
 	}
 	h := snap.Hidden
 
-	// Rebuild the cross cache from the raw slabs and account it locally.
-	cc := &crossCache{half: snap.Half, srcLen: snap.SrcLen}
-	if snap.Half {
-		for l := 0; l < snap.Layers; l++ {
-			cc.kh = append(cc.kh, blas.Half(append([]uint16(nil), snap.CrossKH[l]...)))
-			cc.vh = append(cc.vh, blas.Half(append([]uint16(nil), snap.CrossVH[l]...)))
-		}
+	var kv kvStore
+	var err error
+	if g.pool != nil {
+		kv, err = newBlockKVCache(g.pool, snap.Layers, h, snap.Half)
 	} else {
-		for l := 0; l < snap.Layers; l++ {
-			cc.k = append(cc.k, append([]float32(nil), snap.CrossK[l]...))
-			cc.v = append(cc.v, append([]float32(nil), snap.CrossV[l]...))
-		}
+		kv, err = newKVCache(g.dev, snap.Layers, h, snap.MaxNew, snap.Half)
 	}
-	ccr := newCCRef(g.dev, cc, h)
+	if err != nil {
+		return nil, err
+	}
+	// Replay the committed self rows through the normal append path so the
+	// local gauges see exactly the charges local decode would have made.
+	for t := 0; t < snap.KVLen; t++ {
+		if !kv.EnsureAppendable() {
+			kv.Free()
+			return nil, ErrKVPoolExhausted
+		}
+		for l := 0; l < snap.Layers; l++ {
+			kv.appendRaw(l, snap.SelfK[l], snap.SelfV[l], t)
+		}
+		kv.Advance()
+	}
 
-	s := &GenSession{
+	// Rebuild the cross cache from the raw spans and account it locally.
+	cc := &crossCache{srcLen: snap.SrcLen, hidden: h}
+	for l := 0; l < snap.Layers; l++ {
+		cc.k = append(cc.k, snap.CrossK[l].Flatten(snap.SrcLen, h))
+		cc.v = append(cc.v, snap.CrossV[l].Flatten(snap.SrcLen, h))
+	}
+	return &GenSession{
 		ID:     snap.ID,
 		cc:     cc,
-		ccr:    ccr,
+		ccr:    newCCRef(g.dev, cc),
+		kv:     kv,
 		prompt: append([]int(nil), snap.Prompt...),
 		toks:   append([]int(nil), snap.Toks...),
 		next:   snap.Next,
 		pos:    snap.Pos,
 		maxNew: snap.MaxNew,
 		done:   snap.Done,
-	}
-
-	// Replay the committed self rows through the normal append path so the
-	// local gauges see exactly the charges local decode would have made.
-	if g.pool != nil {
-		pkv, err := newBlockKVCache(g.pool, snap.Layers, h, snap.Half)
-		if err != nil {
-			ccr.release()
-			return nil, err
-		}
-		for t := 0; t < snap.KVLen; t++ {
-			if !pkv.EnsureAppendable() {
-				pkv.Free()
-				ccr.release()
-				return nil, ErrKVPoolExhausted
-			}
-			for l := 0; l < snap.Layers; l++ {
-				if snap.Half {
-					pkv.appendRowH(l, snap.SelfKH[l][t*h:(t+1)*h], snap.SelfVH[l][t*h:(t+1)*h])
-				} else {
-					pkv.AppendRow(l, snap.SelfK[l][t*h:(t+1)*h], snap.SelfV[l][t*h:(t+1)*h])
-				}
-			}
-			pkv.Advance()
-		}
-		s.pkv = pkv
-		return s, nil
-	}
-
-	kv, err := newKVCache(g.dev, snap.Layers, h, snap.MaxNew, snap.Half)
-	if err != nil {
-		ccr.release()
-		return nil, err
-	}
-	for t := 0; t < snap.KVLen; t++ {
-		for l := 0; l < snap.Layers; l++ {
-			if snap.Half {
-				kv.appendRowH(l, snap.SelfKH[l][t*h:(t+1)*h], snap.SelfVH[l][t*h:(t+1)*h])
-			} else {
-				kv.AppendRow(l, snap.SelfK[l][t*h:(t+1)*h], snap.SelfV[l][t*h:(t+1)*h])
-			}
-		}
-		kv.Advance()
-	}
-	s.kv = kv
-	return s, nil
+	}, nil
 }

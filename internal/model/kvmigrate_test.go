@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/allocator"
+	"repro/internal/kernels"
 )
 
 // migrateKind is one of the four KV layouts a snapshot must round-trip
@@ -244,4 +245,106 @@ func TestKVHandoffImportValidation(t *testing.T) {
 	if _, err := fp32Dst.ImportSession(nil); err == nil {
 		t.Fatal("nil snapshot imported")
 	}
+}
+
+// TestKVHandoffImportRejectsMalformedSnapshots: a snapshot arrives from
+// another replica, so ImportSession must refuse one that does not hold what
+// it declares — with an error, never a panic, and never a session whose first
+// Step would index out of range — and a refused import must hold nothing:
+// KV gauges, live bytes and pool blocks all back at their pre-call values.
+func TestKVHandoffImportRejectsMalformedSnapshots(t *testing.T) {
+	cfg := genTestConfig()
+	cases := []struct {
+		name   string
+		mutate func(s *SessionSnapshot)
+	}{
+		{"truncated self layers", func(s *SessionSnapshot) { s.SelfK = s.SelfK[:1] }},
+		{"truncated cross layers", func(s *SessionSnapshot) { s.CrossV = s.CrossV[:1] }},
+		{"no cross layers", func(s *SessionSnapshot) { s.CrossK, s.CrossV = nil, nil }},
+		{"short self slab", func(s *SessionSnapshot) { s.SelfV[1] = chop(s.SelfV[1], 1) }},
+		{"short cross slab", func(s *SessionSnapshot) { s.CrossK[0] = chop(s.CrossK[0], s.Hidden) }},
+		{"wrong hidden", func(s *SessionSnapshot) { s.Hidden *= 2 }},
+		{"slabs of a smaller hidden", func(s *SessionSnapshot) {
+			for l := range s.SelfK {
+				s.SelfK[l], s.SelfV[l] = s.SelfK[l].Flatten(s.KVLen, s.Hidden/2), s.SelfV[l].Flatten(s.KVLen, s.Hidden/2)
+			}
+		}},
+		{"wrong precision flag", func(s *SessionSnapshot) { s.Half = !s.Half }},
+		{"wrong precision spans", func(s *SessionSnapshot) {
+			for l := range s.SelfK {
+				s.SelfK[l] = recode(s.SelfK[l], s.KVLen*s.Hidden)
+			}
+		}},
+		{"KVLen past the rows present", func(s *SessionSnapshot) { s.KVLen += 3 }},
+		{"SrcLen past the rows present", func(s *SessionSnapshot) { s.SrcLen++ }},
+		{"no cross rows", func(s *SessionSnapshot) { s.SrcLen = 0 }},
+		{"zero rows per span", func(s *SessionSnapshot) { s.SelfK[0].Rows = 0 }},
+		{"next token outside the vocabulary", func(s *SessionSnapshot) { s.Next = cfg.Vocab }},
+	}
+	for _, kind := range migrateKinds {
+		src, _ := newMigrateGenerator(t, cfg, kind)
+		sess, err := src.NewSession(1, testMemory(3, 7, cfg.Hidden), 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			stepAll(t, src, []*GenSession{sess})
+		}
+		dst, dev := newMigrateGenerator(t, cfg, kind)
+		// A live neighbour, so "back to the pre-call values" is not just zero.
+		neighbour, err := dst.NewSession(2, testMemory(4, 3, cfg.Hidden), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := dev.Snapshot()
+		for _, tc := range cases {
+			snap, err := sess.Export()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(snap)
+			got, err := dst.ImportSession(snap)
+			if err == nil {
+				got.Close()
+				t.Errorf("%s: %s: malformed snapshot imported", kind.name, tc.name)
+			}
+			after := dev.Snapshot()
+			if after.KVReservedBytes != before.KVReservedBytes || after.KVUsedBytes != before.KVUsedBytes || after.LiveBytes != before.LiveBytes {
+				t.Errorf("%s: %s: refused import left reserved/used/live %d/%d/%d, before %d/%d/%d", kind.name, tc.name,
+					after.KVReservedBytes, after.KVUsedBytes, after.LiveBytes, before.KVReservedBytes, before.KVUsedBytes, before.LiveBytes)
+			}
+			if kind.paged && dst.BlockPool().FreeBlocks() != dst.BlockPool().CapBlocks() {
+				t.Errorf("%s: %s: refused import holds %d pool blocks", kind.name, tc.name, dst.BlockPool().CapBlocks()-dst.BlockPool().FreeBlocks())
+			}
+		}
+		// The unmutated snapshot still imports and decodes.
+		snap, err := sess.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, err := dst.ImportSession(snap)
+		if err != nil {
+			t.Fatalf("%s: valid snapshot refused: %v", kind.name, err)
+		}
+		stepAll(t, dst, []*GenSession{ok})
+		ok.Close()
+		neighbour.Close()
+		sess.Close()
+	}
+}
+
+// chop returns the one-span view v with n storage words cut off its end.
+func chop(v kernels.KVSpans, n int) kernels.KVSpans {
+	if v.Half() {
+		return kernels.KVSpans{F16: [][]uint16{v.F16[0][:len(v.F16[0])-n]}, Rows: v.Rows}
+	}
+	return kernels.KVSpans{F32: [][]float32{v.F32[0][:len(v.F32[0])-n]}, Rows: v.Rows}
+}
+
+// recode returns a one-span view of n zero words in the OTHER storage format.
+func recode(v kernels.KVSpans, n int) kernels.KVSpans {
+	if v.Half() {
+		return kernels.KVSpans{F32: [][]float32{make([]float32, n)}, Rows: v.Rows}
+	}
+	return kernels.KVSpans{F16: [][]uint16{make([]uint16, n)}, Rows: v.Rows}
 }

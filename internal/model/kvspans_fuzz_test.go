@@ -1,0 +1,143 @@
+package model
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/allocator"
+	"repro/internal/kernels"
+)
+
+// spanWords flattens the first T rows of a view to comparable words: the
+// binary16 storage itself, or the fp32 bit patterns (so NaNs compare).
+func spanWords(v kernels.KVSpans, T, hidden int) []uint32 {
+	flat := v.Flatten(T, hidden)
+	var out []uint32
+	for _, h := range flat.F16 {
+		for _, w := range h {
+			out = append(out, uint32(w))
+		}
+	}
+	for _, f := range flat.F32 {
+		for _, x := range f {
+			out = append(out, math.Float32bits(x))
+		}
+	}
+	return out
+}
+
+// FuzzKVSpansEquivalence drives a random op sequence — append+advance, open,
+// MapFrom a prefix of another cache (so later appends copy-on-write a shared
+// tail, on either holder), free — against paged BlockKVCaches and a shadow
+// contiguous KVCache per paged cache, at both precisions. After every op the
+// rows read back through the two stores' span views must be word-for-word
+// equal (the view is the only thing the decode path sees, so this is "paged ≡
+// contiguous" at the storage level), and at the end every pool block and
+// both device KV gauges must be back at zero.
+func FuzzKVSpansEquivalence(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, false)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x41, 3, 0, 0, 0x81, 0, 0x41, 9, 0, 4, 0xc0, 0, 4, 4}, true)
+	f.Add([]byte{0x40, 0x40, 0, 4, 8, 12, 16, 0x81, 5, 1, 5, 0xc1, 0, 0, 0x82, 2, 2, 6, 0xc0, 0xc2}, false)
+	f.Fuzz(func(t *testing.T, ops []byte, half bool) {
+		const layers, hidden, blockRows, capBlocks = 2, 4, 4, 64
+		dev, shadowDev := allocator.NewDevice(), allocator.NewDevice()
+		pool := allocator.NewBlockPool(dev, blockRows*hidden*4, capBlocks)
+		type pair struct {
+			paged  *BlockKVCache
+			shadow *KVCache
+		}
+		var live []pair
+		open := func() pair {
+			p, err := newBlockKVCache(pool, layers, hidden, half)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newKVCache(shadowDev, layers, hidden, 1, half)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pair{p, s}
+		}
+		live = append(live, open())
+		for i := 0; i+1 < len(ops) && len(live) > 0; i += 2 {
+			op, arg := ops[i], int(ops[i+1])
+			c := live[int(op&0x3f)%len(live)]
+			switch op >> 6 {
+			case 0: // append one row to every layer, then commit it
+				if !c.paged.EnsureAppendable() {
+					continue // pool exhausted: the cache must be unchanged
+				}
+				row := make([]float32, hidden)
+				for l := 0; l < layers; l++ {
+					for j := range row {
+						// Arbitrary bit patterns, NaNs and infinities included.
+						row[j] = math.Float32frombits(uint32(arg+1) * uint32(2654435761+i*97+l*13+j))
+					}
+					c.paged.AppendRow(l, row, row)
+					c.shadow.AppendRow(l, row, row)
+				}
+				c.paged.Advance()
+				c.shadow.Advance()
+			case 1: // open an empty pair
+				if len(live) < 6 {
+					live = append(live, open())
+				}
+			case 2: // open a pair sharing a prefix of c by reference
+				if len(live) >= 6 {
+					continue
+				}
+				n := open()
+				rows := arg % (c.paged.Len() + 1)
+				if err := n.paged.MapFrom(c.paged, rows); err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < rows; r++ {
+					for l := 0; l < layers; l++ {
+						k, v := c.shadow.Spans(l)
+						n.shadow.appendRaw(l, k, v, r)
+					}
+					n.shadow.Advance()
+				}
+				live = append(live, n)
+			case 3: // free
+				c.paged.Free()
+				c.shadow.Free()
+				idx := int(op&0x3f) % len(live)
+				live = append(live[:idx], live[idx+1:]...)
+			}
+			for _, c := range live {
+				if c.paged.Len() != c.shadow.Len() {
+					t.Fatalf("op %d: paged holds %d rows, shadow %d", i/2, c.paged.Len(), c.shadow.Len())
+				}
+				for l := 0; l < layers; l++ {
+					pk, pv := c.paged.Spans(l)
+					sk, sv := c.shadow.Spans(l)
+					for _, cmp := range [2][2]kernels.KVSpans{{pk, sk}, {pv, sv}} {
+						got, want := spanWords(cmp[0], c.paged.Len(), hidden), spanWords(cmp[1], c.paged.Len(), hidden)
+						if len(got) != len(want) {
+							t.Fatalf("op %d layer %d: %d words paged, %d contiguous", i/2, l, len(got), len(want))
+						}
+						for w := range got {
+							if got[w] != want[w] {
+								t.Fatalf("op %d layer %d word %d: paged %#x, contiguous %#x", i/2, l, w, got[w], want[w])
+							}
+						}
+					}
+				}
+			}
+		}
+		for _, c := range live {
+			c.paged.Free()
+			c.shadow.Free()
+		}
+		if free := pool.FreeBlocks(); free != capBlocks {
+			t.Fatalf("%d pool blocks still held", capBlocks-free)
+		}
+		pool.Close()
+		for name, d := range map[string]*allocator.Device{"paged": dev, "shadow": shadowDev} {
+			if s := d.Snapshot(); s.KVReservedBytes != 0 || s.KVUsedBytes != 0 || s.LiveBytes != 0 {
+				t.Fatalf("%s device not drained: reserved=%d used=%d live=%d", name, s.KVReservedBytes, s.KVUsedBytes, s.LiveBytes)
+			}
+		}
+	})
+}

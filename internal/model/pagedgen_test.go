@@ -32,9 +32,9 @@ func pagedRun(t *testing.T, g *Generator, mems []int, budgets, joinAt, evictAt [
 
 // TestPagedDecodeBitIdenticalToContiguousFuzz is the paged tentpole
 // property: on fuzzed session sets with mixed prompts, budgets, and mid-run
-// admit/evict, the paged generator (block tables, grouped blocked kernels)
+// admit/evict, the paged generator (block tables read as one span per block)
 // must produce BIT-IDENTICAL token streams to the legacy contiguous path
-// AND to the per-row blocked oracle.
+// AND to the per-row oracle over the same paged views.
 func TestPagedDecodeBitIdenticalToContiguousFuzz(t *testing.T) {
 	trials := 10
 	if testing.Short() {

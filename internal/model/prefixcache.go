@@ -25,13 +25,8 @@ type ccRef struct {
 }
 
 // newCCRef wraps cc, charging its footprint to the device KV gauges.
-func newCCRef(dev *allocator.Device, cc *crossCache, hidden int) *ccRef {
-	r := &ccRef{
-		cc:    cc,
-		dev:   dev,
-		bytes: int64(cc.srcLen) * int64(cc.layers()) * 2 * int64(hidden) * cc.elemBytes(),
-		refs:  1,
-	}
+func newCCRef(dev *allocator.Device, cc *crossCache) *ccRef {
+	r := &ccRef{cc: cc, dev: dev, bytes: cc.bytes(), refs: 1}
 	dev.AddKVReserved(r.bytes)
 	dev.AddKVUsed(r.bytes)
 	return r

@@ -26,19 +26,8 @@ func scheduleRun(t *testing.T, g *Generator, paged bool, mems, budgets, joinAt, 
 			if opened[i] || joinAt[i] != step {
 				continue
 			}
-			mem := testMemory(seed+int64(i), mems[i], g.Cfg.Hidden)
-			var s *GenSession
-			var err error
-			if paged {
-				s, err = g.NewPagedSession(int64(i), []int{1000 + i, int(seed), mems[i]}, mem, budgets[i])
-			} else {
-				s, err = g.NewSession(int64(i), mem, budgets[i])
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
 			opened[i] = true
-			live = append(live, s)
+			live = append(live, openScheduleSession(t, g, paged, i, mems[i], budgets[i], seed))
 			started++
 		}
 		if len(live) == 0 {
@@ -69,6 +58,25 @@ func scheduleRun(t *testing.T, g *Generator, paged bool, mems, budgets, joinAt, 
 		t.Fatalf("schedule run did not terminate: %d live, %d/%d started", len(live), started, n)
 	}
 	return streams
+}
+
+// openScheduleSession opens session i of a fuzzed schedule on the store kind
+// asked for: a paged session keyed by a prompt unique to (i, seed, mem), or a
+// contiguous one.
+func openScheduleSession(tb testing.TB, g *Generator, paged bool, i, mem, budget int, seed int64) *GenSession {
+	tb.Helper()
+	memory := testMemory(seed+int64(i), mem, g.Cfg.Hidden)
+	var s *GenSession
+	var err error
+	if paged {
+		s, err = g.NewPagedSession(int64(i), []int{1000 + i, int(seed), mem}, memory, budget)
+	} else {
+		s, err = g.NewSession(int64(i), memory, budget)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
 }
 
 // raggedRun is scheduleRun over contiguous-KV sessions.

@@ -84,11 +84,6 @@ func WithTensorCore() Option { return func(c *runtimeConfig) { c.engine.TensorCo
 // default.
 func WithFP16() Option { return func(c *runtimeConfig) { c.engine.FP16 = true } }
 
-// WithPerRowDecode makes the generation path decode through the per-row
-// reference attention instead of the grouped ragged kernels (bit-identical
-// oracle, for debugging and benchmarks).
-func WithPerRowDecode() Option { return func(c *runtimeConfig) { c.engine.PerRowDecode = true } }
-
 // WithGeneration enables the continuous-batching generation path with the
 // given decoder configuration (the /v1/generate endpoint on a served
 // runtime).
