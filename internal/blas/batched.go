@@ -1,10 +1,6 @@
 package blas
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // StridedBatchedGemm performs batchCount independent GEMMs:
 //
@@ -12,11 +8,7 @@ import (
 //
 // where A_b = a[b*strideA:], etc. This is the cublasGemmStridedBatched
 // analogue used for attention's per-head Q·Kᵀ and scores·V products
-// ("batched stride gemm3/gemm4" in Fig. 3).
-//
-// Batches run in parallel across goroutines; each batch runs its GEMM
-// serially, which is the right grain because attention batches are many
-// and small.
+// ("batched stride gemm3/gemm4" in Fig. 3): one group of a grouped call.
 func StridedBatchedGemm(transA, transB bool, m, n, k int, alpha float32,
 	a []float32, lda int, strideA int,
 	b []float32, ldb int, strideB int,
@@ -24,30 +16,13 @@ func StridedBatchedGemm(transA, transB bool, m, n, k int, alpha float32,
 	c []float32, ldc int, strideC int,
 	batchCount int) {
 
-	if batchCount < 0 {
-		panic(fmt.Sprintf("blas: negative batchCount %d", batchCount))
-	}
-	if batchCount == 0 {
-		return
-	}
-	if strideA < 0 || strideB < 0 || strideC < 0 {
-		panic("blas: negative stride")
-	}
-	// Validate the final batch reaches into the slices; per-batch GEMM
-	// argument checks catch the rest.
-	last := batchCount - 1
-	runBatches(batchCount, func(bi int) {
-		_ = last
-		ab := a[bi*strideA:]
-		bb := b[bi*strideB:]
-		cb := c[bi*strideC:]
-		checkGemmArgs(transA, transB, m, n, k, ab, lda, bb, ldb, cb, ldc)
-		scaleC(beta, cb, m, n, ldc)
-		if k == 0 || alpha == 0 || m == 0 || n == 0 {
-			return
-		}
-		gemmBlock(transA, transB, 0, m, n, k, alpha, ab, lda, bb, ldb, cb, ldc)
-	})
+	GroupedStridedBatchedGemm(transA, transB, alpha, beta, []StridedBatch{{
+		M: m, N: n, K: k,
+		A: a, Lda: lda, StrideA: strideA,
+		B: b, Ldb: ldb, StrideB: strideB,
+		C: c, Ldc: ldc, StrideC: strideC,
+		Count: batchCount,
+	}})
 }
 
 // BatchedGemm performs independent GEMMs over explicit slices. All problems
@@ -65,42 +40,9 @@ func BatchedGemm(transA, transB bool, m, n, k int, alpha float32,
 	if transB {
 		ldb = k
 	}
-	runBatches(len(as), func(bi int) {
-		checkGemmArgs(transA, transB, m, n, k, as[bi], lda, bs[bi], ldb, cs[bi], ldc)
-		scaleC(beta, cs[bi], m, n, ldc)
-		if k == 0 || alpha == 0 || m == 0 || n == 0 {
-			return
-		}
-		gemmBlock(transA, transB, 0, m, n, k, alpha, as[bi], lda, bs[bi], ldb, cs[bi], ldc)
-	})
-}
-
-// runBatches executes fn(0..n-1) with bounded parallelism.
-func runBatches(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	groups := make([]StridedBatch, len(as))
+	for i := range groups {
+		groups[i] = StridedBatch{M: m, N: n, K: k, A: as[i], Lda: lda, B: bs[i], Ldb: ldb, C: cs[i], Ldc: ldc, Count: 1}
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	GroupedStridedBatchedGemm(transA, transB, alpha, beta, groups)
 }

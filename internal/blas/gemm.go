@@ -3,25 +3,21 @@
 // batched and strided-batched variants used by multi-head attention
 // (batched Q·Kᵀ and scores·V, Fig. 3 "batched stride gemm3/gemm4").
 //
-// On the paper's system these map to cuBLAS; here they are pure-Go,
-// cache-blocked, and parallelised across goroutines (one worker per logical
-// CPU), which plays the role of the GPU's SM-level parallelism for the
-// functional runtime. Timing of GPU GEMMs for the experiments is handled
-// separately by the analytic model in internal/perf.
+// On the paper's system these map to cuBLAS; here they are pure-Go
+// register-unrolled micro-kernels over row-major operands. A large Gemm
+// splits its rows across goroutines and a batched call its problems, up to
+// GOMAXPROCS of them, which plays the role of the GPU's SM-level parallelism
+// for the functional runtime; on one P everything runs inline and allocates
+// nothing. Every kernel keeps each output element's float32 operation
+// sequence fixed (see gemmNN and gemmNT), so results do not depend on how a
+// problem is batched, split or unrolled. Timing of GPU GEMMs for the
+// experiments is handled separately by the analytic model in internal/perf.
 package blas
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
-)
-
-// blockM/blockN/blockK are the cache-blocking tile sizes. They were chosen
-// so one A tile plus one B tile fit comfortably in L1 on commodity x86.
-const (
-	blockM = 64
-	blockN = 64
-	blockK = 64
 )
 
 // Gemm computes C = alpha * op(A) * op(B) + beta * C where op is identity
@@ -31,21 +27,33 @@ const (
 // The call panics on inconsistent dimensions — dimension errors are
 // programming bugs in graph construction, not runtime conditions.
 func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	checkGemmArgs(transA, transB, m, n, k, a, lda, b, ldb, c, ldc)
-	if m == 0 || n == 0 {
+	checkGemmArgs(transA, transB, m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
+	if !scaleC(alpha, beta, c, m, n, k, ldc) {
 		return
 	}
-	// Scale C by beta first; the blocked kernel then accumulates.
-	scaleC(beta, c, m, n, ldc)
-	if k == 0 || alpha == 0 {
+	// Below this many rows the goroutine hand-off costs more than it saves.
+	const minRowsParallel = 16
+	workers := min(runtime.GOMAXPROCS(0), m)
+	if workers <= 1 || m < minRowsParallel {
+		gemmBlock(transA, transB, 0, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
-	parallelRows(m, func(i0, i1 int) {
-		gemmBlock(transA, transB, i0, i1, n, k, alpha, a, lda, b, ldb, c, ldc)
-	})
+	// Even chunks, so only the last one can end on an unpaired row.
+	chunk := ((m+workers-1)/workers + 1) &^ 1
+	var wg sync.WaitGroup
+	for i0 := 0; i0 < m; i0 += chunk {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gemmBlock(transA, transB, i0, min(i0+chunk, m), n, k, alpha, a, lda, b, ldb, c, ldc)
+		}()
+	}
+	wg.Wait()
 }
 
-func checkGemmArgs(transA, transB bool, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+// checkGemmArgs panics unless an m×n×k problem with these leading dimensions
+// fits operands of na, nb and nc elements.
+func checkGemmArgs(transA, transB bool, m, n, k, na, lda, nb, ldb, nc, ldc int) {
 	if m < 0 || n < 0 || k < 0 {
 		panic(fmt.Sprintf("blas: negative dimension m=%d n=%d k=%d", m, n, k))
 	}
@@ -60,27 +68,25 @@ func checkGemmArgs(transA, transB bool, m, n, k int, a []float32, lda int, b []f
 	if lda < aCols || ldb < bCols || ldc < n {
 		panic(fmt.Sprintf("blas: leading dimension too small lda=%d ldb=%d ldc=%d", lda, ldb, ldc))
 	}
-	if aRows > 0 && len(a) < (aRows-1)*lda+aCols {
-		panic(fmt.Sprintf("blas: A too short: len=%d need=%d", len(a), (aRows-1)*lda+aCols))
+	if aRows > 0 && na < (aRows-1)*lda+aCols {
+		panic(fmt.Sprintf("blas: A too short: len=%d need=%d", na, (aRows-1)*lda+aCols))
 	}
-	if bRows > 0 && len(b) < (bRows-1)*ldb+bCols {
-		panic(fmt.Sprintf("blas: B too short: len=%d need=%d", len(b), (bRows-1)*ldb+bCols))
+	if bRows > 0 && nb < (bRows-1)*ldb+bCols {
+		panic(fmt.Sprintf("blas: B too short: len=%d need=%d", nb, (bRows-1)*ldb+bCols))
 	}
-	if m > 0 && len(c) < (m-1)*ldc+n {
-		panic(fmt.Sprintf("blas: C too short: len=%d need=%d", len(c), (m-1)*ldc+n))
+	if m > 0 && nc < (m-1)*ldc+n {
+		panic(fmt.Sprintf("blas: C too short: len=%d need=%d", nc, (m-1)*ldc+n))
 	}
 }
 
-func scaleC(beta float32, c []float32, m, n, ldc int) {
+// scaleC applies C = beta*C and reports whether a product remains to be
+// accumulated into it.
+func scaleC(alpha, beta float32, c []float32, m, n, k, ldc int) bool {
 	switch beta {
 	case 1:
-		return
 	case 0:
 		for i := 0; i < m; i++ {
-			row := c[i*ldc : i*ldc+n]
-			for j := range row {
-				row[j] = 0
-			}
+			clear(c[i*ldc : i*ldc+n])
 		}
 	default:
 		for i := 0; i < m; i++ {
@@ -90,6 +96,7 @@ func scaleC(beta float32, c []float32, m, n, ldc int) {
 			}
 		}
 	}
+	return m > 0 && n > 0 && k > 0 && alpha != 0
 }
 
 // gemmBlock accumulates alpha*op(A)*op(B) into C for rows [i0,i1).
@@ -106,84 +113,122 @@ func gemmBlock(transA, transB bool, i0, i1, n, k int, alpha float32, a []float32
 	}
 }
 
-// gemmNN: C[i,j] += alpha * sum_p A[i,p]*B[p,j]. The p-loop is outermost
-// inside each tile so B rows stream sequentially (row-major friendly).
+// gemmNN: C[i,j] += sum_p (alpha*A[i,p])*B[p,j], accumulated into C one
+// rounded multiply and one rounded add at a time with p strictly ascending.
+// That per-element operation sequence is the package's order invariant: it
+// does not depend on m, on which kernel below handles a row, or on how p is
+// unrolled, so a row's result is bit-identical whatever it is batched with —
+// what batched == solo, packed == padded and the golden digests rest on.
 //
-// Rows run through a 4-row micro-kernel when the tile is tall enough: each
-// loaded B element feeds four output rows, which quadruples arithmetic
-// intensity and is what makes a batched decode iteration cheaper per token
-// than per-row GEMV-sized calls. Per-element accumulation order over p is
-// identical in both kernels (strictly ascending, one multiply-add per
-// operation), so a row's result is bit-identical whatever m it is batched
-// into — the invariant the continuous-batching correctness tests pin.
+// Two rows advance together through four values of p per pass over the
+// columns: six loads and two stores per eight multiply-adds, against nine
+// per four for a one-p, four-row sweep. The odd last row runs the same
+// 4-p unroll alone. Columns are not blocked: the six streams are sequential,
+// and splitting wide rows (n = 3072, 30000) into L1-sized segments measured
+// no faster.
 func gemmNN(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
-	for jj := 0; jj < n; jj += blockN {
-		jMax := min(jj+blockN, n)
-		for pp := 0; pp < k; pp += blockK {
-			pMax := min(pp+blockK, k)
-			i := i0
-			for ; i+4 <= i1; i += 4 {
-				a0, a1, a2, a3 := a[i*lda:], a[(i+1)*lda:], a[(i+2)*lda:], a[(i+3)*lda:]
-				c0, c1, c2, c3 := c[i*ldc:], c[(i+1)*ldc:], c[(i+2)*ldc:], c[(i+3)*ldc:]
-				for p := pp; p < pMax; p++ {
-					av0, av1, av2, av3 := alpha*a0[p], alpha*a1[p], alpha*a2[p], alpha*a3[p]
-					if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-						continue
-					}
-					brow := b[p*ldb:]
-					for j := jj; j < jMax; j++ {
-						bv := brow[j]
-						c0[j] += av0 * bv
-						c1[j] += av1 * bv
-						c2[j] += av2 * bv
-						c3[j] += av3 * bv
-					}
-				}
-			}
-			for ; i < i1; i++ {
-				arow := a[i*lda:]
-				crow := c[i*ldc:]
-				for p := pp; p < pMax; p++ {
-					av := alpha * arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := b[p*ldb:]
-					for j := jj; j < jMax; j++ {
-						crow[j] += av * brow[j]
-					}
-				}
-			}
+	i := i0
+	for ; i+2 <= i1; i += 2 {
+		nnRows2(n, k, alpha, a[i*lda:], a[(i+1)*lda:], b, ldb, c[i*ldc:], c[(i+1)*ldc:])
+	}
+	if i < i1 {
+		nnRow(n, k, alpha, a[i*lda:], b, ldb, c[i*ldc:])
+	}
+}
+
+// nnRows2 adds alpha*(a0;a1)*B to the n-wide rows c0 and c1.
+func nnRows2(n, k int, alpha float32, a0, a1, b []float32, ldb int, c0, c1 []float32) {
+	a0, a1 = a0[:k], a1[:k]
+	c0, c1 = c0[:n], c1[:n]
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		x00, x01, x02, x03 := alpha*a0[p], alpha*a0[p+1], alpha*a0[p+2], alpha*a0[p+3]
+		x10, x11, x12, x13 := alpha*a1[p], alpha*a1[p+1], alpha*a1[p+2], alpha*a1[p+3]
+		b0, b1, b2, b3 := b[p*ldb:][:n], b[(p+1)*ldb:][:n], b[(p+2)*ldb:][:n], b[(p+3)*ldb:][:n]
+		for j := range c0 {
+			v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
+			c0[j] = c0[j] + x00*v0 + x01*v1 + x02*v2 + x03*v3
+			c1[j] = c1[j] + x10*v0 + x11*v1 + x12*v2 + x13*v3
+		}
+	}
+	for ; p < k; p++ {
+		x0, x1 := alpha*a0[p], alpha*a1[p]
+		bp := b[p*ldb:][:n]
+		for j := range c0 {
+			v := bp[j]
+			c0[j] += x0 * v
+			c1[j] += x1 * v
 		}
 	}
 }
 
-// gemmNT: C[i,j] += alpha * sum_p A[i,p]*B[j,p] — dot products of rows,
-// the layout attention uses for Q·Kᵀ.
-func gemmNT(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*lda : i*lda+k]
-		crow := c[i*ldc:]
-		for j := 0; j < n; j++ {
-			brow := b[j*ldb : j*ldb+k]
-			var sum float32
-			p := 0
-			// 4-way unrolled dot product; the compiler keeps the partials
-			// in registers, which roughly doubles throughput here.
-			var s0, s1, s2, s3 float32
-			for ; p+4 <= k; p += 4 {
-				s0 += arow[p] * brow[p]
-				s1 += arow[p+1] * brow[p+1]
-				s2 += arow[p+2] * brow[p+2]
-				s3 += arow[p+3] * brow[p+3]
-			}
-			sum = s0 + s1 + s2 + s3
-			for ; p < k; p++ {
-				sum += arow[p] * brow[p]
-			}
-			crow[j] += alpha * sum
+// nnRow is nnRows2 for a single row: the odd last row of a call, and every
+// row of a one-row (decode step) call.
+func nnRow(n, k int, alpha float32, a0, b []float32, ldb int, c0 []float32) {
+	a0 = a0[:k]
+	c0 = c0[:n]
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		x0, x1, x2, x3 := alpha*a0[p], alpha*a0[p+1], alpha*a0[p+2], alpha*a0[p+3]
+		b0, b1, b2, b3 := b[p*ldb:][:n], b[(p+1)*ldb:][:n], b[(p+2)*ldb:][:n], b[(p+3)*ldb:][:n]
+		for j := range c0 {
+			c0[j] = c0[j] + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
 		}
 	}
+	for ; p < k; p++ {
+		x0 := alpha * a0[p]
+		bp := b[p*ldb:][:n]
+		for j := range c0 {
+			c0[j] += x0 * bp[j]
+		}
+	}
+}
+
+// gemmNT: C[i,j] += alpha * sum_p A[i,p]*B[j,p] — dot products of rows, the
+// layout attention uses for Q·Kᵀ. Each dot product is four partial sums over
+// p = 0,1,2,3 (mod 4), folded as ((s0+s1)+s2)+s3, then the k mod 4 tail in
+// order — the NT half of the order invariant. Two B rows share each pass
+// over the A row (12 loads per 8 multiply-adds instead of 16); their sums
+// never mix, so a column's result does not depend on which pass computed it.
+func gemmNT(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	for i := i0; i < i1; i++ {
+		arow := a[i*lda:][:k]
+		crow := c[i*ldc:][:n]
+		j := 0
+		for ; j+2 <= n; j += 2 {
+			s, t := dot2(arow, b[j*ldb:], b[(j+1)*ldb:])
+			crow[j] += alpha * s
+			crow[j+1] += alpha * t
+		}
+		if j < n { // odd last column: the pair kernel on one row twice
+			s, _ := dot2(arow, b[j*ldb:], b[j*ldb:])
+			crow[j] += alpha * s
+		}
+	}
+}
+
+// dot2 returns x·y and x·z over len(x) elements in gemmNT's order.
+func dot2(x, y, z []float32) (float32, float32) {
+	y, z = y[:len(x)], z[:len(x)]
+	var s0, s1, s2, s3, t0, t1, t2, t3 float32
+	p := 0
+	for ; p+4 <= len(x); p += 4 {
+		x4, y4, z4 := x[p:p+4:p+4], y[p:p+4:p+4], z[p:p+4:p+4]
+		s0 += x4[0] * y4[0]
+		s1 += x4[1] * y4[1]
+		s2 += x4[2] * y4[2]
+		s3 += x4[3] * y4[3]
+		t0 += x4[0] * z4[0]
+		t1 += x4[1] * z4[1]
+		t2 += x4[2] * z4[2]
+		t3 += x4[3] * z4[3]
+	}
+	s, t := s0+s1+s2+s3, t0+t1+t2+t3
+	for ; p < len(x); p++ {
+		s += x[p] * y[p]
+		t += x[p] * z[p]
+	}
+	return s, t
 }
 
 func gemmTN(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
@@ -213,37 +258,4 @@ func gemmTT(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, 
 			crow[j] += alpha * sum
 		}
 	}
-}
-
-// parallelRows splits [0,m) into contiguous chunks and runs fn on each chunk
-// in its own goroutine. Small problems run inline to avoid dispatch cost.
-func parallelRows(m int, fn func(i0, i1 int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	// Below this many rows the goroutine hand-off costs more than it saves.
-	const minRowsParallel = 16
-	if workers <= 1 || m < minRowsParallel {
-		fn(0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for i0 := 0; i0 < m; i0 += chunk {
-		i1 := min(i0+chunk, m)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(i0, i1)
-	}
-	wg.Wait()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -175,6 +176,51 @@ func TestStridedBatchedGemmMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestBatchedGemmValidatesBeforeWriting: an operand too short for the last
+// problem must panic before any problem is scaled or written — of a strided
+// batch, and of a later group of a grouped call.
+func TestBatchedGemmValidatesBeforeWriting(t *testing.T) {
+	const m, n, k, batch = 2, 3, 4, 5
+	rng := rand.New(rand.NewSource(5))
+	a := randSlice(rng, batch*m*k)
+	b := randSlice(rng, batch*k*n)
+	sevens := func(n int) []float32 {
+		c := make([]float32, n)
+		for i := range c {
+			c[i] = 7
+		}
+		return c
+	}
+	group := func(c []float32) StridedBatch {
+		return StridedBatch{M: m, N: n, K: k, A: a, Lda: k, StrideA: m * k, B: b, Ldb: n, StrideB: k * n, C: c, Ldc: n, StrideC: m * n, Count: batch}
+	}
+	panicsUntouched := func(name string, run func(), cs ...[]float32) {
+		t.Helper()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected a panic on the undersized C", name)
+				}
+			}()
+			run()
+		}()
+		for _, c := range cs {
+			for i, v := range c {
+				if v != 7 {
+					t.Fatalf("%s: c[%d] = %v written before the panic", name, i, v)
+				}
+			}
+		}
+	}
+	full, short := sevens(batch*m*n), sevens(batch*m*n-1)
+	panicsUntouched("strided", func() {
+		StridedBatchedGemm(false, false, m, n, k, 1, a, k, m*k, b, n, k*n, 0, short, n, m*n, batch)
+	}, short)
+	panicsUntouched("grouped", func() {
+		GroupedStridedBatchedGemm(false, false, 1, 0, []StridedBatch{group(full), group(short)})
+	}, full, short)
+}
+
 func TestStridedBatchedGemmZeroBatch(t *testing.T) {
 	StridedBatchedGemm(false, false, 2, 2, 2, 1, nil, 2, 0, nil, 2, 0, 0, nil, 2, 0, 0)
 }
@@ -282,28 +328,40 @@ func TestQuickGemmTransposeIdentity(t *testing.T) {
 	}
 }
 
-func BenchmarkGemmNN256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 256
-	a := randSlice(rng, n*n)
-	bb := randSlice(rng, n*n)
-	c := make([]float32, n*n)
-	b.SetBytes(int64(2 * n * n * n * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Gemm(false, false, n, n, n, 1, a, n, bb, n, 0, c, n)
+// BenchmarkGemm times the two kernels on the shapes the ledger's system
+// (hidden 128, 4 heads, FFN 512, max length 224 tokens per packed batch)
+// actually calls: NN for the projections at decode-step and packed-encoder
+// row counts plus attention's scores·V, NT for Q·Kᵀ at one decode row and at
+// a full packed batch. Names are m x n x k. A call that runs inline (one P,
+// or fewer than 16 rows) must report 0 allocs/op.
+func BenchmarkGemm(b *testing.B) {
+	type shape struct{ m, n, k int }
+	var nn []shape
+	for _, m := range []int{1, 4, 8, 14, 224} {
+		nn = append(nn, shape{m, 384, 128}, shape{m, 128, 128}, shape{m, 512, 128}, shape{m, 128, 512})
 	}
-}
-
-func BenchmarkGemmNTAttention(b *testing.B) {
-	// Q·Kᵀ shape for one head: seq=128, head_dim=64.
-	rng := rand.New(rand.NewSource(1))
-	const s, d = 128, 64
-	q := randSlice(rng, s*d)
-	kk := randSlice(rng, s*d)
-	c := make([]float32, s*s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Gemm(false, true, s, s, d, 1, q, d, kk, d, 0, c, s)
+	nn = append(nn, shape{224, 32, 224})
+	nt := []shape{{1, 100, 32}, {224, 224, 32}}
+	run := func(kind string, transB bool, shapes []shape) {
+		for _, s := range shapes {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kind, s.m, s.n, s.k), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				a := randSlice(rng, s.m*s.k)
+				bb := randSlice(rng, s.k*s.n)
+				c := make([]float32, s.m*s.n)
+				ldb := s.n
+				if transB {
+					ldb = s.k
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					Gemm(false, transB, s.m, s.n, s.k, 1, a, s.k, bb, ldb, 0, c, s.n)
+				}
+				flop := 2 * float64(s.m) * float64(s.n) * float64(s.k) * float64(b.N)
+				b.ReportMetric(flop/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
+	run("nn", false, nn)
+	run("nt", true, nt)
 }

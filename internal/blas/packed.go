@@ -1,6 +1,10 @@
 package blas
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+)
 
 // StridedBatch describes one group of a grouped strided-batched GEMM: Count
 // equally-shaped problems laid out at fixed strides. Grouping problems with
@@ -22,42 +26,73 @@ type StridedBatch struct {
 	Count   int
 }
 
+// check panics unless every problem of group g fits its operands. Strides
+// are non-negative, so the last problem reaches furthest.
+func (s *StridedBatch) check(g int, transA, transB bool) {
+	if s.Count < 0 {
+		panic(fmt.Sprintf("blas: group %d has negative count %d", g, s.Count))
+	}
+	if s.StrideA < 0 || s.StrideB < 0 || s.StrideC < 0 {
+		panic(fmt.Sprintf("blas: group %d has a negative stride", g))
+	}
+	if s.Count == 0 {
+		return
+	}
+	last := s.Count - 1
+	checkGemmArgs(transA, transB, s.M, s.N, s.K,
+		len(s.A)-last*s.StrideA, s.Lda, len(s.B)-last*s.StrideB, s.Ldb, len(s.C)-last*s.StrideC, s.Ldc)
+}
+
+// run computes problem i of the group, serially.
+func (s *StridedBatch) run(transA, transB bool, alpha, beta float32, i int) {
+	c := s.C[i*s.StrideC:]
+	if scaleC(alpha, beta, c, s.M, s.N, s.K, s.Ldc) {
+		gemmBlock(transA, transB, 0, s.M, s.N, s.K, alpha, s.A[i*s.StrideA:], s.Lda, s.B[i*s.StrideB:], s.Ldb, c, s.Ldc)
+	}
+}
+
 // GroupedStridedBatchedGemm performs, for every group g and every batch
 // index i in [0, g.Count):
 //
 //	C_gi = alpha * op(A_gi) * op(B_gi) + beta * C_gi
 //
 // with A_gi = g.A[i*g.StrideA:], etc. All groups share the transpose flags
-// and scalars; shapes vary per group. Problems run in parallel across the
-// flattened (group, batch) space.
+// and scalars; shapes vary per group. Every group is validated before any C
+// is written. Each problem runs serially — attention's problems are many and
+// small — and problems are spread over up to GOMAXPROCS goroutines; with one
+// worker the groups are walked in order, in place.
 func GroupedStridedBatchedGemm(transA, transB bool, alpha, beta float32, groups []StridedBatch) {
-	// starts[g] = flattened index of group g's first problem.
-	starts := make([]int, len(groups)+1)
-	for g, grp := range groups {
-		if grp.Count < 0 {
-			panic(fmt.Sprintf("blas: group %d has negative count %d", g, grp.Count))
-		}
-		if grp.StrideA < 0 || grp.StrideB < 0 || grp.StrideC < 0 {
-			panic(fmt.Sprintf("blas: group %d has a negative stride", g))
-		}
-		starts[g+1] = starts[g] + grp.Count
+	total := 0
+	for g := range groups {
+		groups[g].check(g, transA, transB)
+		total += groups[g].Count
 	}
-	runBatches(starts[len(groups)], func(fi int) {
-		// Find the owning group: starts[g] <= fi < starts[g+1].
-		g := 0
-		for starts[g+1] <= fi {
-			g++
+	workers := min(runtime.GOMAXPROCS(0), total)
+	if workers <= 1 {
+		for g := range groups {
+			for i := 0; i < groups[g].Count; i++ {
+				groups[g].run(transA, transB, alpha, beta, i)
+			}
 		}
-		grp := &groups[g]
-		i := fi - starts[g]
-		a := grp.A[i*grp.StrideA:]
-		b := grp.B[i*grp.StrideB:]
-		c := grp.C[i*grp.StrideC:]
-		checkGemmArgs(transA, transB, grp.M, grp.N, grp.K, a, grp.Lda, b, grp.Ldb, c, grp.Ldc)
-		scaleC(beta, c, grp.M, grp.N, grp.Ldc)
-		if grp.K == 0 || alpha == 0 || grp.M == 0 || grp.N == 0 {
-			return
+		return
+	}
+	type problem struct{ g, i int }
+	next := make(chan problem)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := range next {
+				groups[p.g].run(transA, transB, alpha, beta, p.i)
+			}
+		}()
+	}
+	for g := range groups {
+		for i := 0; i < groups[g].Count; i++ {
+			next <- problem{g, i}
 		}
-		gemmBlock(transA, transB, 0, grp.M, grp.N, grp.K, alpha, a, grp.Lda, b, grp.Ldb, c, grp.Ldc)
-	})
+	}
+	close(next)
+	wg.Wait()
 }

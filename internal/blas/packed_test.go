@@ -83,3 +83,22 @@ func TestGroupedStridedBatchedGemmEmptyGroups(t *testing.T) {
 	}
 	GroupedStridedBatchedGemm(false, false, 1, 0, nil)
 }
+
+// TestOneWorkerAllocatesNothing: on one P (testing.AllocsPerRun pins
+// GOMAXPROCS to 1) a Gemm and a grouped call run inline — no closure, no
+// index table — which is what a decode step's allocation count rests on.
+func TestOneWorkerAllocatesNothing(t *testing.T) {
+	const m, n, k, heads = 24, 32, 16, 4
+	rng := rand.New(rand.NewSource(12))
+	a, b, c := randSlice(rng, heads*m*k), randSlice(rng, heads*k*n), make([]float32, heads*m*n)
+	groups := []StridedBatch{
+		{M: m, N: n, K: k, A: a, Lda: k, StrideA: m * k, B: b, Ldb: n, StrideB: k * n, C: c, Ldc: n, StrideC: m * n, Count: heads},
+		{M: 1, N: n, K: k, A: a, Lda: k, StrideA: k, B: b, Ldb: n, StrideB: k * n, C: c, Ldc: n, StrideC: n, Count: heads},
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		Gemm(false, false, m, n, k, 1, a, k, b, n, 0, c, n)
+		GroupedStridedBatchedGemm(false, false, 1, 0, groups)
+	}); got != 0 {
+		t.Fatalf("Gemm + grouped call on one worker: %v allocs, want 0", got)
+	}
+}
