@@ -3,15 +3,28 @@
 // batched and strided-batched variants used by multi-head attention
 // (batched Q·Kᵀ and scores·V, Fig. 3 "batched stride gemm3/gemm4").
 //
-// On the paper's system these map to cuBLAS; here they are pure-Go
-// register-unrolled micro-kernels over row-major operands. A large Gemm
-// splits its rows across goroutines and a batched call its problems, up to
-// GOMAXPROCS of them, which plays the role of the GPU's SM-level parallelism
-// for the functional runtime; on one P everything runs inline and allocates
-// nothing. Every kernel keeps each output element's float32 operation
-// sequence fixed (see gemmNN and gemmNT), so results do not depend on how a
-// problem is batched, split or unrolled. Timing of GPU GEMMs for the
-// experiments is handled separately by the analytic model in internal/perf.
+// On the paper's system these map to cuBLAS; here they are micro-kernels over
+// row-major operands. A large Gemm splits its rows across goroutines and a
+// batched call its problems, up to GOMAXPROCS of them, which plays the role
+// of the GPU's SM-level parallelism for the functional runtime; on one P
+// everything runs inline and allocates nothing. Every kernel keeps each
+// output element's float32 operation sequence fixed (see gemmNN and gemmNT)
+// — one rounded multiply, then one rounded add, never a fused multiply-add —
+// so results do not depend on how a problem is batched, split or unrolled,
+// nor on the architecture.
+//
+// The three inner loops (nnRows2, nnRow, dot2) have two bodies with the same
+// signatures, selected by build constraint alone. kernels_generic.go is the
+// portable Go and the readable definition; it writes each product as
+// float32(x*y), which forbids the compiler to fuse it into the following add
+// (it may otherwise, on arm64 and at GOAMD64=v3). kernels_amd64.s (amd64
+// without -tags purego) is baseline SSE2, four lanes: in NN a lane is a
+// column of C, an independent chain; in NT the four lanes are the four
+// partial sums. Nothing wider and no FMA: eight lanes would be eight NT
+// partials and a fused multiply-add rounds once, either of which moves bits,
+// and SSE2 needs no feature detection. Everything else in the package is Go
+// on every target. Timing of GPU GEMMs for the experiments is handled
+// separately by the analytic model in internal/perf.
 package blas
 
 import (
@@ -121,11 +134,11 @@ func gemmBlock(transA, transB bool, i0, i1, n, k int, alpha float32, a []float32
 // what batched == solo, packed == padded and the golden digests rest on.
 //
 // Two rows advance together through four values of p per pass over the
-// columns: six loads and two stores per eight multiply-adds, against nine
-// per four for a one-p, four-row sweep. The odd last row runs the same
-// 4-p unroll alone. Columns are not blocked: the six streams are sequential,
-// and splitting wide rows (n = 3072, 30000) into L1-sized segments measured
-// no faster.
+// columns (nnRows2), so each element of B loaded serves two rows and each
+// element of C loaded or stored serves four p. The odd last row runs the same
+// 4-p unroll alone (nnRow). Columns are not blocked: the six streams are
+// sequential, and splitting wide rows (n = 3072, 30000) into L1-sized
+// segments measured no faster.
 func gemmNN(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
 	i := i0
 	for ; i+2 <= i1; i += 2 {
@@ -136,60 +149,12 @@ func gemmNN(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, 
 	}
 }
 
-// nnRows2 adds alpha*(a0;a1)*B to the n-wide rows c0 and c1.
-func nnRows2(n, k int, alpha float32, a0, a1, b []float32, ldb int, c0, c1 []float32) {
-	a0, a1 = a0[:k], a1[:k]
-	c0, c1 = c0[:n], c1[:n]
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		x00, x01, x02, x03 := alpha*a0[p], alpha*a0[p+1], alpha*a0[p+2], alpha*a0[p+3]
-		x10, x11, x12, x13 := alpha*a1[p], alpha*a1[p+1], alpha*a1[p+2], alpha*a1[p+3]
-		b0, b1, b2, b3 := b[p*ldb:][:n], b[(p+1)*ldb:][:n], b[(p+2)*ldb:][:n], b[(p+3)*ldb:][:n]
-		for j := range c0 {
-			v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
-			c0[j] = c0[j] + x00*v0 + x01*v1 + x02*v2 + x03*v3
-			c1[j] = c1[j] + x10*v0 + x11*v1 + x12*v2 + x13*v3
-		}
-	}
-	for ; p < k; p++ {
-		x0, x1 := alpha*a0[p], alpha*a1[p]
-		bp := b[p*ldb:][:n]
-		for j := range c0 {
-			v := bp[j]
-			c0[j] += x0 * v
-			c1[j] += x1 * v
-		}
-	}
-}
-
-// nnRow is nnRows2 for a single row: the odd last row of a call, and every
-// row of a one-row (decode step) call.
-func nnRow(n, k int, alpha float32, a0, b []float32, ldb int, c0 []float32) {
-	a0 = a0[:k]
-	c0 = c0[:n]
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		x0, x1, x2, x3 := alpha*a0[p], alpha*a0[p+1], alpha*a0[p+2], alpha*a0[p+3]
-		b0, b1, b2, b3 := b[p*ldb:][:n], b[(p+1)*ldb:][:n], b[(p+2)*ldb:][:n], b[(p+3)*ldb:][:n]
-		for j := range c0 {
-			c0[j] = c0[j] + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
-		}
-	}
-	for ; p < k; p++ {
-		x0 := alpha * a0[p]
-		bp := b[p*ldb:][:n]
-		for j := range c0 {
-			c0[j] += x0 * bp[j]
-		}
-	}
-}
-
 // gemmNT: C[i,j] += alpha * sum_p A[i,p]*B[j,p] — dot products of rows, the
 // layout attention uses for Q·Kᵀ. Each dot product is four partial sums over
 // p = 0,1,2,3 (mod 4), folded as ((s0+s1)+s2)+s3, then the k mod 4 tail in
 // order — the NT half of the order invariant. Two B rows share each pass
-// over the A row (12 loads per 8 multiply-adds instead of 16); their sums
-// never mix, so a column's result does not depend on which pass computed it.
+// over the A row (dot2); their sums never mix, so a column's result does not
+// depend on which pass computed it.
 func gemmNT(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
 	for i := i0; i < i1; i++ {
 		arow := a[i*lda:][:k]
@@ -197,51 +162,27 @@ func gemmNT(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, 
 		j := 0
 		for ; j+2 <= n; j += 2 {
 			s, t := dot2(arow, b[j*ldb:], b[(j+1)*ldb:])
-			crow[j] += alpha * s
-			crow[j+1] += alpha * t
+			crow[j] += float32(alpha * s)
+			crow[j+1] += float32(alpha * t)
 		}
 		if j < n { // odd last column: the pair kernel on one row twice
 			s, _ := dot2(arow, b[j*ldb:], b[j*ldb:])
-			crow[j] += alpha * s
+			crow[j] += float32(alpha * s)
 		}
 	}
 }
 
-// dot2 returns x·y and x·z over len(x) elements in gemmNT's order.
-func dot2(x, y, z []float32) (float32, float32) {
-	y, z = y[:len(x)], z[:len(x)]
-	var s0, s1, s2, s3, t0, t1, t2, t3 float32
-	p := 0
-	for ; p+4 <= len(x); p += 4 {
-		x4, y4, z4 := x[p:p+4:p+4], y[p:p+4:p+4], z[p:p+4:p+4]
-		s0 += x4[0] * y4[0]
-		s1 += x4[1] * y4[1]
-		s2 += x4[2] * y4[2]
-		s3 += x4[3] * y4[3]
-		t0 += x4[0] * z4[0]
-		t1 += x4[1] * z4[1]
-		t2 += x4[2] * z4[2]
-		t3 += x4[3] * z4[3]
-	}
-	s, t := s0+s1+s2+s3, t0+t1+t2+t3
-	for ; p < len(x); p++ {
-		s += x[p] * y[p]
-		t += x[p] * z[p]
-	}
-	return s, t
-}
-
+// gemmTN is gemmNN's order over an A stored transposed: p ascending, one
+// rounded multiply and add at a time, and no zero of A skipped (0·Inf must
+// make the NaN it makes in NN).
 func gemmTN(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
 	for i := i0; i < i1; i++ {
 		crow := c[i*ldc:]
 		for p := 0; p < k; p++ {
 			av := alpha * a[p*lda+i]
-			if av == 0 {
-				continue
-			}
 			brow := b[p*ldb:]
 			for j := 0; j < n; j++ {
-				crow[j] += av * brow[j]
+				crow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -253,9 +194,9 @@ func gemmTT(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, 
 		for j := 0; j < n; j++ {
 			var sum float32
 			for p := 0; p < k; p++ {
-				sum += a[p*lda+i] * b[j*ldb+p]
+				sum += float32(a[p*lda+i] * b[j*ldb+p])
 			}
-			crow[j] += alpha * sum
+			crow[j] += float32(alpha * sum)
 		}
 	}
 }

@@ -10,7 +10,9 @@ import (
 // sequence every NN and NT kernel must reproduce for each output element:
 // NN accumulates (alpha*a)*b into beta*c with p ascending; NT sums four
 // strided partials, folds them left to right, adds the k mod 4 tail in order
-// and adds alpha times that to beta*c.
+// and adds alpha times that to beta*c. Every product goes through float32(…),
+// which forbids the compiler to fuse it with the add that follows (arm64,
+// GOAMD64=v3): one rounded multiply, one rounded add, on every target.
 func gemmOrdered(transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -28,7 +30,7 @@ func gemmOrdered(transB bool, m, n, k int, alpha float32, a []float32, lda int, 
 			if !transB {
 				for p := 0; p < k; p++ {
 					x := alpha * a[i*lda+p]
-					*cij += x * b[p*ldb+j]
+					*cij += float32(x * b[p*ldb+j])
 				}
 				continue
 			}
@@ -36,20 +38,22 @@ func gemmOrdered(transB bool, m, n, k int, alpha float32, a []float32, lda int, 
 			p := 0
 			for ; p+4 <= k; p += 4 {
 				for u := range s {
-					s[u] += a[i*lda+p+u] * b[j*ldb+p+u]
+					s[u] += float32(a[i*lda+p+u] * b[j*ldb+p+u])
 				}
 			}
 			sum := s[0] + s[1] + s[2] + s[3]
 			for ; p < k; p++ {
-				sum += a[i*lda+p] * b[j*ldb+p]
+				sum += float32(a[i*lda+p] * b[j*ldb+p])
 			}
-			*cij += alpha * sum
+			*cij += float32(alpha * sum)
 		}
 	}
 }
 
 // orderedCase is one Gemm(false, transB, …) problem with padded leading
 // dimensions; A carries the exact +0 and −0 entries a ReLU leaves behind.
+// The padding columns and the tail of the last row hold random values that
+// work as canaries: mismatch compares them too.
 type orderedCase struct {
 	transB        bool
 	m, n, k       int
@@ -58,13 +62,17 @@ type orderedCase struct {
 	a, b, c       []float32
 }
 
-func newOrderedCase(rng *rand.Rand, transB bool, m, n, k int, alpha, beta float32) orderedCase {
+// newOrderedCase starts A, B and C off, off+1 and off+2 (mod 4) floats into
+// their allocations, so that a kernel's 16-byte loads and stores meet every
+// alignment, absolute and relative.
+func newOrderedCase(rng *rand.Rand, transB bool, m, n, k int, alpha, beta float32, off int) orderedCase {
+	aOff, bOff, cOff := off&3, (off+1)&3, (off+2)&3
 	tc := orderedCase{transB: transB, m: m, n: n, k: k, lda: k + 3, ldb: n + 2, ldc: n + 5, alpha: alpha, beta: beta}
 	bRows := k
 	if transB {
 		tc.ldb, bRows = k+2, n
 	}
-	tc.a = randSlice(rng, m*tc.lda)
+	tc.a = randSlice(rng, m*tc.lda+aOff)[aOff:]
 	for i := range tc.a {
 		switch rng.Intn(5) {
 		case 0:
@@ -73,16 +81,15 @@ func newOrderedCase(rng *rand.Rand, transB bool, m, n, k int, alpha, beta float3
 			tc.a[i] = float32(math.Copysign(0, -1))
 		}
 	}
-	tc.b = randSlice(rng, bRows*tc.ldb)
-	tc.c = randSlice(rng, m*tc.ldc)
+	tc.b = randSlice(rng, bRows*tc.ldb+bOff)[bOff:]
+	tc.c = randSlice(rng, m*tc.ldc+cOff)[cOff:]
 	return tc
 }
 
-// mismatch runs Gemm and the ordered reference on copies of C and returns the
-// first element (padding included) whose bits differ, or -1.
+// mismatch runs Gemm on C where it sits and the ordered reference on a copy,
+// and returns the first element (padding included) whose bits differ, or -1.
 func (tc *orderedCase) mismatch() (at int, got, want float32) {
-	g := append([]float32(nil), tc.c...)
-	w := append([]float32(nil), tc.c...)
+	g, w := tc.c, append([]float32(nil), tc.c...)
 	Gemm(false, tc.transB, tc.m, tc.n, tc.k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, g, tc.ldc)
 	gemmOrdered(tc.transB, tc.m, tc.n, tc.k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, w, tc.ldc)
 	for i := range g {
@@ -102,14 +109,17 @@ var (
 // layer that owns it: both row kernels (m 1..9 covers pairs with and without
 // an odd last row), every p and column tail, a row split across workers,
 // padded leading dimensions, and the scalars serving uses (alpha =
-// 1/sqrt(head dim) folded into Q·Kᵀ, beta = 1 span rounds).
+// 1/sqrt(head dim) folded into Q·Kᵀ, beta = 1 span rounds). The second sweep
+// is for what a vector kernel gets wrong: every boundary between a four-wide
+// body and its tail in n and in k, at every operand alignment, for the
+// one-row kernel, the two-row kernel and both.
 func TestGemmBitIdenticalToOrderedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	check := func(transB bool, m, n, k int, alpha, beta float32) {
-		tc := newOrderedCase(rng, transB, m, n, k, alpha, beta)
+	check := func(transB bool, m, n, k int, alpha, beta float32, off int) {
+		tc := newOrderedCase(rng, transB, m, n, k, alpha, beta, off)
 		if at, got, want := tc.mismatch(); at >= 0 {
-			t.Fatalf("transB=%v m=%d n=%d k=%d alpha=%g beta=%g: c[%d] = %g (%#08x), ordered reference %g (%#08x)",
-				transB, m, n, k, alpha, beta, at, got, math.Float32bits(got), want, math.Float32bits(want))
+			t.Fatalf("transB=%v m=%d n=%d k=%d alpha=%g beta=%g off=%d: c[%d] = %g (%#08x), ordered reference %g (%#08x)",
+				transB, m, n, k, alpha, beta, off, at, got, math.Float32bits(got), want, math.Float32bits(want))
 		}
 	}
 	for _, transB := range []bool{false, true} {
@@ -118,11 +128,20 @@ func TestGemmBitIdenticalToOrderedReference(t *testing.T) {
 				for m := 1; m <= 9; m++ {
 					for _, n := range []int{1, 5, 37} {
 						for _, k := range []int{0, 1, 3, 4, 6, 13, 32, 35} {
-							check(transB, m, n, k, alpha, beta)
+							check(transB, m, n, k, alpha, beta, 0)
 						}
 					}
 				}
-				check(transB, 37, 11, 7, alpha, beta)
+				check(transB, 37, 11, 7, alpha, beta, 0)
+			}
+		}
+		for m := 1; m <= 3; m++ {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33} {
+				for k := 0; k <= 9; k++ {
+					for off := 0; off < 4; off++ {
+						check(transB, m, n, k, orderedAlphas[2], 0.5, off)
+					}
+				}
 			}
 		}
 	}
@@ -134,7 +153,7 @@ func TestGemmRowsIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, transB := range []bool{false, true} {
 		for m := 1; m <= 9; m++ {
-			tc := newOrderedCase(rng, transB, m, 37, 35, orderedAlphas[2], 0.5)
+			tc := newOrderedCase(rng, transB, m, 37, 35, orderedAlphas[2], 0.5, m)
 			all := append([]float32(nil), tc.c...)
 			Gemm(false, transB, m, tc.n, tc.k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, all, tc.ldc)
 			for i := 0; i < m; i++ {
@@ -150,7 +169,8 @@ func TestGemmRowsIndependent(t *testing.T) {
 	}
 }
 
-// FuzzGemmOrderedReference lets the fuzzer pick shape, scalars and data seed.
+// FuzzGemmOrderedReference lets the fuzzer pick shape, scalars and data seed;
+// the seed's low bits also set how far the operands sit off their allocations.
 func FuzzGemmOrderedReference(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(100), uint8(32), true, uint8(2), uint8(0))
 	f.Add(int64(2), uint8(8), uint8(128), uint8(128), false, uint8(0), uint8(0))
@@ -160,9 +180,60 @@ func FuzzGemmOrderedReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, m, n, k uint8, transB bool, alphaSel, betaSel uint8) {
 		alpha := orderedAlphas[int(alphaSel)%len(orderedAlphas)]
 		beta := orderedBetas[int(betaSel)%len(orderedBetas)]
-		tc := newOrderedCase(rand.New(rand.NewSource(seed)), transB, int(m), int(n), int(k), alpha, beta)
+		tc := newOrderedCase(rand.New(rand.NewSource(seed)), transB, int(m), int(n), int(k), alpha, beta, int(seed&3))
 		if at, got, want := tc.mismatch(); at >= 0 {
 			t.Fatalf("c[%d] = %g, ordered reference %g", at, got, want)
 		}
 	})
+}
+
+// TestGemmTNMatchesNNOnTranspose: Gemm(true, false, …) over an explicit Aᵀ is
+// the NN product of A, element for element — TN follows the NN order and, like
+// NN, skips no zero: 0·Inf and 0·NaN make the NaN they make in NN. A NaN's
+// sign and payload are not part of the invariant (x86 takes them from the
+// first operand, and the compiler may commute a product), so NaNs compare as
+// NaNs and everything else by bits.
+func TestGemmTNMatchesNNOnTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	inf := float32(math.Inf(1))
+	for _, dims := range [][3]int{{1, 1, 1}, {2, 5, 3}, {5, 9, 7}, {7, 33, 13}} {
+		m, n, k := dims[0], dims[1], dims[2]
+		tc := newOrderedCase(rng, false, m, n, k, orderedAlphas[2], 0.5, 0)
+		for i := range tc.b {
+			switch rng.Intn(8) {
+			case 0:
+				tc.b[i] = inf
+			case 1:
+				tc.b[i] = -inf
+			case 2:
+				tc.b[i] = float32(math.NaN())
+			}
+		}
+		ldat := m + 1
+		at := make([]float32, k*ldat)
+		for i := 0; i < m; i++ {
+			for p := 0; p < k; p++ {
+				at[p*ldat+i] = tc.a[i*tc.lda+p]
+			}
+		}
+		nn := append([]float32(nil), tc.c...)
+		tn := append([]float32(nil), tc.c...)
+		Gemm(false, false, m, n, k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, nn, tc.ldc)
+		Gemm(true, false, m, n, k, tc.alpha, at, ldat, tc.b, tc.ldb, tc.beta, tn, tc.ldc)
+		nans := 0
+		for i := range nn {
+			x, y := nn[i], tn[i]
+			if x != x && y != y {
+				nans++
+				continue
+			}
+			if math.Float32bits(x) != math.Float32bits(y) {
+				t.Fatalf("m=%d n=%d k=%d: c[%d] NN %g (%#08x), TN on the transpose %g (%#08x)",
+					m, n, k, i, x, math.Float32bits(x), y, math.Float32bits(y))
+			}
+		}
+		if k > 1 && nans == 0 {
+			t.Fatalf("m=%d n=%d k=%d: no NaN came out; the case does not test zero times Inf", m, n, k)
+		}
+	}
 }

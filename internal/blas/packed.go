@@ -60,15 +60,21 @@ func (s *StridedBatch) run(transA, transB bool, alpha, beta float32, i int) {
 // and scalars; shapes vary per group. Every group is validated before any C
 // is written. Each problem runs serially — attention's problems are many and
 // small — and problems are spread over up to GOMAXPROCS goroutines; with one
-// worker the groups are walked in order, in place.
+// worker, or too little work to pay for the hand-off (a decode step's
+// attention), the groups are walked in order, in place.
 func GroupedStridedBatchedGemm(transA, transB bool, alpha, beta float32, groups []StridedBatch) {
-	total := 0
+	// Below this many multiply-adds in the whole call (≈ 0.1 ms of kernel
+	// time) feeding problems to workers costs more than it saves.
+	const minWorkParallel = 1 << 20
+	total, work := 0, 0
 	for g := range groups {
-		groups[g].check(g, transA, transB)
-		total += groups[g].Count
+		s := &groups[g]
+		s.check(g, transA, transB)
+		total += s.Count
+		work += s.Count * s.M * s.N * s.K
 	}
 	workers := min(runtime.GOMAXPROCS(0), total)
-	if workers <= 1 {
+	if workers <= 1 || work < minWorkParallel {
 		for g := range groups {
 			for i := 0; i < groups[g].Count; i++ {
 				groups[g].run(transA, transB, alpha, beta, i)

@@ -8,18 +8,24 @@ import (
 // TestGroupedStridedBatchedGemmMatchesPlainGemm: every (group, batch)
 // problem must equal a standalone Gemm on the same operands, for mixed
 // shapes across groups (the packed-attention use case: per-request m/n/k).
+// The second round adds a group big enough to lift the call over
+// minWorkParallel, so the problems go through the workers.
 func TestGroupedStridedBatchedGemmMatchesPlainGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, transB := range []bool{false, true} {
+	for _, tc := range []struct{ transB, big bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		transB := tc.transB
 		var groups []StridedBatch
 		type ref struct {
 			m, n, k int
 			a, b, c []float32
 		}
 		var refs []ref
-		for g := 0; g < 4; g++ {
+		for g := 0; g < 5; g++ {
 			m, n, k := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
 			count := 1 + rng.Intn(3)
+			if g == 4 && tc.big {
+				m, n, k, count = 64, 48, 64, 6
+			}
 			mk, kn := m*k, k*n
 			a := make([]float32, count*mk)
 			b := make([]float32, count*kn)
