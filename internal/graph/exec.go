@@ -23,6 +23,9 @@ type Executor struct {
 	Alloc   allocator.Allocator
 
 	zeroBias []float32 // shared zero bias for unfused transposes
+	// qkvBias holds, per OpSplitAddBiasTranspose, the Q, K and V biases
+	// concatenated as the kernel takes them.
+	qkvBias map[*Op][]float32
 
 	// tensorCore selects the Turbo-TC numeric path: GEMM operands are
 	// binary16-valued (weights rounded once into halfWeights, activations
@@ -64,11 +67,26 @@ func NewExecutor(g *Graph, weights map[int]*tensor.Tensor, alloc allocator.Alloc
 				g.Name, t.Name, w.NumElements(), t.Elems.Eval(0, 0))
 		}
 	}
+	qkvBias := map[*Op][]float32{}
+	for _, op := range g.Ops {
+		if op.Kind != OpSplitAddBiasTranspose {
+			continue
+		}
+		if len(op.Weights) != 3 {
+			return nil, fmt.Errorf("graph %s op %s: needs the Q, K and V biases, has %d weights", g.Name, op.Name, len(op.Weights))
+		}
+		var bias []float32
+		for _, id := range op.Weights {
+			bias = append(bias, weights[id].Data()...)
+		}
+		qkvBias[op] = bias
+	}
 	return &Executor{
 		G:        g,
 		Weights:  weights,
 		Alloc:    alloc,
 		zeroBias: make([]float32, g.Hidden),
+		qkvBias:  qkvBias,
 	}, nil
 }
 
@@ -321,12 +339,7 @@ func (e *Executor) execOp(op *Op, data func(int) []float32, batch, seq int, seqL
 	case OpSplitAddBiasTranspose:
 		qkv := data(op.Inputs[0])
 		q, k, v := data(op.Outputs[0]), data(op.Outputs[1]), data(op.Outputs[2])
-		bq, bk, bv := data(op.Weights[0]), data(op.Weights[1]), data(op.Weights[2])
-		bias := make([]float32, 3*H)
-		copy(bias[:H], bq)
-		copy(bias[H:2*H], bk)
-		copy(bias[2*H:], bv)
-		kernels.SplitAddBiasTransposeForScore(qkv, bias, batch, seq, heads, hd, q, k, v)
+		kernels.SplitAddBiasTransposeForScore(qkv, e.qkvBias[op], batch, seq, heads, hd, q, k, v)
 
 	case OpBatchedGemmQK:
 		out := data(op.Outputs[0])

@@ -125,7 +125,7 @@ func (e *Executor) RunPackedWithPlan(input *tensor.Packed, plan *allocator.Plan)
 // because no padding exists.
 func (e *Executor) execOpPacked(op *Op, data func(int) []float32, pd *packedDims) error {
 	g := e.G
-	H, heads, hd := g.Hidden, g.Heads, g.HeadDim
+	heads, hd := g.Heads, g.HeadDim
 	elems := func(id int) int {
 		return int(g.Tensors[id].Elems.EvalTokens(pd.tokens, pd.sumSq))
 	}
@@ -147,12 +147,7 @@ func (e *Executor) execOpPacked(op *Op, data func(int) []float32, pd *packedDims
 	case OpSplitAddBiasTranspose:
 		qkv := data(op.Inputs[0])
 		q, k, v := data(op.Outputs[0]), data(op.Outputs[1]), data(op.Outputs[2])
-		bq, bk, bv := data(op.Weights[0]), data(op.Weights[1]), data(op.Weights[2])
-		bias := make([]float32, 3*H)
-		copy(bias[:H], bq)
-		copy(bias[H:2*H], bk)
-		copy(bias[2*H:], bv)
-		kernels.PackedSplitAddBiasTransposeForScore(qkv, bias, pd.lens, pd.offs, heads, hd, q, k, v)
+		kernels.PackedSplitAddBiasTransposeForScore(qkv, e.qkvBias[op], pd.lens, pd.offs, heads, hd, q, k, v)
 
 	case OpBatchedGemmQK:
 		out := data(op.Outputs[0])

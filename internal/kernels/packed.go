@@ -118,26 +118,37 @@ func PackedTransposeBack(in []float32, lens, offs []int, heads, headDim int, out
 // per-request [heads, len_i, len_i] blocks (request i at element
 // heads*sqOffs[i]); every row is scaled by scale then softmaxed over its
 // own length. There is no mask parameter — the padded kernel's masking
-// exists only to undo padding, and a packed batch has none.
+// exists only to undo padding, and a packed batch has none. The fused chain
+// folds the scale into the score GEMM and passes 1: x·1 = x, so that sweep
+// is skipped.
 func PackedScaledSoftmax(scores []float32, lens, sqOffs []int, heads int, scale float32) {
 	batch := len(lens)
 	checkLen("PackedScaledSoftmax scores", scores, heads*sqOffs[batch])
-	// rowOffs[i] = number of score rows before request i (heads*len per req).
-	rowOffs := make([]int, batch+1)
-	for i, n := range lens {
-		rowOffs[i+1] = rowOffs[i] + heads*n
+	rows := 0
+	for _, n := range lens {
+		rows += heads * n
 	}
-	parallel.For(rowOffs[batch], rowGrain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			b := reqOf(rowOffs, r)
+	parallel.For(rows, rowGrain, func(lo, hi int) {
+		// Request b owns score rows [first, first+heads*lens[b]).
+		b, first := 0, 0
+		for first+heads*lens[b] <= lo {
+			first += heads * lens[b]
+			b++
+		}
+		for r := lo; r < hi; b++ {
 			n := lens[b]
-			rowInReq := r - rowOffs[b] // h*n + s
-			start := heads*sqOffs[b] + rowInReq*n
-			row := scores[start : start+n]
-			for j := range row {
-				row[j] *= scale
+			end := min(hi, first+heads*n)
+			block := scores[heads*sqOffs[b]+(r-first)*n:][:(end-r)*n]
+			if scale != 1 {
+				for j := range block {
+					block[j] *= scale
+				}
 			}
-			softmaxRow(row)
+			for ; r < end; r++ {
+				softmaxRow(block[:n])
+				block = block[n:]
+			}
+			first = end
 		}
 	})
 }

@@ -58,8 +58,10 @@ func MaskedScaledSoftmax(scores []float32, batch, heads, seqQ, seqK int, scale f
 				}
 			}
 			row := scores[r*seqK : (r+1)*seqK]
-			for j := 0; j < valid; j++ {
-				row[j] *= scale
+			if scale != 1 { // the fused chain folded it into the score GEMM
+				for j := 0; j < valid; j++ {
+					row[j] *= scale
+				}
 			}
 			negInf := float32(math.Inf(-1))
 			for j := valid; j < seqK; j++ {

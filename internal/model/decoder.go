@@ -225,12 +225,7 @@ func linear(x []float32, w *tensor.Tensor, b *tensor.Tensor, y []float32) {
 func (d *Decoder) step(st *decodeState, cc *crossCache, tok, pos int) []float32 {
 	h := d.Cfg.Hidden
 	x := make([]float32, h)
-	copy(x, d.Embed.Word.Data()[tok*h:(tok+1)*h])
-	pe := make([]float32, h)
-	positionEncoding(pos, h, pe)
-	for i := range x {
-		x[i] += pe[i]
-	}
+	d.Embed.embedRow(tok, pos, x)
 	kernels.LayerNorm(x, d.Embed.Gamma.Data(), d.Embed.Beta.Data(), 1, h, 1e-5)
 
 	q := make([]float32, h)

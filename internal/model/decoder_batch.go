@@ -36,14 +36,8 @@ func (d *Decoder) stepAllLocked(states []*decodeState, cc *crossCache, toks []in
 
 	// Embed all beams: word + position + LayerNorm, one row per beam.
 	x := scr.x[:beams*h]
-	pe := scr.pe
-	positionEncoding(pos, h, pe)
 	for bi, tok := range toks {
-		row := x[bi*h : (bi+1)*h]
-		copy(row, d.Embed.Word.Data()[tok*h:(tok+1)*h])
-		for i := range row {
-			row[i] += pe[i]
-		}
+		d.Embed.embedRow(tok, pos, x[bi*h:(bi+1)*h])
 	}
 	kernels.LayerNorm(x, d.Embed.Gamma.Data(), d.Embed.Beta.Data(), beams, h, 1e-5)
 
@@ -61,6 +55,12 @@ func (d *Decoder) stepAllLocked(states []*decodeState, cc *crossCache, toks []in
 			kernels.AddBias(out, w.bias, beams, w.n)
 		}
 	}
+	// projectNorm closes a sub-layer: x = LayerNorm(x + (in·W + bias)), in one
+	// pass and in the association step's linear + residual loop writes out.
+	projectNorm := func(in []float32, w, bias, gamma, beta *tensor.Tensor) {
+		blas.Gemm(false, false, beams, h, w.Dim(0), 1, in, w.Dim(0), w.Data(), h, 0, proj, h)
+		kernels.AddBiasLayerNorm(x, proj, bias.Data(), gamma.Data(), beta.Data(), beams, h, 1e-5)
+	}
 
 	for l := range d.layers {
 		lw := &d.layers[l]
@@ -75,25 +75,19 @@ func (d *Decoder) stepAllLocked(states []*decodeState, cc *crossCache, toks []in
 			T := len(st.selfK[l]) / h
 			d.attend(q[bi*h:(bi+1)*h], kernels.OneSpan(st.selfK[l], T, false), kernels.OneSpan(st.selfV[l], T, false), T, ctx[bi*h:(bi+1)*h])
 		}
-		batchedLinear(ctx, mat(lw.selfWo, lw.selfBo), proj)
-		kernels.AddResidual(x, proj)
-		kernels.LayerNorm(x, lw.selfLnG.Data(), lw.selfLnB.Data(), beams, h, 1e-5)
+		projectNorm(ctx, lw.selfWo, lw.selfBo, lw.selfLnG, lw.selfLnB)
 
 		// Cross-attention: the K/V cache is shared across beams.
 		batchedLinear(x, mat(lw.crossWq, lw.crossBq), q)
 		for bi := range states {
 			d.attend(q[bi*h:(bi+1)*h], cc.k[l], cc.v[l], cc.srcLen, ctx[bi*h:(bi+1)*h])
 		}
-		batchedLinear(ctx, mat(lw.crossWo, lw.crossBo), proj)
-		kernels.AddResidual(x, proj)
-		kernels.LayerNorm(x, lw.crossLnG.Data(), lw.crossLnB.Data(), beams, h, 1e-5)
+		projectNorm(ctx, lw.crossWo, lw.crossBo, lw.crossLnG, lw.crossLnB)
 
 		// Feed-forward network, batched.
 		batchedLinear(x, mat(lw.ffnW1, lw.ffnB1), interBuf)
 		kernels.Act(d.Cfg.Act, interBuf)
-		batchedLinear(interBuf, mat(lw.ffnW2, lw.ffnB2), proj)
-		kernels.AddResidual(x, proj)
-		kernels.LayerNorm(x, lw.ffnLnG.Data(), lw.ffnLnB.Data(), beams, h, 1e-5)
+		projectNorm(interBuf, lw.ffnW2, lw.ffnB2, lw.ffnLnG, lw.ffnLnB)
 	}
 
 	// Vocabulary projection for all beams at once.

@@ -40,7 +40,6 @@ type decodeScratch struct {
 	inter                 []float32 // [planRows, inter]
 	logits                []float32 // [planRows, vocab]
 	scores                []float32 // [heads, planCtx] concatenated ragged rows
-	pe                    []float32 // [hidden] position-encoding row
 
 	// Host-side per-session gather lists for one attention call (span views
 	// into KV stores, not device data) — reused across steps and cleared at
@@ -92,7 +91,7 @@ func (s *decodeScratch) plan(cfg *Config, rows, sumCtx int) {
 		pc = s.planCtx
 	}
 	h, inter, vocab, heads := cfg.Hidden, cfg.Inter, cfg.Vocab, cfg.Heads
-	floats := pr*h*6 + pr*inter + pr*vocab + heads*pc + h
+	floats := pr*h*6 + pr*inter + pr*vocab + heads*pc
 	if s.buf != nil {
 		s.dev.Free(s.buf)
 	}
@@ -108,7 +107,6 @@ func (s *decodeScratch) plan(cfg *Config, rows, sumCtx int) {
 	s.inter = carve(pr * inter)
 	s.logits = carve(pr * vocab)
 	s.scores = carve(heads * pc)
-	s.pe = carve(h)
 	s.planRows, s.planCtx = pr, pc
 }
 

@@ -3,6 +3,8 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
@@ -18,6 +20,8 @@ type Embedding struct {
 	Word   *tensor.Tensor // [vocab, hidden]
 	Gamma  *tensor.Tensor // [hidden]
 	Beta   *tensor.Tensor // [hidden]
+
+	pos posTable
 }
 
 // NewEmbedding builds a deterministic random embedding table.
@@ -31,15 +35,65 @@ func NewEmbedding(cfg Config, seed int64) *Embedding {
 	}
 }
 
-// positionEncoding returns the sinusoidal position vector for position pos.
-func positionEncoding(pos, hidden int, out []float32) {
-	for i := 0; i < hidden; i += 2 {
-		freq := math.Pow(10000, -float64(i)/float64(hidden))
-		angle := float64(pos) * freq
-		out[i] = float32(math.Sin(angle))
-		if i+1 < hidden {
-			out[i+1] = float32(math.Cos(angle))
+// posTable caches the sinusoidal position vectors for one hidden width, so a
+// token pays an add per element instead of a pow, a sin and a cos. Row pos is
+//
+//	out[i], out[i+1] = sin(pos·f_i), cos(pos·f_i),  f_i = 10000^(−i/hidden), i even
+//
+// in float64, rounded once — the seed's per-token formula, bit for bit. Rows
+// are filled on first touch, a doubling chunk at a time so that no request
+// fills much more than its own length, and never written again; readers load
+// the current row list with no lock, growth copies the list (sharing the
+// rows) under mu.
+type posTable struct {
+	rows atomic.Pointer[[][]float32]
+	mu   sync.Mutex
+	freq []float64 // f_i by i/2; set with the first rows, under mu
+}
+
+func (t *posTable) row(pos, hidden int) []float32 {
+	if p := t.rows.Load(); p != nil && pos < len(*p) {
+		return (*p)[pos]
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var old [][]float32
+	if p := t.rows.Load(); p != nil {
+		old = *p
+	}
+	if pos < len(old) {
+		return old[pos]
+	}
+	if t.freq == nil {
+		t.freq = make([]float64, (hidden+1)/2)
+		for k := range t.freq {
+			t.freq[k] = math.Pow(10000, -float64(2*k)/float64(hidden))
 		}
+	}
+	rows := make([][]float32, max(2*len(old), pos+1, 32))
+	copy(rows, old)
+	fresh := make([]float32, (len(rows)-len(old))*hidden)
+	for p := len(old); p < len(rows); p++ {
+		rows[p], fresh = fresh[:hidden:hidden], fresh[hidden:]
+		for i := 0; i < hidden; i += 2 {
+			angle := float64(p) * t.freq[i/2]
+			rows[p][i] = float32(math.Sin(angle))
+			if i+1 < hidden {
+				rows[p][i+1] = float32(math.Cos(angle))
+			}
+		}
+	}
+	t.rows.Store(&rows)
+	return rows[pos]
+}
+
+// embedRow writes token tok's word embedding plus the position vector of pos
+// into row [hidden]; the caller has checked tok against the vocabulary.
+func (e *Embedding) embedRow(tok, pos int, row []float32) {
+	word := e.Word.Data()[tok*e.Hidden : (tok+1)*e.Hidden]
+	pe := e.pos.row(pos, e.Hidden)
+	for i := range row {
+		row[i] = word[i] + pe[i]
 	}
 }
 
@@ -62,18 +116,12 @@ func (e *Embedding) Encode(batchTokens [][]int) (*tensor.Tensor, []int, error) {
 		return nil, nil, fmt.Errorf("model: all sequences empty")
 	}
 	out := tensor.New(batch, maxLen, e.Hidden)
-	pos := make([]float32, e.Hidden)
 	for b, toks := range batchTokens {
 		for s, tok := range toks {
 			if tok < 0 || tok >= e.Vocab {
 				return nil, nil, fmt.Errorf("model: token %d outside vocab [0,%d)", tok, e.Vocab)
 			}
-			row := out.Data()[(b*maxLen+s)*e.Hidden : (b*maxLen+s+1)*e.Hidden]
-			copy(row, e.Word.Data()[tok*e.Hidden:(tok+1)*e.Hidden])
-			positionEncoding(s, e.Hidden, pos)
-			for i := range row {
-				row[i] += pos[i]
-			}
+			e.embedRow(tok, s, out.Data()[(b*maxLen+s)*e.Hidden:(b*maxLen+s+1)*e.Hidden])
 		}
 	}
 	// Normalise valid rows only; padding rows stay exactly zero so the
@@ -102,19 +150,13 @@ func (e *Embedding) EncodePacked(batchTokens [][]int) (*tensor.Packed, error) {
 		seqLens[i] = len(toks)
 	}
 	out := tensor.NewPacked(seqLens, e.Hidden)
-	pos := make([]float32, e.Hidden)
 	for b, toks := range batchTokens {
 		base := out.Offset(b)
 		for s, tok := range toks {
 			if tok < 0 || tok >= e.Vocab {
 				return nil, fmt.Errorf("model: token %d outside vocab [0,%d)", tok, e.Vocab)
 			}
-			row := out.Data().Data()[(base+s)*e.Hidden : (base+s+1)*e.Hidden]
-			copy(row, e.Word.Data()[tok*e.Hidden:(tok+1)*e.Hidden])
-			positionEncoding(s, e.Hidden, pos)
-			for i := range row {
-				row[i] += pos[i]
-			}
+			e.embedRow(tok, s, out.Data().Data()[(base+s)*e.Hidden:(base+s+1)*e.Hidden])
 		}
 	}
 	// One LayerNorm over all real rows — bit-identical to the padded path's

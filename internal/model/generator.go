@@ -428,14 +428,8 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 	interBuf := scr.inter[:rows*inter]
 
 	// Embed every session's next token at its own position.
-	pe := scr.pe
 	for ri, s := range sessions {
-		row := x[ri*h : (ri+1)*h]
-		copy(row, d.Embed.Word.Data()[s.next*h:(s.next+1)*h])
-		positionEncoding(s.pos, h, pe)
-		for i := range row {
-			row[i] += pe[i]
-		}
+		d.Embed.embedRow(s.next, s.pos, x[ri*h:(ri+1)*h])
 	}
 	kernels.LayerNorm(x, d.Embed.Gamma.Data(), d.Embed.Beta.Data(), rows, h, 1e-5)
 
@@ -462,6 +456,12 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 		if w.bias != nil {
 			kernels.AddBias(out, w.bias, rows, w.n)
 		}
+	}
+	// projectNorm closes a sub-layer: x = LayerNorm(x + (in·W + bias)), the
+	// bias, residual and normalisation in one pass over the rows.
+	projectNorm := func(in []float32, w, bias, gamma, beta *tensor.Tensor) {
+		blas.Gemm(false, false, rows, h, w.Dim(0), 1, in, w.Dim(0), w.Data(), h, 0, proj, h)
+		kernels.AddBiasLayerNorm(x, proj, bias.Data(), gamma.Data(), beta.Data(), rows, h, 1e-5)
 	}
 	// attention runs the gathered views (scr.keys/vals/lens, one entry per
 	// session) through the grouped kernel, or the per-row oracle.
@@ -497,9 +497,7 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 			scr.lens = append(scr.lens, s.kv.Len()+1)
 		}
 		attention(sumSelf)
-		batchedLinear(ctx, mat(lw.selfWo, lw.selfBo), proj)
-		kernels.AddResidual(x, proj)
-		kernels.LayerNorm(x, lw.selfLnG.Data(), lw.selfLnB.Data(), rows, h, 1e-5)
+		projectNorm(ctx, lw.selfWo, lw.selfBo, lw.selfLnG, lw.selfLnB)
 
 		// Cross-attention against each session's own prompt memory, grouped
 		// the same way (ragged srcLen per session).
@@ -510,17 +508,13 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 			scr.lens = append(scr.lens, s.cc.srcLen)
 		}
 		attention(sumCross)
-		batchedLinear(ctx, mat(lw.crossWo, lw.crossBo), proj)
-		kernels.AddResidual(x, proj)
-		kernels.LayerNorm(x, lw.crossLnG.Data(), lw.crossLnB.Data(), rows, h, 1e-5)
+		projectNorm(ctx, lw.crossWo, lw.crossBo, lw.crossLnG, lw.crossLnB)
 
 		// Feed-forward network, batched.
 		batchedLinear(operand(x), mat(lw.ffnW1, lw.ffnB1), interBuf)
 		kernels.Act(g.Cfg.Act, interBuf)
 		roundInPlace(interBuf)
-		batchedLinear(interBuf, mat(lw.ffnW2, lw.ffnB2), proj)
-		kernels.AddResidual(x, proj)
-		kernels.LayerNorm(x, lw.ffnLnG.Data(), lw.ffnLnB.Data(), rows, h, 1e-5)
+		projectNorm(interBuf, lw.ffnW2, lw.ffnB2, lw.ffnLnG, lw.ffnLnB)
 	}
 
 	// Vocabulary projection and greedy argmax per session.

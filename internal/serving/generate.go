@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -425,6 +426,10 @@ func (d *genDispatcher) Run(q *Queue) {
 			alive = append(alive, lg)
 		}
 		live = alive
+		// Let the handlers write what was just emitted: a busy loop never
+		// blocks, so on one P they would otherwise first run when the batch
+		// drains, and every streamed token would leave at the end.
+		runtime.Gosched()
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -24,6 +25,13 @@ import (
 // models.
 func genTestServer(t *testing.T, genMaxBatch, tokenBudget int) (*Server, *httptest.Server) {
 	t.Helper()
+	return genTestServerSeeded(t, genMaxBatch, tokenBudget, 5)
+}
+
+// genTestServerSeeded picks the generator's weight seed: 5 answers every
+// prompt with an immediate EOS, 7 (the ledger's) decodes to the budget.
+func genTestServerSeeded(t *testing.T, genMaxBatch, tokenBudget int, genSeed int64) (*Server, *httptest.Server) {
+	t.Helper()
 	// Big enough that one decode step takes real time — a request's 64
 	// steps must span several HTTP arrivals so iteration-level batching has
 	// something to batch.
@@ -33,7 +41,7 @@ func genTestServer(t *testing.T, genMaxBatch, tokenBudget int) (*Server, *httpte
 	if err != nil {
 		t.Fatal(err)
 	}
-	genEngine, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 5})
+	genEngine, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: genSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +225,40 @@ func TestGenerateStreaming(t *testing.T) {
 		if c.Token != agg.Tokens[i] {
 			t.Fatalf("stream token %d = %d, aggregate %d", i, c.Token, agg.Tokens[i])
 		}
+	}
+}
+
+// stepStampWriter is a streaming ResponseWriter that notes how many decode
+// iterations the server had run when the first body bytes were written.
+type stepStampWriter struct {
+	httptest.ResponseRecorder
+	steps      func() int64
+	firstWrite int64
+}
+
+func (w *stepStampWriter) Write(p []byte) (int, error) {
+	if w.firstWrite == 0 {
+		w.firstWrite = w.steps()
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestStreamedTokensStreamOnOneP: the decode loop never blocks while it has
+// live sessions, so on one P it must yield for the handler to write a chunk.
+// The first chunk of a stream has to leave before the session's last Step,
+// not after the batch drained.
+func TestStreamedTokensStreamOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	srv, _ := genTestServerSeeded(t, 4, 0, 7)
+	body, _ := json.Marshal(generateRequest{Text: "stream me", MaxNewTokens: 12, Stream: true})
+	w := &stepStampWriter{ResponseRecorder: *httptest.NewRecorder(), steps: srv.gen.stepsRun.Load}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/generate", bytes.NewReader(body)))
+	total := srv.gen.stepsRun.Load()
+	if total < 3 {
+		t.Fatalf("fixture generated in %d steps; too short to tell streaming from a final flush: %s", total, w.Body)
+	}
+	if w.firstWrite == 0 || w.firstWrite >= total {
+		t.Fatalf("first chunk written after %d of %d decode steps; want it on the wire before the last one", w.firstWrite, total)
 	}
 }
 
