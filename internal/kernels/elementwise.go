@@ -5,6 +5,15 @@
 // are validated against each other: every fused kernel must equal the
 // composition of its unfused parts.
 //
+// Like blas, the package fixes every output element's float32 operation
+// sequence, whatever computes it (DESIGN.md §2, "the kernel order
+// invariant"): expf.go states the exponential under Softmax and GELU as one
+// chain per element, lanes_generic.go the softmax row's order, reduce.go
+// LayerNorm's single float64 pass. On amd64 the two hot kernels — bias + GELU
+// and the softmax row — run that statement four elements at a time in SSE2
+// assembly (lanes_amd64.s; -tags purego selects the Go twins), to the same
+// bits: lanes_test.go holds the scalar references both builds must match.
+//
 // Layout conventions (row-major throughout):
 //   - hidden states:        [batch, seq, hidden]
 //   - per-head activations: [batch, heads, seq, headDim]
@@ -57,13 +66,6 @@ func (a Activation) String() string {
 	return "unknown"
 }
 
-// gelu is the tanh approximation used by BERT.
-func gelu(x float32) float32 {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	x64 := float64(x)
-	return float32(0.5 * x64 * (1 + math.Tanh(c*(x64+0.044715*x64*x64*x64))))
-}
-
 func applyAct(a Activation, x float32) float32 {
 	switch a {
 	case ActGELU:
@@ -93,9 +95,14 @@ func Act(a Activation, x []float32) {
 func AddBiasAct(a Activation, x []float32, bias []float32, rows, n int) {
 	checkLen("AddBiasAct x", x, rows*n)
 	checkLen("AddBiasAct bias", bias, n)
+	bias = bias[:n]
 	parallel.For(rows, rowGrain, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			row := x[r*n : (r+1)*n]
+			if a == ActGELU {
+				addBiasGelu(row, bias)
+				continue
+			}
 			for j, b := range bias {
 				row[j] = applyAct(a, row[j]+b)
 			}

@@ -18,25 +18,6 @@ func Softmax(x []float32, rows, cols int) {
 	})
 }
 
-func softmaxRow(row []float32) {
-	maxv := float32(math.Inf(-1))
-	for _, v := range row {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for i, v := range row {
-		e := float32(math.Exp(float64(v - maxv)))
-		row[i] = e
-		sum += float64(e)
-	}
-	inv := float32(1 / sum)
-	for i := range row {
-		row[i] *= inv
-	}
-}
-
 // MaskedScaledSoftmax is the fused "Softmax" attention kernel
 // (ApplyMaskAndSoftmax in Fig. 10): scores are scaled by 1/sqrt(headDim),
 // key positions ≥ seqLens[b] are masked to -inf (zero-padding of short
@@ -67,13 +48,6 @@ func MaskedScaledSoftmax(scores []float32, batch, heads, seqQ, seqK int, scale f
 			for j := valid; j < seqK; j++ {
 				row[j] = negInf
 			}
-			if valid == 0 {
-				// Degenerate fully-masked row: emit zeros rather than NaNs.
-				for j := range row {
-					row[j] = 0
-				}
-				continue
-			}
 			softmaxRow(row)
 		}
 	})
@@ -94,23 +68,25 @@ func LayerNorm(x []float32, gamma, beta []float32, rows, n int, eps float32) {
 
 func layerNormRow(row []float32, gamma, beta []float32, eps float32) {
 	// Single-pass E(x²)−E²(x) formulation (Eq. 1 of the paper): one traversal
-	// accumulates both moments, mirroring the GPU kernel's fused reduction.
+	// accumulates both float64 moments in ascending order, mirroring the GPU
+	// kernel's fused reduction. Products are rounded before they are added
+	// (DESIGN.md §2), here and in the affine step.
 	var sum, sumSq float64
 	for _, v := range row {
 		f := float64(v)
 		sum += f
-		sumSq += f * f
+		sumSq += float64(f * f)
 	}
 	n := float64(len(row))
 	mean := sum / n
-	variance := sumSq/n - mean*mean
+	variance := sumSq/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0 // guard FP cancellation
 	}
 	inv := float32(1 / math.Sqrt(variance+float64(eps)))
 	m := float32(mean)
 	for i, v := range row {
-		row[i] = (v-m)*inv*gamma[i] + beta[i]
+		row[i] = float32(float32((v-m)*inv)*gamma[i]) + beta[i]
 	}
 }
 

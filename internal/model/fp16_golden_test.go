@@ -21,6 +21,15 @@ import (
 // is implemented, so a faster implementation must reproduce these digests
 // bit for bit. The digests cover float arithmetic whose fusion differs by
 // architecture, so they are pinned on amd64 only.
+//
+// The three maps were re-recorded once since, at PR 16's second commit — the
+// round's one deliberate bit change: Softmax and GELU moved from float64 libm
+// to the float32 expf of DESIGN.md §2 (under 1 ULP from it). Every token
+// stream stayed; the logits digests moved — all six on fp32, and on fp16,
+// whose binary16 roundings absorb most one-ulp changes, only seed 9005 and
+// packed batch 1. The assembly and -tags purego builds record the same
+// digests, and every relative oracle (padded == packed, batched == solo,
+// grouped == per-row, paged == contiguous, export→import) held unmodified.
 
 func skipUnlessAMD64(t *testing.T) {
 	t.Helper()
@@ -130,7 +139,7 @@ func TestGoldenFP16TokenStreams(t *testing.T) {
 		9002: {"9482c34fa35744d1", "6f6102d9423d4d28"},
 		9003: {"8c3e8fcf10ca1acf", "e1c0e9290ccdb8d4"},
 		9004: {"a43ba5210bc073a5", "3d66442fad2ca0f6"},
-		9005: {"9a8c2d2518170a5d", "4af4b25ee281833e"},
+		9005: {"9a8c2d2518170a5d", "a20e8c5f5a843e3e"},
 		9006: {"c70a8826375c83f5", "8fb85114117a0c90"},
 	})
 }
@@ -142,12 +151,12 @@ func TestGoldenFP16TokenStreams(t *testing.T) {
 // score GEMM's alpha: the proof that the collapse changed no fp32 bit.
 func TestGoldenFP32TokenStreams(t *testing.T) {
 	checkGoldenStreams(t, false, map[int64][2]string{
-		9001: {"9135684df55279ae", "ec75869968eb407c"},
-		9002: {"9482c34fa35744d1", "796566d2c9ffcef0"},
-		9003: {"8c3e8fcf10ca1acf", "1a652c6832653601"},
-		9004: {"a43ba5210bc073a5", "be8112227b8d5f18"},
-		9005: {"9a8c2d2518170a5d", "2b9cd8decffe7b97"},
-		9006: {"c70a8826375c83f5", "8c7d9a145de8f100"},
+		9001: {"9135684df55279ae", "6f8665e43c95a960"},
+		9002: {"9482c34fa35744d1", "856485c5bae8d1ac"},
+		9003: {"8c3e8fcf10ca1acf", "c8c979ecb6b796aa"},
+		9004: {"a43ba5210bc073a5", "7024669f69d306ba"},
+		9005: {"9a8c2d2518170a5d", "bb80234a07cd18b4"},
+		9006: {"c70a8826375c83f5", "d47829a4707a633c"},
 	})
 }
 
@@ -165,7 +174,7 @@ func TestGoldenFP16PackedLogits(t *testing.T) {
 	emb := NewEmbedding(cfg, 12)
 	head := NewClassifier(cfg.Hidden, 5, 13)
 	want := []string{
-		"a27ba3034353847e", "467a02281d5431a0", "8906f7c1b2007cb7",
+		"a27ba3034353847e", "4b0d9c6483693ff9", "8906f7c1b2007cb7",
 		"23cff6e3f89394dd", "9b9759dc54fd2eb3", "85b815254f964fe6",
 	}
 	rng := rand.New(rand.NewSource(9100))
