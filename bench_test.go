@@ -62,10 +62,11 @@ func BenchmarkExtraCluster(b *testing.B)       { benchExperiment(b, "extra-clust
 // a variable-length request (the quickstart path).
 func BenchmarkEngineForwardVariableLen(b *testing.B) {
 	cfg := turbo.BertBase().Scaled(64, 4, 256, 2)
-	engine, err := turbo.NewEngine(cfg, turbo.Options{Seed: 1})
+	rt, err := turbo.NewRuntime(cfg, turbo.WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
+	engine := rt.Engine
 	toks := make([]int, 48)
 	for i := range toks {
 		toks[i] = 3 + i%200

@@ -14,6 +14,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/sched"
 	"repro/internal/serving"
+	"repro/internal/servingsim"
 	"repro/internal/simclock"
 )
 
@@ -72,13 +73,13 @@ func main() {
 	//    numbers to compare are the deadline-miss rate (the SLO side) and
 	//    the replica-seconds bill (the capacity side).
 	base, peak := 0.3*capacity, 2.5*capacity
-	elastic := func(fixed, min, max int) serving.ElasticClusterConfig {
-		return serving.ElasticClusterConfig{
-			Fixed:       fixed,
-			Autoscale:   autoscale.Config{Min: min, Max: max},
-			Rate:        simclock.FlashCrowdRate(base, peak, 8, 2, 8, 2),
-			MaxRate:     peak,
+	elastic := func(fixed, min, max int) servingsim.Config {
+		cfg := servingsim.Config{
+			Servers:     fixed,
+			Rate:        peak,
+			RateAt:      simclock.FlashCrowdRate(base, peak, 8, 2, 8, 2),
 			Duration:    30,
+			Drain:       true,
 			Seed:        42,
 			LenLo:       2,
 			LenHi:       100,
@@ -90,22 +91,26 @@ func main() {
 			MaxBatch: 16,
 			Policy:   serving.LeastQueue,
 		}
+		if fixed == 0 {
+			cfg.Autoscale = &autoscale.Config{Min: min, Max: max}
+		}
+		return cfg
 	}
 	fmt.Printf("flash crowd %.0f→%.0f req/s, deadline 500ms, 30 virtual seconds:\n", base, peak)
 	fmt.Println("  fleet      miss-rate  p99-ms  replica-s  avg-GPUs")
-	show := func(name string, res serving.ElasticClusterResult) {
+	show := func(name string, res servingsim.Result) {
 		fmt.Printf("  %-9s  %9.4f  %6.1f  %9.1f  %8.2f\n",
 			name, res.MissRate, res.LatencyP99*1e3, res.ReplicaSeconds, res.AvgReplicas)
 	}
 	for gpus := 1; gpus <= 4; gpus++ {
-		res, err := serving.RunElasticClusterSim(elastic(gpus, 0, 0))
+		res, err := servingsim.Run(elastic(gpus, 0, 0))
 		if err != nil {
 			panic(err)
 		}
 		show(fmt.Sprintf("fixed-%d", gpus), res)
 	}
 	for _, bounds := range [][2]int{{1, 2}, {1, 3}, {1, 4}, {2, 4}} {
-		res, err := serving.RunElasticClusterSim(elastic(0, bounds[0], bounds[1]))
+		res, err := servingsim.Run(elastic(0, bounds[0], bounds[1]))
 		if err != nil {
 			panic(err)
 		}

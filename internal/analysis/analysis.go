@@ -10,8 +10,6 @@
 // The suite exists to turn review-time invariants from nine PRs of growth
 // into build-time failures:
 //
-//   - statssync: every json-tagged statsResponse counter is folded into
-//     aggregateStats (the PR 5/8/9 rule).
 //   - wallclock: simulation-bound packages run on the virtual clock, never
 //     time.Now (the simclock contract).
 //   - kvbalance: Retain/Malloc-style charges are released, handed off, or
@@ -192,7 +190,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // All returns the full turbo-vet suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		StatsSync,
 		Wallclock,
 		KVBalance,
 		CtxFlow,

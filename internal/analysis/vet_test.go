@@ -19,15 +19,8 @@ func fixture(parts ...string) string {
 func TestWallclock(t *testing.T) {
 	// Whole-package scope: bench is simulation-bound.
 	analysistest.Run(t, analysis.Wallclock, fixture("wallclock", "bench"), "repro/internal/bench")
-	// Per-file scope inside serving: sim.go flagged, server.go free.
-	analysistest.Run(t, analysis.Wallclock, fixture("wallclock", "serving"), "repro/internal/serving")
 	// Identical code outside the simulation-bound set stays silent.
 	analysistest.Run(t, analysis.Wallclock, fixture("wallclock", "outofscope"), "repro/internal/model")
-}
-
-func TestStatsSync(t *testing.T) {
-	analysistest.Run(t, analysis.StatsSync, fixture("statssync", "a"), "repro/internal/serving")
-	analysistest.Run(t, analysis.StatsSync, fixture("statssync", "noagg"), "repro/internal/serving")
 }
 
 func TestKVBalance(t *testing.T) {

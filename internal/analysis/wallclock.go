@@ -1,34 +1,21 @@
 package analysis
 
-import (
-	"go/ast"
-	"path"
-	"strings"
-)
+import "go/ast"
 
 // wallclockPackages are the packages whose results must be reproducible on
 // the virtual clock: the bench experiments (modeled latencies, simulated
-// traces), the schedulers (priced in modeled cost, driven by the serving
-// loop), the autoscale controller (tick-driven off simulated signals), and
-// the graph executor (plan timings feed the memory experiments). Wall-clock
-// reads in these packages make runs machine-dependent and flaky; deliberate
-// live measurements carry a //turbovet:allow wallclock directive instead.
+// traces), the serving simulator, the schedulers (priced in modeled cost,
+// driven by the serving loop), the autoscale controller (tick-driven off
+// simulated signals), and the graph executor (plan timings feed the memory
+// experiments). Wall-clock reads in these packages make runs
+// machine-dependent and flaky; deliberate live measurements carry a
+// //turbovet:allow wallclock directive instead.
 var wallclockPackages = map[string]bool{
-	"repro/internal/bench":     true,
-	"repro/internal/sched":     true,
-	"repro/internal/autoscale": true,
-	"repro/internal/graph":     true,
-}
-
-// wallclockSimFiles are the simulator files inside repro/internal/serving —
-// the package mixes live HTTP serving (where wall clock is the point) with
-// discrete-event simulators (where it is a bug), so the scope there is
-// per-file.
-var wallclockSimFiles = map[string]bool{
-	"sim.go":     true,
-	"gensim.go":  true,
-	"cluster.go": true,
-	"elastic.go": true,
+	"repro/internal/bench":      true,
+	"repro/internal/servingsim": true,
+	"repro/internal/sched":      true,
+	"repro/internal/autoscale":  true,
+	"repro/internal/graph":      true,
 }
 
 // wallclockBanned are the time-package functions that read or wait on the
@@ -52,7 +39,7 @@ var Wallclock = &Analyzer{
 	Doc: `forbid time.Now/Sleep/Since in simulation-bound packages
 
 Bench experiments, schedulers, the autoscale controller, graph plan timing,
-and the serving simulators must run on the virtual clock (internal/simclock)
+and the serving simulator must run on the virtual clock (internal/simclock)
 or on modeled costs so results replay bit-identically and faster than real
 time. Deliberate live measurements are annotated:
 //turbovet:allow wallclock -- <why this read is live>`,
@@ -60,18 +47,10 @@ time. Deliberate live measurements are annotated:
 }
 
 func runWallclock(pass *Pass) error {
-	wholePkg := wallclockPackages[pass.PkgPath]
-	simPkg := pass.PkgPath == "repro/internal/serving"
-	if !wholePkg && !simPkg {
+	if !wallclockPackages[pass.PkgPath] {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if simPkg {
-			base := path.Base(pass.Fset.Position(f.Pos()).Filename)
-			if !wallclockSimFiles[base] && !strings.Contains(base, "sim") {
-				continue
-			}
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {

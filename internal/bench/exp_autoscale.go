@@ -9,6 +9,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/sched"
 	"repro/internal/serving"
+	"repro/internal/servingsim"
 	"repro/internal/simclock"
 )
 
@@ -63,14 +64,14 @@ func autoscaleSimCost(seqLen, batchSize int) time.Duration {
 // autoscaleCfg builds one elastic-sim condition over the shared flash-crowd
 // trace: fixed > 0 pins the fleet, 0 puts the hysteresis controller in the
 // loop between min and max.
-func autoscaleCfg(p autoscaleParams, fixed int) serving.ElasticClusterConfig {
+func autoscaleCfg(p autoscaleParams, fixed int) servingsim.Config {
 	cost := sched.CostFunc(autoscaleSimCost)
-	return serving.ElasticClusterConfig{
-		Fixed:       fixed,
-		Autoscale:   autoscale.Config{Min: p.min, Max: p.max},
-		Rate:        simclock.FlashCrowdRate(p.base, p.peak, p.crowdAt, p.rampUp, p.hold, p.rampDown),
-		MaxRate:     p.peak,
+	cfg := servingsim.Config{
+		Servers:     fixed,
+		Rate:        p.peak,
+		RateAt:      simclock.FlashCrowdRate(p.base, p.peak, p.crowdAt, p.rampUp, p.hold, p.rampDown),
 		Duration:    p.duration,
+		Drain:       true,
 		Seed:        p.seed,
 		LenLo:       p.lenLo,
 		LenHi:       p.lenHi,
@@ -82,6 +83,10 @@ func autoscaleCfg(p autoscaleParams, fixed int) serving.ElasticClusterConfig {
 		MaxBatch: p.maxBatch,
 		Policy:   serving.LeastQueue,
 	}
+	if fixed == 0 {
+		cfg.Autoscale = &autoscale.Config{Min: p.min, Max: p.max}
+	}
+	return cfg
 }
 
 func runAutoscale(w io.Writer) error {
@@ -92,13 +97,13 @@ func runAutoscaleWith(w io.Writer, p autoscaleParams) error {
 	fmt.Fprintf(w, "autoscale: flash crowd %g→%g req/s at t=%gs (ramp %gs, hold %gs), deadline %gms, horizon %gs, virtual clock\n",
 		p.base, p.peak, p.crowdAt, p.rampUp, p.hold, p.deadlineSec*1e3, p.duration)
 
-	auto, err := serving.RunElasticClusterSim(autoscaleCfg(p, 0))
+	auto, err := servingsim.Run(autoscaleCfg(p, 0))
 	if err != nil {
 		return err
 	}
-	fixed := make(map[int]serving.ElasticClusterResult, p.max)
+	fixed := make(map[int]servingsim.Result, p.max)
 	for r := 1; r <= p.max; r++ {
-		res, err := serving.RunElasticClusterSim(autoscaleCfg(p, r))
+		res, err := servingsim.Run(autoscaleCfg(p, r))
 		if err != nil {
 			return err
 		}
@@ -107,7 +112,7 @@ func runAutoscaleWith(w io.Writer, p autoscaleParams) error {
 
 	t := newTable(w)
 	t.row("fleet", "arrivals", "served", "miss-rate", "p99-ms", "replica-s", "avg", "peak", "ups", "downs", "lost")
-	emit := func(name string, res serving.ElasticClusterResult) {
+	emit := func(name string, res servingsim.Result) {
 		t.row(name, res.Arrivals, res.Served,
 			fmt.Sprintf("%.4f", res.MissRate),
 			fmt.Sprintf("%.1f", res.LatencyP99*1e3),

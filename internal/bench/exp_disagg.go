@@ -15,6 +15,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/serving"
+	"repro/internal/servingsim"
 )
 
 func init() {
@@ -419,15 +420,13 @@ func runDisaggRoutingWith(w io.Writer, p disaggParams) error {
 	simT.row("sim roles", "served/s", "short-p99-ms", "migrations")
 	simShort := map[string]float64{}
 	for _, c := range conditions {
-		res := serving.RunClusterSim(serving.ClusterConfig{
+		res, err := servingsim.Run(servingsim.Config{
 			Servers:  2,
 			Policy:   serving.TokenCostRouting,
 			Rate:     simRate,
 			Warmup:   2,
 			Duration: 8,
 			Seed:     p.seed,
-			LenLo:    p.shortLo,
-			LenHi:    p.genPrompt,
 			LenSampler: func(rng *rand.Rand) int {
 				return p.shortLo + rng.Intn(p.shortHi-p.shortLo+1)
 			},
@@ -442,6 +441,9 @@ func runDisaggRoutingWith(w io.Writer, p disaggParams) error {
 			DecodeLen:      simDecodeLen,
 			MigrationDelay: 0.0002,
 		})
+		if err != nil {
+			return err
+		}
 		simShort[c.name] = res.ShortP99
 		simT.row(c.name, fmt.Sprintf("%.0f", res.ServedPerSec), fmt.Sprintf("%.2f", res.ShortP99*1e3), res.Migrations)
 		RecordMetric("disagg-routing", "sim/short_p99_ms/"+c.name, res.ShortP99*1e3)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/perf"
 	"repro/internal/sched"
 	"repro/internal/serving"
+	"repro/internal/servingsim"
 )
 
 func init() {
@@ -85,7 +86,7 @@ func runCluster(w io.Writer) error {
 	t.row("servers", "policy", "offered req/s", "served resp/s", "avg latency ms", "per-server served")
 	for _, servers := range []int{1, 2, 4} {
 		for _, policy := range []serving.BalancePolicy{serving.RoundRobin, serving.LeastQueue} {
-			res := serving.RunClusterSim(serving.ClusterConfig{
+			res, err := servingsim.Run(servingsim.Config{
 				Servers:  servers,
 				Policy:   policy,
 				Rate:     4000,
@@ -100,6 +101,9 @@ func runCluster(w io.Writer) error {
 				Cost:     cost,
 				MaxBatch: servingMaxBatch,
 			})
+			if err != nil {
+				return err
+			}
 			t.row(servers, policy,
 				fmt.Sprintf("%.0f", res.OfferedRate),
 				fmt.Sprintf("%.0f", res.ServedPerSec),

@@ -8,7 +8,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/perf"
 	"repro/internal/sched"
-	"repro/internal/serving"
+	"repro/internal/servingsim"
 )
 
 func init() {
@@ -35,7 +35,7 @@ var defaultGenWorkload = genWorkload{promptLo: 8, promptHi: 64, newLo: 8, newHi:
 // GPU latency estimator, mirroring DecoderLatency's per-step pricing but
 // over a ragged batch: row-batched projections plus per-row attention over
 // each row's own context.
-func genCosts(decCfg, encCfg model.Config) (serving.GenStepCost, func(int) time.Duration) {
+func genCosts(decCfg, encCfg model.Config) (servingsim.GenStepCost, func(int) time.Duration) {
 	est := perf.NewEstimator(perf.RTX2060())
 	p := perf.Turbo()
 	h, heads, hd, inter := decCfg.Hidden, decCfg.Heads, decCfg.HeadDim(), decCfg.Inter
@@ -69,8 +69,8 @@ func genCosts(decCfg, encCfg model.Config) (serving.GenStepCost, func(int) time.
 	return step, prefillCost
 }
 
-func runGenSystem(rate float64, continuous bool, wl genWorkload, step serving.GenStepCost, prefill func(int) time.Duration) serving.GenSimResult {
-	cfg := serving.GenSimConfig{
+func runGenSystem(rate float64, continuous bool, wl genWorkload, step servingsim.GenStepCost, prefill func(int) time.Duration) servingsim.GenResult {
+	cfg := servingsim.GenConfig{
 		Rate:        rate,
 		Warmup:      2,
 		Duration:    10,
@@ -99,13 +99,13 @@ func runGenSystem(rate float64, continuous bool, wl genWorkload, step serving.Ge
 		})
 		cfg.Scheduler = &sched.DPScheduler{Cost: cost, MaxBatch: wl.maxBatch}
 	}
-	return serving.RunGenServingSim(cfg)
+	return servingsim.RunGeneration(cfg)
 }
 
 // genExperimentSetup builds the shared configuration of the experiment
 // and its acceptance test: Table 3's Seq2Seq decoder fed by a BERT-shaped
 // encoder resized to match, priced by the GPU estimator.
-func genExperimentSetup() (serving.GenStepCost, func(int) time.Duration, genWorkload) {
+func genExperimentSetup() (servingsim.GenStepCost, func(int) time.Duration, genWorkload) {
 	decCfg := model.Seq2SeqDecoder()
 	encCfg := model.BertBase()
 	encCfg.Hidden, encCfg.Heads, encCfg.Inter = decCfg.Hidden, decCfg.Heads, decCfg.Inter
@@ -115,7 +115,7 @@ func genExperimentSetup() (serving.GenStepCost, func(int) time.Duration, genWork
 
 // GenServingComparison runs static-DP vs continuous at one offered rate
 // (exported for the bench tests' acceptance check).
-func GenServingComparison(rate float64) (staticRes, contRes serving.GenSimResult) {
+func GenServingComparison(rate float64) (staticRes, contRes servingsim.GenResult) {
 	step, prefill, wl := genExperimentSetup()
 	return runGenSystem(rate, false, wl, step, prefill), runGenSystem(rate, true, wl, step, prefill)
 }
@@ -129,7 +129,7 @@ func runGenServing(w io.Writer) error {
 
 	t := newTable(w)
 	t.row("req/s", "static req/s", "static p99 ms", "cont req/s", "cont p99 ms", "p99 speedup")
-	fmtRes := func(r serving.GenSimResult) (string, string) {
+	fmtRes := func(r servingsim.GenResult) (string, string) {
 		if r.Saturated {
 			return fmt.Sprintf("%.1f", r.ServedPerSec), "+inf"
 		}

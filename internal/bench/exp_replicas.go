@@ -15,6 +15,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/serving"
+	"repro/internal/servingsim"
 	"repro/internal/simclock"
 )
 
@@ -362,15 +363,13 @@ func runReplicaRoutingWith(w io.Writer, p replicaRoutingParams) error {
 	t.row("sim policy", "served/s", "avg-ms", "p99-ms")
 	var simP99 = map[serving.BalancePolicy]float64{}
 	for _, policy := range policies {
-		res := serving.RunClusterSim(serving.ClusterConfig{
+		res, err := servingsim.Run(servingsim.Config{
 			Servers:  p.replicas,
 			Policy:   policy,
 			Rate:     400,
 			Warmup:   2,
 			Duration: 8,
 			Seed:     p.seed,
-			LenLo:    p.shortLo,
-			LenHi:    p.longLen,
 			LenSampler: func(rng *rand.Rand) int {
 				return skew.draw(rng)
 			},
@@ -381,6 +380,9 @@ func runReplicaRoutingWith(w io.Writer, p replicaRoutingParams) error {
 			RouteCost: fit,
 			MaxBatch:  8,
 		})
+		if err != nil {
+			return err
+		}
 		simP99[policy] = res.LatencyP99
 		t.row(policy.String(), fmt.Sprintf("%.0f", res.ServedPerSec), ms(res.LatencyAvg), ms(res.LatencyP99))
 		RecordMetric("replica-routing", "sim/p99_ms/"+policy.String(), res.LatencyP99*1e3)

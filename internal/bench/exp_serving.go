@@ -10,7 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/perf"
 	"repro/internal/sched"
-	"repro/internal/serving"
+	"repro/internal/servingsim"
 )
 
 func init() {
@@ -88,19 +88,27 @@ func servingSystems(maxLen int, tc bool) []servingSystem {
 	}
 }
 
-func runSystem(s servingSystem, rate float64, lenLo, lenHi int) serving.SimResult {
-	return serving.RunServingSim(serving.SimConfig{
-		Rate:      rate,
-		Warmup:    2,
-		Duration:  10,
-		Seed:      1234,
-		LenLo:     lenLo,
-		LenHi:     lenHi,
-		Scheduler: s.sched,
-		Cost:      s.cost,
-		MaxBatch:  servingMaxBatch,
-		Strategy:  serving.Hungry,
+// simulate runs one single-replica hungry-trigger serving simulation.
+func simulate(s servingSystem, rate, warmup, duration float64, lenLo, lenHi int) servingsim.Result {
+	res, err := servingsim.Run(servingsim.Config{
+		Rate:         rate,
+		Warmup:       warmup,
+		Duration:     duration,
+		Seed:         1234,
+		LenLo:        lenLo,
+		LenHi:        lenHi,
+		NewScheduler: func() sched.Scheduler { return s.sched },
+		Cost:         s.cost,
+		MaxBatch:     servingMaxBatch,
 	})
+	if err != nil {
+		panic(err) // the configuration is this file's constants
+	}
+	return res
+}
+
+func runSystem(s servingSystem, rate float64, lenLo, lenHi int) servingsim.Result {
+	return simulate(s, rate, 2, 10, lenLo, lenHi)
 }
 
 // capacityCache memoises saturation probes: fig15/table4 (and fig16/table5)
@@ -114,18 +122,7 @@ func capacity(s servingSystem, lenLo, lenHi int) float64 {
 	if c, ok := capacityCache[key]; ok {
 		return c
 	}
-	res := serving.RunServingSim(serving.SimConfig{
-		Rate:      8000,
-		Warmup:    1,
-		Duration:  4,
-		Seed:      1234,
-		LenLo:     lenLo,
-		LenHi:     lenHi,
-		Scheduler: s.sched,
-		Cost:      s.cost,
-		MaxBatch:  servingMaxBatch,
-		Strategy:  serving.Hungry,
-	})
+	res := simulate(s, 8000, 1, 4, lenLo, lenHi)
 	capacityCache[key] = res.ServedPerSec
 	return res.ServedPerSec
 }

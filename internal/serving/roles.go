@@ -78,3 +78,14 @@ func ParseReplicaRoles(s string) ([]ReplicaRole, error) {
 	}
 	return roles, nil
 }
+
+// CheckRoles rejects a role list that does not tag every one of n replicas:
+// one role per replica, or none (all mixed). The Router and the fleet
+// simulator both validate with it, so the two cannot drift apart.
+func CheckRoles(roles []ReplicaRole, n int) error {
+	if len(roles) > 0 && len(roles) != n {
+		return fmt.Errorf("serving: %d replica roles for %d replicas (want one role per replica, or none)",
+			len(roles), n)
+	}
+	return nil
+}

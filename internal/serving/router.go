@@ -5,13 +5,64 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/sched"
 )
+
+// BalancePolicy selects how the upper-level load balancer (§5: "an upper-
+// level load balancer as the one in Nexus") spreads requests over servers.
+type BalancePolicy int
+
+const (
+	// RoundRobin cycles through servers regardless of load.
+	RoundRobin BalancePolicy = iota
+	// LeastQueue sends each request to the server with the shortest queue.
+	LeastQueue
+	// TokenCostRouting sends each request to the server with the least
+	// outstanding PRICED work (a sched.RouteCostModel over prompt tokens
+	// plus decode budget), so long prompts spread by the device time they
+	// will claim instead of counting one queue slot like everything else.
+	TokenCostRouting
+)
+
+// String returns the policy name.
+func (p BalancePolicy) String() string {
+	switch p {
+	case RoundRobin:
+		return "round-robin"
+	case LeastQueue:
+		return "least-queue"
+	case TokenCostRouting:
+		return "token-cost"
+	}
+	return fmt.Sprintf("BalancePolicy(%d)", int(p))
+}
+
+// balancePolicies lists every policy in wire order — the single source
+// ParseBalancePolicy matches against and enumerates in its error message.
+var balancePolicies = []BalancePolicy{RoundRobin, LeastQueue, TokenCostRouting}
+
+// ParseBalancePolicy maps a policy's wire name ("round-robin",
+// "least-queue", "token-cost") back to the constant — the -balance flag
+// parser. The error for an unknown name enumerates the valid wire names.
+func ParseBalancePolicy(s string) (BalancePolicy, error) {
+	for _, p := range balancePolicies {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	names := make([]string, len(balancePolicies))
+	for i, p := range balancePolicies {
+		names[i] = p.String()
+	}
+	return 0, fmt.Errorf("serving: unknown balance policy %q (want one of: %s)", s, strings.Join(names, ", "))
+}
 
 // Router is the multi-replica serving runtime: the real version of the
 // "upper-level load balancer as the one in Nexus" the paper assumes above
@@ -160,9 +211,8 @@ func NewRouter(cfg RouterConfig, servers ...*Server) (*Router, error) {
 	if cost == nil {
 		cost = sched.TokenCountCost{}
 	}
-	if len(cfg.Roles) > 0 && len(cfg.Roles) != len(servers) {
-		return nil, fmt.Errorf("serving: %d replica roles for %d replicas (want one role per replica, or none)",
-			len(cfg.Roles), len(servers))
+	if err := CheckRoles(cfg.Roles, len(servers)); err != nil {
+		return nil, err
 	}
 	rt := &Router{policy: cfg.Policy, cost: cost, rolesSet: len(cfg.Roles) > 0}
 	for i, s := range servers {
@@ -658,56 +708,36 @@ type RouterStats struct {
 	PerReplica []ReplicaStats `json:"per_replica"`
 }
 
-// aggregateStats sums per-replica snapshots into the single-server shape.
-// Counters add; QueueDepth and the KV/reservation gauges add (they are
-// instantaneous totals across devices); GenPeakBatch takes the max, since
-// batches never span replicas; PaddingWaste is recomputed from the summed
-// token counters.
+// aggregateStats folds per-replica snapshots into the single-server shape,
+// each field by its agg tag: counters, queue depth and the KV/reservation
+// gauges add (instantaneous totals across devices), as do the drain rates
+// (jobs/sec add across independent queues); GenPeakBatch takes the max, since
+// batches never span replicas; flags are or-ed (the fleet's drain rate is
+// measured once any replica's meter is); PaddingWaste is recomputed from the
+// summed token counters. /v1/stats is polled at phase boundaries, never on
+// the request path, so the fold can afford reflection.
 func aggregateStats(parts []statsResponse) statsResponse {
 	var agg statsResponse
-	for _, p := range parts {
-		agg.Served += p.Served
-		agg.Requests += p.Requests
-		agg.BatchesRun += p.BatchesRun
-		agg.CacheHits += p.CacheHits
-		agg.CacheMiss += p.CacheMiss
-		agg.QueueDepth += p.QueueDepth
-		agg.JobsRejected += p.JobsRejected
-		agg.JobsExpired += p.JobsExpired
-		agg.JobsCancelled += p.JobsCancelled
-		agg.TokensProcessed += p.TokensProcessed
-		agg.TokensPadded += p.TokensPadded
-		agg.PackedBatches += p.PackedBatches
-		agg.GenRequests += p.GenRequests
-		agg.GenTokens += p.GenTokens
-		agg.GenSteps += p.GenSteps
-		if p.GenPeakBatch > agg.GenPeakBatch {
-			agg.GenPeakBatch = p.GenPeakBatch
+	out := reflect.ValueOf(&agg).Elem()
+	for j := range parts {
+		in := reflect.ValueOf(&parts[j]).Elem()
+		for i := 0; i < out.NumField(); i++ {
+			a, b := out.Field(i), in.Field(i)
+			switch out.Type().Field(i).Tag.Get("agg") {
+			case "sum":
+				if a.Kind() == reflect.Float64 {
+					a.SetFloat(a.Float() + b.Float())
+				} else {
+					a.SetInt(a.Int() + b.Int())
+				}
+			case "max":
+				if b.Int() > a.Int() {
+					a.SetInt(b.Int())
+				}
+			case "or":
+				a.SetBool(a.Bool() || b.Bool())
+			}
 		}
-		agg.GenPrefillPrompts += p.GenPrefillPrompts
-		agg.GenPrefillPasses += p.GenPrefillPasses
-		agg.GenPrefillTokens += p.GenPrefillTokens
-		agg.GenReservedTokens += p.GenReservedTokens
-		agg.GenKVReservedBytes += p.GenKVReservedBytes
-		agg.GenKVUsedBytes += p.GenKVUsedBytes
-		agg.KVBlocksTotal += p.KVBlocksTotal
-		agg.KVBlocksUsed += p.KVBlocksUsed
-		agg.KVBlocksShared += p.KVBlocksShared
-		agg.PrefixHits += p.PrefixHits
-		agg.PrefixMisses += p.PrefixMisses
-		agg.ReplayTokens += p.ReplayTokens
-		agg.GenPreemptions += p.GenPreemptions
-		agg.FP16Enabled = agg.FP16Enabled || p.FP16Enabled
-		agg.FusedLaunches += p.FusedLaunches
-		if p.KVBytesPerToken > agg.KVBytesPerToken {
-			agg.KVBytesPerToken = p.KVBytesPerToken
-		}
-		agg.JobsShedSLO += p.JobsShedSLO
-		// The fleet's drain rate is the sum of per-replica rates (jobs/sec
-		// add across independent queues); it is measured once any replica's
-		// meter is.
-		agg.DrainRate += p.DrainRate
-		agg.DrainMeasured = agg.DrainMeasured || p.DrainMeasured
 	}
 	if t := agg.TokensProcessed + agg.TokensPadded; t > 0 {
 		agg.PaddingWaste = float64(agg.TokensPadded) / float64(t)

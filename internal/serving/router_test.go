@@ -572,3 +572,9 @@ func TestParseBalancePolicy(t *testing.T) {
 		t.Fatal("junk policy accepted")
 	}
 }
+
+func TestBalancePolicyString(t *testing.T) {
+	if RoundRobin.String() != "round-robin" || LeastQueue.String() != "least-queue" || TokenCostRouting.String() != "token-cost" {
+		t.Fatal("policy names")
+	}
+}

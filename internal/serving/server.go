@@ -1,3 +1,9 @@
+// Package serving implements the TurboTransformers serving framework (§5)
+// as a live net/http service running the CPU engine: message queue, response
+// cache, batch-scheduler dispatch with the hungry and lazy triggers,
+// continuous-batching generation, and the multi-replica Router above it. The
+// virtual-clock model of the same stack (the Figs. 15–16 experiments) is
+// internal/servingsim.
 package serving
 
 import (
@@ -98,11 +104,8 @@ type Server struct {
 	packedBatches   atomic.Int64
 }
 
-// ServerConfig configures NewServer.
-//
-// Deprecated: prefer the functional-options front door, turbo.Serve /
-// turbo.NewRuntime — this struct remains as the compatibility layer those
-// options compile down to.
+// ServerConfig configures NewServer — what the functional-options front
+// door (turbo.Serve / turbo.NewRuntime) compiles down to.
 type ServerConfig struct {
 	Engine    *core.Engine
 	Scheduler sched.Scheduler // nil: DP over a warmed-up cost model is recommended
@@ -584,79 +587,82 @@ func (s *Server) writeJobError(w http.ResponseWriter, err error) {
 	httpError(w, code, err.Error())
 }
 
-// statsResponse is the GET /v1/stats reply.
+// statsResponse is the GET /v1/stats reply. Each field's agg tag says how a
+// Router folds it over replicas (aggregateStats): counters and instantaneous
+// totals across devices sum, a per-replica peak or constant takes the max, a
+// flag is or-ed, and a derived ratio is recomputed from the folded counters.
 type statsResponse struct {
-	Served     int64 `json:"served"`
-	Requests   int64 `json:"requests"`
-	BatchesRun int64 `json:"batches_run"`
-	CacheHits  int64 `json:"cache_hits"`
-	CacheMiss  int64 `json:"cache_misses"`
+	Served     int64 `json:"served" agg:"sum"`
+	Requests   int64 `json:"requests" agg:"sum"`
+	BatchesRun int64 `json:"batches_run" agg:"sum"`
+	CacheHits  int64 `json:"cache_hits" agg:"sum"`
+	CacheMiss  int64 `json:"cache_misses" agg:"sum"`
 
 	// Job-lifecycle counters for the unified admission queue: its current
 	// depth, submissions refused at the full queue (429), jobs dropped past
 	// their deadline, and jobs dropped because the client went away.
-	QueueDepth    int64 `json:"queue_depth"`
-	JobsRejected  int64 `json:"jobs_rejected"`
-	JobsExpired   int64 `json:"jobs_expired"`
-	JobsCancelled int64 `json:"jobs_cancelled"`
-	JobsShedSLO   int64 `json:"jobs_shed_slo"`
+	QueueDepth    int64 `json:"queue_depth" agg:"sum"`
+	JobsRejected  int64 `json:"jobs_rejected" agg:"sum"`
+	JobsExpired   int64 `json:"jobs_expired" agg:"sum"`
+	JobsCancelled int64 `json:"jobs_cancelled" agg:"sum"`
+	JobsShedSLO   int64 `json:"jobs_shed_slo" agg:"sum"`
 
 	// Drain-meter state: the recent job-completion rate (jobs/sec) and
 	// whether a full measurement window has closed — the signals the
 	// autoscaler samples (a MEASURED zero with queued work is a wedged
 	// replica).
-	DrainRate     float64 `json:"drain_rate_jobs_per_sec"`
-	DrainMeasured bool    `json:"drain_measured"`
+	DrainRate     float64 `json:"drain_rate_jobs_per_sec" agg:"sum"`
+	DrainMeasured bool    `json:"drain_measured" agg:"or"`
 
 	// Zero-padding accounting: real tokens classified, padding rows the
 	// engine executed on top (always 0 when the packed path is active),
 	// the waste fraction padded/(padded+processed), and how many batches
 	// ran through the packed path.
-	TokensProcessed int64   `json:"tokens_processed"`
-	TokensPadded    int64   `json:"tokens_padded"`
-	PaddingWaste    float64 `json:"padding_waste"`
-	PackedBatches   int64   `json:"packed_batches"`
+	TokensProcessed int64   `json:"tokens_processed" agg:"sum"`
+	TokensPadded    int64   `json:"tokens_padded" agg:"sum"`
+	PaddingWaste    float64 `json:"padding_waste" agg:"derived"`
+	PackedBatches   int64   `json:"packed_batches" agg:"sum"`
 
 	// Continuous-batching generation counters (zero unless enabled).
-	GenRequests  int64 `json:"gen_requests"`
-	GenTokens    int64 `json:"gen_tokens"`
-	GenSteps     int64 `json:"gen_steps"`
-	GenPeakBatch int64 `json:"gen_peak_batch"`
+	GenRequests  int64 `json:"gen_requests" agg:"sum"`
+	GenTokens    int64 `json:"gen_tokens" agg:"sum"`
+	GenSteps     int64 `json:"gen_steps" agg:"sum"`
+	GenPeakBatch int64 `json:"gen_peak_batch" agg:"max"`
 
 	// Batched packed prefill: prompts encoded, encoder passes run (one per
 	// admission batch — passes ≪ prompts when admission batches), prompt
 	// tokens processed.
-	GenPrefillPrompts int64 `json:"gen_prefill_prompts"`
-	GenPrefillPasses  int64 `json:"gen_prefill_passes"`
-	GenPrefillTokens  int64 `json:"gen_prefill_tokens"`
+	GenPrefillPrompts int64 `json:"gen_prefill_prompts" agg:"sum"`
+	GenPrefillPasses  int64 `json:"gen_prefill_passes" agg:"sum"`
+	GenPrefillTokens  int64 `json:"gen_prefill_tokens" agg:"sum"`
 
 	// KV admission accounting: tokens currently reserved by the continuous
 	// scheduler, and reserved-vs-actually-used KV bytes on the device. The
 	// scheduler budgets by the reserved figure; the gap to used is the
 	// worst-case safety margin.
-	GenReservedTokens  int64 `json:"gen_reserved_tokens"`
-	GenKVReservedBytes int64 `json:"gen_kv_reserved_bytes"`
-	GenKVUsedBytes     int64 `json:"gen_kv_used_bytes"`
+	GenReservedTokens  int64 `json:"gen_reserved_tokens" agg:"sum"`
+	GenKVReservedBytes int64 `json:"gen_kv_reserved_bytes" agg:"sum"`
+	GenKVUsedBytes     int64 `json:"gen_kv_used_bytes" agg:"sum"`
 
 	// FP16 fast-path accounting: whether the binary16 route serves this
 	// replica, the cumulative fused kernel-chain launches it dispatched
 	// (encoder qk_scaled_softmax/pv_transpose_back plus decode fused
 	// attention), and the per-context-token KV cost — halved under fp16.
-	FP16Enabled     bool  `json:"fp16_enabled"`
-	FusedLaunches   int64 `json:"fused_launches"`
-	KVBytesPerToken int64 `json:"kv_bytes_per_token"`
+	FP16Enabled     bool  `json:"fp16_enabled" agg:"or"`
+	FusedLaunches   int64 `json:"fused_launches" agg:"sum"`
+	KVBytesPerToken int64 `json:"kv_bytes_per_token" agg:"max"`
 
 	// Paged-KV accounting (zero unless the engine runs paged): block-pool
 	// occupancy, prefix-cache reuse, and preemptions — the shared-prefix
 	// admission-density win made visible. KVBlocksShared counts blocks
 	// mapped by two or more block tables at once.
-	KVBlocksTotal  int64 `json:"kv_blocks_total"`
-	KVBlocksUsed   int64 `json:"kv_blocks_used"`
-	KVBlocksShared int64 `json:"kv_blocks_shared"`
-	PrefixHits     int64 `json:"prefix_hits"`
-	PrefixMisses   int64 `json:"prefix_misses"`
-	ReplayTokens   int64 `json:"prefix_replay_tokens"`
-	GenPreemptions int64 `json:"gen_preemptions"`
+	KVBlocksTotal  int64 `json:"kv_blocks_total" agg:"sum"`
+	KVBlocksUsed   int64 `json:"kv_blocks_used" agg:"sum"`
+	KVBlocksShared int64 `json:"kv_blocks_shared" agg:"sum"`
+	PrefixHits     int64 `json:"prefix_hits" agg:"sum"`
+	PrefixMisses   int64 `json:"prefix_misses" agg:"sum"`
+	ReplayTokens   int64 `json:"prefix_replay_tokens" agg:"sum"`
+	GenPreemptions int64 `json:"gen_preemptions" agg:"sum"`
 }
 
 // Handler returns the HTTP mux for the service.

@@ -1,151 +1,6 @@
 package serving
 
-import (
-	"math"
-	"testing"
-	"time"
-
-	"repro/internal/sched"
-)
-
-// simCost mirrors the GPU batch-cost surface used by the scheduler tests.
-func simCost(seqLen, batchSize int) time.Duration {
-	base := 300 * time.Microsecond
-	work := float64(seqLen) * math.Pow(float64(batchSize), 0.7) * float64(25*time.Microsecond)
-	return base + time.Duration(work)
-}
-
-func baseSim(rate float64, s sched.Scheduler) SimConfig {
-	return SimConfig{
-		Rate:      rate,
-		Warmup:    2,
-		Duration:  8,
-		Seed:      42,
-		LenLo:     2,
-		LenHi:     100,
-		Scheduler: s,
-		Cost:      sched.CostFunc(simCost),
-		MaxBatch:  20,
-		Strategy:  Hungry,
-	}
-}
-
-func TestSimDeterministic(t *testing.T) {
-	cfg := baseSim(100, &sched.DPScheduler{Cost: sched.CostFunc(simCost), MaxBatch: 20})
-	a := RunServingSim(cfg)
-	b := RunServingSim(cfg)
-	if a.Served != b.Served || a.LatencyAvg != b.LatencyAvg {
-		t.Fatalf("non-deterministic sim: %+v vs %+v", a, b)
-	}
-}
-
-func TestSimLowLoadServesEverything(t *testing.T) {
-	cfg := baseSim(20, &sched.NoBatchScheduler{Cost: sched.CostFunc(simCost)})
-	res := RunServingSim(cfg)
-	if res.Saturated {
-		t.Fatalf("low load should not saturate: %+v", res)
-	}
-	// Served rate within 15% of offered (Poisson noise + window edges).
-	if res.ServedPerSec < 0.85*cfg.Rate || res.ServedPerSec > 1.15*cfg.Rate {
-		t.Fatalf("served %v at offered %v", res.ServedPerSec, cfg.Rate)
-	}
-	if res.LatencyAvg <= 0 || math.IsNaN(res.LatencyAvg) {
-		t.Fatalf("latency: %+v", res)
-	}
-}
-
-func TestSimThroughputPlateausAtSaturation(t *testing.T) {
-	mk := func(rate float64) SimResult {
-		return RunServingSim(baseSim(rate, &sched.NoBatchScheduler{Cost: sched.CostFunc(simCost)}))
-	}
-	// Single-request cost averages ~1.6ms → capacity ≈ 600/s.
-	low := mk(300)
-	at := mk(2000)
-	higher := mk(3000)
-	if !at.Saturated || !higher.Saturated {
-		t.Fatalf("high offered load must saturate: %+v / %+v", at, higher)
-	}
-	if low.Saturated {
-		t.Fatalf("sub-capacity load must not saturate: %+v", low)
-	}
-	// Past saturation, served throughput plateaus (within 10%).
-	ratio := at.ServedPerSec / higher.ServedPerSec
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("throughput should plateau: %v vs %v", at.ServedPerSec, higher.ServedPerSec)
-	}
-}
-
-// The headline serving result (Fig. 15): batching lifts saturated
-// throughput, and DP batching beats naive batching on variable lengths.
-func TestSimSchedulerOrderingAtHighLoad(t *testing.T) {
-	cost := sched.CostFunc(simCost)
-	run := func(s sched.Scheduler) SimResult {
-		cfg := baseSim(3000, s)
-		return RunServingSim(cfg)
-	}
-	nobatch := run(&sched.NoBatchScheduler{Cost: cost})
-	naive := run(&sched.NaiveScheduler{Cost: cost, MaxBatch: 20})
-	dp := run(&sched.DPScheduler{Cost: cost, MaxBatch: 20})
-
-	if naive.ServedPerSec <= nobatch.ServedPerSec {
-		t.Fatalf("batching should lift throughput: naive %v vs nobatch %v",
-			naive.ServedPerSec, nobatch.ServedPerSec)
-	}
-	if dp.ServedPerSec <= naive.ServedPerSec {
-		t.Fatalf("DP should beat naive on variable lengths: %v vs %v",
-			dp.ServedPerSec, naive.ServedPerSec)
-	}
-}
-
-func TestSimLazyStrategyWaitsForBatch(t *testing.T) {
-	cost := sched.CostFunc(simCost)
-	cfg := baseSim(50, &sched.DPScheduler{Cost: cost, MaxBatch: 20})
-	cfg.Strategy = Lazy
-	cfg.LazyTimeout = 0.050
-	cfg.SLO = 1
-	lazy := RunServingSim(cfg)
-
-	hungry := baseSim(50, &sched.DPScheduler{Cost: cost, MaxBatch: 20})
-	hung := RunServingSim(hungry)
-
-	if lazy.Served == 0 || hung.Served == 0 {
-		t.Fatal("both strategies must serve")
-	}
-	// Lazy trades latency for batching: average latency should not be
-	// lower than hungry at light load.
-	if lazy.LatencyAvg < hung.LatencyAvg {
-		t.Fatalf("lazy should not have lower latency at light load: %v vs %v",
-			lazy.LatencyAvg, hung.LatencyAvg)
-	}
-}
-
-func TestSimFixedLengthDistribution(t *testing.T) {
-	cfg := baseSim(100, &sched.NoBatchScheduler{Cost: sched.CostFunc(simCost)})
-	cfg.LenLo, cfg.LenHi = 64, 64
-	res := RunServingSim(cfg)
-	if res.Served == 0 {
-		t.Fatal("no requests served")
-	}
-}
-
-func TestLazyHalfSLOGuard(t *testing.T) {
-	now := 10.0
-	mq := []*sched.Request{{ID: 1, Length: 50, Arrival: 9.0}}
-	cfg := SimConfig{MaxBatch: 20, SLO: 1.0, Cost: sched.CostFunc(simCost)}
-	// Oldest waited 1s ≥ SLO/2 → must fire.
-	if !lazyShouldFire(now, mq, cfg) {
-		t.Fatal("half-SLO guard should fire")
-	}
-	cfg.SLO = 10
-	if lazyShouldFire(now, mq, cfg) {
-		t.Fatal("guard should not fire well inside the SLO")
-	}
-	// Full queue fires regardless.
-	cfg.MaxBatch = 1
-	if !lazyShouldFire(now, mq, cfg) {
-		t.Fatal("full batch should fire")
-	}
-}
+import "testing"
 
 func TestResponseCacheLRU(t *testing.T) {
 	c := NewResponseCache(2)

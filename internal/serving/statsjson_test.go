@@ -69,3 +69,31 @@ func checkStatsJSON(t *testing.T, file string, got []byte) {
 		t.Errorf("%s moved:\n got  %s\n want %s", file, got, want)
 	}
 }
+
+// TestEveryStatsFieldAggregates: a statsResponse field with no agg tag (or
+// one its type cannot take) would report zero fleet-wide the moment a second
+// replica exists.
+func TestEveryStatsFieldAggregates(t *testing.T) {
+	typ := reflect.TypeOf(statsResponse{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		tag, kind := f.Tag.Get("agg"), f.Type.Kind()
+		ok := false
+		switch tag {
+		case "sum":
+			ok = kind == reflect.Int64 || kind == reflect.Float64
+		case "max":
+			ok = kind == reflect.Int64
+		case "or":
+			ok = kind == reflect.Bool
+		case "derived":
+			ok = f.Name == "PaddingWaste" // recomputed by name in aggregateStats
+		}
+		if !ok {
+			t.Errorf("statsResponse.%s (%s): agg tag %q — want sum (int64/float64), max (int64), or (bool), or derived with its recomputation in aggregateStats", f.Name, kind, tag)
+		}
+		if f.Tag.Get("json") == "" {
+			t.Errorf("statsResponse.%s has no json tag", f.Name)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/sched"
 	"repro/internal/serving"
+	"repro/internal/servingsim"
 	"repro/internal/simclock"
 )
 
@@ -22,8 +23,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from 
 
 const goldenFile = "testdata/golden.txt"
 
-// The fields the four simulators reported before they became one — the
-// golden matrix holds every one of them, floats as %x so the last bit counts.
+// The fields the four simulators reported before they became one (sim.go,
+// cluster.go, elastic.go, gensim.go) — the golden matrix holds every one of
+// them, floats as %x so the last bit counts.
 var (
 	simFields     = []string{"OfferedRate", "Served", "ServedPerSec", "LatencyAvg", "LatencyMin", "LatencyMax", "Saturated", "FinalQueueLen"}
 	clusterFields = []string{"OfferedRate", "Served", "ServedPerSec", "LatencyAvg", "LatencyMax", "LatencyP99", "PerServerServed", "Saturated", "Expired", "ShortP99", "Migrations"}
@@ -84,28 +86,36 @@ func goldenCases(t *testing.T) map[string]string {
 	dp := func() sched.Scheduler { return &sched.DPScheduler{Cost: cost, MaxBatch: 20} }
 	out := map[string]string{}
 
-	single := func(name string, rate float64, seed int64, s sched.Scheduler, edit func(*serving.SimConfig)) {
-		cfg := serving.SimConfig{
+	run := func(name string, fields []string, cfg servingsim.Config) {
+		res, err := servingsim.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = fieldString(t, res, fields)
+	}
+
+	single := func(name string, rate float64, seed int64, s sched.Scheduler, edit func(*servingsim.Config)) {
+		cfg := servingsim.Config{
 			Rate: rate, Warmup: 2, Duration: 8, Seed: seed, LenLo: 2, LenHi: 100,
-			Scheduler: s, Cost: cost, MaxBatch: 20,
+			NewScheduler: func() sched.Scheduler { return s }, Cost: cost, MaxBatch: 20,
 		}
 		if edit != nil {
 			edit(&cfg)
 		}
-		out[name] = fieldString(t, serving.RunServingSim(cfg), simFields)
+		run(name, simFields, cfg)
 	}
 	single("single-hungry", 100, 42, dp(), nil)
 	single("single-hungry-one-replica", 50, 77, dp(), nil)
 	single("single-hungry-saturated", 3000, 42, &sched.NoBatchScheduler{Cost: cost}, nil)
-	single("single-lazy", 50, 42, dp(), func(c *serving.SimConfig) {
-		c.Strategy, c.LazyTimeout, c.SLO = serving.Lazy, 0.050, 1
+	single("single-lazy", 50, 42, dp(), func(c *servingsim.Config) {
+		c.Strategy, c.LazyTimeout, c.SLO = servingsim.Lazy, 0.050, 1
 	})
-	single("single-lazy-half-slo-guard", 50, 42, dp(), func(c *serving.SimConfig) {
-		c.Strategy, c.LazyTimeout, c.SLO = serving.Lazy, 0.5, 0.04
+	single("single-lazy-half-slo-guard", 50, 42, dp(), func(c *servingsim.Config) {
+		c.Strategy, c.LazyTimeout, c.SLO = servingsim.Lazy, 0.5, 0.04
 	})
 
-	cluster := func(name string, servers int, rate float64, policy serving.BalancePolicy, edit func(*serving.ClusterConfig)) {
-		cfg := serving.ClusterConfig{
+	cluster := func(name string, servers int, rate float64, policy serving.BalancePolicy, edit func(*servingsim.Config)) {
+		cfg := servingsim.Config{
 			Servers: servers, Policy: policy,
 			Rate: rate, Warmup: 2, Duration: 8, Seed: 77, LenLo: 2, LenHi: 100,
 			NewScheduler: dp, Cost: cost, MaxBatch: 20,
@@ -113,18 +123,18 @@ func goldenCases(t *testing.T) map[string]string {
 		if edit != nil {
 			edit(&cfg)
 		}
-		out[name] = fieldString(t, serving.RunClusterSim(cfg), clusterFields)
+		run(name, clusterFields, cfg)
 	}
-	skewed := func(c *serving.ClusterConfig) { c.LenSampler = shortSkew }
+	skewed := func(c *servingsim.Config) { c.LenSampler = shortSkew }
 	cluster("cluster-one-replica", 1, 50, serving.RoundRobin, nil)
 	cluster("cluster-round-robin-skew", 3, 400, serving.RoundRobin, skewed)
 	cluster("cluster-least-queue-skew", 3, 400, serving.LeastQueue, skewed)
 	cluster("cluster-token-cost-skew", 3, 400, serving.TokenCostRouting, skewed)
-	cluster("cluster-deadline-shedding", 2, 8000, serving.LeastQueue, func(c *serving.ClusterConfig) {
+	cluster("cluster-deadline-shedding", 2, 8000, serving.LeastQueue, func(c *servingsim.Config) {
 		c.DeadlineSec = 0.05
 	})
-	handoff := func(roles []serving.ReplicaRole) func(*serving.ClusterConfig) {
-		return func(c *serving.ClusterConfig) {
+	handoff := func(roles []serving.ReplicaRole) func(*servingsim.Config) {
+		return func(c *servingsim.Config) {
 			c.LenSampler = func(rng *rand.Rand) int { return 4 + rng.Intn(28) }
 			c.Roles, c.GenFrac, c.DecodeLen, c.MigrationDelay = roles, 0.3, 120, 0.0002
 		}
@@ -132,28 +142,28 @@ func goldenCases(t *testing.T) map[string]string {
 	cluster("cluster-roles-handoff", 2, 300, serving.TokenCostRouting,
 		handoff([]serving.ReplicaRole{serving.RolePrefill, serving.RoleDecode}))
 	cluster("cluster-mixed-handoff", 2, 300, serving.TokenCostRouting, handoff(nil))
-	cluster("cluster-clamped-defaults", 0, 50, serving.RoundRobin, func(c *serving.ClusterConfig) {
+	cluster("cluster-clamped-defaults", 0, 50, serving.RoundRobin, func(c *servingsim.Config) {
 		c.MaxBatch = 0
 	})
 
 	elastic := func(name string, fixed int) {
-		res, err := serving.RunElasticClusterSim(serving.ElasticClusterConfig{
-			Fixed:     fixed,
-			Autoscale: autoscale.Config{Min: 1, Max: 4},
-			Rate:      simclock.FlashCrowdRate(200, 3000, 8, 2, 6, 2),
-			MaxRate:   3000, Duration: 30, Seed: 99, LenLo: 2, LenHi: 100, DeadlineSec: 0.5,
+		cfg := servingsim.Config{
+			Rate:     3000,
+			RateAt:   simclock.FlashCrowdRate(200, 3000, 8, 2, 6, 2),
+			Duration: 30, Seed: 99, Drain: true, LenLo: 2, LenHi: 100, DeadlineSec: 0.5,
 			NewScheduler: dp, Cost: cost, MaxBatch: 20, Policy: serving.LeastQueue,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			Servers: fixed,
 		}
-		out[name] = fieldString(t, res, elasticFields)
+		if fixed == 0 {
+			cfg.Autoscale = &autoscale.Config{Min: 1, Max: 4}
+		}
+		run(name, elasticFields, cfg)
 	}
 	elastic("elastic-auto-flash-crowd", 0)
 	elastic("elastic-fixed-2-flash-crowd", 2)
 
-	gen := func(name string, rate float64, continuous bool, edit func(*serving.GenSimConfig)) {
-		cfg := serving.GenSimConfig{
+	gen := func(name string, rate float64, continuous bool, edit func(*servingsim.GenConfig)) {
+		cfg := servingsim.GenConfig{
 			Rate: rate, Warmup: 2, Duration: 10, Seed: 99,
 			PromptLo: 8, PromptHi: 64, NewLo: 8, NewHi: 64, MaxBatch: 8,
 			Continuous: continuous, StepCost: goldenStep, PrefillCost: goldenPrefill,
@@ -170,15 +180,15 @@ func goldenCases(t *testing.T) map[string]string {
 		if edit != nil {
 			edit(&cfg)
 		}
-		out[name] = fieldString(t, serving.RunGenServingSim(cfg), genFields)
+		out[name] = fieldString(t, servingsim.RunGeneration(cfg), genFields)
 	}
-	deadline := func(c *serving.GenSimConfig) { c.DeadlineSec = 0.05 }
+	deadline := func(c *servingsim.GenConfig) { c.DeadlineSec = 0.05 }
 	gen("gen-static", 120, false, nil)
 	gen("gen-continuous", 120, true, nil)
 	gen("gen-static-deadline", 5000, false, deadline)
 	gen("gen-continuous-deadline", 5000, true, deadline)
-	gen("gen-continuous-token-budget", 800, true, func(c *serving.GenSimConfig) { c.TokenBudget = 130 })
-	gen("gen-continuous-free-prefill", 80, true, func(c *serving.GenSimConfig) { c.PrefillCost = nil })
+	gen("gen-continuous-token-budget", 800, true, func(c *servingsim.GenConfig) { c.TokenBudget = 130 })
+	gen("gen-continuous-free-prefill", 80, true, func(c *servingsim.GenConfig) { c.PrefillCost = nil })
 	return out
 }
 

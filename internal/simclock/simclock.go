@@ -215,16 +215,22 @@ func (l *LatencyStats) Avg() float64 {
 	return l.Sum / float64(l.Count)
 }
 
+// Sorted returns the recorded samples in ascending order. Sorting is
+// deferred to the first call after an Add, so Add stays O(1) during the run.
+func (l *LatencyStats) Sorted() []float64 {
+	if !sort.Float64sAreSorted(l.samples) {
+		sort.Float64s(l.samples)
+	}
+	return l.samples
+}
+
 // Percentile returns the p-quantile (0 < p ≤ 1) of the recorded samples by
-// the nearest-rank method, or NaN when empty. Sorting is deferred to the
-// first call, so Add stays O(1) during the run.
+// the nearest-rank method, or NaN when empty.
 func (l *LatencyStats) Percentile(p float64) float64 {
 	if len(l.samples) == 0 {
 		return math.NaN()
 	}
-	if !sort.Float64sAreSorted(l.samples) {
-		sort.Float64s(l.samples)
-	}
+	l.Sorted()
 	idx := int(math.Ceil(p*float64(len(l.samples)))) - 1
 	if idx < 0 {
 		idx = 0

@@ -68,13 +68,7 @@ func Seq2SeqDecoder() Config { return model.Seq2SeqDecoder() }
 // Engine is the inference runtime (see internal/core).
 type Engine = core.Engine
 
-// Options configures NewEngine.
-//
-// Deprecated: use the functional options (WithSeed, WithPacked,
-// WithAllocator, ...) on NewRuntime / Serve instead.
-type Options = core.Options
-
-// AllocatorKind selects the memory manager (WithAllocator / Options.Allocator).
+// AllocatorKind selects the memory manager (WithAllocator).
 type AllocatorKind = core.AllocatorKind
 
 // Allocator kinds for WithAllocator.
@@ -84,14 +78,6 @@ const (
 	AllocCaching = core.AllocCaching
 	AllocNaive   = core.AllocNaive
 )
-
-// NewEngine builds an inference engine for cfg.
-//
-// Deprecated: use NewRuntime, which assembles the same engine under
-// functional options and carries the generation engine alongside.
-func NewEngine(cfg Config, opts Options) (*Engine, error) {
-	return core.NewEngine(cfg, opts)
-}
 
 // Decoder is the Seq2Seq decoder with beam search.
 type Decoder = model.Decoder
@@ -182,10 +168,6 @@ type (
 	// Stop it with Shutdown (graceful drain) or Close (abort); both join
 	// the dispatcher goroutines before returning.
 	Server = serving.Server
-	// ServerConfig configures NewServer.
-	//
-	// Deprecated: use Serve / NewRuntime with functional options.
-	ServerConfig = serving.ServerConfig
 	// Router is the multi-replica serving runtime: N independent Servers
 	// behind one policy-routed front door with aggregated stats. Built by
 	// Serve with WithReplicas(n>1), or directly with NewRouter.
@@ -282,13 +264,6 @@ var (
 // misses over when no window is given.
 const DefaultSLOWindow = serving.DefaultSLOWindow
 
-// NewServer starts the serving framework's dispatchers over an
-// already-built engine.
-//
-// Deprecated: use Serve (one call from model config to live server) or
-// NewRuntime(...).Serve(...) when a warm-up pass needs the engine first.
-func NewServer(cfg ServerConfig) (*Server, error) { return serving.NewServer(cfg) }
-
 // Continuous-batching generation (iteration-level scheduling on top of the
 // paper's request-level Algorithm 2).
 type (
@@ -301,12 +276,6 @@ type (
 	// decode iterations.
 	ContinuousScheduler = sched.ContinuousScheduler
 )
-
-// NewGenEngine builds the generation runtime (encoder + decoder sharing
-// one accounted device).
-func NewGenEngine(encCfg, decCfg Config, opts Options) (*GenEngine, error) {
-	return core.NewGenEngine(encCfg, decCfg, opts)
-}
 
 // NewContinuousScheduler returns an iteration-level scheduler with the
 // given concurrency and KV token budget.

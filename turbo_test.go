@@ -11,15 +11,16 @@ import (
 	"time"
 
 	turbo "repro"
+	"repro/internal/core"
 )
 
 func TestFacadeEngine(t *testing.T) {
 	cfg := turbo.BertBase().Scaled(32, 4, 64, 2)
-	engine, err := turbo.NewEngine(cfg, turbo.Options{Seed: 1, Classes: 2})
+	rt, err := turbo.NewRuntime(cfg, turbo.WithSeed(1), turbo.WithClasses(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	classes, err := engine.Classify(context.Background(), [][]int{{5, 6, 7}})
+	classes, err := rt.Engine.Classify(context.Background(), [][]int{{5, 6, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +30,9 @@ func TestFacadeEngine(t *testing.T) {
 }
 
 // TestFacadeRuntimeOptions pins the functional-options front door: the
-// runtime built by NewRuntime must match the deprecated positional API
-// result for result, and a cancelled context must stop the pipeline.
+// options must resolve to the core.Options they name — the runtime built by
+// NewRuntime matches an engine built from that struct result for result —
+// and a cancelled context must stop the pipeline.
 func TestFacadeRuntimeOptions(t *testing.T) {
 	cfg := turbo.BertBase().Scaled(32, 4, 64, 2)
 	rt, err := turbo.NewRuntime(cfg,
@@ -46,17 +48,17 @@ func TestFacadeRuntimeOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := turbo.NewEngine(cfg, turbo.Options{Seed: 1, Classes: 2, Packed: true})
+	direct, err := core.NewEngine(cfg, core.Options{Seed: 1, Classes: 2, Packed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := legacy.Classify(context.Background(), batch)
+	want, err := direct.Classify(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("options-built runtime diverges from legacy engine: %v vs %v", got, want)
+			t.Fatalf("options-built runtime diverges from the core.Options engine: %v vs %v", got, want)
 		}
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
