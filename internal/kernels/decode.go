@@ -43,7 +43,8 @@ import (
 //     the contiguous kernel, group for group.
 //   - On binary16 views the tensor-core numerics of §6.2.1 switch on: q is
 //     rounded through binary16 once, spans are decoded into workspace
-//     scratch at access, the probabilities are rounded in the softmax pass
+//     scratch at access (or read from the view's own decoded spans, where
+//     it carries them), the probabilities are rounded in the softmax pass
 //     (the cast a fused fp16 softmax performs when it writes into Tensor
 //     Core registers), and all accumulation stays fp32.
 //

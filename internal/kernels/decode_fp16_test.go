@@ -177,3 +177,70 @@ func TestDecodeAttentionF16ToleranceVsFP32(t *testing.T) {
 		t.Fatal("fp16 route suspiciously bit-identical to fp32 — rounding not applied?")
 	}
 }
+
+// TestDecodeAttentionDecodedViewMatchesDecodeAtAccess: sessions whose
+// binary16 spans carry their decoded view, sessions that do not, and a batch
+// that mixes them (one with the view on its keys only) give the same bits as
+// decoding every span at access; the per-row read ignores the view; a view
+// too short for the rows is rejected, and so is a row written through one.
+func TestDecodeAttentionDecodedViewMatchesDecodeAtAccess(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	const heads, headDim = 4, 8
+	hidden := heads * headDim
+	ctxLens := []int{40, 3, 17, 40}
+	rows := len(ctxLens)
+	scale := float32(1 / math.Sqrt(headDim))
+	q := randVec(r, rows*hidden)
+	keys, vals := make([]blas.Half, rows), make([]blas.Half, rows)
+	for i, T := range ctxLens {
+		keys[i] = blas.EncodeHalf(randVec(r, T*hidden))
+		vals[i] = blas.EncodeHalf(randVec(r, T*hidden))
+	}
+	run := func(keys, vals []KVSpans) []float32 {
+		ctx := make([]float32, rows*hidden)
+		var ws DecodeWorkspace
+		ws.Attention(q, keys, vals, ctxLens, heads, headDim, scale, make([]float32, decodeScoreFloats(ctxLens, heads)), ctx)
+		return ctx
+	}
+	want := run(halfSpans(keys, ctxLens), halfSpans(vals, ctxLens))
+
+	viewed := func(views []KVSpans, which ...int) []KVSpans {
+		for _, i := range which {
+			views[i].View = views[i].Decoded(ctxLens[i], hidden)
+		}
+		return views
+	}
+	for name, got := range map[string][]float32{
+		"every session": run(viewed(halfSpans(keys, ctxLens), 0, 1, 2, 3), viewed(halfSpans(vals, ctxLens), 0, 1, 2, 3)),
+		"mixed batch":   run(viewed(halfSpans(keys, ctxLens), 0, 2), viewed(halfSpans(vals, ctxLens), 2, 3)),
+	} {
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: decoded view diverges from decode at access at %d: %g vs %g", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	// The oracle's read expands the stored words whatever the view holds.
+	liar := halfSpans(keys, ctxLens)[0]
+	liar.View = [][]float32{make([]float32, ctxLens[0]*hidden)}
+	for i, v := range liar.Decoded(ctxLens[0], hidden)[0] {
+		if v != tensor.F16BitsToF32(keys[0][i]) {
+			t.Fatalf("Decoded read the view at %d", i)
+		}
+	}
+	short := halfSpans(keys, ctxLens)[0]
+	short.View = [][]float32{make([]float32, ctxLens[0]*hidden-1)}
+	if short.Covers(ctxLens[0], hidden) {
+		t.Fatal("a view shorter than its rows covers them")
+	}
+	if flat := liar.Flatten(ctxLens[0], hidden); flat.View != nil {
+		t.Fatal("Flatten copied the decoded view")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a row written through a decoded view did not panic")
+		}
+	}()
+	liar.PutRow(0, make([]float32, hidden))
+}

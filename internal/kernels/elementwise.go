@@ -91,7 +91,8 @@ func Act(a Activation, x []float32) {
 }
 
 // AddBiasAct is the fused bias-add + activation kernel
-// ("add bias + activation" in Fig. 3b), applied in place to x (rows×n).
+// ("add bias + activation" in Fig. 3b), applied in place to x (rows×n). The
+// activation is chosen once per row, not per element.
 func AddBiasAct(a Activation, x []float32, bias []float32, rows, n int) {
 	checkLen("AddBiasAct x", x, rows*n)
 	checkLen("AddBiasAct bias", bias, n)
@@ -99,15 +100,34 @@ func AddBiasAct(a Activation, x []float32, bias []float32, rows, n int) {
 	parallel.For(rows, rowGrain, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			row := x[r*n : (r+1)*n]
-			if a == ActGELU {
+			switch a {
+			case ActGELU:
 				addBiasGelu(row, bias)
-				continue
-			}
-			for j, b := range bias {
-				row[j] = applyAct(a, row[j]+b)
+			case ActReLU:
+				addBiasRelu(row, bias)
+			default:
+				for j, b := range bias {
+					row[j] = applyAct(a, row[j]+b)
+				}
 			}
 		}
 	})
+}
+
+// addBiasRelu is row[j] = relu(row[j] + bias[j]) with applyAct's comparison:
+// x < 0 becomes +0, so −0 and a NaN pass through (max would turn −0 into +0).
+// The comparison selects between bit patterns, which compiles to a
+// conditional move: an activation's sign is a coin toss, and a branch on it is
+// mispredicted half the time.
+func addBiasRelu(row, bias []float32) {
+	for j, b := range bias {
+		v := row[j] + b
+		u := math.Float32bits(v)
+		if v < 0 {
+			u = 0
+		}
+		row[j] = math.Float32frombits(u)
+	}
 }
 
 // AddResidual adds res into x element-wise, in place.

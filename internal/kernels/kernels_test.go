@@ -75,18 +75,40 @@ func TestActivationString(t *testing.T) {
 	}
 }
 
+// TestAddBiasActEqualsComposition holds the fused kernel to AddBias then Act,
+// bit for bit, on every activation — ReLU's comparison included: −0 and a NaN
+// pass through, −Inf and the smallest negative
+// become +0.
 func TestAddBiasActEqualsComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const rows, n = 9, 17
 	x := randSlice(rng, rows*n)
 	bias := randSlice(rng, n)
-	fused := append([]float32(nil), x...)
-	unfused := append([]float32(nil), x...)
-	AddBiasAct(ActGELU, fused, bias, rows, n)
-	AddBias(unfused, bias, rows, n)
-	Act(ActGELU, unfused)
-	if d := maxDiff(fused, unfused); d > 1e-6 {
-		t.Fatalf("fused != composition: %g", d)
+	negZero := float32(math.Copysign(0, -1))
+	bias[0], bias[1], bias[2], bias[3], bias[4] = 0, negZero, 0, 0, 0
+	x[0], x[1], x[2], x[3], x[4] = negZero, negZero, float32(math.NaN()), float32(math.Inf(-1)), -math.SmallestNonzeroFloat32
+	for _, act := range []Activation{ActGELU, ActReLU, ActTanh} {
+		fused := append([]float32(nil), x...)
+		unfused := append([]float32(nil), x...)
+		AddBiasAct(act, fused, bias, rows, n)
+		AddBias(unfused, bias, rows, n)
+		Act(act, unfused)
+		for i := range fused {
+			if !sameBits(fused[i], unfused[i]) {
+				t.Fatalf("%v [%d]: fused %g (%#08x), composition %g (%#08x)", act, i,
+					fused[i], math.Float32bits(fused[i]), unfused[i], math.Float32bits(unfused[i]))
+			}
+		}
+	}
+	relu := append([]float32(nil), x[:5]...)
+	AddBiasAct(ActReLU, relu, bias[:5], 1, 5)
+	for i, want := range []uint32{0, 0x80000000, 0, 0, 0} { // −0 + 0 is +0; −0 + −0 stays −0
+		if got := math.Float32bits(relu[i]); got != want && i != 2 {
+			t.Fatalf("relu [%d] = %#08x, want %#08x", i, got, want)
+		}
+	}
+	if !math.IsNaN(float64(relu[2])) {
+		t.Fatalf("relu(NaN) = %g", relu[2])
 	}
 }
 

@@ -19,9 +19,18 @@ import (
 // How KV is laid out and encoded is decided here and nowhere else: stores
 // write rows through PutRow/CopyRow, the attention kernel and its per-row
 // oracle read spans, and migration copies them with Flatten.
+//
+// A binary16 view whose rows never change again (the cross memory) may carry
+// View: the same spans already decoded, span for span, which the kernel then
+// reads instead of decoding F16 at every access. It is a cache of F16, never
+// a second truth — Half stays true, Flatten and CopyRow move F16 only, and
+// Decoded (the oracle's read) keeps expanding the stored words, so view ==
+// fresh decode is checked wherever grouped == per-row is. Whoever sets it
+// owns its lifetime and accounting (model.ccRef).
 type KVSpans struct {
 	F32  [][]float32 // fp32 storage; nil on a binary16 view
 	F16  [][]uint16  // binary16 storage words; nil on an fp32 view
+	View [][]float32 // optional: F16 decoded, span for span; immutable rows only
 	Rows int         // rows per span
 }
 
@@ -53,7 +62,7 @@ func (s KVSpans) Covers(T, hidden int) bool {
 		return false
 	}
 	nb := s.count(T)
-	if max(len(s.F32), len(s.F16)) < nb {
+	if max(len(s.F32), len(s.F16)) < nb || (s.View != nil && (!s.Half() || len(s.View) < nb)) {
 		return false
 	}
 	for b := 0; b < nb; b++ {
@@ -62,6 +71,9 @@ func (s KVSpans) Covers(T, hidden int) bool {
 			have = len(s.F16[b])
 		} else {
 			have = len(s.F32[b])
+		}
+		if s.View != nil {
+			have = min(have, len(s.View[b]))
 		}
 		if have < s.rowsIn(T, b)*hidden {
 			return false
@@ -74,6 +86,7 @@ func (s KVSpans) Covers(T, hidden int) bool {
 // storage, rounded through binary16 into half storage — the write-side cast
 // of the fp16 route, the conversion a Tensor Core store performs.
 func (s KVSpans) PutRow(t int, row []float32) {
+	s.mustBeWritable()
 	b, off := t/s.Rows, (t%s.Rows)*len(row)
 	if s.Half() {
 		tensor.EncodeF16Slice(s.F16[b][off:off+len(row)], row)
@@ -89,6 +102,7 @@ func (s KVSpans) CopyRow(t int, src KVSpans, ts, hidden int) {
 	if s.Half() != src.Half() {
 		panic("kernels: CopyRow across storage formats")
 	}
+	s.mustBeWritable()
 	b, off := t/s.Rows, (t%s.Rows)*hidden
 	sb, soff := ts/src.Rows, (ts%src.Rows)*hidden
 	if s.Half() {
@@ -98,8 +112,17 @@ func (s KVSpans) CopyRow(t int, src KVSpans, ts, hidden int) {
 	copy(s.F32[b][off:off+hidden], src.F32[sb][soff:soff+hidden])
 }
 
+// mustBeWritable panics on a write through a view that carries decoded spans:
+// the write would leave them stale.
+func (s KVSpans) mustBeWritable() {
+	if s.View != nil {
+		panic("kernels: row written through a decoded view")
+	}
+}
+
 // Flatten deep-copies the first T rows into a one-span view of the same
-// format — plain heap data sharing nothing with the store it came from.
+// format — plain heap data sharing nothing with the store it came from, the
+// decoded view included: the copy has none.
 func (s KVSpans) Flatten(T, hidden int) KVSpans {
 	if !s.Covers(T, hidden) {
 		panic(fmt.Sprintf("kernels: flatten of %d rows from a view that does not hold them", T))
@@ -122,11 +145,15 @@ func (s KVSpans) Flatten(T, hidden int) KVSpans {
 }
 
 // decodeSpan returns span b's first n elements as float32: the storage
-// itself on an fp32 view, the binary16 words expanded into scratch[at:at+n]
-// (the Tensor Core load conversion) on a half view.
+// itself on an fp32 view, the decoded view where a half view carries one,
+// else the binary16 words expanded into scratch[at:at+n] (the Tensor Core
+// load conversion).
 func (s KVSpans) decodeSpan(b, n int, scratch []float32, at int) []float32 {
 	if !s.Half() {
 		return s.F32[b][:n]
+	}
+	if s.View != nil {
+		return s.View[b][:n]
 	}
 	dst := scratch[at : at+n]
 	tensor.DecodeF16Slice(dst, s.F16[b][:n])
@@ -134,13 +161,15 @@ func (s KVSpans) decodeSpan(b, n int, scratch []float32, at int) []float32 {
 }
 
 // Decoded returns the first T rows as float32, span by span, each trimmed to
-// the rows it holds: the storage itself on an fp32 view, fresh expansions on
-// a half view. It allocates — this is the per-row oracle's read; the kernel
-// decodes into workspace scratch instead.
+// the rows it holds: the storage itself on an fp32 view, fresh expansions of
+// the stored words on a half view — never its View. It allocates — this is
+// the per-row oracle's read; the kernel decodes into workspace scratch
+// instead.
 func (s KVSpans) Decoded(T, hidden int) [][]float32 {
 	if !s.Covers(T, hidden) {
 		panic(fmt.Sprintf("kernels: view does not hold %d rows of %d", T, hidden))
 	}
+	s.View = nil
 	var scratch []float32
 	if s.Half() {
 		scratch = make([]float32, T*hidden)

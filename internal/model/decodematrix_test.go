@@ -2,10 +2,12 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/allocator"
+	"repro/internal/kernels"
 )
 
 // matrixGenerator builds one cell of the decode matrix: KV layout ×
@@ -24,7 +26,10 @@ func matrixGenerator(t *testing.T, cfg Config, paged, fp16, perRow bool) (*Gener
 //	(a) at equal precision every cell produces the same token streams, bit
 //	    for bit, on fuzzed ragged schedules with mid-run joins and evictions
 //	    — grouped ≡ per-row and paged ≡ contiguous, the two identities the
-//	    span kernel exists to keep;
+//	    span kernel exists to keep; on fp16 the grouped cells read the cross
+//	    memory through its decoded view and the per-row cells through a fresh
+//	    decode of the stored words, and after every step every live
+//	    session's view is held to that decode word for word;
 //	(b) a session exported mid-decode and imported into ANY store kind (all
 //	    four source → destination pairs) continues exactly as the
 //	    uninterrupted decode does, and both devices' KV gauges drain to zero.
@@ -43,7 +48,9 @@ func TestDecodeMatrixOnePath(t *testing.T) {
 			for _, paged := range []bool{false, true} {
 				for _, perRow := range []bool{false, true} {
 					g, dev := matrixGenerator(t, cfg, paged, fp16, perRow)
-					got := scheduleRun(t, g, paged, mems, budgets, joinAt, evictAt, seed, nil)
+					got := scheduleRun(t, g, paged, mems, budgets, joinAt, evictAt, seed, func(live []*GenSession) {
+						checkCrossViews(t, live, fp16)
+					})
 					if want == nil {
 						want = got
 					} else if !reflect.DeepEqual(got, want) {
@@ -91,6 +98,7 @@ func TestDecodeMatrixOnePath(t *testing.T) {
 						sessions[i] = moved
 					}
 					for anyLive(sessions) {
+						checkCrossViews(t, sessions, fp16) // rebuilt by the import
 						stepAll(t, dst, sessions)
 					}
 					for i, s := range sessions {
@@ -102,6 +110,37 @@ func TestDecodeMatrixOnePath(t *testing.T) {
 					for name, dev := range map[string]*allocator.Device{"source": srcDev, "destination": dstDev} {
 						if snap := dev.Snapshot(); snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
 							t.Fatalf("%s: %s KV gauges not drained: reserved=%d used=%d", pair, name, snap.KVReservedBytes, snap.KVUsedBytes)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkCrossViews holds every running session's cross memory to the view
+// invariant: on fp16 each K and V span carries a decoded view equal, bit for
+// bit, to a fresh decode of its stored words; on fp32 none does.
+func checkCrossViews(t *testing.T, live []*GenSession, fp16 bool) {
+	t.Helper()
+	for _, s := range live {
+		for l := range s.cc.k {
+			for _, span := range []kernels.KVSpans{s.cc.k[l], s.cc.v[l]} {
+				if !fp16 {
+					if span.View != nil {
+						t.Fatalf("session %d layer %d: an fp32 span carries a decoded view", s.ID, l)
+					}
+					continue
+				}
+				if span.View == nil || !span.Covers(s.cc.srcLen, s.cc.hidden) {
+					t.Fatalf("session %d layer %d: a running fp16 session's cross memory has no decoded view", s.ID, l)
+				}
+				fresh := span.Decoded(s.cc.srcLen, s.cc.hidden)
+				for b := range fresh {
+					for i, want := range fresh[b] {
+						if math.Float32bits(span.View[b][i]) != math.Float32bits(want) {
+							t.Fatalf("session %d layer %d span %d word %d: view %#08x, fresh decode %#08x",
+								s.ID, l, b, i, math.Float32bits(span.View[b][i]), math.Float32bits(want))
 						}
 					}
 				}

@@ -129,7 +129,9 @@ func (s *decodeState) clone(layers int) *decodeState {
 // crossCache holds the per-layer projected encoder memory, shared by all
 // beams (it depends only on the source sentence): per layer one K and one V
 // span of [srcLen, hidden] — binary16 storage on the fp16 route, since the
-// cross memory is KV storage like the decode cache and halves with it.
+// cross memory is KV storage like the decode cache and halves with it. While
+// a generation session runs on it, the binary16 spans also carry their
+// decoded view (kernels.KVSpans.View; ccRef owns it).
 type crossCache struct {
 	k, v           []kernels.KVSpans // [layer]
 	srcLen, hidden int
@@ -145,8 +147,10 @@ func (cc *crossCache) bytes() int64 {
 // newCrossCache projects the encoder memory through every layer's
 // cross-attention K/V weights once per request. On the fp16 route (half) the
 // memory rounds through binary16 once, the projections are fp32 GEMMs
-// against the pre-rounded weights, and the projected rows are stored as
-// binary16.
+// against the pre-rounded weights, and the projected rows round through
+// binary16 where they stand: the binary16 words are encoded from them, and the
+// rounded buffer — bit for bit what decoding those words gives — stays on as
+// the spans' decoded view, so the rows convert once, not at every step.
 func (d *Decoder) newCrossCache(memory *tensor.Tensor, half bool) *crossCache {
 	h := d.Cfg.Hidden
 	srcLen := memory.Dim(0)
@@ -154,17 +158,23 @@ func (d *Decoder) newCrossCache(memory *tensor.Tensor, half bool) *crossCache {
 	if half {
 		layers, mem = d.layersF16, memory.RoundedF16().Data()
 	}
+	project := func(w, bias *tensor.Tensor) kernels.KVSpans {
+		rows := make([]float32, srcLen*h)
+		blas.Gemm(false, false, srcLen, h, h, 1, mem, h, w.Data(), h, 0, rows, h)
+		kernels.AddBias(rows, bias.Data(), srcLen, h)
+		if !half {
+			return kernels.OneSpan(rows, srcLen, false)
+		}
+		tensor.RoundSliceF16(rows)
+		span := kernels.OneSpan(rows, srcLen, true)
+		span.View = [][]float32{rows}
+		return span
+	}
 	cc := &crossCache{srcLen: srcLen, hidden: h}
 	for l := range layers {
 		lw := &layers[l]
-		k := make([]float32, srcLen*h)
-		v := make([]float32, srcLen*h)
-		blas.Gemm(false, false, srcLen, h, h, 1, mem, h, lw.crossWk.Data(), h, 0, k, h)
-		kernels.AddBias(k, lw.crossBk.Data(), srcLen, h)
-		blas.Gemm(false, false, srcLen, h, h, 1, mem, h, lw.crossWv.Data(), h, 0, v, h)
-		kernels.AddBias(v, lw.crossBv.Data(), srcLen, h)
-		cc.k = append(cc.k, kernels.OneSpan(k, srcLen, half))
-		cc.v = append(cc.v, kernels.OneSpan(v, srcLen, half))
+		cc.k = append(cc.k, project(lw.crossWk, lw.crossBk))
+		cc.v = append(cc.v, project(lw.crossWv, lw.crossBv))
 	}
 	return cc
 }

@@ -8,8 +8,10 @@ import "repro/internal/tensor"
 // binary16-VALUED fp32 so every weight GEMM is the plain fp32 kernel; KV rows
 // and the cross memory are binary16 STORAGE (see KVCache/BlockKVCache half
 // mode), decoded at access by the one decode-attention kernel and its per-row
-// oracle (Decoder.attend), which see the storage format on the span view;
-// accumulation and all reductions stay fp32.
+// oracle (Decoder.attend), which see the storage format on the span view —
+// except that the cross memory, which never changes, is decoded once per
+// running session and read from that view by the kernel (ccRef); accumulation
+// and all reductions stay fp32.
 
 // EnableFP16 switches the decoder's generation route to binary16 numerics
 // with fp32 accumulation, rounding every GEMM weight through binary16 once.

@@ -285,7 +285,7 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 	}
 	pkv, err := newBlockKVCache(g.pool, g.Cfg.Layers, g.Cfg.Hidden, g.dec.fp16)
 	if err != nil {
-		ccr.release()
+		ccr.close()
 		return nil, err
 	}
 	s := &GenSession{
@@ -319,7 +319,7 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 	// to a fresh decode — the shared cross cache still skipped the encoder.
 	if entry.kv != nil && entry.kv.Len() == replay && replay > 0 {
 		if err := pkv.MapFrom(entry.kv, replay); err != nil {
-			ccr.release()
+			ccr.close()
 			pkv.Free()
 			return nil, err
 		}
@@ -347,7 +347,8 @@ func (g *Generator) Retire(s *GenSession) {
 	}
 	hitEos := len(s.toks) > 0 && s.toks[len(s.toks)-1] == TokEos
 	if g.prefix.insert(s.prompt, s.ccr, s.toks, hitEos, pkv) {
-		// Ownership moved to the cache entry.
+		// Ownership moved to the cache entry, which runs nothing.
+		s.ccr.park()
 		s.ccr, s.kv = nil, nil
 		return
 	}
@@ -361,7 +362,7 @@ func (s *GenSession) Close() {
 		s.kv = nil
 	}
 	if s.ccr != nil {
-		s.ccr.release()
+		s.ccr.close()
 		s.ccr = nil
 	}
 }
@@ -510,9 +511,9 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 		attention(sumCross)
 		projectNorm(ctx, lw.crossWo, lw.crossBo, lw.crossLnG, lw.crossLnB)
 
-		// Feed-forward network, batched.
-		batchedLinear(operand(x), mat(lw.ffnW1, lw.ffnB1), interBuf)
-		kernels.Act(g.Cfg.Act, interBuf)
+		// Feed-forward network, batched; bias and activation in one sweep.
+		batchedLinear(operand(x), mat(lw.ffnW1, nil), interBuf)
+		kernels.AddBiasAct(g.Cfg.Act, interBuf, lw.ffnB1.Data(), rows, inter)
 		roundInPlace(interBuf)
 		projectNorm(interBuf, lw.ffnW2, lw.ffnB2, lw.ffnLnG, lw.ffnLnB)
 	}

@@ -28,15 +28,15 @@ func stepBenchGenerator(tb testing.TB, paged, fp16 bool) *Generator {
 }
 
 // openStepSessions opens n sessions over distinct prompts — paged or
-// contiguous, whichever the generator runs — with a 16-row prompt memory and
-// the decoder's full budget, and steps them a few times so the decode
+// contiguous, whichever the generator runs — with a mem-row prompt memory and
+// a budget of maxNew tokens, and steps them a few times so the decode
 // workspace, the gather lists and the conversion scratch have reached their
 // steady-state sizes.
-func openStepSessions(tb testing.TB, g *Generator, n int) []*GenSession {
+func openStepSessions(tb testing.TB, g *Generator, n, mem, maxNew int) []*GenSession {
 	tb.Helper()
 	live := make([]*GenSession, n)
 	for i := range live {
-		live[i] = openScheduleSession(tb, g, g.Paged(), i, 16, g.Cfg.MaxTargetLen, 40)
+		live[i] = openScheduleSession(tb, g, g.Paged(), i, mem, maxNew, 40)
 	}
 	for warm := 0; warm < 4 && !anyDone(live); warm++ {
 		if _, err := g.Step(live); err != nil {
@@ -66,29 +66,47 @@ func closeAll(live []*GenSession) {
 // price contiguous KV against paged KV over the one decode path. The context
 // grows by one row per iteration, as it does in serving; when a session ends
 // the batch is reopened off the clock.
+//
+// Two shapes, because they price different things. contig/ and paged/ run a
+// 16-row prompt memory to the decoder's full 500-token budget: the mean
+// self-attention context is 250 rows, so on fp16 the decode of the binary16
+// self-KV dominates and the cross memory is invisible. ledger/ is the mix
+// behind the live benchmark's core.step_us_per_tok — paged, a 40-row prompt
+// memory, a 24-token budget: the cross memory is most of what a step reads,
+// and the fp16 ÷ fp32 ratio there is what generate-fp16 pays against
+// generate-unshared.
 func BenchmarkGeneratorStep(b *testing.B) {
+	cell := func(paged, fp16 bool, batch, mem, maxNew int) func(b *testing.B) {
+		return func(b *testing.B) {
+			g := stepBenchGenerator(b, paged, fp16)
+			live := openStepSessions(b, g, batch, mem, maxNew)
+			defer func() { closeAll(live) }()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if anyDone(live) {
+					b.StopTimer()
+					closeAll(live)
+					live = openStepSessions(b, g, batch, mem, maxNew)
+					b.StartTimer()
+				}
+				if _, err := g.Step(live); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	for _, layout := range []string{"contig", "paged"} {
 		for _, prec := range []string{"fp32", "fp16"} {
 			for _, batch := range []int{1, 4, 8} {
-				b.Run(fmt.Sprintf("%s/%s/b%d", layout, prec, batch), func(b *testing.B) {
-					g := stepBenchGenerator(b, layout == "paged", prec == "fp16")
-					live := openStepSessions(b, g, batch)
-					defer func() { closeAll(live) }()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if anyDone(live) {
-							b.StopTimer()
-							closeAll(live)
-							live = openStepSessions(b, g, batch)
-							b.StartTimer()
-						}
-						if _, err := g.Step(live); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+				b.Run(fmt.Sprintf("%s/%s/b%d", layout, prec, batch),
+					cell(layout == "paged", prec == "fp16", batch, 16, stepBenchConfig().MaxTargetLen))
 			}
+		}
+	}
+	for _, prec := range []string{"fp32", "fp16"} {
+		for _, batch := range []int{1, 8} {
+			b.Run(fmt.Sprintf("ledger/%s/b%d", prec, batch), cell(true, prec == "fp16", batch, 40, 24))
 		}
 	}
 }
@@ -97,9 +115,10 @@ func BenchmarkGeneratorStep(b *testing.B) {
 // either precision) allocates — measured by the loop below, which
 // testing.AllocsPerRun runs at GOMAXPROCS=1, so the count does not depend on
 // the machine. It was 69 until blas stopped allocating on one worker (a
-// closure per Gemm, an index table per grouped call); none of the 36 left is
-// in blas.
-const pagedStepAllocs = 36
+// closure per Gemm, an index table per grouped call) and 24 until the FFN's
+// bias and activation became one kernel call per layer; none of the 22 left
+// is in blas, the binary16 conversions or the cross memory's decoded view.
+const pagedStepAllocs = 22
 
 // TestStepF16AllocsNoMoreThanStep: a steady-state fp16 decode iteration must
 // not allocate more than the fp32 iteration over the same sessions — every
@@ -111,7 +130,7 @@ func TestStepF16AllocsNoMoreThanStep(t *testing.T) {
 	}
 	allocs := func(fp16 bool) float64 {
 		g := stepBenchGenerator(t, true, fp16)
-		live := openStepSessions(t, g, 4)
+		live := openStepSessions(t, g, 4, 16, g.Cfg.MaxTargetLen)
 		defer closeAll(live)
 		return testing.AllocsPerRun(12, func() {
 			if anyDone(live) {

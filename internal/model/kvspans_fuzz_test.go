@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/allocator"
@@ -26,14 +27,34 @@ func spanWords(v kernels.KVSpans, T, hidden int) []uint32 {
 	return out
 }
 
+// attendSpans runs the decode-attention kernel for one session over T rows of
+// the given views with a fixed query, and returns the context's bit patterns.
+func attendSpans(keys, vals kernels.KVSpans, T, hidden int) []uint32 {
+	const heads = 2
+	q := make([]float32, hidden)
+	for j := range q {
+		q[j] = float32(j+1) * 0.25
+	}
+	ctx := make([]float32, hidden)
+	var ws kernels.DecodeWorkspace
+	ws.Attention(q, []kernels.KVSpans{keys}, []kernels.KVSpans{vals}, []int{T}, heads, hidden/heads, 0.5, make([]float32, heads*T), ctx)
+	out := make([]uint32, hidden)
+	for j, v := range ctx {
+		out[j] = math.Float32bits(v)
+	}
+	return out
+}
+
 // FuzzKVSpansEquivalence drives a random op sequence — append+advance, open,
 // MapFrom a prefix of another cache (so later appends copy-on-write a shared
 // tail, on either holder), free — against paged BlockKVCaches and a shadow
 // contiguous KVCache per paged cache, at both precisions. After every op the
 // rows read back through the two stores' span views must be word-for-word
 // equal (the view is the only thing the decode path sees, so this is "paged ≡
-// contiguous" at the storage level), and at the end every pool block and
-// both device KV gauges must be back at zero.
+// contiguous" at the storage level), on binary16 the kernel must compute the
+// same context from the contiguous rows' decoded view as from the paged
+// spans decoded at access, and at the end every pool block and both device
+// KV gauges must be back at zero.
 func FuzzKVSpansEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, false)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x41, 3, 0, 0, 0x81, 0, 0x41, 9, 0, 4, 0xc0, 0, 4, 4}, true)
@@ -112,6 +133,16 @@ func FuzzKVSpansEquivalence(f *testing.F) {
 				for l := 0; l < layers; l++ {
 					pk, pv := c.paged.Spans(l)
 					sk, sv := c.shadow.Spans(l)
+					if T := c.paged.Len(); half && T > 0 {
+						// The view arm: the same rows as one span carrying its
+						// decoded view, against the paged spans decoded at
+						// access, through the one kernel.
+						vk, vv := sk.Flatten(T, hidden), sv.Flatten(T, hidden)
+						vk.View, vv.View = vk.Decoded(T, hidden), vv.Decoded(T, hidden)
+						if got, want := attendSpans(vk, vv, T, hidden), attendSpans(pk, pv, T, hidden); !reflect.DeepEqual(got, want) {
+							t.Fatalf("op %d layer %d: attention over the decoded view %x, over paged spans decoded at access %x", i/2, l, got, want)
+						}
+					}
 					for _, cmp := range [2][2]kernels.KVSpans{{pk, sk}, {pv, sv}} {
 						got, want := spanWords(cmp[0], c.paged.Len(), hidden), spanWords(cmp[1], c.paged.Len(), hidden)
 						if len(got) != len(want) {

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/allocator"
+	"repro/internal/kernels"
 )
 
 // ccRef is a reference-counted, device-accounted handle on a crossCache.
@@ -15,23 +16,38 @@ import (
 // accounted here and the decode grant accounted in the KV cache, the
 // device's KV-reserved gauge equals the continuous scheduler's
 // ReservedTokens (PromptLen + MaxNew) in bytes.
+//
+// On the binary16 route the handle also owns the cache's decoded view. The
+// cross memory never changes, yet every step of every session on it would
+// decode it again (K and V, every layer), so the sessions that are RUNNING
+// on it — holders that step, as against the prefix cache's parked entry —
+// share one fp32 expansion: there from the first running holder (kept from
+// the projection on a fresh prompt, one decode on a prefix hit or an import)
+// until the last one closes, retires, is preempted or exported. It is decode
+// scratch, not KV: charged to the device as an allocation of its own, absent
+// from the KV gauges and from every SessionSnapshot.
 type ccRef struct {
 	cc    *crossCache
 	dev   *allocator.Device
 	bytes int64
 
-	mu   sync.Mutex
-	refs int
+	mu      sync.Mutex
+	refs    int
+	running int               // holders that are running sessions
+	view    *allocator.Buffer // the decoded view's device charge; nil while nothing runs, and on fp32
 }
 
-// newCCRef wraps cc, charging its footprint to the device KV gauges.
+// newCCRef wraps cc for the running session that opens it, charging its
+// footprint to the device KV gauges.
 func newCCRef(dev *allocator.Device, cc *crossCache) *ccRef {
-	r := &ccRef{cc: cc, dev: dev, bytes: cc.bytes(), refs: 1}
+	r := &ccRef{cc: cc, dev: dev, bytes: cc.bytes(), refs: 1, running: 1}
 	dev.AddKVReserved(r.bytes)
 	dev.AddKVUsed(r.bytes)
+	r.raiseView()
 	return r
 }
 
+// retain takes a reference for one more running session.
 func (r *ccRef) retain() *ccRef {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -39,9 +55,38 @@ func (r *ccRef) retain() *ccRef {
 		panic("model: retain of a released cross cache")
 	}
 	r.refs++
+	r.running++
+	r.raiseView()
 	return r
 }
 
+// park is a running session's end: its reference lives on (as the prefix
+// cache's, or until the release that follows), but it steps no more, and the
+// decoded view goes with the last session that did.
+func (r *ccRef) park() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.running < 1 {
+		panic("model: cross cache parked more often than run")
+	}
+	r.running--
+	if r.running > 0 || r.view == nil {
+		return
+	}
+	for l := range r.cc.k {
+		r.cc.k[l].View, r.cc.v[l].View = nil, nil
+	}
+	r.dev.Free(r.view)
+	r.view = nil
+}
+
+// close is a running session letting go altogether.
+func (r *ccRef) close() {
+	r.park()
+	r.release()
+}
+
+// release drops a parked reference.
 func (r *ccRef) release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -53,6 +98,25 @@ func (r *ccRef) release() {
 		r.dev.AddKVReserved(-r.bytes)
 		r.dev.AddKVUsed(-r.bytes)
 	}
+}
+
+// raiseView makes sure a binary16 cache with a running holder carries its
+// decoded view and the device is charged for it. newCrossCache leaves the
+// view behind; a cache that was parked or imported gets it by one decode of
+// each span. Called with mu held (or before r is shared).
+func (r *ccRef) raiseView() {
+	cc := r.cc
+	if !cc.half() || r.view != nil {
+		return
+	}
+	for l := range cc.k {
+		for _, s := range []*kernels.KVSpans{&cc.k[l], &cc.v[l]} {
+			if s.View == nil {
+				s.View = s.Decoded(cc.srcLen, cc.hidden)
+			}
+		}
+	}
+	r.view = r.dev.Malloc(2 * r.bytes) // fp32 for binary16, element for element
 }
 
 // hashPrompt is FNV-1a over the prompt's token IDs. The encoder is

@@ -98,22 +98,35 @@ const (
 )
 
 // RoundF16Into writes src rounded through binary16 into dst (which may be
-// src itself): dst[i] = F16BitsToF32(F32ToF16Bits(src[i])) bit for bit, but
-// without materialising the half. This is the fp16 route's one conversion:
-// a value rounds once where it is produced and every GEMM that consumes it
-// runs the plain fp32 kernels on the result.
+// src itself, and must otherwise not overlap it): dst[i] =
+// F16BitsToF32(F32ToF16Bits(src[i])) bit for bit, but without materialising
+// the half. This is the fp16 route's one conversion: a value rounds once where
+// it is produced and every GEMM that consumes it runs the plain fp32 kernels
+// on the result.
 //
 // In the normal half range the rounding is round-to-nearest-even on the 13
 // dropped mantissa bits, done on the float32 bits (a carry out of the
 // mantissa bumps the exponent, which is still the right answer below
 // 65520). Below 2⁻¹⁴ the half is denormal, a multiple of 2⁻²⁴; adding 0.5
 // lands the value in [0.5, 1), where float32's own ulp is 2⁻²⁴, so the FPU's
-// round-to-nearest-even does the work and subtracting 0.5 is exact. Only
-// NaN, ±Inf and magnitudes that round to ±Inf take the codec.
+// round-to-nearest-even does the work and subtracting 0.5 is exact. From
+// 65520 up the result is ±Inf, and a NaN is the quiet NaN of its sign.
+//
+// Whole groups of four go through roundF16Lanes (SSE2 on amd64, roundF16Go
+// everywhere else and under -tags purego), the last len mod 4 elements
+// through roundF16Go; the build constraint is the only fork.
 func RoundF16Into(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: RoundF16Into length mismatch")
 	}
+	n := len(src) &^ 3
+	roundF16Lanes(dst[:n], src[:n])
+	roundF16Go(dst[n:], src[n:])
+}
+
+// roundF16Go is RoundF16Into an element at a time: what roundF16Lanes is held
+// to, bit for bit.
+func roundF16Go(dst, src []float32) {
 	for i, v := range src {
 		u := math.Float32bits(v)
 		sign, abs := u&0x80000000, u&0x7fffffff
@@ -160,11 +173,19 @@ func f16Table() []float32 {
 
 // EncodeF16Slice rounds src through binary16 and stores the bit patterns in
 // dst (round-to-nearest-even, the Tensor Core load conversion). dst and src
-// must have equal length.
+// must have equal length. Split over encodeF16Lanes and encodeF16Go the way
+// RoundF16Into is.
 func EncodeF16Slice(dst []uint16, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: EncodeF16Slice length mismatch")
 	}
+	n := len(src) &^ 3
+	encodeF16Lanes(dst[:n], src[:n])
+	encodeF16Go(dst[n:], src[n:])
+}
+
+// encodeF16Go is EncodeF16Slice an element at a time.
+func encodeF16Go(dst []uint16, src []float32) {
 	for i, v := range src {
 		dst[i] = F32ToF16Bits(v)
 	}
@@ -173,7 +194,11 @@ func EncodeF16Slice(dst []uint16, src []float32) {
 // DecodeF16Slice expands binary16 bit patterns into float32 values. Because
 // every binary16 value is exactly representable in float32,
 // DecodeF16Slice∘EncodeF16Slice equals RoundSliceF16 bit for bit — the
-// identity the fp16 GEMM route's bit-exactness tests pin.
+// identity the fp16 GEMM route's bit-exactness tests pin. Unlike the two
+// conversions above it has no lanes: a look-up in the warm table is one load
+// per element, and the shortest exact four-lane SSE2 sequence was measured
+// nearly twice as slow (DESIGN.md §2d; BenchmarkDecodeF16Slice keeps the
+// number re-checkable).
 func DecodeF16Slice(dst []float32, src []uint16) {
 	if len(dst) != len(src) {
 		panic("tensor: DecodeF16Slice length mismatch")

@@ -123,25 +123,3 @@ func TestRoundedF16Tensor(t *testing.T) {
 		t.Fatal("RoundedF16 must not mutate the source")
 	}
 }
-
-// BenchmarkRoundSliceF16 times the fp16 route's one conversion on an
-// activation-like mix: mostly normal-range values, a tail of small
-// probabilities that land in the half-denormal range, and exact zeros.
-func BenchmarkRoundSliceF16(b *testing.B) {
-	src := RandN(5, 1, 1<<14).Data()
-	for i := range src {
-		switch i % 8 {
-		case 6:
-			src[i] *= 1e-6 // denormal as a half
-		case 7:
-			src[i] = 0
-		}
-	}
-	dst := make([]float32, len(src))
-	b.ReportAllocs()
-	b.SetBytes(int64(4 * len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RoundF16Into(dst, src)
-	}
-}
