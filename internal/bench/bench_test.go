@@ -37,10 +37,18 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// experimentOutputs holds each experiment's output for the life of the test
+// binary: the golden test and the per-artefact tests below read the same
+// run instead of paying for the serving simulations twice.
+var experimentOutputs = map[string]string{}
+
 // Run each experiment and sanity-check its output. The serving experiments
 // are the slowest; they get their own tests below so -short can skip them.
 func runExperiment(t *testing.T, id string) string {
 	t.Helper()
+	if out, ok := experimentOutputs[id]; ok {
+		return out
+	}
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
@@ -53,6 +61,7 @@ func runExperiment(t *testing.T, id string) string {
 	if len(out) < 100 {
 		t.Fatalf("%s output suspiciously short:\n%s", id, out)
 	}
+	experimentOutputs[id] = out
 	return out
 }
 
