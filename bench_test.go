@@ -46,10 +46,6 @@ func BenchmarkTable5ServingLatencyTC(b *testing.B)   { benchExperiment(b, "table
 // variable-length comparison (the zero-padding execution path).
 func BenchmarkVarLengthPackedEncoder(b *testing.B) { benchExperiment(b, "var-length") }
 
-// BenchmarkGenDecodeRagged regenerates the grouped-vs-per-row ragged decode
-// comparison (decode-step wall-clock vs batch size).
-func BenchmarkGenDecodeRagged(b *testing.B) { benchExperiment(b, "gen-decode") }
-
 // Extras the paper describes in prose (§4.2 motivation, §4.2 alternatives,
 // §5 multi-server balancing).
 func BenchmarkExtraAllocStall(b *testing.B)    { benchExperiment(b, "extra-allocstall") }

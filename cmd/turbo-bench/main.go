@@ -22,7 +22,7 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	out := flag.String("out", "", "output file (default: stdout)")
-	jsonOut := flag.String("json", "", "also write the key metrics of the executed experiments as machine-readable JSON (the BENCH_*.json artefact)")
+	jsonOut := flag.String("json", "", "also write the key metrics of the executed modeled experiments as machine-readable JSON")
 	flag.Parse()
 
 	if *list {

@@ -1,8 +1,15 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§6). Each experiment is a named runner that prints the same
 // rows/series the paper reports; cmd/turbo-bench and the repository-root
-// benchmarks both dispatch through this registry. EXPERIMENTS.md records
-// paper-vs-measured values for each ID.
+// benchmarks both dispatch through this registry.
+//
+// An experiment is one of two kinds. A modeled one (cudasim / perf /
+// simclock / servingsim) is a pure function of its constants: its output is
+// committed as testdata/<id>.txt — the paper-vs-measured record for that
+// ID — and TestModeledGoldens compares it byte for byte. A Live one runs
+// real engines against the wall clock: it prints what it measured, carries
+// no PASS/FAIL on a timing, records no metric, and no test asserts on its
+// timings. Live numbers that gate anything come from cmd/turbo-ledger.
 package bench
 
 import (
@@ -21,6 +28,10 @@ type Experiment struct {
 	Title string
 	// Paper summarises the paper's reported result for comparison.
 	Paper string
+	// Live marks an experiment that reads the wall clock, so its output
+	// differs run to run; every other experiment is modeled and has a
+	// golden file under testdata/.
+	Live bool
 	// Run writes the regenerated rows/series to w.
 	Run func(w io.Writer) error
 }
@@ -45,8 +56,8 @@ func artefactOrder(id string) int {
 		"table1": 1, "table2": 2, "fig5": 3, "fig6": 4, "fig7": 5, "fig8": 6,
 		"fig9": 7, "fig10": 8, "fig11": 9, "fig12": 10, "fig13": 11,
 		"fig14": 12, "fig15": 13, "table4": 14, "fig16": 15, "table5": 16,
-		"gen-serving": 17, "var-length": 18, "gen-decode": 19, "replica-routing": 20,
-		"prefix-cache": 21, "fp16-path": 22, "disagg-routing": 23, "autoscale": 24,
+		"gen-serving": 17, "var-length": 18, "replica-routing": 19,
+		"prefix-cache": 20, "fp16-path": 21, "disagg-routing": 22, "autoscale": 23,
 	}
 	if o, ok := order[id]; ok {
 		return o

@@ -10,7 +10,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "table4", "fig16", "table5",
-		"gen-serving", "var-length", "gen-decode", "replica-routing",
+		"gen-serving", "var-length", "replica-routing",
 		"prefix-cache", "fp16-path", "disagg-routing", "autoscale",
 		"extra-allocstall", "extra-chunkablation", "extra-cluster",
 	}
@@ -111,6 +111,9 @@ func TestFig13(t *testing.T) { runExperiment(t, "fig13") }
 func TestFig14(t *testing.T) { runExperiment(t, "fig14") }
 
 func TestFig8ShowsImprovement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig8 warms a 500-token cost dictionary; skipped in -short mode")
+	}
 	out := runExperiment(t, "fig8")
 	if !strings.Contains(out, "paper's example") || !strings.Contains(out, "stretched spread") {
 		t.Fatal("fig8 missing scenarios")

@@ -22,8 +22,7 @@ func init() {
 	})
 }
 
-// autoscaleParams sizes the experiment; the smoke test runs a tiny variant
-// so CI exercises the wiring without the full trace.
+// autoscaleParams sizes the experiment.
 type autoscaleParams struct {
 	min, max int // autoscaler bounds; fixed baselines sweep 1..max
 
@@ -90,10 +89,7 @@ func autoscaleCfg(p autoscaleParams, fixed int) servingsim.Config {
 }
 
 func runAutoscale(w io.Writer) error {
-	return runAutoscaleWith(w, defaultAutoscaleParams())
-}
-
-func runAutoscaleWith(w io.Writer, p autoscaleParams) error {
+	p := defaultAutoscaleParams()
 	fmt.Fprintf(w, "autoscale: flash crowd %g→%g req/s at t=%gs (ramp %gs, hold %gs), deadline %gms, horizon %gs, virtual clock\n",
 		p.base, p.peak, p.crowdAt, p.rampUp, p.hold, p.deadlineSec*1e3, p.duration)
 

@@ -23,68 +23,58 @@ func init() {
 	})
 }
 
-// fp16PathParams sizes the experiment; the smoke test runs a tiny variant.
-type fp16PathParams struct {
-	gen       genDecodeParams // decode loop geometry (shared with gen-decode)
-	tolBatch  int             // ragged batch size for the encoder tolerance sweep
-	tolTrials int
+// The experiment's geometry: a 3-layer decoder over mixed-length prompts,
+// decoded fp16Warm+fp16Steps iterations deep.
+const (
+	fp16Hidden, fp16Heads, fp16Inter, fp16Layers, fp16Vocab = 192, 6, 768, 3, 512
+	fp16PromptLo, fp16PromptHi                              = 8, 56
+	fp16Warm, fp16Steps                                     = 8, 24
+	fp16TolBatch, fp16TolTrials                             = 4, 4
+)
+
+var fp16Batches = []int{1, 2, 4, 8}
+
+func fp16Configs() (encCfg, decCfg model.Config) {
+	encCfg = model.BertBase().Scaled(fp16Hidden, fp16Heads, fp16Inter, fp16Layers)
+	decCfg = model.Seq2SeqDecoder().Scaled(fp16Hidden, fp16Heads, fp16Inter, fp16Layers)
+	encCfg.Vocab, decCfg.Vocab = fp16Vocab, fp16Vocab
+	decCfg.MaxTargetLen = fp16Warm + fp16Steps + 16
+	return encCfg, decCfg
 }
 
-func defaultFP16PathParams() fp16PathParams {
-	return fp16PathParams{gen: defaultGenDecodeParams(), tolBatch: 4, tolTrials: 4}
-}
-
-// fp16DecodeMeasure runs the constant-occupancy decode loop under fp32 and
-// fp16 engine options with their timed reps interleaved (fp32, fp16,
-// fp32, …) so host noise hits both alike; returns best-of-reps per-token
-// seconds for each, plus the fp16 engine's fused-launch count.
-func fp16DecodeMeasure(p genDecodeParams, batch int) (fp32Tok, fp16Tok float64, fused int64, err error) {
-	m32, err := newGenDecodeModeOpts(p, batch, core.Options{Seed: 17}, false)
+// fp16DecodeFusedLaunches opens batch sessions over mixed-length prompts in
+// one packed prefill pass on the fp16 engine, decodes them steps iterations
+// (finished sessions drop out), and returns the engine's fused-launch count
+// — a function of the token streams, so the same on every run.
+func fp16DecodeFusedLaunches(encCfg, decCfg model.Config, batch, steps int) (int64, error) {
+	engine, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 17, FP16: true})
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
-	defer m32.close()
-	m16, err := newGenDecodeModeOpts(p, batch, core.Options{Seed: 17, FP16: true}, false)
+	defer engine.Close()
+	rng := rand.New(rand.NewSource(53))
+	ids := make([]int64, batch)
+	prompts := make([][]int, batch)
+	for i := range prompts {
+		ids[i] = int64(i)
+		prompts[i] = make([]int, fp16PromptLo+rng.Intn(fp16PromptHi-fp16PromptLo))
+		for j := range prompts[i] {
+			prompts[i][j] = 3 + rng.Intn(encCfg.Vocab-3)
+		}
+	}
+	sessions, err := engine.StartSessions(ids, prompts, []int{decCfg.MaxTargetLen})
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
-	defer m16.close()
-	for i := 0; i < p.warm; i++ {
-		if err := m32.step(); err != nil {
-			return 0, 0, 0, err
+	defer func() {
+		for _, s := range sessions {
+			s.Close()
 		}
-		if err := m16.step(); err != nil {
-			return 0, 0, 0, err
-		}
+	}()
+	if err := stepLive(engine, sessions, steps); err != nil {
+		return 0, err
 	}
-	timeReps := func(m *genDecodeMode) (float64, error) {
-		start := liveNow()
-		for i := 0; i < p.steps; i++ {
-			if err := m.step(); err != nil {
-				return 0, err
-			}
-		}
-		return liveSince(start).Seconds(), nil
-	}
-	var best32, best16 float64
-	for r := 0; r < p.reps; r++ {
-		s32, err := timeReps(m32)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		s16, err := timeReps(m16)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if r == 0 || s32 < best32 {
-			best32 = s32
-		}
-		if r == 0 || s16 < best16 {
-			best16 = s16
-		}
-	}
-	perTok := float64(p.steps * batch)
-	return best32 / perTok, best16 / perTok, m16.engine.FusedLaunches(), nil
+	return engine.FusedLaunches(), nil
 }
 
 // fp16ModeledStep prices one batched decode step on the device model: every
@@ -96,21 +86,21 @@ func fp16DecodeMeasure(p genDecodeParams, batch int) (fp32Tok, fp16Tok float64, 
 // profile the fused launch chains collapse each attention core's three
 // launches (scores GEMM, softmax, PV GEMM) into one, so the fp16 total is
 // priced with 2 fewer launches per attention core.
-func fp16ModeledStep(est *perf.Estimator, p perf.Profile, cfg model.Config, batch, selfT, srcLen int, chains bool) (gemmBody, total time.Duration) {
+func fp16ModeledStep(p perf.Profile, cfg model.Config, batch, selfT, srcLen int, chains bool) (gemmBody, total time.Duration) {
 	h, heads, hd, inter := cfg.Hidden, cfg.Heads, cfg.HeadDim(), cfg.Inter
 	launch := p.LaunchOverhead
 	var bodies, reductions time.Duration
 	launches := 0
 	gemm := func(batchCount, m, n, k int) {
-		bodies += est.GemmTime(p, batchCount, m, n, k) - launch
+		bodies += rtx2060.GemmTime(p, batchCount, m, n, k) - launch
 		launches++
 	}
 	softmax := func(rows, cols int) {
-		reductions += est.SoftmaxTime(p, rows, cols) - launch
+		reductions += rtx2060.SoftmaxTime(p, rows, cols) - launch
 		launches++
 	}
 	layernorm := func(rows, cols int) {
-		reductions += est.LayerNormTime(p, rows, cols) - launch
+		reductions += rtx2060.LayerNormTime(p, rows, cols) - launch
 		launches++
 	}
 	attention := func(T int) {
@@ -145,57 +135,39 @@ func fp16ModeledStep(est *perf.Estimator, p perf.Profile, cfg model.Config, batc
 }
 
 func runFP16Path(w io.Writer) error {
-	return runFP16PathWith(w, defaultFP16PathParams())
-}
-
-func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
-	p := fp.gen
-	_, decCfg := genDecodeConfigs(p)
-	est := perf.NewEstimator(perf.RTX2060())
+	encCfg, decCfg := fp16Configs()
 	pro32, pro16 := perf.Turbo(), perf.TurboTC()
 
-	// --- 1. Decode per-token cost: measured CPU loop + device model -----
-	fmt.Fprintf(w, "decoder %s (hidden %d, %d layers, vocab %d), prompts %d–%d tokens, %d timed steps (best of %d):\n",
-		decCfg.Name, decCfg.Hidden, decCfg.Layers, decCfg.Vocab, p.promptLo, p.promptHi, p.steps, p.reps)
-	avgPrompt := (p.promptLo + p.promptHi) / 2
-	selfT := avgPrompt + p.warm + p.steps/2 // representative decode depth
+	// --- 1. Decode per-token cost on the device model --------------------
+	avgPrompt := (fp16PromptLo + fp16PromptHi) / 2
+	selfT := avgPrompt + fp16Warm + fp16Steps/2 // representative decode depth
+	fmt.Fprintf(w, "decoder %s (hidden %d, %d layers, vocab %d), prompts %d–%d tokens\n",
+		decCfg.Name, decCfg.Hidden, decCfg.Layers, decCfg.Vocab, fp16PromptLo, fp16PromptHi)
 	fmt.Fprintf(w, "device model: RTX 2060, GEMM bodies priced at context %d, source %d (launches listed separately)\n",
 		selfT, avgPrompt)
 
 	t := newTable(w)
-	t.row("batch", "cpu fp32 µs/tok", "cpu fp16 µs/tok", "cpu ratio",
-		"gemm fp32 µs/tok", "gemm fp16 µs/tok", "gemm speedup", "step speedup")
-	us := func(s float64) string { return fmt.Sprintf("%.1f", s*1e6) }
+	t.row("batch", "gemm fp32 µs/tok", "gemm fp16 µs/tok", "gemm speedup", "step speedup")
 	usd := func(d time.Duration, batch int) string {
 		return fmt.Sprintf("%.2f", float64(d.Nanoseconds())/1e3/float64(batch))
 	}
 	var gemmGate float64
 	gateBatch := 0
-	var lastFused int64
-	for _, b := range p.batches {
-		cpu32, cpu16, fused, err := fp16DecodeMeasure(p, b)
-		if err != nil {
-			return err
-		}
-		lastFused = fused
-		g32, s32 := fp16ModeledStep(est, pro32, decCfg, b, selfT, avgPrompt, false)
-		g16, s16 := fp16ModeledStep(est, pro16, decCfg, b, selfT, avgPrompt, true)
+	for _, b := range fp16Batches {
+		g32, s32 := fp16ModeledStep(pro32, decCfg, b, selfT, avgPrompt, false)
+		g16, s16 := fp16ModeledStep(pro16, decCfg, b, selfT, avgPrompt, true)
 		gemmSpeed := float64(g32) / float64(g16)
 		if b >= 4 && (gateBatch == 0 || gemmSpeed < gemmGate) {
 			gateBatch, gemmGate = b, gemmSpeed
 		}
-		t.row(b, us(cpu32), us(cpu16), fmt.Sprintf("%.2fx", cpu32/cpu16),
-			usd(g32, b), usd(g16, b), fmt.Sprintf("%.2fx", gemmSpeed),
+		t.row(b, usd(g32, b), usd(g16, b), fmt.Sprintf("%.2fx", gemmSpeed),
 			fmt.Sprintf("%.2fx", float64(s32)/float64(s16)))
-		RecordMetric("fp16-path", fmt.Sprintf("decode/cpu_us_per_tok_fp32/b%d", b), cpu32*1e6)
-		RecordMetric("fp16-path", fmt.Sprintf("decode/cpu_us_per_tok_fp16/b%d", b), cpu16*1e6)
 		RecordMetric("fp16-path", fmt.Sprintf("decode/modeled_gemm_speedup/b%d", b), gemmSpeed)
 		RecordMetric("fp16-path", fmt.Sprintf("decode/modeled_step_speedup/b%d", b), float64(s32)/float64(s16))
 	}
 	t.flush()
-	fmt.Fprintln(w, "(cpu columns are the pure-Go emulation — fp16 there runs the fp32 kernels on operands rounded")
-	fmt.Fprintln(w, " once, plus a decode of the binary16 KV at each access, so it can only approach fp32;")
-	fmt.Fprintln(w, " the gemm columns are the tensor-core device model the fp16 claim is priced on)")
+	fmt.Fprintln(w, "(device model only; the live fp32-vs-fp16 µs/token is cmd/turbo-ledger's generate-unshared /")
+	fmt.Fprintln(w, " generate-fp16 pair, core.step_us_per_tok.b1/b4/b8)")
 
 	gateStatus := "PASS"
 	if gateBatch == 0 || gemmGate < 1.999 {
@@ -205,41 +177,7 @@ func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
 		gemmGate, gateBatch, gateStatus)
 	RecordMetric("fp16-path", "decode/modeled_gemm_speedup_gate", gemmGate)
 
-	// --- 2. Oracle: fp16 grouped vs per-row token streams ---------------
-	bigBatch := p.batches[len(p.batches)-1]
-	mg, err := newGenDecodeModeOpts(p, bigBatch, core.Options{Seed: 17, FP16: true}, false)
-	if err != nil {
-		return err
-	}
-	defer mg.close()
-	mo, err := newGenDecodeModeOpts(p, bigBatch, core.Options{Seed: 17, FP16: true}, true)
-	if err != nil {
-		return err
-	}
-	defer mo.close()
-	for i := 0; i < p.warm+p.steps; i++ {
-		if err := mg.step(); err != nil {
-			return err
-		}
-		if err := mo.step(); err != nil {
-			return err
-		}
-	}
-	oracle := "bit-identical"
-	if len(mg.stream) != len(mo.stream) {
-		oracle = "DIVERGED (stream lengths differ)"
-	} else {
-		for i := range mg.stream {
-			if mg.stream[i] != mo.stream[i] {
-				oracle = fmt.Sprintf("DIVERGED at token %d", i)
-				break
-			}
-		}
-	}
-	fmt.Fprintf(w, "fp16 grouped vs per-row oracle at batch %d: %s\n", bigBatch, oracle)
-
-	// --- 3. KV accounting: bytes/token halved, block capacity doubled ---
-	encCfg, _ := genDecodeConfigs(p)
+	// --- 2. KV accounting: bytes/token halved, block capacity doubled ---
 	kvBytes := func(fp16 bool) (int64, error) {
 		e, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 17, FP16: fp16})
 		if err != nil {
@@ -323,18 +261,18 @@ func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
 	RecordMetric("fp16-path", "kv/sessions_fp32", float64(n32))
 	RecordMetric("fp16-path", "kv/sessions_fp16", float64(n16))
 
-	// --- 4. Encoder fused chains: predicted vs measured ------------------
+	// --- 3. Encoder fused chains: predicted vs measured ------------------
 	lcfg := graph.LayerConfig{Hidden: encCfg.Hidden, Heads: encCfg.Heads, Inter: encCfg.Inter}
 	fusedOps := graph.NewEncoderLayerFused(lcfg).NumOps()
 	chainOps := graph.NewEncoderLayerFusedChains(lcfg).NumOps()
 	saved := fusedOps - chainOps
-	lens := make([]int, fp.tolBatch)
+	lens := make([]int, fp16TolBatch)
 	rng := rand.New(rand.NewSource(41))
 	for i := range lens {
-		lens[i] = p.promptLo + rng.Intn(p.promptHi-p.promptLo+1)
+		lens[i] = fp16PromptLo + rng.Intn(fp16PromptHi-fp16PromptLo+1)
 	}
-	smPacked := est.SoftmaxPackedTime(pro32, lens, encCfg.Heads)
-	lnPacked := est.LayerNormPackedTime(pro32, lens, encCfg.Hidden)
+	smPacked := rtx2060.SoftmaxPackedTime(pro32, lens, encCfg.Heads)
+	lnPacked := rtx2060.LayerNormPackedTime(pro32, lens, encCfg.Hidden)
 	predicted := time.Duration(saved)*pro32.LaunchOverhead*time.Duration(encCfg.Layers) +
 		time.Duration(encCfg.Layers)*(smPacked+lnPacked)
 	fmt.Fprintf(w, "\nfused launch chains: %d → %d ops/layer (%d launches fused away per layer)\n", fusedOps, chainOps, saved)
@@ -350,7 +288,7 @@ func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
 		return err
 	}
 	maxRel := 0.0
-	for trial := 0; trial < fp.tolTrials; trial++ {
+	for trial := 0; trial < fp16TolTrials; trial++ {
 		toks := make([][]int, len(lens))
 		for i, n := range lens {
 			row := make([]int, n)
@@ -379,16 +317,20 @@ func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
 		}
 	}
 	measured := e16.FusedLaunches()
+	decodeFused, err := fp16DecodeFusedLaunches(encCfg, decCfg, fp16Batches[len(fp16Batches)-1], fp16Warm+fp16Steps)
+	if err != nil {
+		return err
+	}
 	chainStatus := "PASS"
-	if !e16.FP16Enabled() || measured == 0 || lastFused == 0 {
+	if !e16.FP16Enabled() || measured == 0 || decodeFused == 0 {
 		chainStatus = "FAIL"
 	}
 	fmt.Fprintf(w, "measured fused launches: encoder %d over %d packed runs, decode loop %d (both must be >0): → %s\n",
-		measured, fp.tolTrials, lastFused, chainStatus)
+		measured, fp16TolTrials, decodeFused, chainStatus)
 	RecordMetric("fp16-path", "chains/encoder_fused_launches", float64(measured))
-	RecordMetric("fp16-path", "chains/decode_fused_launches", float64(lastFused))
+	RecordMetric("fp16-path", "chains/decode_fused_launches", float64(decodeFused))
 
-	// --- 5. Tolerance vs fp32 --------------------------------------------
+	// --- 4. Tolerance vs fp32 --------------------------------------------
 	tolStatus := "PASS"
 	if maxRel > 2e-2 || maxRel == 0 {
 		tolStatus = "FAIL"

@@ -36,7 +36,6 @@ var defaultGenWorkload = genWorkload{promptLo: 8, promptHi: 64, newLo: 8, newHi:
 // over a ragged batch: row-batched projections plus per-row attention over
 // each row's own context.
 func genCosts(decCfg, encCfg model.Config) (servingsim.GenStepCost, func(int) time.Duration) {
-	est := perf.NewEstimator(perf.RTX2060())
 	p := perf.Turbo()
 	h, heads, hd, inter := decCfg.Hidden, decCfg.Heads, decCfg.HeadDim(), decCfg.Inter
 
@@ -49,22 +48,22 @@ func genCosts(decCfg, encCfg model.Config) (servingsim.GenStepCost, func(int) ti
 		// context width.
 		var attn time.Duration
 		for _, c := range ctxs {
-			one := est.GemmTime(p, heads, 1, c, hd) +
-				est.SoftmaxTime(p, heads, c) +
-				est.GemmTime(p, heads, 1, hd, c)
+			one := rtx2060.GemmTime(p, heads, 1, c, hd) +
+				rtx2060.SoftmaxTime(p, heads, c) +
+				rtx2060.GemmTime(p, heads, 1, hd, c)
 			attn += 2 * one
 		}
-		perLayer := est.GemmTime(p, 1, rows, 3*h, h) + // fused QKV
-			3*est.GemmTime(p, 1, rows, h, h) + // self out, cross Q, cross out
-			est.GemmTime(p, 1, rows, inter, h) +
-			est.GemmTime(p, 1, rows, h, inter) +
+		perLayer := rtx2060.GemmTime(p, 1, rows, 3*h, h) + // fused QKV
+			3*rtx2060.GemmTime(p, 1, rows, h, h) + // self out, cross Q, cross out
+			rtx2060.GemmTime(p, 1, rows, inter, h) +
+			rtx2060.GemmTime(p, 1, rows, h, inter) +
 			attn +
-			3*est.LayerNormTime(p, rows, h)
+			3*rtx2060.LayerNormTime(p, rows, h)
 		return time.Duration(decCfg.Layers)*perLayer +
-			est.GemmTime(p, 1, rows, decCfg.Vocab, h)
+			rtx2060.GemmTime(p, 1, rows, decCfg.Vocab, h)
 	}
 	prefillCost := func(promptLen int) time.Duration {
-		return est.BatchCost(p, encCfg, promptLen, 1)
+		return rtx2060.BatchCost(p, encCfg, promptLen, 1)
 	}
 	return step, prefillCost
 }

@@ -44,6 +44,7 @@ func init() {
 		ID:    "fig13",
 		Title: "Offset-scheduling (Algorithm 1) overhead vs inference latency",
 		Paper: "0.07–5.77%%, average 1.8%%",
+		Live:  true, // times the real Algorithm 1 planner
 		Run:   runFig13,
 	})
 }
@@ -188,7 +189,6 @@ func runFig12(w io.Writer) error {
 }
 
 func runFig13(w io.Writer) error {
-	est := perf.NewEstimator(perf.RTX2060())
 	turbo := allocator.NewTurbo(allocator.NewDevice())
 	profile := perf.Turbo()
 	cfg := model.BertBase()
@@ -210,7 +210,7 @@ func runFig13(w io.Writer) error {
 
 		// One plan serves all 12 layers (the repeated-structure trick), so
 		// the overhead denominator is the full-model latency.
-		inference := est.EncoderLatency(profile, cfg, 1, seq)
+		inference := rtx2060.EncoderLatency(profile, cfg, 1, seq)
 		overhead := 100 * float64(planTime) / float64(inference)
 		sum += overhead
 		if overhead > worst {

@@ -39,7 +39,6 @@ func init() {
 }
 
 func runFig7(w io.Writer) error {
-	est := perf.NewEstimator(perf.RTX2060())
 	cfg := model.BertBase()
 	p := perf.Turbo()
 	t := newTable(w)
@@ -52,7 +51,7 @@ func runFig7(w io.Writer) error {
 	for b := 1; b <= 15; b++ {
 		row := []interface{}{b}
 		for _, s := range seqs {
-			row = append(row, fmt.Sprintf("%.3f", est.BatchingNormalizedLatency(p, cfg, s, b)))
+			row = append(row, fmt.Sprintf("%.3f", rtx2060.BatchingNormalizedLatency(p, cfg, s, b)))
 		}
 		t.row(row...)
 	}
@@ -74,7 +73,6 @@ func fig9Lengths(lo, hi, n int, seed int64) []int {
 }
 
 func runFig9(w io.Writer) error {
-	est := perf.NewEstimator(perf.RTX2060())
 	profiles := perf.VariableLengthProfiles()
 
 	for _, cfg := range []model.Config{model.BertBase(), model.Albert(), model.DistilBert()} {
@@ -91,7 +89,7 @@ func runFig9(w io.Writer) error {
 			row := []interface{}{seq}
 			var turbo, py float64
 			for _, p := range profiles {
-				d := est.EncoderLatency(p, cfg, 1, seq)
+				d := rtx2060.EncoderLatency(p, cfg, 1, seq)
 				row = append(row, ms(d.Seconds()))
 				switch p.Name {
 				case "Turbo":
@@ -114,9 +112,9 @@ func runFig9(w io.Writer) error {
 	t.row("src_len", "Turbo", "PyTorch", "Turbo-TC")
 	var decSpeedups []float64
 	for _, src := range fig9Lengths(28, 137, 12, 8) {
-		turbo := est.DecoderLatency(perf.Turbo(), dec, src)
-		py := est.DecoderLatency(perf.PyTorch(), dec, src)
-		tc := est.DecoderLatency(perf.TurboTC(), dec, src)
+		turbo := rtx2060.DecoderLatency(perf.Turbo(), dec, src)
+		py := rtx2060.DecoderLatency(perf.PyTorch(), dec, src)
+		tc := rtx2060.DecoderLatency(perf.TurboTC(), dec, src)
 		decSpeedups = append(decSpeedups, float64(py)/float64(turbo))
 		t.row(src, ms(turbo.Seconds()), ms(py.Seconds()), ms(tc.Seconds()))
 	}
@@ -145,11 +143,10 @@ func summarize(xs []float64) (mn, mx, avg float64) {
 }
 
 func runFig10(w io.Writer) error {
-	est := perf.NewEstimator(perf.RTX2060())
 	cfg := model.BertBase()
 	p := perf.Turbo()
 	for _, seq := range []int{20, 400} {
-		breakdown := est.EncoderLayerBreakdown(p, cfg, 1, seq)
+		breakdown := rtx2060.EncoderLayerBreakdown(p, cfg, 1, seq)
 		var total float64
 		for _, ot := range breakdown {
 			total += float64(ot.Time)
@@ -185,7 +182,6 @@ func runFig10(w io.Writer) error {
 }
 
 func runFig14(w io.Writer) error {
-	est := perf.NewEstimator(perf.RTX2060())
 	cfg := model.BertBase()
 	turbo := perf.Turbo()
 	others := []perf.Profile{
@@ -202,10 +198,10 @@ func runFig14(w io.Writer) error {
 	count := 0
 	for _, batch := range []int{1, 20} {
 		for _, seq := range fig5Seqs {
-			base := float64(est.EncoderLatency(turbo, cfg, batch, seq))
+			base := float64(rtx2060.EncoderLatency(turbo, cfg, batch, seq))
 			row := []interface{}{fmt.Sprintf("(%d,%d)", batch, seq)}
 			for i, p := range others {
-				sp := float64(est.EncoderLatency(p, cfg, batch, seq)) / base
+				sp := float64(rtx2060.EncoderLatency(p, cfg, batch, seq)) / base
 				sums[i] += sp
 				row = append(row, fmt.Sprintf("%.2fx", sp))
 			}

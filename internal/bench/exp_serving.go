@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/model"
@@ -55,18 +56,44 @@ type servingSystem struct {
 
 const servingMaxBatch = 20
 
+// rtx2060 prices every RTX 2060 experiment. One estimator for the package,
+// so its memo of cycle-level reduction-kernel simulations is filled once
+// (it is safe for concurrent use).
+var rtx2060 = perf.NewEstimator(perf.RTX2060())
+
+// The serving experiments share a few expensive pure values — a cost
+// dictionary per (profile, maxLen), a saturation probe per (system, length
+// range). memoized builds each once; the lock is held across the build so
+// concurrent RunExperiment callers wait for it instead of repeating it.
+var (
+	memoMu sync.Mutex
+	memo   = map[string]any{}
+)
+
+func memoized[T any](key string, build func() T) T {
+	memoMu.Lock()
+	defer memoMu.Unlock()
+	if v, ok := memo[key]; ok {
+		return v.(T)
+	}
+	v := build()
+	memo[key] = v
+	return v
+}
+
 // buildCost warms up the cached_cost dictionary for a runtime profile
 // (the §6.3 warm-up phase: sample the parameter space, interpolate the rest).
 func buildCost(p perf.Profile, maxLen int) *sched.CachedCost {
-	est := perf.NewEstimator(perf.RTX2060())
-	cfg := model.BertBase()
-	stride := maxLen / 12
-	if stride < 1 {
-		stride = 1
-	}
-	return sched.BuildCachedCost(func(seqLen, batch int) time.Duration {
-		return est.BatchCost(p, cfg, seqLen, batch)
-	}, maxLen, servingMaxBatch, stride)
+	return memoized(fmt.Sprintf("cost/%s/%d", p.Name, maxLen), func() *sched.CachedCost {
+		cfg := model.BertBase()
+		stride := maxLen / 12
+		if stride < 1 {
+			stride = 1
+		}
+		return sched.BuildCachedCost(func(seqLen, batch int) time.Duration {
+			return rtx2060.BatchCost(p, cfg, seqLen, batch)
+		}, maxLen, servingMaxBatch, stride)
+	})
 }
 
 // servingSystems builds the four systems of Fig. 15/16. tc selects the
@@ -111,20 +138,13 @@ func runSystem(s servingSystem, rate float64, lenLo, lenHi int) servingsim.Resul
 	return simulate(s, rate, 2, 10, lenLo, lenHi)
 }
 
-// capacityCache memoises saturation probes: fig15/table4 (and fig16/table5)
-// share the same systems, and a probe is the most expensive sim we run.
-var capacityCache = map[string]float64{}
-
 // capacity measures a system's saturation throughput (its critical point)
-// with a short overload probe.
+// with a short overload probe. fig15/table4 (and fig16/table5) share the
+// same systems, and a probe is the most expensive sim we run.
 func capacity(s servingSystem, lenLo, lenHi int) float64 {
-	key := fmt.Sprintf("%s/%d-%d", s.name, lenLo, lenHi)
-	if c, ok := capacityCache[key]; ok {
-		return c
-	}
-	res := simulate(s, 8000, 1, 4, lenLo, lenHi)
-	capacityCache[key] = res.ServedPerSec
-	return res.ServedPerSec
+	return memoized(fmt.Sprintf("capacity/%s/%d-%d", s.name, lenLo, lenHi), func() float64 {
+		return simulate(s, 8000, 1, 4, lenLo, lenHi).ServedPerSec
+	})
 }
 
 func runFig8(w io.Writer) error {

@@ -7,17 +7,18 @@ import (
 	"sync"
 )
 
-// metricsMu guards the collected key metrics. Experiments call
-// RecordMetric as they run; WriteMetricsFile persists the accumulated map
-// — the machine-readable BENCH_*.json trail the perf trajectory is graded
-// on, which the human-readable tables cannot feed.
+// metricsMu guards the collected key metrics. Modeled experiments call
+// RecordMetric as they run and WriteMetricsFile persists the accumulated
+// map (turbo-bench -json). Live experiments record nothing, so the file is
+// the same bytes on every run of the same -run list; measured trajectories
+// belong to cmd/turbo-ledger.
 var (
 	metricsMu sync.Mutex
 	metrics   = map[string]map[string]float64{}
 )
 
 // RecordMetric stores one key metric of an experiment run, e.g.
-// RecordMetric("replica-routing", "p99_ms/token-cost", 12.3). Later
+// RecordMetric("autoscale", "p99_ms/fixed-2", 12.3). Later
 // records of the same key overwrite — a rerun supersedes.
 func RecordMetric(experiment, name string, value float64) {
 	metricsMu.Lock()
@@ -45,7 +46,7 @@ func MetricsSnapshot() map[string]map[string]float64 {
 	return out
 }
 
-// metricsFile is the on-disk shape of a BENCH_*.json artefact.
+// metricsFile is the on-disk shape of turbo-bench -json.
 type metricsFile struct {
 	Schema      string                        `json:"schema"`
 	Experiments map[string]map[string]float64 `json:"experiments"`
@@ -55,9 +56,8 @@ type metricsFile struct {
 }
 
 // WriteMetricsFile persists every metric recorded so far to path as JSON
-// (experiment → metric → value). CI uploads the result as the BENCH_PR5
-// artifact; an empty run writes an empty experiments map rather than
-// failing, so partial pipelines still produce the artefact.
+// (experiment → metric → value). A run that recorded nothing writes an
+// empty experiments map rather than failing.
 func WriteMetricsFile(path string) error {
 	snap := MetricsSnapshot()
 	f := metricsFile{Schema: "turbo-bench-metrics/v1", Experiments: snap}

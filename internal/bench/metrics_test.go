@@ -8,8 +8,8 @@ import (
 )
 
 // TestMetricsPersistence: experiments record key metrics, and
-// WriteMetricsFile persists them as the machine-readable BENCH_*.json
-// artefact — experiment → metric → value plus a sorted key index.
+// WriteMetricsFile persists them as machine-readable JSON — experiment →
+// metric → value plus a sorted key index.
 func TestMetricsPersistence(t *testing.T) {
 	RecordMetric("unit-test-exp", "p99_ms", 12.5)
 	RecordMetric("unit-test-exp", "p99_ms", 11.5) // rerun overwrites
@@ -25,7 +25,7 @@ func TestMetricsPersistence(t *testing.T) {
 		t.Fatal("snapshot aliases the registry")
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_PR5.json")
+	path := filepath.Join(t.TempDir(), "metrics.json")
 	if err := WriteMetricsFile(path); err != nil {
 		t.Fatal(err)
 	}

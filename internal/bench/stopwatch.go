@@ -2,14 +2,15 @@ package bench
 
 import "time"
 
-// The bench package is simulation-bound: experiments must replay on the
+// The bench package is simulation-bound: modeled experiments replay on the
 // virtual clock, and turbo-vet's wallclock analyzer forbids ambient
-// time.Now/Since/Sleep here. A handful of experiments nevertheless measure
-// LIVE systems — a real Router served over httptest, a real GEMM loop —
-// where wall clock is the measurement, not a leak. Those deliberate reads
-// are funneled through this file so every wall-clock escape in the package
-// is annotated in exactly one place, and an experiment that means to be on
-// the simclock can't reach for time.Now out of habit without tripping vet.
+// time.Now/Since/Sleep here. The experiments tagged Live measure real code
+// — fig13 times the Algorithm 1 planner, var-length the padded and packed
+// encoders, prefix-cache two generation servers — where wall clock is the
+// measurement, not a leak. Those three are the only callers of this file, so
+// every wall-clock escape in the package is annotated in exactly one place,
+// and a modeled experiment can't reach for time.Now out of habit without
+// tripping vet (or its golden file).
 
 // liveNow reads the wall clock for a live-system measurement.
 func liveNow() time.Time {
@@ -19,9 +20,4 @@ func liveNow() time.Time {
 // liveSince is time.Since for live-system measurements.
 func liveSince(start time.Time) time.Duration {
 	return liveNow().Sub(start)
-}
-
-// liveSleep paces an open-loop live-traffic generator in real time.
-func liveSleep(d time.Duration) {
-	time.Sleep(d) //turbovet:allow wallclock -- live open-loop pacing, the one deliberate sleep
 }

@@ -236,7 +236,7 @@ func TestDecoderLatencyShape(t *testing.T) {
 		t.Fatalf("decoder latency at 140 = %v, outside plausible window", d140)
 	}
 	// PyTorch slower (paper: 1.14–1.20×; our launch-overhead model lands
-	// nearer 2.4× — the decoder is dispatch-bound, see EXPERIMENTS.md).
+	// nearer 2.4× — the decoder is dispatch-bound; internal/bench/testdata/fig9.txt).
 	r := float64(e.DecoderLatency(PyTorch(), cfg, 100)) / float64(e.DecoderLatency(Turbo(), cfg, 100))
 	if r < 1.05 || r > 2.6 {
 		t.Fatalf("decoder PyTorch/Turbo ratio %.2f outside band", r)

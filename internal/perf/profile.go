@@ -99,7 +99,8 @@ func PyTorch() Profile {
 // LayerNorm is measured using PyTorch"): the multi-op LayerNorm
 // decomposition and mask-materialising softmax are far slower than the
 // end-to-end PyTorch path of Fig. 9, and the paper's own numbers are only
-// mutually consistent if the two are separated (see EXPERIMENTS.md).
+// mutually consistent if the two are separated (internal/bench/testdata/table2.txt
+// and fig9.txt show both).
 func PyTorchLegacyKernels() Profile {
 	p := PyTorch()
 	p.Name = "PyTorch-legacy-kernels"

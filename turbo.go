@@ -320,10 +320,11 @@ func RunExperiment(id string, w io.Writer) error {
 // RunAllExperiments regenerates every artefact in paper order.
 func RunAllExperiments(w io.Writer) error { return bench.RunAll(w) }
 
-// WriteBenchMetrics persists the key metrics recorded by every experiment
-// run so far in this process as machine-readable JSON (experiment → metric
-// → value) — the BENCH_*.json artefact CI uploads to track the perf
-// trajectory.
+// WriteBenchMetrics persists the key metrics recorded by every modeled
+// experiment run so far in this process as machine-readable JSON
+// (experiment → metric → value). Live experiments record nothing, so the
+// bytes depend only on which experiments ran; measured trajectories are
+// cmd/turbo-ledger's.
 func WriteBenchMetrics(path string) error { return bench.WriteMetricsFile(path) }
 
 // UnknownExperimentError reports a bad experiment ID.

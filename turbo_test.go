@@ -321,7 +321,7 @@ func TestFacadeAutoscaleValidation(t *testing.T) {
 
 func TestFacadeExperimentRegistry(t *testing.T) {
 	ids := turbo.Experiments()
-	if len(ids) != 27 { // 16 paper artefacts + gen-serving + var-length + gen-decode + replica-routing + prefix-cache + fp16-path + disagg-routing + autoscale + 3 extras
+	if len(ids) != 26 { // 16 paper artefacts + gen-serving + var-length + replica-routing + prefix-cache + fp16-path + disagg-routing + autoscale + 3 extras
 		t.Fatalf("experiments: %v", ids)
 	}
 	var buf bytes.Buffer
