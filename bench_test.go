@@ -111,6 +111,6 @@ func BenchmarkWarmupCostLookup(b *testing.B) {
 	}, 500, 20, 25)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cc.BatchCost(2+(i%499), 1+(i%20))
+		cc.BatchCost(turbo.Shape{Size: 1 + (i % 20), MaxLen: 2 + (i % 499)})
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	turbo "repro"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -45,7 +46,7 @@ func main() {
 	maxLen := flag.Int("max-len", 128, "maximum request length for the warm-up sweep")
 	cacheSize := flag.Int("cache", 1024, "response cache entries (0 disables)")
 	seed := flag.Int64("seed", 42, "weight seed")
-	costFile := flag.String("cost-file", "", "persist/reload the warm-up cost dictionary (§5: stored on disk, reloaded on restart)")
+	costFile := flag.String("cost-file", "", "persist/reload the warm-up cost dictionary (§5: stored on disk, reloaded on restart); the packed engine and token-cost routing use its token-cost fit")
 	batchWindow := flag.Duration("batch-window", 0, "lazy-strategy accumulation window (0 = hungry strategy)")
 	fp16 := flag.Bool("fp16", false, "run the binary16 fast path: fp16-storage GEMMs, half-size KV cache, fused launch chains (fp32 stays the default)")
 	packed := flag.Bool("packed", false, "run the zero-padding (packed) engine: ragged batches, no padding FLOPs, token-based batch scheduling")
@@ -155,59 +156,43 @@ func main() {
 		return time.Since(start)
 	}
 
-	var cost turbo.CostModel
-	// The token-cost routing policy prices requests with a fitted token
-	// cost; the packed scheduler warm-up produces one anyway, and a
-	// replicated token-cost deployment fits one just for routing.
-	var routeCost *turbo.TokenCost
-	if *packed {
-		// Packed engine: fit the token-based cost so the DP scheduler
-		// prices mixed-length batches by work actually done, not by
-		// batch·maxLen (the dictionary form cannot express ragged batches,
-		// so the cost file does not apply here).
-		log.Printf("warming up token cost (packed engine, maxLen=%d, maxBatch=%d)...", *maxLen, *maxBatch)
-		tc := turbo.WarmupTokenCost(price, *maxLen, *maxBatch, *maxLen/8)
-		log.Printf("token cost ready: fixed=%.0fns perToken=%.1fns perTok²=%.3fns", tc.Fixed, tc.PerToken, tc.PerSqToken)
-		cost = tc
-		routeCost = tc
-	} else {
-		// Padded engine: reload a persisted dictionary if present,
-		// otherwise sweep and let Algorithm 2 interpolate.
-		var cached *turbo.CachedCost
-		if *costFile != "" {
-			if loaded, err := turbo.LoadCost(*costFile); err == nil {
-				cached = loaded
-				log.Printf("reloaded cost dictionary from %s", *costFile)
-			}
+	// One sweep: reload a persisted dictionary if present, otherwise
+	// measure one and persist it. The packed engine and the token-cost
+	// routing policy read the dictionary's token-cost fit.
+	var cached *turbo.CachedCost
+	if *costFile != "" {
+		if loaded, err := turbo.LoadCost(*costFile); err == nil {
+			cached = loaded
+			log.Printf("reloaded cost dictionary from %s", *costFile)
 		}
-		if cached == nil {
-			log.Printf("warming up cost dictionary (maxLen=%d, maxBatch=%d)...", *maxLen, *maxBatch)
-			cached = turbo.WarmupCost(price, *maxLen, *maxBatch, *maxLen/8)
-			if *costFile != "" {
-				if err := turbo.SaveCost(cached, *costFile); err != nil {
-					log.Printf("warning: could not persist cost dictionary: %v", err)
-				} else {
-					log.Printf("persisted cost dictionary to %s", *costFile)
-				}
-			}
-		}
-		cost = cached
 	}
-	log.Printf("cost ready; e.g. cost(len=%d, batch=1) = %v", *maxLen, cost.BatchCost(*maxLen, 1))
+	if cached == nil {
+		log.Printf("warming up cost dictionary (maxLen=%d, maxBatch=%d)...", *maxLen, *maxBatch)
+		cached = turbo.WarmupCost(price, *maxLen, *maxBatch, *maxLen/8)
+		if *costFile != "" {
+			if err := turbo.SaveCost(cached, *costFile); err != nil {
+				log.Printf("warning: could not persist cost dictionary: %v", err)
+			} else {
+				log.Printf("persisted cost dictionary to %s", *costFile)
+			}
+		}
+	}
+	fit := cached.Fit()
+	var cost turbo.CostModel = cached
+	if *packed {
+		// Packed engine: the DP scheduler prices mixed-length batches by
+		// work actually done, not by batch·maxLen.
+		log.Printf("token cost ready (packed engine): fixed=%.0fns perToken=%.1fns perTok²=%.3fns", fit.Fixed, fit.PerToken, fit.PerSqToken)
+		cost = fit
+	}
+	log.Printf("cost ready; e.g. cost(len=%d, batch=1) = %v", *maxLen, cost.BatchCost(sched.Uniform(*maxLen, 1)))
 
 	serveOpts := []turbo.Option{turbo.WithScheduler(turbo.NewDPScheduler(cost, *maxBatch))}
 	if len(roles) > 0 {
 		serveOpts = append(serveOpts, turbo.WithReplicaRoles(roles...))
 	}
 	if (*replicas > 1 || elastic) && policy == turbo.TokenCostRouting {
-		if routeCost == nil {
-			// Padded engine: the dictionary cost cannot price single
-			// requests for routing, so fit the token form just for the
-			// balancer.
-			log.Printf("fitting token cost for the routing policy...")
-			routeCost = turbo.WarmupTokenCost(price, *maxLen, *maxBatch, *maxLen/8)
-		}
-		serveOpts = append(serveOpts, turbo.WithRouteCost(routeCost))
+		serveOpts = append(serveOpts, turbo.WithRouteCost(fit))
 	}
 	srv, err := rt.Serve(serveOpts...)
 	if err != nil {

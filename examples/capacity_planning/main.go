@@ -36,11 +36,11 @@ func main() {
 	for _, slo := range []time.Duration{10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond} {
 		best := 0
 		for b := 1; b <= 32; b++ {
-			if cost.BatchCost(100, b) <= slo {
+			if cost.BatchCost(sched.Uniform(100, b)) <= slo {
 				best = b
 			}
 		}
-		fmt.Printf("  SLO %6v → batch %d (cost %v)\n", slo, best, cost.BatchCost(100, max(best, 1)))
+		fmt.Printf("  SLO %6v → batch %d (cost %v)\n", slo, best, cost.BatchCost(sched.Uniform(100, max(best, 1))))
 	}
 	fmt.Println()
 
@@ -48,14 +48,14 @@ func main() {
 	//    from the cost surface at the mean length.
 	fmt.Println("estimated single-GPU capacity at mean length 51:")
 	for _, b := range []int{1, 4, 8, 16, 20} {
-		perBatch := cost.BatchCost(51, b)
+		perBatch := cost.BatchCost(sched.Uniform(51, b))
 		fmt.Printf("  batch %2d → %6.0f resp/s (batch cost %v)\n",
 			b, float64(b)/perBatch.Seconds(), perBatch)
 	}
 	fmt.Println()
 
 	// 3. GPUs needed for a target offered load with batch 16.
-	perBatch := cost.BatchCost(51, 16)
+	perBatch := cost.BatchCost(sched.Uniform(51, 16))
 	capacity := 16 / perBatch.Seconds()
 	fmt.Println("GPUs needed at batch 16 with 30% headroom:")
 	for _, target := range []float64{500, 2000, 10000} {

@@ -58,12 +58,12 @@ var routingDists = []routingDist{
 // fitRouteCost is the router's warm-up on the device model: price uniform
 // (len, batch) BERT-base encodes on the RTX 2060 estimator — the cost
 // surface of fig15/16 — and fit the three-term token cost, the SAME
-// RouteCostModel the live Router's token-cost policy prices admissions with.
+// request price the live Router's token-cost policy charges admissions.
 func fitRouteCost(maxLen int) *sched.TokenCost {
 	cfg, p := model.BertBase(), perf.Turbo()
-	return sched.FitTokenCost(func(seqLen, batch int) time.Duration {
+	return sched.BuildCachedCost(func(seqLen, batch int) time.Duration {
 		return rtx2060.BatchCost(p, cfg, seqLen, batch)
-	}, maxLen, 4, maxLen/4)
+	}, maxLen, 4, maxLen/4).Fit()
 }
 
 // offeredRate converts a utilisation of `servers` replicas into req/s for

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
@@ -110,7 +111,7 @@ func sortedNaiveCost(reqs []*Request, maxBatch int) time.Duration {
 		if end > len(lens) {
 			end = len(lens)
 		}
-		total += fuzzCost.BatchCost(lens[end-1], end-start)
+		total += fuzzCost.BatchCost(Uniform(lens[end-1], end-start))
 	}
 	return total
 }
@@ -175,5 +176,58 @@ func FuzzContinuousScheduler(f *testing.F) {
 		if s.ReservedTokens() != 0 {
 			t.Fatalf("budget leak: %d tokens reserved when idle", s.ReservedTokens())
 		}
+	})
+}
+
+// FuzzLoadCachedCost treats the cost file as untrusted input: whatever
+// the bytes, LoadCachedCost either refuses them or returns a dictionary
+// that Save round-trips to equal bytes, that never prices a batch below
+// zero, and that Fit can always fit. Prices are checked for every batch
+// size up to twice the dictionary's largest and for lengths 1..4·max(lens)
+// (every length up to 1024, then each sampled length and the far end —
+// the price is linear in length between those).
+func FuzzLoadCachedCost(f *testing.F) {
+	f.Add([]byte(`{"lens":[1,10],"max_batch":1,"table_ns":[[100,50]]}`))
+	f.Add([]byte(`{"lens":[1,17,33,48],"max_batch":2,"table_ns":[[10,30,60,50],[20,60,120,100]]}`))
+	for _, s := range malformedSnapshots {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := LoadCachedCost(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := c.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadCachedCost(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a saved dictionary: %v", err)
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save round trip changed bytes:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+
+		maxLen := c.lens[len(c.lens)-1]
+		far := maxLen
+		if far <= (1<<62)/4 {
+			far *= 4
+		}
+		lens := append([]int{far}, c.lens...)
+		for l := 1; l <= 1024 && l <= far; l++ {
+			lens = append(lens, l)
+		}
+		for size := 1; size <= 2*c.MaxBatch(); size++ {
+			for _, l := range lens {
+				if got := c.BatchCost(Uniform(l, size)); got < 0 {
+					t.Fatalf("BatchCost(%d, %d) = %v", l, size, got)
+				}
+			}
+		}
+		c.Fit()
 	})
 }

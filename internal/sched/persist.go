@@ -39,7 +39,7 @@ func LoadCachedCost(r io.Reader) (*CachedCost, error) {
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("sched: decoding cached cost: %w", err)
 	}
-	if len(snap.Lens) == 0 || snap.MaxBatch < 1 || len(snap.TableNs) != snap.MaxBatch {
+	if len(snap.Lens) == 0 || snap.Lens[0] < 1 || snap.MaxBatch < 1 || len(snap.TableNs) != snap.MaxBatch {
 		return nil, fmt.Errorf("sched: malformed cached cost snapshot")
 	}
 	for i := 1; i < len(snap.Lens); i++ {
@@ -83,48 +83,4 @@ func LoadCachedCostFile(path string) (*CachedCost, error) {
 	}
 	defer f.Close()
 	return LoadCachedCost(f)
-}
-
-// updateAlpha is the exponential-moving-average weight for online updates.
-const updateAlpha = 0.3
-
-// Observe folds a measured batch execution back into the dictionary —
-// the paper's lazy-evaluation refinement: "After you get real data, it can
-// be used to update the dictionary" (§6.3). The observation is blended
-// (EMA) into the nearest sampled length row for the batch size.
-func (c *CachedCost) Observe(seqLen, batchSize int, measured time.Duration) {
-	if measured <= 0 || seqLen < 1 {
-		return
-	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	if batchSize > c.maxBatch {
-		// Scale the observation down to the dictionary's largest batch row.
-		measured = time.Duration(float64(measured) * float64(c.maxBatch) / float64(batchSize))
-		batchSize = c.maxBatch
-	}
-	row := c.table[batchSize-1]
-	li := nearestLenIndex(c.lens, seqLen)
-	// Re-scale the observation from seqLen to the sampled length so the
-	// interpolation grid stays consistent (costs are ~affine in length).
-	scaled := float64(measured)
-	if seqLen != c.lens[li] && seqLen > 0 {
-		scaled *= float64(c.lens[li]) / float64(seqLen)
-	}
-	row[li] = time.Duration((1-updateAlpha)*float64(row[li]) + updateAlpha*scaled)
-}
-
-func nearestLenIndex(lens []int, seqLen int) int {
-	best, bestDist := 0, 1<<62
-	for i, l := range lens {
-		d := l - seqLen
-		if d < 0 {
-			d = -d
-		}
-		if d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
 }

@@ -24,7 +24,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	for _, l := range []int{1, 57, 143, 200, 300} {
 		for b := 1; b <= 10; b++ {
-			if got, want := loaded.BatchCost(l, b), c.BatchCost(l, b); got != want {
+			if got, want := loaded.BatchCost(Uniform(l, b)), c.BatchCost(Uniform(l, b)); got != want {
 				t.Fatalf("(%d,%d): %v vs %v", l, b, got, want)
 			}
 		}
@@ -41,72 +41,48 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.BatchCost(25, 2) != c.BatchCost(25, 2) {
+	if loaded.BatchCost(Uniform(25, 2)) != c.BatchCost(Uniform(25, 2)) {
 		t.Fatal("file round trip mismatch")
 	}
 }
 
+// malformedSnapshots are cost files LoadCachedCost must refuse.
+var malformedSnapshots = []string{
+	``,
+	`{}`,
+	`{"lens":[1,5],"max_batch":2,"table_ns":[[1,2]]}`,  // wrong row count
+	`{"lens":[5,1],"max_batch":1,"table_ns":[[1,2]]}`,  // non-increasing lens
+	`{"lens":[1,5],"max_batch":1,"table_ns":[[1]]}`,    // short row
+	`{"lens":[1,5],"max_batch":1,"table_ns":[[-1,2]]}`, // negative cost
+	`{"lens":[0,5],"max_batch":1,"table_ns":[[1,2]]}`,  // length below one
+}
+
 func TestLoadRejectsMalformed(t *testing.T) {
-	cases := []string{
-		``,
-		`{}`,
-		`{"lens":[1,5],"max_batch":2,"table_ns":[[1,2]]}`,  // wrong row count
-		`{"lens":[5,1],"max_batch":1,"table_ns":[[1,2]]}`,  // non-increasing lens
-		`{"lens":[1,5],"max_batch":1,"table_ns":[[1]]}`,    // short row
-		`{"lens":[1,5],"max_batch":1,"table_ns":[[-1,2]]}`, // negative cost
-	}
-	for i, s := range cases {
+	for i, s := range malformedSnapshots {
 		if _, err := LoadCachedCost(strings.NewReader(s)); err == nil {
 			t.Fatalf("case %d should fail: %q", i, s)
 		}
 	}
 }
 
-func TestObserveMovesTowardMeasurement(t *testing.T) {
-	c := BuildCachedCost(samplePrice, 100, 4, 10)
-	before := c.BatchCost(51, 2)
-	// Feed observations 2x the model at a sampled length.
-	target := 2 * before
-	for i := 0; i < 40; i++ {
-		c.Observe(51, 2, target)
-	}
-	after := c.BatchCost(51, 2)
-	if after <= before {
-		t.Fatalf("Observe should raise the estimate: %v -> %v", before, after)
-	}
-	// Converges close to the scaled observation.
-	if float64(after) < 1.7*float64(before) {
-		t.Fatalf("EMA should approach the measurement: %v vs target %v", after, target)
-	}
-}
-
-func TestObserveScalesOversizedBatch(t *testing.T) {
-	c := BuildCachedCost(samplePrice, 100, 2, 10)
-	before := c.BatchCost(41, 2)
-	// batch 8 observation folds into the maxBatch row, scaled by 2/8.
-	c.Observe(41, 8, 8*before)
-	after := c.BatchCost(41, 2)
-	if after <= before {
-		t.Fatal("scaled oversized observation should still update")
-	}
-}
-
-func TestObserveIgnoresGarbage(t *testing.T) {
-	c := BuildCachedCost(samplePrice, 100, 2, 10)
-	before := c.BatchCost(50, 1)
-	c.Observe(50, 1, 0)
-	c.Observe(0, 1, time.Second)
-	if c.BatchCost(50, 1) != before {
-		t.Fatal("garbage observations must not change the table")
-	}
-}
-
-func TestNearestLenIndex(t *testing.T) {
-	lens := []int{1, 11, 21, 31}
-	cases := map[int]int{1: 0, 5: 0, 7: 1, 11: 1, 27: 3, 100: 3}
-	for seq, want := range cases {
-		if got := nearestLenIndex(lens, seq); got != want {
-			t.Fatalf("nearest(%d) = %d, want %d", seq, got, want)
+// TestBatchCostNeverNegative: a dictionary whose final segment falls —
+// from a hand-written cost file or measurement noise — extrapolates flat
+// past its largest sampled length instead of down through zero.
+func TestBatchCostNeverNegative(t *testing.T) {
+	for _, tc := range []struct {
+		snapshot string
+		seqLen   int
+		want     time.Duration
+	}{
+		{`{"lens":[1,10],"max_batch":1,"table_ns":[[100,50]]}`, 100, 50},
+		{`{"lens":[1,17,33,48],"max_batch":1,"table_ns":[[10,30,60,50]]}`, 400, 50},
+	} {
+		c, err := LoadCachedCost(strings.NewReader(tc.snapshot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.BatchCost(Uniform(tc.seqLen, 1)); got != tc.want {
+			t.Errorf("%s: BatchCost(%d, 1) = %v, want %v", tc.snapshot, tc.seqLen, got, tc.want)
 		}
 	}
 }

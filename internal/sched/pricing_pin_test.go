@@ -81,16 +81,16 @@ func pinnedRequests(i int) []*Request {
 // function.
 func pricingPins() map[string]string {
 	pins := map[string]string{
-		"fit/synthetic": fitBits(FitTokenCost(syntheticPrice, 128, 8, 16)),
-		"fit/blocked":   fitBits(FitTokenCost(blockedPrice, 200, 6, 24)),
-		"fit/rtx2060":   fitBits(FitTokenCost(rtx2060Price(), 96, 4, 24)),
+		"fit/synthetic": fitBits(BuildCachedCost(syntheticPrice, 128, 8, 16).Fit()),
+		"fit/blocked":   fitBits(BuildCachedCost(blockedPrice, 200, 6, 24).Fit()),
+		"fit/rtx2060":   fitBits(BuildCachedCost(rtx2060Price(), 96, 4, 24).Fit()),
 	}
 	costs := []struct {
 		name string
 		cost CostModel
 	}{
 		{"cached", BuildCachedCost(blockedPrice, 256, 8, 20)},
-		{"token", FitTokenCost(syntheticPrice, 256, 8, 32)},
+		{"token", BuildCachedCost(syntheticPrice, 256, 8, 32).Fit()},
 		{"func", CostFunc(linearCost)},
 	}
 	for i := 0; i < 32; i++ {

@@ -158,7 +158,7 @@ func bruteForceOptimal(cost CostModel, lens []int, maxBatch int) time.Duration {
 					ok = false
 					break
 				}
-				total += cost.BatchCost(sorted[i], size)
+				total += cost.BatchCost(Uniform(sorted[i], size))
 				start = i + 1
 			}
 		}
@@ -217,23 +217,23 @@ func TestCachedCostExactAndInterpolated(t *testing.T) {
 	}
 	c := BuildCachedCost(price, 100, 4, 10)
 	// Exact sampled point.
-	if got := c.BatchCost(21, 2); got != price(21, 2) {
+	if got := c.BatchCost(Uniform(21, 2)); got != price(21, 2) {
 		t.Fatalf("sampled point: %v vs %v", got, price(21, 2))
 	}
 	// Interpolated point (linear model interpolates exactly).
-	if got := c.BatchCost(26, 3); got != price(26, 3) {
+	if got := c.BatchCost(Uniform(26, 3)); got != price(26, 3) {
 		t.Fatalf("interpolated point: %v vs %v", got, price(26, 3))
 	}
 	// Below the first sample clamps.
-	if got := c.BatchCost(0, 1); got != c.BatchCost(1, 1) {
+	if got := c.BatchCost(Uniform(0, 1)); got != c.BatchCost(Uniform(1, 1)) {
 		t.Fatalf("clamp below: %v", got)
 	}
 	// Extrapolation beyond maxLen follows the last slope.
-	if got := c.BatchCost(120, 1); got != price(120, 1) {
+	if got := c.BatchCost(Uniform(120, 1)); got != price(120, 1) {
 		t.Fatalf("extrapolation: %v vs %v", got, price(120, 1))
 	}
 	// Batch beyond maxBatch scales linearly.
-	if got := c.BatchCost(50, 8); got != 2*c.BatchCost(50, 4) {
+	if got := c.BatchCost(Uniform(50, 8)); got != 2*c.BatchCost(Uniform(50, 4)) {
 		t.Fatalf("batch scaling: %v", got)
 	}
 	if c.MaxBatch() != 4 {
@@ -244,7 +244,7 @@ func TestCachedCostExactAndInterpolated(t *testing.T) {
 func TestCachedCostMaxLenAlwaysSampled(t *testing.T) {
 	price := func(l, b int) time.Duration { return time.Duration(l) * time.Microsecond }
 	c := BuildCachedCost(price, 97, 1, 10)
-	if got := c.BatchCost(97, 1); got != 97*time.Microsecond {
+	if got := c.BatchCost(Uniform(97, 1)); got != 97*time.Microsecond {
 		t.Fatalf("maxLen must be sampled exactly: %v", got)
 	}
 }

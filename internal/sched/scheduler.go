@@ -80,7 +80,7 @@ func (s *NoBatchScheduler) Schedule(requests []*Request) []Batch {
 			Requests:    []*Request{r},
 			PaddedLen:   r.Length,
 			TotalTokens: r.Length,
-			Predicted:   s.Cost.BatchCost(r.Length, 1),
+			Predicted:   s.Cost.BatchCost(Uniform(r.Length, 1)),
 		})
 	}
 	return batches
@@ -123,7 +123,7 @@ func (s *NaiveScheduler) Schedule(requests []*Request) []Batch {
 			Requests:    append([]*Request(nil), group...),
 			PaddedLen:   maxLen,
 			TotalTokens: totalTokens(group),
-			Predicted:   s.Cost.BatchCost(maxLen, len(group)),
+			Predicted:   s.Cost.BatchCost(Uniform(maxLen, len(group))),
 		})
 	}
 	return batches
@@ -136,11 +136,11 @@ func (s *NaiveScheduler) Schedule(requests []*Request) []Batch {
 // of the sorted list minimises total execution time (maximising response
 // throughput), in O(n²) — or O(n·MaxBatch) with the batch-size cap.
 //
-// When Cost implements TokenCostModel — the packed engine's cost structure
-// — batches are priced by Σ len_i and Σ len_i² over the candidate range
-// instead of batchSize·maxLen, which changes the partitions the DP picks:
-// padding waste stops being a reason to split, leaving only the per-batch
-// overhead vs. latency trade-off.
+// Each candidate range is priced by its whole Shape — its longest member
+// and its Σ len_i and Σ len_i² — so a padded-engine cost (which reads the
+// longest member) and a packed-engine TokenCost (which reads the token
+// totals, and so never counts padding as a reason to split) are consulted
+// the same way.
 type DPScheduler struct {
 	Cost     CostModel
 	MaxBatch int // 0 = unbounded
@@ -159,26 +159,24 @@ func (s *DPScheduler) Schedule(requests []*Request) []Batch {
 	sorted := append([]*Request(nil), requests...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Length < sorted[j].Length })
 
-	// Token-cost mode: O(1) range work via prefix sums over the sorted list.
-	tokenCost, packed := s.Cost.(TokenCostModel)
-	var tokPfx, sqPfx []int64
-	if packed {
-		tokPfx = make([]int64, n+1)
-		sqPfx = make([]int64, n+1)
-		for i, r := range sorted {
-			l := int64(r.Length)
-			tokPfx[i+1] = tokPfx[i] + l
-			sqPfx[i+1] = sqPfx[i] + l*l
-		}
+	// Prefix sums over the sorted list price any range's shape in O(1).
+	tokPfx := make([]int64, n+1)
+	sqPfx := make([]int64, n+1)
+	for i, r := range sorted {
+		l := int64(r.Length)
+		tokPfx[i+1] = tokPfx[i] + l
+		sqPfx[i+1] = sqPfx[i] + l*l
 	}
 	// rangeCost prices the batch sorted[j-1:i] (1-based DP indices).
+	// Because the list is sorted, that batch's longest member is
+	// sorted[i-1] regardless of where it starts.
 	rangeCost := func(j, i int) time.Duration {
-		if packed {
-			return tokenCost.BatchCostTokens(tokPfx[i]-tokPfx[j-1], sqPfx[i]-sqPfx[j-1], i-j+1)
-		}
-		// Because the list is sorted, a batch ending at i pads to
-		// sorted[i-1].Length regardless of where it starts.
-		return s.Cost.BatchCost(sorted[i-1].Length, i-j+1)
+		return s.Cost.BatchCost(Shape{
+			Size:     i - j + 1,
+			MaxLen:   sorted[i-1].Length,
+			Tokens:   tokPfx[i] - tokPfx[j-1],
+			SqTokens: sqPfx[i] - sqPfx[j-1],
+		})
 	}
 
 	const inf = time.Duration(1<<63 - 1)

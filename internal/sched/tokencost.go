@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // TokenCost prices batches by work actually done, the cost structure of the
 // packed (zero-padding) engine:
@@ -13,162 +10,54 @@ import (
 // Fixed is the per-batch launch/planning overhead (what makes batching
 // worthwhile at all), PerToken covers the GEMM/elementwise work that is
 // linear in rows, and PerSqToken covers attention's quadratic score blocks.
-// All coefficients are in nanoseconds.
+// All coefficients are in nanoseconds. CachedCost.Fit derives one from a
+// warm-up dictionary.
+//
+// The same coefficients price one request for replica routing: the Router
+// charges a replica RequestCost when it admits a job and refunds it when
+// the job resolves, and a role-tagged Router prices the prefill and decode
+// phases separately.
 type TokenCost struct {
 	Fixed      float64
 	PerToken   float64
 	PerSqToken float64
 }
 
-// BatchCostTokens implements TokenCostModel.
-func (c *TokenCost) BatchCostTokens(totalTokens, sumSqTokens int64, batchSize int) time.Duration {
-	return time.Duration(c.Fixed + c.PerToken*float64(totalTokens) + c.PerSqToken*float64(sumSqTokens))
+// TokenCounts is the zero-knowledge route price: one unit per token, prompt
+// and decode alike. It is the Router's default before any warm-up fit
+// exists — relative load still tracks true work because every replica is
+// priced by the same unit.
+var TokenCounts = &TokenCost{PerToken: 1}
+
+// BatchCost implements CostModel from the shape's token totals. (On the
+// packed engine padding never executes, so on uniform batches this agrees
+// with the padded reading of the same warm-up.)
+func (c *TokenCost) BatchCost(s Shape) time.Duration {
+	return time.Duration(c.Fixed + c.PerToken*float64(s.Tokens) + c.PerSqToken*float64(s.SqTokens))
 }
 
-// BatchCost implements CostModel: a uniform batch of batchSize requests of
-// length seqLen has batchSize·seqLen tokens and batchSize·seqLen² score
-// elements. (On the packed engine padding never executes, so the padded
-// interpretation and the token interpretation coincide on uniform batches.)
-func (c *TokenCost) BatchCost(seqLen, batchSize int) time.Duration {
-	b, s := int64(batchSize), int64(seqLen)
-	return c.BatchCostTokens(b*s, b*s*s, batchSize)
+// PrefillCost prices the packed prefill pass of promptTokens: the usual
+// three-term cost of the prompt alone.
+func (c *TokenCost) PrefillCost(promptTokens int) time.Duration {
+	p := float64(promptTokens)
+	return time.Duration(c.Fixed + c.PerToken*p + c.PerSqToken*p*p)
 }
 
-// RouteCostModel prices ONE request for replica-level load balancing — the
-// hook the serving router charges a replica with when it admits a job, and
-// refunds when the job resolves. It sits a level above CostModel /
-// TokenCostModel: those price an execution batch on one engine; this prices
-// a request's total device-time claim so long prompts spread across
-// replicas instead of piling onto one.
-type RouteCostModel interface {
-	// RequestCost estimates the device time one request will consume:
-	// promptTokens of prefill plus newTokens of decode (0 for one-shot
-	// classification).
-	RequestCost(promptTokens, newTokens int) time.Duration
+// DecodeCost prices newTokens decode steps, each one token attending a
+// context that ends at promptTokens+newTokens (the worst-case KV length the
+// serving layer also reserves by).
+func (c *TokenCost) DecodeCost(promptTokens, newTokens int) time.Duration {
+	p, n := float64(promptTokens), float64(newTokens)
+	return time.Duration(c.PerToken*n + c.PerSqToken*n*(p+n))
 }
 
-// RequestCost implements RouteCostModel on the fitted token cost: prefill
-// is the usual three-term cost of promptTokens, and each of the newTokens
-// decode steps prices one token attending a context that ends at
-// promptTokens+newTokens (the worst-case KV length the serving layer also
-// reserves by).
+// RequestCost estimates the device time one request will consume:
+// promptTokens of prefill plus newTokens of decode (0 for one-shot
+// classification). It is never below one unit, so an empty request is
+// still charged and refunded.
 func (c *TokenCost) RequestCost(promptTokens, newTokens int) time.Duration {
 	p, n := float64(promptTokens), float64(newTokens)
 	prefill := c.Fixed + c.PerToken*p + c.PerSqToken*p*p
 	decode := c.PerToken*n + c.PerSqToken*n*(p+n)
-	return time.Duration(prefill + decode)
-}
-
-// TokenCountCost is the zero-knowledge RouteCostModel: one unit per token,
-// prompt and decode alike. It is the router's default before any warm-up
-// fit exists — relative load still tracks true work because every replica
-// is priced by the same unit.
-type TokenCountCost struct{}
-
-// RequestCost implements RouteCostModel.
-func (TokenCountCost) RequestCost(promptTokens, newTokens int) time.Duration {
-	n := promptTokens + newTokens
-	if n < 1 {
-		n = 1
-	}
-	return time.Duration(n)
-}
-
-// FitTokenCost is the packed engine's warm-up sweep: like BuildCachedCost
-// it prices uniform (seqLen, batchSize) batches over the sampled grid, but
-// instead of tabulating padded costs it least-squares-fits the three-term
-// token cost — the form that lets Algorithm 2 price the *mixed-length*
-// batches the packed engine actually runs, which no (seqLen, batch) table
-// can express. Negative fitted coefficients (possible under measurement
-// noise) are clamped to zero.
-func FitTokenCost(price func(seqLen, batchSize int) time.Duration, maxLen, maxBatch, lenStride int) *TokenCost {
-	if maxLen < 1 || maxBatch < 1 {
-		panic(fmt.Sprintf("sched: invalid token-cost bounds maxLen=%d maxBatch=%d", maxLen, maxBatch))
-	}
-	if lenStride < 1 {
-		lenStride = 1
-	}
-	// Normal equations for y ≈ x·[c0 c1 c2] with x = (1, tokens, sumSq).
-	var ata [3][3]float64
-	var aty [3]float64
-	sample := func(seqLen, batch int) {
-		y := float64(price(seqLen, batch))
-		tokens := float64(batch) * float64(seqLen)
-		x := [3]float64{1, tokens, tokens * float64(seqLen)}
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				ata[i][j] += x[i] * x[j]
-			}
-			aty[i] += x[i] * y
-		}
-	}
-	// Same sampled grid as BuildCachedCost: 1, 1+stride, ..., maxLen
-	// (maxLen always included).
-	var lens []int
-	for l := 1; l <= maxLen; l += lenStride {
-		lens = append(lens, l)
-	}
-	if lens[len(lens)-1] != maxLen {
-		lens = append(lens, maxLen)
-	}
-	for _, l := range lens {
-		for b := 1; b <= maxBatch; b++ {
-			sample(l, b)
-		}
-	}
-	c := solve3(ata, aty)
-	for i := range c {
-		if c[i] < 0 {
-			c[i] = 0
-		}
-	}
-	return &TokenCost{Fixed: c[0], PerToken: c[1], PerSqToken: c[2]}
-}
-
-// solve3 solves the 3×3 system A·x = y by Gaussian elimination with
-// partial pivoting. A singular system (degenerate sweep grids) falls back
-// to a pure per-token model derived from the mean.
-func solve3(a [3][3]float64, y [3]float64) [3]float64 {
-	const n = 3
-	for col := 0; col < n; col++ {
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if abs(a[r][col]) > abs(a[piv][col]) {
-				piv = r
-			}
-		}
-		if abs(a[piv][col]) < 1e-12 {
-			// Singular: fall back to cost ≈ mean-per-token. a[0][0] is the
-			// sample count, a[0][1] the token sum, y[0] the cost sum.
-			if a[0][1] > 0 {
-				return [3]float64{0, y[0] / a[0][1], 0}
-			}
-			return [3]float64{}
-		}
-		a[col], a[piv] = a[piv], a[col]
-		y[col], y[piv] = y[piv], y[col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			y[r] -= f * y[col]
-		}
-	}
-	var x [3]float64
-	for r := n - 1; r >= 0; r-- {
-		s := y[r]
-		for c := r + 1; c < n; c++ {
-			s -= a[r][c] * x[c]
-		}
-		x[r] = s / a[r][r]
-	}
-	return x
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return max(time.Duration(prefill+decode), 1)
 }

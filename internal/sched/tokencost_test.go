@@ -17,7 +17,7 @@ func syntheticPrice(seqLen, batch int) time.Duration {
 // TestFitTokenCostRecoversCoefficients: the warm-up fit must recover the
 // generating model near-exactly from the sampled sweep.
 func TestFitTokenCostRecoversCoefficients(t *testing.T) {
-	c := FitTokenCost(syntheticPrice, 128, 8, 16)
+	c := BuildCachedCost(syntheticPrice, 128, 8, 16).Fit()
 	if got := c.Fixed; got < 45e3 || got > 55e3 {
 		t.Fatalf("Fixed = %g, want ≈50e3", got)
 	}
@@ -29,7 +29,7 @@ func TestFitTokenCostRecoversCoefficients(t *testing.T) {
 	}
 	// Uniform-batch pricing must agree with the padded table view.
 	want := syntheticPrice(64, 4)
-	got := c.BatchCost(64, 4)
+	got := c.BatchCost(Uniform(64, 4))
 	if ratio := float64(got) / float64(want); ratio < 0.99 || ratio > 1.01 {
 		t.Fatalf("BatchCost(64,4) = %v, want ≈%v", got, want)
 	}
@@ -66,7 +66,7 @@ func TestDPFormsDifferentBatchesUnderTokenCost(t *testing.T) {
 	reqs := skewedQueue()
 
 	paddedCost := BuildCachedCost(syntheticPrice, 512, 32, 32)
-	tokenCost := FitTokenCost(syntheticPrice, 512, 32, 32)
+	tokenCost := BuildCachedCost(syntheticPrice, 512, 32, 32).Fit()
 
 	dpPadded := &DPScheduler{Cost: paddedCost, MaxBatch: 32}
 	dpToken := &DPScheduler{Cost: tokenCost, MaxBatch: 32}
@@ -100,12 +100,12 @@ func TestDPFormsDifferentBatchesUnderTokenCost(t *testing.T) {
 	packedPrice := func(batches []Batch) time.Duration {
 		var total time.Duration
 		for _, b := range batches {
-			var tok, sq int64
+			shape := Shape{Size: b.Size(), MaxLen: b.PaddedLen}
 			for _, r := range b.Requests {
-				tok += int64(r.Length)
-				sq += int64(r.Length) * int64(r.Length)
+				shape.Tokens += int64(r.Length)
+				shape.SqTokens += int64(r.Length) * int64(r.Length)
 			}
-			total += tokenCost.BatchCostTokens(tok, sq, b.Size())
+			total += tokenCost.BatchCost(shape)
 		}
 		return total
 	}
@@ -117,7 +117,7 @@ func TestDPFormsDifferentBatchesUnderTokenCost(t *testing.T) {
 // TestDPTokenCostStillRespectsMaxBatch: the token-cost DP path must honour
 // the batch-size cap exactly like the padded path.
 func TestDPTokenCostStillRespectsMaxBatch(t *testing.T) {
-	tokenCost := FitTokenCost(syntheticPrice, 512, 32, 32)
+	tokenCost := BuildCachedCost(syntheticPrice, 512, 32, 32).Fit()
 	dp := &DPScheduler{Cost: tokenCost, MaxBatch: 4}
 	batches := dp.Schedule(skewedQueue())
 	covered := 0
@@ -132,14 +132,14 @@ func TestDPTokenCostStillRespectsMaxBatch(t *testing.T) {
 	}
 }
 
-// TestRequestCostRouting pins the RouteCostModel hook the replica router
+// TestRequestCostRouting pins the request price the replica router
 // prices admissions with: monotone in both prompt and decode budget, the
 // prefill-only form agrees with a batch-of-one, and the token-count
 // fallback counts tokens.
 func TestRequestCostRouting(t *testing.T) {
 	c := &TokenCost{Fixed: 100, PerToken: 10, PerSqToken: 1}
 	// Prefill-only request == one-request batch of that length.
-	if got, want := c.RequestCost(8, 0), c.BatchCost(8, 1); got != want {
+	if got, want := c.RequestCost(8, 0), c.BatchCost(Uniform(8, 1)); got != want {
 		t.Fatalf("prefill-only RequestCost %v != BatchCost(8,1) %v", got, want)
 	}
 	// Strictly monotone in prompt length and in decode budget.
@@ -160,8 +160,11 @@ func TestRequestCostRouting(t *testing.T) {
 		t.Fatal("decode budget priced as free")
 	}
 
-	var tc TokenCountCost
-	if tc.RequestCost(5, 3) != 8 || tc.RequestCost(0, 0) != 1 {
-		t.Fatalf("TokenCountCost: %v %v", tc.RequestCost(5, 3), tc.RequestCost(0, 0))
+	if TokenCounts.RequestCost(5, 3) != 8 || TokenCounts.RequestCost(0, 0) != 1 {
+		t.Fatalf("TokenCounts: %v %v", TokenCounts.RequestCost(5, 3), TokenCounts.RequestCost(0, 0))
+	}
+	// The phases split a session exactly.
+	if got, want := c.PrefillCost(8)+c.DecodeCost(8, 16), c.RequestCost(8, 16); got != want {
+		t.Fatalf("PrefillCost + DecodeCost = %v, RequestCost = %v", got, want)
 	}
 }

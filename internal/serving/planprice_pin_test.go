@@ -44,9 +44,9 @@ func planPrices(mixed, split *Router, prompt, budget int) (prefill, decode, full
 // warm-up fit. planGenerate's placement is a comparison of these numbers
 // and the replicas' loads, so equal prices mean equal placements.
 func TestPlanGeneratePricePins(t *testing.T) {
-	fitted := sched.FitTokenCost(func(l, b int) time.Duration {
+	fitted := sched.BuildCachedCost(func(l, b int) time.Duration {
 		return time.Duration(30e3 + float64(l*b)*700 + float64(l*l*b)*4.5)
-	}, 128, 4, 16)
+	}, 128, 4, 16).Fit()
 	var b strings.Builder
 	for _, c := range []struct {
 		name string

@@ -25,7 +25,7 @@ const (
 	// LeastQueue sends each request to the server with the shortest queue.
 	LeastQueue
 	// TokenCostRouting sends each request to the server with the least
-	// outstanding PRICED work (a sched.RouteCostModel over prompt tokens
+	// outstanding PRICED work (a sched.TokenCost over prompt tokens
 	// plus decode budget), so long prompts spread by the device time they
 	// will claim instead of counting one queue slot like everything else.
 	TokenCostRouting
@@ -74,7 +74,7 @@ func ParseBalancePolicy(s string) (BalancePolicy, error) {
 // a per-replica breakdown).
 //
 // Every admitted request is routed by the configured BalancePolicy. The
-// token-cost policy prices each request with a sched.RouteCostModel
+// token-cost policy prices each request with a sched.TokenCost
 // (prompt prefill plus the decode budget the continuous scheduler would
 // reserve) and charges the chosen replica until the request resolves, so
 // a replica chewing on long prompts stops attracting traffic even when
@@ -89,22 +89,15 @@ func ParseBalancePolicy(s string) (BalancePolicy, error) {
 type Router struct {
 	replicas []*replica // guarded by setMu (copy-on-write: readers hold RLock across pick+charge)
 	policy   BalancePolicy
-	cost     sched.RouteCostModel
+	cost     *sched.TokenCost
 	rr       atomic.Int64 // round-robin cursor
 
 	// Role machinery (nil/empty without WithReplicaRoles): the candidate
-	// sets by role, and the per-phase pricing of the disaggregated routing
-	// decision — min(P.load + prefill + migration + D.load + decode,
-	// M.load + full).
+	// sets by role, between which planGenerate places each generation.
 	rolesSet bool
 	prefills []*replica // RolePrefill replicas
 	decodes  []*replica // RoleDecode replicas
 	mixed    []*replica // RoleMixed replicas
-
-	prefillCost sched.RouteCostModel
-	decodeCost  sched.RouteCostModel
-	mixedCost   sched.RouteCostModel
-	migration   sched.MigrationCostModel
 
 	// pickMu serializes load-reading pick + charge for the load-aware
 	// policies: a burst of concurrent arrivals would otherwise all read the
@@ -162,11 +155,12 @@ type replica struct {
 type RouterConfig struct {
 	// Policy selects how jobs spread over replicas (default RoundRobin).
 	Policy BalancePolicy
-	// Cost prices a request for the TokenCostRouting policy: nil defaults
-	// to sched.TokenCountCost (one unit per prompt or budgeted decode
-	// token). A warm-up-fitted sched.TokenCost sharpens the estimate from
-	// token counts to device time. Other policies ignore it.
-	Cost sched.RouteCostModel
+	// Cost prices a request for the TokenCostRouting policy, and each
+	// phase of every generation under Roles whatever the policy: nil
+	// defaults to sched.TokenCounts (one unit per prompt or budgeted
+	// decode token). A warm-up-fitted sched.TokenCost sharpens the
+	// estimate from token counts to device time.
+	Cost *sched.TokenCost
 	// Roles tags each replica prefill/decode/mixed, one entry per server
 	// in order (empty = all mixed, the pre-disaggregation behaviour). With
 	// roles set, classify goes to non-decode replicas under the configured
@@ -176,11 +170,6 @@ type RouterConfig struct {
 	// so short prompts stay on a mixed replica when hand-off would cost
 	// more than it saves.
 	Roles []ReplicaRole
-	// RoleCosts optionally prices each phase with its own model; nil
-	// fields inherit Cost (split by sched.PrefillRouteCost/DecodeRouteCost)
-	// and sched.DefaultLinkCost for the migration term. Ignored without
-	// Roles.
-	RoleCosts sched.RoleCosts
 
 	// SLOBudget enables per-priority-class overload control across the
 	// fleet: once a class accumulates this many deadline misses inside
@@ -209,7 +198,7 @@ func NewRouter(cfg RouterConfig, servers ...*Server) (*Router, error) {
 	}
 	cost := cfg.Cost
 	if cost == nil {
-		cost = sched.TokenCountCost{}
+		cost = sched.TokenCounts
 	}
 	if err := CheckRoles(cfg.Roles, len(servers)); err != nil {
 		return nil, err
@@ -233,20 +222,6 @@ func NewRouter(cfg RouterConfig, servers ...*Server) (*Router, error) {
 	}
 	if rt.rolesSet && len(rt.mixed) == 0 && (len(rt.prefills) == 0 || len(rt.decodes) == 0) {
 		return nil, fmt.Errorf("serving: roles %v can serve no generation end-to-end (want a mixed replica, or at least one prefill and one decode)", cfg.Roles)
-	}
-	rt.prefillCost, rt.decodeCost, rt.mixedCost = cost, cost, cost
-	if cfg.RoleCosts.Prefill != nil {
-		rt.prefillCost = cfg.RoleCosts.Prefill
-	}
-	if cfg.RoleCosts.Decode != nil {
-		rt.decodeCost = cfg.RoleCosts.Decode
-	}
-	if cfg.RoleCosts.Mixed != nil {
-		rt.mixedCost = cfg.RoleCosts.Mixed
-	}
-	rt.migration = cfg.RoleCosts.Migration
-	if rt.migration == nil {
-		rt.migration = sched.DefaultLinkCost
 	}
 	if cfg.SLOBudget > 0 {
 		rt.slo = newSLOController(cfg.SLOBudget, cfg.SLOWindow)
@@ -479,6 +454,18 @@ func (rt *Router) handoffBytesEstimate(promptTokens int) int64 {
 	return int64(promptTokens) * srv.gen.engine.KVBytesPerToken()
 }
 
+// migrationPrice estimates moving bytes of KV between replicas: a fixed
+// per-hand-off setup (RPC, allocator acquire on the destination) plus an
+// NVLink-class wire cost of 0.05 ns/byte (≈ 20 GB/s). The setup is
+// deliberately non-zero so tiny prompts don't migrate for free.
+func migrationPrice(bytes int64) time.Duration {
+	const (
+		setup   = 100 * time.Microsecond
+		perByte = 0.05
+	)
+	return setup + time.Duration(perByte*float64(bytes))
+}
+
 // planGenerate routes one generation under roles. All loads are read and
 // all charges landed under pickMu, so concurrent plans observe each other.
 // Generations under roles always route by priced load — the disaggregation
@@ -490,11 +477,11 @@ func (rt *Router) handoffBytesEstimate(promptTokens int) int64 {
 // with ties going to the mixed replica (no hand-off when it isn't
 // strictly cheaper).
 func (rt *Router) planGenerate(promptTokens, budget int) genPlan {
-	prefillPrice := int64(sched.PrefillRouteCost(rt.prefillCost, promptTokens))
-	decodePrice := int64(sched.DecodeRouteCost(rt.decodeCost, promptTokens, budget))
-	fullPrice := int64(rt.mixedCost.RequestCost(promptTokens, budget))
+	prefillPrice := int64(rt.cost.PrefillCost(promptTokens))
+	decodePrice := int64(rt.cost.DecodeCost(promptTokens, budget))
+	fullPrice := int64(rt.cost.RequestCost(promptTokens, budget))
 	migBytes := rt.handoffBytesEstimate(promptTokens)
-	migPrice := int64(rt.migration.MigrationCost(migBytes))
+	migPrice := int64(migrationPrice(migBytes))
 
 	rt.setMu.RLock()
 	defer rt.setMu.RUnlock()

@@ -70,7 +70,7 @@ func (s *replica) lazyFires() bool {
 	for _, r := range s.mq {
 		longest = max(longest, r.Length)
 	}
-	estimate := float64(s.cfg.Cost.BatchCost(longest, len(s.mq))) / 1e9
+	estimate := float64(s.cfg.Cost.BatchCost(sched.Uniform(longest, len(s.mq)))) / 1e9
 	return s.sim.Now()-s.mq[0].Arrival+estimate > s.cfg.SLO/2
 }
 
@@ -104,7 +104,7 @@ func (s *replica) dispatch() {
 	s.mq = removeBatch(s.mq, len(view), b)
 
 	s.busy = true
-	dur := float64(s.cfg.Cost.BatchCost(b.PaddedLen, b.Size())) / 1e9
+	dur := float64(s.cfg.Cost.BatchCost(sched.Uniform(b.PaddedLen, b.Size()))) / 1e9
 	s.sim.After(dur, func() {
 		for _, r := range b.Requests {
 			s.load -= s.price(r)

@@ -43,7 +43,7 @@ func TestClusterLoadRefunded(t *testing.T) {
 	sim := simclock.New()
 	s := &replica{
 		sim:   sim,
-		cfg:   &Config{Cost: tokenTime, RouteCost: sched.TokenCountCost{}, MaxBatch: 4},
+		cfg:   &Config{Cost: tokenTime, RouteCost: sched.TokenCounts, MaxBatch: 4},
 		sched: &sched.DPScheduler{Cost: tokenTime, MaxBatch: 4},
 		done:  func(*replica, *sched.Request) {},
 	}

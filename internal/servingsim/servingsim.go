@@ -80,10 +80,10 @@ type Config struct {
 
 	// Servers is the fleet size (at least 1); Policy spreads requests over
 	// it. RouteCost prices a request for TokenCostRouting (nil means
-	// sched.TokenCountCost).
+	// sched.TokenCounts).
 	Servers   int
 	Policy    serving.BalancePolicy
-	RouteCost sched.RouteCostModel
+	RouteCost *sched.TokenCost
 	// Roles tags each replica prefill/decode/mixed, one per server or none
 	// (all mixed), as the live Router takes them: short requests and
 	// generation prefills route over prefill∪mixed replicas, decode phases
@@ -215,7 +215,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	cfg.MaxBatch, cfg.DecodeLen = max(cfg.MaxBatch, 1), max(cfg.DecodeLen, 1)
 	if cfg.RouteCost == nil {
-		cfg.RouteCost = sched.TokenCountCost{}
+		cfg.RouteCost = sched.TokenCounts
 	}
 	size := max(cfg.Servers, 1)
 	start := size

@@ -29,9 +29,8 @@ type runtimeConfig struct {
 	// Multi-replica routing.
 	replicas  int
 	policy    serving.BalancePolicy
-	routeCost sched.RouteCostModel
+	routeCost *sched.TokenCost
 	roles     []serving.ReplicaRole
-	roleCosts sched.RoleCosts
 
 	// Elastic autoscaling and SLO overload control.
 	autoMin, autoMax int
@@ -127,8 +126,9 @@ func WithGenDefaultMaxNew(n int) Option { return func(c *runtimeConfig) { c.genD
 
 // WithScheduler sets the batch scheduler for the classify path. Without
 // it, Serve falls back to the DP scheduler over a crude linear cost —
-// fine for demos; production servers should warm up a real cost model
-// (WarmupCost / WarmupTokenCost) and pass it here.
+// fine for demos; production servers should warm up a real cost model —
+// WarmupCost's dictionary for the padded engine, its Fit (WarmupTokenCost)
+// for the packed one — and pass it here.
 func WithScheduler(s Scheduler) Option { return func(c *runtimeConfig) { c.scheduler = s } }
 
 // WithMaxBatch caps the classify batch size (default 8).
@@ -159,10 +159,11 @@ func WithReplicas(n int) Option { return func(c *runtimeConfig) { c.replicas = n
 // priced work — long prompts spread by the device time they will claim).
 func WithBalancePolicy(p BalancePolicy) Option { return func(c *runtimeConfig) { c.policy = p } }
 
-// WithRouteCost sets the request-pricing model TokenCostRouting charges
-// replicas with (e.g. a WarmupTokenCost fit). Default: token counts
-// (sched.TokenCountCost).
-func WithRouteCost(m RouteCostModel) Option { return func(c *runtimeConfig) { c.routeCost = m } }
+// WithRouteCost sets the request price TokenCostRouting charges replicas
+// with, and that a role-tagged front door splits into prefill and decode
+// phases (e.g. a WarmupTokenCost fit, or a saved dictionary's Fit).
+// Default: one unit per token (sched.TokenCounts).
+func WithRouteCost(c *TokenCost) Option { return func(rc *runtimeConfig) { rc.routeCost = c } }
 
 // WithReplicaRoles tags each replica of a replicated front door for
 // prefill/decode disaggregation: one role per replica, in order. A
@@ -175,13 +176,6 @@ func WithRouteCost(m RouteCostModel) Option { return func(c *runtimeConfig) { c.
 // prefill and one decode.
 func WithReplicaRoles(roles ...ReplicaRole) Option {
 	return func(c *runtimeConfig) { c.roles = roles }
-}
-
-// WithRoleCosts overrides the per-phase pricing of a role-tagged front
-// door (see sched.RoleCosts); nil fields inherit the WithRouteCost model,
-// split per phase. Only meaningful with WithReplicaRoles.
-func WithRoleCosts(rc RoleCosts) Option {
-	return func(c *runtimeConfig) { c.roleCosts = rc }
 }
 
 // WithSchedulerFactory builds one batch scheduler per replica — required
@@ -428,7 +422,6 @@ func (rt *Runtime) Serve(opts ...Option) (Service, error) {
 		Policy:    rc.policy,
 		Cost:      rc.routeCost,
 		Roles:     rc.roles,
-		RoleCosts: rc.roleCosts,
 		SLOBudget: rc.sloBudget,
 		SLOWindow: rc.sloWindow,
 	}, servers...)

@@ -108,16 +108,18 @@ type (
 	Batch = sched.Batch
 	// Scheduler partitions queued requests into batches.
 	Scheduler = sched.Scheduler
-	// CostModel prices a (paddedLen, batchSize) execution.
+	// CostModel prices one execution batch by its Shape.
 	CostModel = sched.CostModel
-	// CostFunc adapts a function to CostModel.
+	// Shape is what a batch is priced on: its size, its longest member,
+	// and its true token totals.
+	Shape = sched.Shape
+	// CostFunc adapts a padded (seqLen, batchSize) price to CostModel.
 	CostFunc = sched.CostFunc
 	// CachedCost is the warm-up-built cost dictionary.
 	CachedCost = sched.CachedCost
-	// TokenCostModel prices packed batches by true token totals; the DP
-	// scheduler uses it automatically when its cost model provides it.
-	TokenCostModel = sched.TokenCostModel
-	// TokenCost is the fitted three-term token cost of the packed engine.
+	// TokenCost is the three-term token cost of the packed engine, fitted
+	// from a dictionary (CachedCost.Fit); it also prices requests for
+	// replica routing.
 	TokenCost = sched.TokenCost
 )
 
@@ -144,12 +146,11 @@ func WarmupCost(price func(seqLen, batchSize int) time.Duration, maxLen, maxBatc
 }
 
 // WarmupTokenCost runs the warm-up sweep for a packed (zero-padding)
-// engine: the same sampled (length, batch) grid as WarmupCost, fitted to
-// the three-term token cost (overhead + per-token + per-token²) so
-// Algorithm 2 can price mixed-length batches by the work the packed engine
-// actually does.
+// engine: WarmupCost's dictionary, fitted to the three-term token cost
+// (overhead + per-token + per-token²) so Algorithm 2 can price
+// mixed-length batches by the work the packed engine actually does.
 func WarmupTokenCost(price func(seqLen, batchSize int) time.Duration, maxLen, maxBatch, lenStride int) *TokenCost {
-	return sched.FitTokenCost(price, maxLen, maxBatch, lenStride)
+	return WarmupCost(price, maxLen, maxBatch, lenStride).Fit()
 }
 
 // SaveCost persists a warm-up dictionary to disk; LoadCost restores it —
@@ -178,20 +179,9 @@ type (
 	RouterStats = serving.RouterStats
 	// BalancePolicy selects how a Router spreads jobs over replicas.
 	BalancePolicy = serving.BalancePolicy
-	// RouteCostModel prices one request for replica routing (see
-	// TokenCostRouting); *TokenCost implements it.
-	RouteCostModel = sched.RouteCostModel
-	// TokenCountCost is the default RouteCostModel: one unit per token.
-	TokenCountCost = sched.TokenCountCost
 	// ReplicaRole tags a replica prefill/decode/mixed for disaggregated
 	// routing (WithReplicaRoles).
 	ReplicaRole = serving.ReplicaRole
-	// RoleCosts bundles per-phase route pricing for a role-tagged Router
-	// (WithRoleCosts); nil fields inherit the base RouteCostModel.
-	RoleCosts = sched.RoleCosts
-	// LinkCost is the affine migration cost model: fixed hand-off overhead
-	// plus ns-per-byte transfer.
-	LinkCost = sched.LinkCost
 )
 
 // Balancing policies for WithBalancePolicy / RouterConfig.
@@ -201,7 +191,7 @@ const (
 	// LeastQueue routes to the replica with the fewest unresolved jobs.
 	LeastQueue = serving.LeastQueue
 	// TokenCostRouting routes to the replica with the least outstanding
-	// PRICED work (RouteCostModel over prompt tokens + decode budget), so
+	// PRICED work (a TokenCost over prompt tokens + decode budget), so
 	// long prompts spread by the device time they will claim.
 	TokenCostRouting = serving.TokenCostRouting
 )

@@ -161,7 +161,7 @@ func TestFacadeSchedulers(t *testing.T) {
 	cc := turbo.WarmupCost(func(l, b int) time.Duration {
 		return time.Duration(l) * time.Millisecond
 	}, 10, 2, 2)
-	if cc.BatchCost(5, 1) != 5*time.Millisecond {
+	if cc.BatchCost(turbo.Shape{Size: 1, MaxLen: 5}) != 5*time.Millisecond {
 		t.Fatal("warmup dictionary lookup failed")
 	}
 }
