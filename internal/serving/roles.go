@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -79,13 +80,17 @@ func ParseReplicaRoles(s string) ([]ReplicaRole, error) {
 	return roles, nil
 }
 
-// CheckRoles rejects a role list that does not tag every one of n replicas:
-// one role per replica, or none (all mixed). The Router and the fleet
-// simulator both validate with it, so the two cannot drift apart.
+// CheckRoles rejects a role list that does not tag every one of n replicas
+// (one role per replica, or none: all mixed) or that leaves a generation
+// nowhere to run end to end. The Router and the fleet simulator both
+// validate with it, so the two cannot drift apart.
 func CheckRoles(roles []ReplicaRole, n int) error {
-	if len(roles) > 0 && len(roles) != n {
+	switch {
+	case len(roles) > 0 && len(roles) != n:
 		return fmt.Errorf("serving: %d replica roles for %d replicas (want one role per replica, or none)",
 			len(roles), n)
+	case len(roles) > 0 && !slices.Contains(roles, RoleMixed) && !(slices.Contains(roles, RolePrefill) && slices.Contains(roles, RoleDecode)):
+		return fmt.Errorf("serving: roles %v can serve no generation end-to-end (want a mixed replica, or at least one prefill and one decode)", roles)
 	}
 	return nil
 }

@@ -88,24 +88,17 @@ func ParseBalancePolicy(s string) (BalancePolicy, error) {
 // bit-identity holds per replica since replicas share nothing.
 type Router struct {
 	replicas []*replica // guarded by setMu (copy-on-write: readers hold RLock across pick+charge)
+	classify []*replica // ClassifyCandidates(replicas); guarded by setMu
+	roles    bool       // replicas carry a role list (then the set is static)
 	policy   BalancePolicy
 	cost     *sched.TokenCost
-	rr       atomic.Int64 // round-robin cursor
 
-	// Role machinery (nil/empty without WithReplicaRoles): the candidate
-	// sets by role, between which planGenerate places each generation.
-	rolesSet bool
-	prefills []*replica // RolePrefill replicas
-	decodes  []*replica // RoleDecode replicas
-	mixed    []*replica // RoleMixed replicas
-
-	// pickMu serializes load-reading pick + charge for the load-aware
-	// policies: a burst of concurrent arrivals would otherwise all read the
-	// same gauges before any charge lands and pile onto one replica —
-	// routing decisions must observe each other. Round-robin's atomic
-	// cursor needs no lock, and the charge itself stays atomic so release
-	// never blocks on routing.
+	// pickMu serializes pick + charge: a burst of concurrent arrivals would
+	// otherwise all read the same gauges before any charge lands and pile
+	// onto one replica — routing decisions must observe each other. The
+	// charge itself stays atomic so release never blocks on routing.
 	pickMu sync.Mutex
+	turn   int // round-robin cursor; guarded by pickMu
 
 	// setMu guards the replica SET against the elastic operations. Every
 	// pick+charge holds the read side, so RemoveReplica's write lock is a
@@ -131,7 +124,7 @@ type Router struct {
 }
 
 // replica wraps one Server with the router-side load accounting the
-// balancing policies read.
+// fleet's decisions read (it is their Gauged).
 type replica struct {
 	srv  *Server
 	role ReplicaRole
@@ -151,6 +144,23 @@ type replica struct {
 	migratedOutBytes atomic.Int64
 }
 
+func (r *replica) Role() ReplicaRole { return r.role }
+func (r *replica) InFlight() int64   { return r.inflight.Load() }
+func (r *replica) Load() int64       { return r.loadNS.Load() }
+
+// charge lands one routed job of the given price; release refunds it when
+// the job resolves.
+func (r *replica) charge(price int64) {
+	r.inflight.Add(1)
+	r.loadNS.Add(price)
+	r.routed.Add(1)
+}
+
+func (r *replica) release(price int64) {
+	r.inflight.Add(-1)
+	r.loadNS.Add(-price)
+}
+
 // RouterConfig configures NewRouter.
 type RouterConfig struct {
 	// Policy selects how jobs spread over replicas (default RoundRobin).
@@ -163,12 +173,9 @@ type RouterConfig struct {
 	Cost *sched.TokenCost
 	// Roles tags each replica prefill/decode/mixed, one entry per server
 	// in order (empty = all mixed, the pre-disaggregation behaviour). With
-	// roles set, classify goes to non-decode replicas under the configured
-	// policy, and every generation is routed by PRICED load regardless of
-	// policy: the cheaper of the best mixed replica (whole session) and
-	// the best prefill+decode pair (phase costs plus the migration price),
-	// so short prompts stay on a mixed replica when hand-off would cost
-	// more than it saves.
+	// roles set, classify goes to ClassifyCandidates under the configured
+	// policy, and Place puts every generation on a mixed replica or a
+	// prefill+decode pair by PRICED load, whatever the policy.
 	Roles []ReplicaRole
 
 	// SLOBudget enables per-priority-class overload control across the
@@ -203,26 +210,14 @@ func NewRouter(cfg RouterConfig, servers ...*Server) (*Router, error) {
 	if err := CheckRoles(cfg.Roles, len(servers)); err != nil {
 		return nil, err
 	}
-	rt := &Router{policy: cfg.Policy, cost: cost, rolesSet: len(cfg.Roles) > 0}
+	replicas := make([]*replica, len(servers))
 	for i, s := range servers {
-		rep := &replica{srv: s}
-		if rt.rolesSet {
-			rep.role = cfg.Roles[i]
-		}
-		//turbovet:allow guardedby -- construction: rt is not yet published, no concurrent reader exists
-		rt.replicas = append(rt.replicas, rep)
-		switch rep.role {
-		case RolePrefill:
-			rt.prefills = append(rt.prefills, rep)
-		case RoleDecode:
-			rt.decodes = append(rt.decodes, rep)
-		default:
-			rt.mixed = append(rt.mixed, rep)
+		replicas[i] = &replica{srv: s}
+		if len(cfg.Roles) > 0 {
+			replicas[i].role = cfg.Roles[i]
 		}
 	}
-	if rt.rolesSet && len(rt.mixed) == 0 && (len(rt.prefills) == 0 || len(rt.decodes) == 0) {
-		return nil, fmt.Errorf("serving: roles %v can serve no generation end-to-end (want a mixed replica, or at least one prefill and one decode)", cfg.Roles)
-	}
+	rt := &Router{replicas: replicas, classify: ClassifyCandidates(replicas), roles: len(cfg.Roles) > 0, policy: cfg.Policy, cost: cost}
 	if cfg.SLOBudget > 0 {
 		rt.slo = newSLOController(cfg.SLOBudget, cfg.SLOWindow)
 		for _, s := range servers {
@@ -250,7 +245,7 @@ func (rt *Router) AddReplica(srv *Server) error {
 	}
 	rt.setMu.Lock()
 	defer rt.setMu.Unlock()
-	if rt.rolesSet {
+	if rt.roles {
 		return fmt.Errorf("serving: AddReplica: router with replica roles is not elastic")
 	}
 	if rt.slo != nil {
@@ -260,12 +255,12 @@ func (rt *Router) AddReplica(srv *Server) error {
 	next := make([]*replica, len(rt.replicas), len(rt.replicas)+1)
 	copy(next, rt.replicas)
 	rt.replicas = append(next, rep)
-	rt.mixed = rt.replicas
+	rt.classify = rt.replicas
 	rt.scaleUps.Add(1)
 	return nil
 }
 
-// RemoveReplica retires the least-loaded replica — the autoscaler's
+// RemoveReplica retires Victim's choice of replica — the autoscaler's
 // scale-down action — and returns its drained Server (closed; exposed so
 // callers can verify its allocator gauges reached zero). Drain-then-retire,
 // in three barriers, so no job is ever lost or routed to a retiring
@@ -287,7 +282,7 @@ func (rt *Router) AddReplica(srv *Server) error {
 // semantics) and ctx.Err() is returned alongside the server.
 func (rt *Router) RemoveReplica(ctx context.Context) (*Server, error) {
 	rt.setMu.Lock()
-	if rt.rolesSet {
+	if rt.roles {
 		rt.setMu.Unlock()
 		return nil, fmt.Errorf("serving: RemoveReplica: router with replica roles is not elastic")
 	}
@@ -295,20 +290,13 @@ func (rt *Router) RemoveReplica(ctx context.Context) (*Server, error) {
 		rt.setMu.Unlock()
 		return nil, fmt.Errorf("serving: RemoveReplica: cannot remove the last replica")
 	}
-	// Least-loaded victim: fewest unresolved jobs, ties on priced load.
-	vi := 0
-	for i, r := range rt.replicas[1:] {
-		ri, vi0 := r.inflight.Load(), rt.replicas[vi].inflight.Load()
-		if ri < vi0 || (ri == vi0 && r.loadNS.Load() < rt.replicas[vi].loadNS.Load()) {
-			vi = i + 1
-		}
-	}
+	vi := Victim(rt.replicas)
 	victim := rt.replicas[vi]
 	next := make([]*replica, 0, len(rt.replicas)-1)
 	next = append(next, rt.replicas[:vi]...)
 	next = append(next, rt.replicas[vi+1:]...)
 	rt.replicas = next
-	rt.mixed = rt.replicas
+	rt.classify = rt.replicas
 	rt.setMu.Unlock()
 
 	// Barrier 2: requests charged before the swap finish their hand-off to
@@ -339,10 +327,10 @@ func (rt *Router) RemoveReplica(ctx context.Context) (*Server, error) {
 // Policy reports the balancing policy.
 func (rt *Router) Policy() BalancePolicy { return rt.policy }
 
-// route picks the replica for a request of the given footprint and charges
-// it; the returned release function refunds the charge when the request
-// resolves (response written, stream closed, or error returned — however
-// it ends). promptTokens and newTokens size the token-cost price.
+// route picks the replica for a whole request among all replicas and
+// charges it; the returned release function refunds the charge when the
+// request resolves (response written, stream closed, or error returned —
+// however it ends). promptTokens and newTokens size the token-cost price.
 func (rt *Router) route(promptTokens, newTokens int) (*replica, func()) {
 	rt.setMu.RLock()
 	defer rt.setMu.RUnlock()
@@ -355,7 +343,7 @@ func (rt *Router) route(promptTokens, newTokens int) (*replica, func()) {
 func (rt *Router) routeClassify(price int64) (*replica, func()) {
 	rt.setMu.RLock()
 	defer rt.setMu.RUnlock()
-	return rt.routeAmong(rt.classifyCandidatesLocked(), price)
+	return rt.routeAmong(rt.classify, price)
 }
 
 // anyServer returns one live replica's server — the config oracle for
@@ -367,80 +355,33 @@ func (rt *Router) anyServer() *Server {
 	return rt.replicas[0].srv
 }
 
-// routeAmong applies the balancing policy over an explicit candidate set —
-// all replicas for a role-less router, the non-decode replicas for
-// classify under roles — and charges the pick with price. Callers hold
-// setMu.RLock (pick+charge must be atomic with respect to the elastic
-// operations).
+// routeAmong picks by policy over cands and charges the pick with price.
+// Callers hold setMu.RLock (pick+charge must be atomic with respect to the
+// elastic operations).
 func (rt *Router) routeAmong(cands []*replica, price int64) (*replica, func()) {
-	var rep *replica
-	switch rt.policy {
-	case LeastQueue, TokenCostRouting:
-		// Pick and charge under one lock so concurrent arrivals observe
-		// each other's placements — a burst would otherwise read identical
-		// gauges and pile onto one replica.
-		rt.pickMu.Lock()
-		rep = cands[0]
-		if rt.policy == LeastQueue {
-			// Fewest unresolved jobs: queued + executing on that replica,
-			// the live analogue of the simulator's shortest-message-queue.
-			best := rep.inflight.Load()
-			for _, r := range cands[1:] {
-				if n := r.inflight.Load(); n < best {
-					rep, best = r, n
-				}
-			}
-		} else {
-			best := rep.loadNS.Load()
-			for _, r := range cands[1:] {
-				if n := r.loadNS.Load(); n < best {
-					rep, best = r, n
-				}
-			}
-		}
-		rep.inflight.Add(1)
-		rep.loadNS.Add(price)
-		rt.pickMu.Unlock()
-	default: // RoundRobin
-		rep = cands[int(rt.rr.Add(1)-1)%len(cands)]
-		rep.inflight.Add(1)
-		rep.loadNS.Add(price)
-	}
-	rep.routed.Add(1)
-	return rep, func() {
-		rep.inflight.Add(-1)
-		rep.loadNS.Add(-price)
-	}
+	rt.pickMu.Lock()
+	rep := Pick(rt.policy, cands, &rt.turn)
+	rep.charge(price)
+	rt.pickMu.Unlock()
+	return rep, func() { rep.release(price) }
 }
 
-// classifyCandidatesLocked is where classify (and other prefill-shaped whole
-// requests) may run: everything except decode-only replicas once roles are
-// set, all replicas otherwise.
-func (rt *Router) classifyCandidatesLocked() []*replica {
-	if !rt.rolesSet || len(rt.decodes) == len(rt.replicas) {
-		return rt.replicas
-	}
-	cands := make([]*replica, 0, len(rt.replicas))
-	for _, r := range rt.replicas {
-		if r.role != RoleDecode {
-			cands = append(cands, r)
-		}
-	}
-	return cands
-}
-
-// genPlan is one generation's routing decision under roles: either a mixed
-// replica serving the whole session, or a prefill+decode pair with the
-// hand-off in between. Whichever side is chosen, its release functions
-// refund the routing charges when the phase resolves.
+// genPlan is one generation's routing decision: one replica serving the
+// whole session (mixed, charged full), or a prefill+decode pair with the
+// hand-off in between (decode's charge includes the migration).
 type genPlan struct {
-	mixed        *replica
-	releaseMixed func()
-
-	prefill, decode               *replica
-	releasePrefill, releaseDecode func()
-	estimatedBytes                int64
+	mixed, prefill, decode                          *replica
+	full, prefillPrice, decodePrice, estimatedBytes int64
 }
+
+func (p genPlan) releaseMixed() { p.mixed.release(p.full) }
+
+func (p genPlan) releasePrefill() {
+	p.prefill.release(p.prefillPrice)
+	p.prefill.prefillQ.Add(-1)
+}
+
+func (p genPlan) releaseDecode() { p.decode.release(p.decodePrice) }
 
 // handoffBytesEstimate predicts the KV payload of migrating a session
 // right after prefill: at that boundary the self-KV is empty and the
@@ -466,81 +407,31 @@ func migrationPrice(bytes int64) time.Duration {
 	return setup + time.Duration(perByte*float64(bytes))
 }
 
-// planGenerate routes one generation under roles. All loads are read and
-// all charges landed under pickMu, so concurrent plans observe each other.
-// Generations under roles always route by priced load — the disaggregation
-// decision is a cost comparison, whatever policy classify uses:
-//
-//	min( load(P) + prefill(p) + migration(bytes) + load(D) + decode(p,n),
-//	     load(M) + full(p,n) )
-//
-// with ties going to the mixed replica (no hand-off when it isn't
-// strictly cheaper).
+// planGenerate places one generation with Place and charges the chosen
+// side. All loads are read and all charges landed under pickMu, so
+// concurrent plans observe each other.
 func (rt *Router) planGenerate(promptTokens, budget int) genPlan {
-	prefillPrice := int64(rt.cost.PrefillCost(promptTokens))
-	decodePrice := int64(rt.cost.DecodeCost(promptTokens, budget))
-	fullPrice := int64(rt.cost.RequestCost(promptTokens, budget))
 	migBytes := rt.handoffBytesEstimate(promptTokens)
-	migPrice := int64(migrationPrice(migBytes))
+	pr := GenPrices{Full: int64(rt.cost.RequestCost(promptTokens, budget)), Prefill: int64(rt.cost.PrefillCost(promptTokens)),
+		Decode: int64(rt.cost.DecodeCost(promptTokens, budget)), Migration: int64(migrationPrice(migBytes))}
 
 	rt.setMu.RLock()
 	defer rt.setMu.RUnlock()
 	rt.pickMu.Lock()
 	defer rt.pickMu.Unlock()
-	minLoad := func(cands []*replica) *replica {
-		best := cands[0]
-		bl := best.loadNS.Load()
-		for _, r := range cands[1:] {
-			if n := r.loadNS.Load(); n < bl {
-				best, bl = r, n
-			}
-		}
-		return best
-	}
-	var m, p, d *replica
-	if len(rt.mixed) > 0 {
-		m = minLoad(rt.mixed)
-	}
-	if len(rt.prefills) > 0 && len(rt.decodes) > 0 {
-		p, d = minLoad(rt.prefills), minLoad(rt.decodes)
-	}
-	useMixed := p == nil
-	if m != nil && p != nil {
-		useMixed = m.loadNS.Load()+fullPrice <= p.loadNS.Load()+prefillPrice+migPrice+d.loadNS.Load()+decodePrice
-	}
-	charge := func(r *replica, price int64) {
-		r.inflight.Add(1)
-		r.loadNS.Add(price)
-		r.routed.Add(1)
-	}
-	if useMixed {
-		charge(m, fullPrice)
-		return genPlan{mixed: m, releaseMixed: func() {
-			m.inflight.Add(-1)
-			m.loadNS.Add(-fullPrice)
-		}}
+	p, d, split := Place(rt.policy, rt.replicas, rt.roles, &rt.turn, pr)
+	if !split {
+		p.charge(pr.Full)
+		return genPlan{mixed: p, full: pr.Full}
 	}
 	// The migration price is charged to the decode side: that is where the
 	// transferred KV lands and where the charge must suppress further
 	// routing until the import resolves.
-	charge(p, prefillPrice)
+	plan := genPlan{prefill: p, decode: d, prefillPrice: pr.Prefill, decodePrice: pr.Decode + pr.Migration, estimatedBytes: migBytes}
+	p.charge(plan.prefillPrice)
 	p.prefillQ.Add(1)
-	dPrice := decodePrice + migPrice
-	charge(d, dPrice)
-	return genPlan{
-		prefill: p,
-		decode:  d,
-		releasePrefill: func() {
-			p.inflight.Add(-1)
-			p.loadNS.Add(-prefillPrice)
-			p.prefillQ.Add(-1)
-		},
-		releaseDecode: func() {
-			d.inflight.Add(-1)
-			d.loadNS.Add(-dPrice)
-		},
-		estimatedBytes: migBytes,
-	}
+	d.charge(plan.decodePrice)
+	return plan
 }
 
 // Handler returns the HTTP mux for the routed service — the same paths a
@@ -610,7 +501,8 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// Price prompt + resolved decode budget (replicas are identical, so
 	// any live replica's defaults resolve the budget for all of them).
 	budget := rt.anyServer().genBudget(req.MaxNewTokens)
-	if !rt.rolesSet || budget == 0 {
+	if budget == 0 {
+		// No replica generates, so there is no session to place: the pick 503s.
 		rep, release := rt.route(len(req.Text), budget)
 		defer release()
 		rep.srv.serveGenerate(w, r, req)
