@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/autoscale"
 	"repro/internal/sched"
 	"repro/internal/serving"
 	"repro/internal/servingsim"
@@ -44,6 +45,13 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"3 roles for 2 servers", func(c *servingsim.Config) {
 			c.Roles = []serving.ReplicaRole{serving.RolePrefill, serving.RoleDecode, serving.RoleMixed}
 		}, "serving: 3 replica roles for 2 replicas (want one role per replica, or none)"},
+		{"roles with no end-to-end generation", func(c *servingsim.Config) {
+			c.Roles = []serving.ReplicaRole{serving.RoleDecode, serving.RoleDecode}
+		}, "serving: roles [decode decode] can serve no generation end-to-end"},
+		{"roles on an autoscaled fleet", func(c *servingsim.Config) {
+			c.Roles = []serving.ReplicaRole{serving.RoleMixed, serving.RoleMixed}
+			c.Autoscale = &autoscale.Config{Min: 1, Max: 2}
+		}, "not elastic"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,7 @@ const (
 // priced execution — under the hungry or lazy trigger.
 type replica struct {
 	sim   *simclock.Sim
-	cfg   *Config // Cost, RouteCost, MaxBatch and the trigger settings
+	cfg   *Config // Cost, MaxBatch and the trigger settings
 	sched sched.Scheduler
 	role  serving.ReplicaRole
 	state int
@@ -29,30 +29,51 @@ type replica struct {
 	mq       []*sched.Request
 	busy     bool
 	timerSet bool // a lazy-timeout wake-up is pending
-	// load is the outstanding priced work (ns of RequestCost), charged at
-	// enqueue and refunded at completion or expiry — what TokenCostRouting
-	// balances on, mirroring the live Router's per-replica load gauge.
-	load float64
+	// inflight and load are the live Router's gauges: the jobs charged here
+	// and not yet resolved, and their priced cost (ns of RequestCost).
+	inflight, load int64
 
 	served, expired int64
 	// done observes each completed request (the fleet's completion hook).
 	done func(s *replica, r *sched.Request)
 }
 
-func (s *replica) price(r *sched.Request) float64 {
-	return float64(s.cfg.RouteCost.RequestCost(r.Length, 0))
+func (s *replica) Role() serving.ReplicaRole { return s.role }
+func (s *replica) InFlight() int64           { return s.inflight }
+func (s *replica) Load() int64               { return s.load }
+
+// charge is one routing charge: a job in flight on a replica at a price
+// (the zero charge is none). add lands it (+1) or refunds it (−1).
+type charge struct {
+	on    *replica
+	price int64
+}
+
+func (c charge) add(sign int64) {
+	if c.on != nil {
+		c.on.inflight += sign
+		c.on.load += sign * c.price
+	}
+}
+
+// job is what every queued request carries: the charge it refunds when it
+// resolves and, on a generation's prefill, next — the charge its decode
+// phase holds, handed on when the prefill completes and refunded with held
+// if it expires. short marks a classify request.
+type job struct {
+	short      bool
+	held, next charge
 }
 
 func (s *replica) enqueue(r *sched.Request) {
 	s.mq = append(s.mq, r)
-	s.load += s.price(r)
 	s.dispatch()
 }
 
-// retireIfDrained powers a retiring replica off once it holds no work — and
-// only then, so its replica-seconds cover every job it ever admitted.
+// retireIfDrained powers a retiring replica off once nothing is in flight
+// on it, so its replica-seconds cover every job it ever admitted.
 func (s *replica) retireIfDrained() {
-	if s.state == replicaRetiring && !s.busy && len(s.mq) == 0 {
+	if s.state == replicaRetiring && s.inflight == 0 {
 		s.state = replicaOff
 	}
 }
@@ -80,7 +101,9 @@ func (s *replica) dispatch() {
 	}
 	s.mq = dropExpired(s.mq, s.sim.Now(), func(r *sched.Request) {
 		s.expired++
-		s.load -= s.price(r)
+		j := r.Payload.(*job)
+		j.held.add(-1)
+		j.next.add(-1)
 	})
 	if len(s.mq) == 0 {
 		return
@@ -107,7 +130,7 @@ func (s *replica) dispatch() {
 	dur := float64(s.cfg.Cost.BatchCost(sched.Uniform(b.PaddedLen, b.Size()))) / 1e9
 	s.sim.After(dur, func() {
 		for _, r := range b.Requests {
-			s.load -= s.price(r)
+			r.Payload.(*job).held.add(-1)
 			s.done(s, r)
 		}
 		s.busy = false

@@ -34,37 +34,54 @@ func TestLazyHalfSLOGuard(t *testing.T) {
 	}
 }
 
-// TestClusterLoadRefunded drives one simulated replica directly and pins
-// the charge/refund bookkeeping the token-cost policy reads: every
-// completed request refunds its enqueue charge, an expired request
-// refunds on the expiry path, so outstanding load returns to zero once
-// the queue empties.
+// TestClusterLoadRefunded drives simulated replicas directly and pins the
+// charge/refund bookkeeping the load-reading policies and the scale-down
+// victim read: a completed request refunds the charge it holds, an expired
+// one refunds on the expiry path together with the charge its decode phase
+// was placed with on another replica, so both gauges return to zero once
+// the queues empty.
 func TestClusterLoadRefunded(t *testing.T) {
 	sim := simclock.New()
-	s := &replica{
-		sim:   sim,
-		cfg:   &Config{Cost: tokenTime, RouteCost: sched.TokenCounts, MaxBatch: 4},
-		sched: &sched.DPScheduler{Cost: tokenTime, MaxBatch: 4},
-		done:  func(*replica, *sched.Request) {},
+	newReplica := func() *replica {
+		return &replica{
+			sim:   sim,
+			cfg:   &Config{Cost: tokenTime, MaxBatch: 4},
+			sched: &sched.DPScheduler{Cost: tokenTime, MaxBatch: 4},
+			done:  func(*replica, *sched.Request) {},
+		}
+	}
+	s, d := newReplica(), newReplica()
+	enqueue := func(r *sched.Request, j *job) {
+		j.held.add(1)
+		j.next.add(1)
+		r.Payload = j
+		s.enqueue(r)
 	}
 	// The first enqueue dispatches immediately (replica goes busy); the
-	// rest wait in the queue. One of them expires before the replica frees
-	// up, exercising the expiry refund path.
-	s.enqueue(&sched.Request{ID: 1, Length: 10})
-	if s.load == 0 {
-		t.Fatal("in-flight request not charged")
+	// rest wait in the queue. Two of them expire before the replica frees
+	// up, exercising the expiry refund path — one a prefill whose decode
+	// was placed on d.
+	enqueue(&sched.Request{ID: 1, Length: 10}, &job{held: charge{s, 10}})
+	if s.load != 10 || s.inflight != 1 {
+		t.Fatalf("routed request not charged: load %d in flight %d", s.load, s.inflight)
 	}
-	s.enqueue(&sched.Request{ID: 2, Length: 20})
-	s.enqueue(&sched.Request{ID: 3, Length: 30, Deadline: 1e-9})
+	enqueue(&sched.Request{ID: 2, Length: 20}, &job{held: charge{s, 20}})
+	enqueue(&sched.Request{ID: 3, Length: 30, Deadline: 1e-9}, &job{held: charge{s, 30}})
+	enqueue(&sched.Request{ID: 4, Length: 5, Deadline: 1e-9}, &job{held: charge{s, 5}, next: charge{d, 40}})
+	if d.load != 40 || d.inflight != 1 {
+		t.Fatalf("decode placement not charged: load %d in flight %d", d.load, d.inflight)
+	}
 	sim.Run(100)
-	if s.expired != 1 {
-		t.Fatalf("expired %d requests, want 1", s.expired)
+	if s.expired != 2 {
+		t.Fatalf("expired %d requests, want 2", s.expired)
 	}
 	if len(s.mq) != 0 || s.busy {
 		t.Fatalf("replica not drained: queue %d busy %v", len(s.mq), s.busy)
 	}
-	if s.load != 0 {
-		t.Fatalf("outstanding load %v after drain, want 0 (refund leak)", s.load)
+	for name, r := range map[string]*replica{"prefill": s, "decode": d} {
+		if r.load != 0 || r.inflight != 0 {
+			t.Fatalf("%s replica holds load %d in flight %d after drain, want 0 (refund leak)", name, r.load, r.inflight)
+		}
 	}
 
 	// And a whole-fleet run stays deterministic under the policy.

@@ -4,8 +4,9 @@
 // results (§5, §6.3: Figs. 15–16, Tables 4–5) and of the routing, hand-off
 // and autoscaling shape checks. The layers are the live ones: a replica
 // batches its queue with a sched.Scheduler under the hungry or lazy trigger;
-// a balancer spreads arrivals over N replicas by policy and role and hands
-// two-phase generations from a prefill to a decode replica; an optional
+// a balancer makes the live Router's decisions (serving.Pick, Place,
+// Victim) over N replicas, keeping each two-phase generation on one replica
+// or handing it from a prefill to a decode replica; an optional
 // autoscale.Controller moves replicas in and out of the routing set. Run
 // covers all of it with one Config; RunGeneration models the decode loop
 // itself, static against continuous batching. Every run is a pure function
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/sched"
@@ -78,21 +80,19 @@ type Config struct {
 	LazyTimeout  float64 // seconds; Lazy only
 	SLO          float64 // seconds; 0 disables Lazy's half-SLO guard
 
-	// Servers is the fleet size (at least 1); Policy spreads requests over
-	// it. RouteCost prices a request for TokenCostRouting (nil means
-	// sched.TokenCounts).
+	// Servers is the fleet size (at least 1); Policy and Roles spread
+	// requests over it as they do the live Router's. RouteCost prices a
+	// request of length L as RequestCost(L, 0) (nil: sched.TokenCounts).
 	Servers   int
 	Policy    serving.BalancePolicy
 	RouteCost *sched.TokenCost
 	// Roles tags each replica prefill/decode/mixed, one per server or none
-	// (all mixed), as the live Router takes them: short requests and
-	// generation prefills route over prefill∪mixed replicas, decode phases
-	// over decode∪mixed, so long decodes stop blocking short work.
+	// (all mixed), validated by serving.CheckRoles like the live Router's.
 	Roles []serving.ReplicaRole
 	// GenFrac is the fraction of arrivals that are two-phase generations: a
-	// prefill request, then — MigrationDelay seconds of KV hand-off later —
-	// a decode request of priced length DecodeLen on a decode-capable
-	// replica.
+	// prefill request, then a decode request of priced length DecodeLen —
+	// at once on the same replica, or MigrationDelay seconds later on the
+	// decode replica of a prefill+decode pair, the hand-off's price in ns.
 	GenFrac        float64
 	DecodeLen      int
 	MigrationDelay float64
@@ -100,7 +100,8 @@ type Config struct {
 	// Autoscale, when set, puts the hysteresis controller in the loop: the
 	// fleet starts at its Min and moves between Min and Max (Servers is
 	// ignored). Scale-up activates a warm spare at once; scale-down is
-	// drain-then-retire, the live RemoveReplica contract.
+	// drain-then-retire, the live RemoveReplica contract. Like the live
+	// Router's, a fleet with Roles is not elastic.
 	Autoscale *autoscale.Config
 }
 
@@ -119,8 +120,8 @@ type Result struct {
 	// non-generation requests alone, the interference metric disaggregation
 	// targets.
 	LatencyAvg, LatencyMin, LatencyMax, LatencyP99, ShortP99 float64
-	// PerServerServed shows balance quality; Migrations counts generation
-	// hand-offs that changed replica.
+	// PerServerServed shows balance quality; Migrations counts the
+	// generations split over a prefill+decode pair, one KV hand-off each.
 	PerServerServed []int64
 	Migrations      int64
 	// Saturated marks a cut run whose queue diverged: offered load beyond
@@ -149,62 +150,10 @@ func (cfg *Config) check() error {
 		return fmt.Errorf("servingsim: Lazy needs a positive LazyTimeout, got %v", cfg.LazyTimeout)
 	case !(cfg.GenFrac >= 0 && cfg.GenFrac <= 1):
 		return fmt.Errorf("servingsim: GenFrac %v outside [0, 1]", cfg.GenFrac)
+	case cfg.Autoscale != nil && len(cfg.Roles) > 0:
+		return errors.New("servingsim: a fleet with replica roles is not elastic")
 	}
 	return nil
-}
-
-// The phases of a two-phase generation, carried in sched.Request.Payload;
-// a short (classify) request carries none.
-type genPhase int
-
-const (
-	genPrefill genPhase = iota + 1
-	genDecode
-)
-
-// fleet is the balancer: the replicas and the round-robin cursor (shared by
-// arrivals and hand-offs).
-type fleet struct {
-	policy   serving.BalancePolicy
-	replicas []*replica
-	next     int
-}
-
-// pick routes one request: the policy's choice among the active replicas
-// whose role is not avoid — RoleDecode for short requests and prefills,
-// RolePrefill for decode phases — or among all active ones when none fits.
-func (f *fleet) pick(avoid serving.ReplicaRole) *replica {
-	var active, cands []*replica
-	for _, s := range f.replicas {
-		if s.state == replicaActive {
-			active = append(active, s)
-			if s.role != avoid {
-				cands = append(cands, s)
-			}
-		}
-	}
-	if len(cands) == 0 {
-		cands = active
-	}
-	best := cands[0]
-	switch f.policy {
-	case serving.LeastQueue:
-		for _, s := range cands[1:] {
-			if len(s.mq) < len(best.mq) {
-				best = s
-			}
-		}
-	case serving.TokenCostRouting:
-		for _, s := range cands[1:] {
-			if s.load < best.load {
-				best = s
-			}
-		}
-	default:
-		best = cands[f.next%len(cands)]
-		f.next++
-	}
-	return best
 }
 
 // Run replays Poisson arrivals through a balancer over a fleet of simulated
@@ -231,6 +180,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
+	migration := int64(cfg.MigrationDelay * float64(time.Second))
 	sim := simclock.New()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	horizon := cfg.Warmup + cfg.Duration
@@ -244,29 +194,44 @@ func Run(cfg Config) (Result, error) {
 	all, short := simclock.NewLatencyStats(), simclock.NewLatencyStats()
 	res := Result{OfferedRate: cfg.Rate, PerServerServed: make([]int64, size)}
 
-	f := &fleet{policy: cfg.Policy, replicas: make([]*replica, size)}
-	// done observes each completed request: a generation's prefill hands
-	// off to a decode-capable replica after the migration delay, anything
-	// else is a response and is measured.
-	done := func(s *replica, r *sched.Request) {
-		if r.Payload == genPrefill {
-			target := f.pick(serving.RolePrefill)
-			if target != s {
-				res.Migrations++
+	// The balancer: the replicas, the routing set (the active ones in index
+	// order) with its classify candidates, and the round-robin cursor.
+	replicas := make([]*replica, size)
+	var active, classify []*replica
+	turn := 0
+	refresh := func() {
+		active = active[:0]
+		for _, s := range replicas {
+			if s.state == replicaActive {
+				active = append(active, s)
 			}
-			dec := &sched.Request{ID: r.ID, Length: cfg.DecodeLen, Arrival: r.Arrival, Deadline: r.Deadline, Payload: genDecode}
-			sim.After(cfg.MigrationDelay, func() { target.enqueue(dec) })
+		}
+		classify = serving.ClassifyCandidates(active)
+	}
+	// done observes each completed request: a generation's prefill hands its
+	// decode phase, and the charge placed for it, to the replica its
+	// placement chose. Anything else is a response and is measured.
+	done := func(s *replica, r *sched.Request) {
+		j := r.Payload.(*job)
+		if d := j.next.on; d != nil {
+			dec := &sched.Request{ID: r.ID, Length: cfg.DecodeLen, Arrival: r.Arrival, Deadline: r.Deadline, Payload: &job{held: j.next}}
+			if d == s {
+				d.enqueue(dec)
+			} else {
+				res.Migrations++
+				sim.After(cfg.MigrationDelay, func() { d.enqueue(dec) })
+			}
 			return
 		}
 		if now := sim.Now(); measured.holds(now) {
 			all.Add(now - r.Arrival)
 			s.served++
-			if r.Payload == nil {
+			if j.short {
 				short.Add(now - r.Arrival)
 			}
 		}
 	}
-	for i := range f.replicas {
+	for i := range replicas {
 		s := &replica{sim: sim, cfg: &cfg, sched: cfg.NewScheduler(), done: done}
 		if i < start {
 			s.state = replicaActive
@@ -274,30 +239,28 @@ func Run(cfg Config) (Result, error) {
 		if len(cfg.Roles) > 0 {
 			s.role = cfg.Roles[i]
 		}
-		f.replicas[i] = s
+		replicas[i] = s
 	}
+	refresh()
 
 	scale := func(d autoscale.Decision) {
 		switch d {
 		case autoscale.ScaleUp:
-			for _, s := range f.replicas {
+			for _, s := range replicas {
 				if s.state == replicaOff {
 					s.state = replicaActive
+					refresh()
 					res.ScaleUps++
 					return
 				}
 			}
 		case autoscale.ScaleDown:
-			// Least-loaded active victim, exactly like RemoveReplica (the
-			// controller only shrinks a fleet above its Min ≥ 1, so there is
-			// one). It leaves the routing set now and powers off once drained.
-			var victim *replica
-			for _, s := range f.replicas {
-				if s.state == replicaActive && (victim == nil || s.load < victim.load) {
-					victim = s
-				}
-			}
+			// RemoveReplica's victim (the controller only shrinks a fleet
+			// above its Min ≥ 1, so there is one). It leaves the routing set
+			// now and powers off once drained.
+			victim := active[serving.Victim(active)]
 			victim.state = replicaRetiring
+			refresh()
 			victim.retireIfDrained()
 			res.ScaleDowns++
 		}
@@ -310,17 +273,16 @@ func Run(cfg Config) (Result, error) {
 	firstTick := true
 	var tick func()
 	tick = func() {
-		on, active, idle := 0, 0, true
+		on, idle := 0, true
 		var depth int64
-		for _, s := range f.replicas {
+		for _, s := range replicas {
 			if s.state != replicaOff {
 				on++
 			}
 			if s.state == replicaActive {
-				active++
 				depth += int64(len(s.mq))
 			}
-			if s.busy || len(s.mq) > 0 {
+			if s.inflight > 0 {
 				idle = false
 			}
 		}
@@ -329,7 +291,7 @@ func Run(cfg Config) (Result, error) {
 		if ctrl != nil {
 			completed := all.Count
 			scale(ctrl.Tick(autoscale.Signals{
-				Replicas:      active,
+				Replicas:      len(active),
 				QueueDepth:    depth,
 				DrainRate:     float64(completed-lastCompleted) / tickSec,
 				DrainMeasured: !firstTick,
@@ -351,10 +313,28 @@ func Run(cfg Config) (Result, error) {
 		} else if cfg.LenHi > cfg.LenLo {
 			r.Length += rng.Intn(cfg.LenHi - cfg.LenLo + 1)
 		}
+		// Charges land at arrival, as the live Router's do at routing, and
+		// each is refunded when the phase holding it resolves.
+		j := &job{}
+		price := int64(cfg.RouteCost.RequestCost(r.Length, 0))
+		var target *replica
 		if cfg.GenFrac > 0 && rng.Float64() < cfg.GenFrac {
-			r.Payload = genPrefill
+			decode := int64(cfg.RouteCost.RequestCost(cfg.DecodeLen, 0))
+			p, d, split := serving.Place(cfg.Policy, active, len(cfg.Roles) > 0, &turn,
+				serving.GenPrices{Full: price + decode, Prefill: price, Decode: decode, Migration: migration})
+			if target = p; split {
+				j.held, j.next = charge{p, price}, charge{d, decode + migration}
+			} else {
+				j.next = charge{p, price + decode}
+			}
+		} else {
+			target = serving.Pick(cfg.Policy, classify, &turn)
+			j.short, j.held = true, charge{target, price}
 		}
-		f.pick(serving.RoleDecode).enqueue(r)
+		j.held.add(1)
+		j.next.add(1)
+		r.Payload = j
+		target.enqueue(r)
 	}
 	if cfg.RateAt != nil {
 		sim.VaryingArrivals(cfg.RateAt, cfg.Rate, cfg.Seed, horizon, arrive)
@@ -364,7 +344,7 @@ func Run(cfg Config) (Result, error) {
 
 	sim.Run(stop)
 
-	for i, s := range f.replicas {
+	for i, s := range replicas {
 		res.PerServerServed[i] = s.served
 		res.Expired += s.expired
 		res.FinalQueueLen += len(s.mq)
