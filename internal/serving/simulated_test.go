@@ -204,12 +204,21 @@ func TestClusterSingleServerMatchesScale(t *testing.T) {
 	}
 }
 
+// overloadCfg is clusterCfg at 8000 req/s over 1.25 virtual seconds: the
+// backlog builds from the first arrivals, so a second of measurement shows
+// the plateau and the deadline drops as well as eight did, at an eighth of
+// the wall time.
+func overloadCfg(servers int) servingsim.Config {
+	cfg := clusterCfg(servers, 8000, serving.LeastQueue)
+	cfg.Warmup, cfg.Duration = 0.25, 1
+	return cfg
+}
+
 // The load balancer's purpose (§5): capacity scales with server count.
 func TestClusterThroughputScales(t *testing.T) {
-	overload := 8000.0
-	cap1 := run(t, clusterCfg(1, overload, serving.LeastQueue)).ServedPerSec
-	cap2 := run(t, clusterCfg(2, overload, serving.LeastQueue)).ServedPerSec
-	cap4 := run(t, clusterCfg(4, overload, serving.LeastQueue)).ServedPerSec
+	cap1 := run(t, overloadCfg(1)).ServedPerSec
+	cap2 := run(t, overloadCfg(2)).ServedPerSec
+	cap4 := run(t, overloadCfg(4)).ServedPerSec
 	if cap2 < 1.7*cap1 {
 		t.Fatalf("2 servers should ~double capacity: %v vs %v", cap2, cap1)
 	}
@@ -258,7 +267,7 @@ func TestClusterRoundRobinEvenSplit(t *testing.T) {
 // deadline must shed backlog as expired drops while the cluster keeps
 // serving; without deadlines nothing expires.
 func TestClusterDeadlineShedsOverload(t *testing.T) {
-	cfg := clusterCfg(2, 8000, serving.LeastQueue)
+	cfg := overloadCfg(2)
 	cfg.DeadlineSec = 0.05
 	res := run(t, cfg)
 	if res.Expired == 0 {
@@ -267,7 +276,7 @@ func TestClusterDeadlineShedsOverload(t *testing.T) {
 	if res.Served == 0 {
 		t.Fatalf("deadline cluster served nothing: %+v", res)
 	}
-	if free := run(t, clusterCfg(2, 8000, serving.LeastQueue)); free.Expired != 0 {
+	if free := run(t, overloadCfg(2)); free.Expired != 0 {
 		t.Fatalf("no-deadline cluster expired %d", free.Expired)
 	}
 }
