@@ -22,7 +22,8 @@ type BalancePolicy int
 const (
 	// RoundRobin cycles through servers regardless of load.
 	RoundRobin BalancePolicy = iota
-	// LeastQueue sends each request to the server with the shortest queue.
+	// LeastQueue sends each request to the server with the fewest
+	// unresolved jobs, queued plus executing.
 	LeastQueue
 	// TokenCostRouting sends each request to the server with the least
 	// outstanding PRICED work (a sched.TokenCost over prompt tokens
@@ -356,8 +357,7 @@ func (rt *Router) anyServer() *Server {
 }
 
 // routeAmong picks by policy over cands and charges the pick with price.
-// Callers hold setMu.RLock (pick+charge must be atomic with respect to the
-// elastic operations).
+// Callers hold setMu.RLock: pick+charge is atomic to the elastic operations.
 func (rt *Router) routeAmong(cands []*replica, price int64) (*replica, func()) {
 	rt.pickMu.Lock()
 	rep := Pick(rt.policy, cands, &rt.turn)

@@ -205,9 +205,8 @@ func TestClusterSingleServerMatchesScale(t *testing.T) {
 }
 
 // overloadCfg is clusterCfg at 8000 req/s over 1.25 virtual seconds: the
-// backlog builds from the first arrivals, so a second of measurement shows
-// the plateau and the deadline drops as well as eight did, at an eighth of
-// the wall time.
+// backlog builds from the first arrivals, so one measured second shows the
+// capacity plateau and the deadline drops.
 func overloadCfg(servers int) servingsim.Config {
 	cfg := clusterCfg(servers, 8000, serving.LeastQueue)
 	cfg.Warmup, cfg.Duration = 0.25, 1

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/autoscale"
@@ -200,12 +201,7 @@ func Run(cfg Config) (Result, error) {
 	var active, classify []*replica
 	turn := 0
 	refresh := func() {
-		active = active[:0]
-		for _, s := range replicas {
-			if s.state == replicaActive {
-				active = append(active, s)
-			}
-		}
+		active = slices.DeleteFunc(slices.Clone(replicas), func(s *replica) bool { return s.state != replicaActive })
 		classify = serving.ClassifyCandidates(active)
 	}
 	// done observes each completed request: a generation's prefill hands its
