@@ -256,7 +256,7 @@ func (rt *Router) AddReplica(srv *Server) error {
 	next := make([]*replica, len(rt.replicas), len(rt.replicas)+1)
 	copy(next, rt.replicas)
 	rt.replicas = append(next, rep)
-	rt.classify = rt.replicas
+	rt.classify = ClassifyCandidates(rt.replicas)
 	rt.scaleUps.Add(1)
 	return nil
 }
@@ -297,7 +297,7 @@ func (rt *Router) RemoveReplica(ctx context.Context) (*Server, error) {
 	next = append(next, rt.replicas[:vi]...)
 	next = append(next, rt.replicas[vi+1:]...)
 	rt.replicas = next
-	rt.classify = rt.replicas
+	rt.classify = ClassifyCandidates(rt.replicas)
 	rt.setMu.Unlock()
 
 	// Barrier 2: requests charged before the swap finish their hand-off to
