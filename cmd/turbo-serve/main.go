@@ -62,10 +62,8 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound: in-flight work is aborted past this")
 	generate := flag.Bool("generate", true, "enable the /v1/generate continuous-batching path")
 	genMaxBatch := flag.Int("gen-max-batch", 8, "max concurrent decode sequences")
-	genTokenBudget := flag.Int("gen-token-budget", 0, "cap on summed worst-case context tokens across running generations (0 = unlimited)")
 	genMaxNew := flag.Int("gen-max-new", 32, "default max_new_tokens for /v1/generate")
-	genPaged := flag.Bool("gen-paged", false, "page the generation KV cache through a fixed block pool with shared-prefix caching (block-gated admission, lossless preemption)")
-	genKVBlocks := flag.Int("gen-kv-blocks", 0, "paged-KV block pool capacity (0 = derive from decoder geometry)")
+	genKVBlocks := flag.Int("gen-kv-blocks", 0, "KV block pool capacity the generation path pages through (0 = derive from decoder geometry)")
 	genPrefixEntries := flag.Int("gen-prefix-entries", 0, "retired generations the prefix cache keeps for prompt-identical replay (0 = default 64)")
 	flag.Parse()
 
@@ -123,15 +121,10 @@ func main() {
 		opts = append(opts,
 			turbo.WithGeneration(decCfg),
 			turbo.WithGenMaxBatch(*genMaxBatch),
-			turbo.WithGenTokenBudget(*genTokenBudget),
 			turbo.WithGenDefaultMaxNew(*genMaxNew),
+			turbo.WithPagedKV(*genKVBlocks),
+			turbo.WithPrefixCache(*genPrefixEntries),
 		)
-		if *genPaged {
-			opts = append(opts, turbo.WithPagedKV(*genKVBlocks))
-			if *genPrefixEntries > 0 {
-				opts = append(opts, turbo.WithPrefixCache(*genPrefixEntries))
-			}
-		}
 	}
 	rt, err := turbo.NewRuntime(cfg, opts...)
 	if err != nil {
@@ -205,10 +198,7 @@ func main() {
 		log.Printf("routing over %d replicas, policy %s", *replicas, policy)
 	}
 	if *generate {
-		kv := "contiguous KV"
-		if *genPaged {
-			kv = "paged KV + prefix cache"
-		}
+		kv := "paged KV + prefix cache"
 		if *fp16 {
 			kv = "binary16 " + kv
 		}

@@ -39,8 +39,8 @@ type Signals struct {
 	// non-empty queue is a wedged fleet — overload by definition.
 	DrainRate     float64
 	DrainMeasured bool
-	// KVBlocksUsed/Total gauge paged-KV pool occupancy (zero Total when the
-	// fleet does not run paged).
+	// KVBlocksUsed/Total gauge the KV block pools' occupancy by running
+	// generations (zero Total when the fleet serves no generation).
 	KVBlocksUsed, KVBlocksTotal int64
 	// GenReservedTokens is the continuous schedulers' summed worst-case
 	// context reservation — the admission-side KV pressure gauge.

@@ -34,9 +34,6 @@ func BatchedGemm(transA, transB bool, m, n, k int, alpha float32,
 		panic(fmt.Sprintf("blas: batched slice counts differ: %d %d %d", len(as), len(bs), len(cs)))
 	}
 	lda, ldb, ldc := k, n, n
-	if transA {
-		lda = m
-	}
 	if transB {
 		ldb = k
 	}

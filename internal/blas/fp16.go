@@ -66,7 +66,8 @@ func operandElems(trans bool, rows, cols, ld int) int {
 // into pooled fp32 scratch and handed to the fp32 kernels, so accumulation
 // order — and therefore bit-level results — match the fp32 route exactly.
 func GemmF16(transA, transB bool, m, n, k int, alpha float32, a Half, lda int, b Half, ldb int, beta float32, c []float32, ldc int) {
-	na := operandElems(transA, m, k, lda)
+	checkGemmArgs(transA, transB, m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
+	na := operandElems(false, m, k, lda)
 	nb := operandElems(transB, k, n, ldb)
 	pa, af := getF16Scratch(na)
 	pb, bf := getF16Scratch(nb)

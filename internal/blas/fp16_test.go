@@ -32,41 +32,37 @@ func bitsEqual(t *testing.T, got, want []float32, what string) {
 
 // TestGemmF16BitIdenticalToRoundedGemm pins the route's foundational
 // property: GemmF16 over encoded operands equals Gemm over the same operands
-// rounded through binary16, bit for bit, across all four transpose modes,
-// padded leading dimensions, and nonzero alpha/beta.
+// rounded through binary16, bit for bit, across both B layouts, padded
+// leading dimensions, and nonzero alpha/beta.
 func TestGemmF16BitIdenticalToRoundedGemm(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cases := []struct {
-		transA, transB bool
-		m, n, k        int
-		lda, ldb, ldc  int
-		alpha, beta    float32
+		transB        bool
+		m, n, k       int
+		lda, ldb, ldc int
+		alpha, beta   float32
 	}{
-		{false, false, 5, 7, 9, 9, 7, 7, 1, 0},
-		{false, true, 4, 6, 8, 8, 8, 6, 0.125, 0},
-		{true, false, 6, 5, 7, 6, 5, 5, 1, 1},
-		{true, true, 3, 4, 5, 3, 5, 4, 2, 0.5},
-		{false, false, 8, 8, 8, 11, 13, 9, 1, 0}, // padded leading dims
-		{false, true, 1, 33, 16, 16, 16, 33, 0.25, 0},
+		{false, 5, 7, 9, 9, 7, 7, 1, 0},
+		{true, 4, 6, 8, 8, 8, 6, 0.125, 0},
+		{false, 6, 5, 7, 7, 5, 5, 1, 1},
+		{true, 3, 4, 5, 5, 5, 4, 2, 0.5},
+		{false, 8, 8, 8, 11, 13, 9, 1, 0}, // padded leading dims
+		{true, 1, 33, 16, 16, 16, 33, 0.25, 0},
 	}
 	for ci, c := range cases {
-		aRows, aCols := c.m, c.k
-		if c.transA {
-			aRows, aCols = c.k, c.m
-		}
 		bRows, bCols := c.k, c.n
 		if c.transB {
 			bRows, bCols = c.n, c.k
 		}
-		a := randSlice(r, (aRows-1)*c.lda+aCols)
+		a := randSlice(r, (c.m-1)*c.lda+c.k)
 		b := randSlice(r, (bRows-1)*c.ldb+bCols)
 		cInit := randSlice(r, (c.m-1)*c.ldc+c.n)
 
 		want := append([]float32(nil), cInit...)
-		Gemm(c.transA, c.transB, c.m, c.n, c.k, c.alpha, roundedCopy(a), c.lda, roundedCopy(b), c.ldb, c.beta, want, c.ldc)
+		Gemm(false, c.transB, c.m, c.n, c.k, c.alpha, roundedCopy(a), c.lda, roundedCopy(b), c.ldb, c.beta, want, c.ldc)
 
 		got := append([]float32(nil), cInit...)
-		GemmF16(c.transA, c.transB, c.m, c.n, c.k, c.alpha, encoded(a), c.lda, encoded(b), c.ldb, c.beta, got, c.ldc)
+		GemmF16(false, c.transB, c.m, c.n, c.k, c.alpha, encoded(a), c.lda, encoded(b), c.ldb, c.beta, got, c.ldc)
 		bitsEqual(t, got, want, "GemmF16 case "+string(rune('0'+ci)))
 	}
 }

@@ -1,6 +1,6 @@
 // Package blas implements the dense linear-algebra routines the transformer
-// runtime needs: single-precision GEMM with optional transposes, plus the
-// batched and strided-batched variants used by multi-head attention
+// runtime needs: single-precision GEMM with an optionally transposed B, plus
+// the batched and strided-batched variants used by multi-head attention
 // (batched Q·Kᵀ and scores·V, Fig. 3 "batched stride gemm3/gemm4").
 //
 // On the paper's system these map to cuBLAS; here they are micro-kernels over
@@ -33,12 +33,14 @@ import (
 	"sync"
 )
 
-// Gemm computes C = alpha * op(A) * op(B) + beta * C where op is identity
-// or transpose, with row-major storage and leading dimensions lda/ldb/ldc.
-// op(A) is m×k and op(B) is k×n; C is m×n.
+// Gemm computes C = alpha * A * op(B) + beta * C where op(B) is B or, with
+// transB, Bᵀ, with row-major storage and leading dimensions lda/ldb/ldc. A is
+// m×k and op(B) is k×n; C is m×n.
 //
 // The call panics on inconsistent dimensions — dimension errors are
-// programming bugs in graph construction, not runtime conditions.
+// programming bugs in graph construction, not runtime conditions — and on
+// transA: no caller stores A transposed, so that kernel does not exist. The
+// flag stays in the signature, which mirrors the cuBLAS call.
 func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	checkGemmArgs(transA, transB, m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
 	if !scaleC(alpha, beta, c, m, n, k, ldc) {
@@ -48,7 +50,7 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
 	const minRowsParallel = 16
 	workers := min(runtime.GOMAXPROCS(0), m)
 	if workers <= 1 || m < minRowsParallel {
-		gemmBlock(transA, transB, 0, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		gemmBlock(transB, 0, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
 	// Even chunks, so only the last one can end on an unpaired row.
@@ -58,22 +60,22 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			gemmBlock(transA, transB, i0, min(i0+chunk, m), n, k, alpha, a, lda, b, ldb, c, ldc)
+			gemmBlock(transB, i0, min(i0+chunk, m), n, k, alpha, a, lda, b, ldb, c, ldc)
 		}()
 	}
 	wg.Wait()
 }
 
 // checkGemmArgs panics unless an m×n×k problem with these leading dimensions
-// fits operands of na, nb and nc elements.
+// fits operands of na, nb and nc elements, A untransposed.
 func checkGemmArgs(transA, transB bool, m, n, k, na, lda, nb, ldb, nc, ldc int) {
+	if transA {
+		panic("blas: transposed A is not supported")
+	}
 	if m < 0 || n < 0 || k < 0 {
 		panic(fmt.Sprintf("blas: negative dimension m=%d n=%d k=%d", m, n, k))
 	}
 	aRows, aCols := m, k
-	if transA {
-		aRows, aCols = k, m
-	}
 	bRows, bCols := k, n
 	if transB {
 		bRows, bCols = n, k
@@ -112,17 +114,12 @@ func scaleC(alpha, beta float32, c []float32, m, n, k, ldc int) bool {
 	return m > 0 && n > 0 && k > 0 && alpha != 0
 }
 
-// gemmBlock accumulates alpha*op(A)*op(B) into C for rows [i0,i1).
-func gemmBlock(transA, transB bool, i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
-	switch {
-	case !transA && !transB:
-		gemmNN(i0, i1, n, k, alpha, a, lda, b, ldb, c, ldc)
-	case !transA && transB:
+// gemmBlock accumulates alpha*A*op(B) into C for rows [i0,i1).
+func gemmBlock(transB bool, i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	if transB {
 		gemmNT(i0, i1, n, k, alpha, a, lda, b, ldb, c, ldc)
-	case transA && !transB:
-		gemmTN(i0, i1, n, k, alpha, a, lda, b, ldb, c, ldc)
-	default:
-		gemmTT(i0, i1, n, k, alpha, a, lda, b, ldb, c, ldc)
+	} else {
+		gemmNN(i0, i1, n, k, alpha, a, lda, b, ldb, c, ldc)
 	}
 }
 
@@ -168,35 +165,6 @@ func gemmNT(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, 
 		if j < n { // odd last column: the pair kernel on one row twice
 			s, _ := dot2(arow, b[j*ldb:], b[j*ldb:])
 			crow[j] += float32(alpha * s)
-		}
-	}
-}
-
-// gemmTN is gemmNN's order over an A stored transposed: p ascending, one
-// rounded multiply and add at a time, and no zero of A skipped (0·Inf must
-// make the NaN it makes in NN).
-func gemmTN(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
-	for i := i0; i < i1; i++ {
-		crow := c[i*ldc:]
-		for p := 0; p < k; p++ {
-			av := alpha * a[p*lda+i]
-			brow := b[p*ldb:]
-			for j := 0; j < n; j++ {
-				crow[j] += float32(av * brow[j])
-			}
-		}
-	}
-}
-
-func gemmTT(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
-	for i := i0; i < i1; i++ {
-		crow := c[i*ldc:]
-		for j := 0; j < n; j++ {
-			var sum float32
-			for p := 0; p < k; p++ {
-				sum += float32(a[p*lda+i] * b[j*ldb+p])
-			}
-			crow[j] += float32(alpha * sum)
 		}
 	}
 }

@@ -10,13 +10,7 @@ import (
 
 // gemmRef is an obviously-correct O(mnk) reference used to validate the
 // blocked/parallel implementation.
-func gemmRef(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	at := func(i, p int) float32 {
-		if transA {
-			return a[p*lda+i]
-		}
-		return a[i*lda+p]
-	}
+func gemmRef(transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	bt := func(p, j int) float32 {
 		if transB {
 			return b[j*ldb+p]
@@ -27,7 +21,7 @@ func gemmRef(transA, transB bool, m, n, k int, alpha float32, a []float32, lda i
 		for j := 0; j < n; j++ {
 			var sum float64
 			for p := 0; p < k; p++ {
-				sum += float64(at(i, p)) * float64(bt(p, j))
+				sum += float64(a[i*lda+p]) * float64(bt(p, j))
 			}
 			c[i*ldc+j] = alpha*float32(sum) + beta*c[i*ldc+j]
 		}
@@ -53,32 +47,37 @@ func maxDiff(a, b []float32) float64 {
 	return d
 }
 
+// TestGemmAllTransposeCombos: both B layouts match the reference; a
+// transposed A — a kernel no caller needs — panics.
 func TestGemmAllTransposeCombos(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := []struct{ m, n, k int }{
 		{1, 1, 1}, {3, 5, 7}, {17, 9, 33}, {64, 64, 64}, {65, 63, 130}, {2, 128, 1},
 	}
 	for _, tc := range cases {
-		for _, transA := range []bool{false, true} {
-			for _, transB := range []bool{false, true} {
-				lda, ldb, ldc := tc.k, tc.n, tc.n
-				if transA {
-					lda = tc.m
-				}
-				if transB {
-					ldb = tc.k
-				}
-				a := randSlice(rng, tc.m*tc.k)
-				b := randSlice(rng, tc.k*tc.n)
-				c0 := randSlice(rng, tc.m*tc.n)
-				got := append([]float32(nil), c0...)
-				want := append([]float32(nil), c0...)
-				Gemm(transA, transB, tc.m, tc.n, tc.k, 0.5, a, lda, b, ldb, 0.25, got, ldc)
-				gemmRef(transA, transB, tc.m, tc.n, tc.k, 0.5, a, lda, b, ldb, 0.25, want, ldc)
-				if d := maxDiff(got, want); d > 1e-3 {
-					t.Fatalf("m=%d n=%d k=%d tA=%v tB=%v: maxdiff=%g", tc.m, tc.n, tc.k, transA, transB, d)
-				}
+		for _, transB := range []bool{false, true} {
+			ldb, ldc := tc.n, tc.n
+			if transB {
+				ldb = tc.k
 			}
+			a := randSlice(rng, tc.m*tc.k)
+			b := randSlice(rng, tc.k*tc.n)
+			c0 := randSlice(rng, tc.m*tc.n)
+			got := append([]float32(nil), c0...)
+			want := append([]float32(nil), c0...)
+			Gemm(false, transB, tc.m, tc.n, tc.k, 0.5, a, tc.k, b, ldb, 0.25, got, ldc)
+			gemmRef(transB, tc.m, tc.n, tc.k, 0.5, a, tc.k, b, ldb, 0.25, want, ldc)
+			if d := maxDiff(got, want); d > 1e-3 {
+				t.Fatalf("m=%d n=%d k=%d tB=%v: maxdiff=%g", tc.m, tc.n, tc.k, transB, d)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("m=%d n=%d k=%d tB=%v: a transposed A did not panic", tc.m, tc.n, tc.k, transB)
+					}
+				}()
+				Gemm(true, transB, tc.m, tc.n, tc.k, 0.5, a, tc.m, b, ldb, 0.25, got, ldc)
+			}()
 		}
 	}
 }
@@ -169,7 +168,7 @@ func TestStridedBatchedGemmMatchesLoop(t *testing.T) {
 	want := make([]float32, batch*m*n)
 	StridedBatchedGemm(false, true, m, n, k, 1, a, k, m*k, b, k, n*k, 0, got, n, m*n, batch)
 	for bi := 0; bi < batch; bi++ {
-		gemmRef(false, true, m, n, k, 1, a[bi*m*k:], k, b[bi*n*k:], k, 0, want[bi*m*n:], n)
+		gemmRef(true, m, n, k, 1, a[bi*m*k:], k, b[bi*n*k:], k, 0, want[bi*m*n:], n)
 	}
 	if d := maxDiff(got, want); d > 1e-3 {
 		t.Fatalf("strided batched maxdiff=%g", d)
@@ -240,7 +239,7 @@ func TestBatchedGemmMatchesLoop(t *testing.T) {
 	}
 	BatchedGemm(false, false, m, n, k, 2, as, bs, 0, cs)
 	for i := range as {
-		gemmRef(false, false, m, n, k, 2, as[i], k, bs[i], n, 0, want[i], n)
+		gemmRef(false, m, n, k, 2, as[i], k, bs[i], n, 0, want[i], n)
 	}
 	for i := range cs {
 		if d := maxDiff(cs[i], want[i]); d > 1e-3 {
@@ -301,7 +300,7 @@ func TestQuickGemmIdentity(t *testing.T) {
 	}
 }
 
-// Property: (AB)ᵀ == BᵀAᵀ, exercised through the transpose flags.
+// Property: (AB)ᵀ == BᵀAᵀ, exercised through the transB flag.
 func TestQuickGemmTransposeIdentity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -310,9 +309,16 @@ func TestQuickGemmTransposeIdentity(t *testing.T) {
 		b := randSlice(rng, k*n)
 		ab := make([]float32, m*n)
 		Gemm(false, false, m, n, k, 1, a, k, b, n, 0, ab, n)
-		// Compute Bᵀ·Aᵀ as an n×m product using trans flags on the originals.
+		// Compute Bᵀ·Aᵀ as an n×m product: Bᵀ stored explicitly, Aᵀ through
+		// the transB flag on the original A.
+		bt := make([]float32, n*k)
+		for p := 0; p < k; p++ {
+			for j := 0; j < n; j++ {
+				bt[j*k+p] = b[p*n+j]
+			}
+		}
 		btat := make([]float32, n*m)
-		Gemm(true, true, n, m, k, 1, b, n, a, k, 0, btat, m)
+		Gemm(false, true, n, m, k, 1, bt, k, a, k, 0, btat, m)
 		// Compare ab[i,j] with btat[j,i].
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {

@@ -186,54 +186,3 @@ func FuzzGemmOrderedReference(f *testing.F) {
 		}
 	})
 }
-
-// TestGemmTNMatchesNNOnTranspose: Gemm(true, false, …) over an explicit Aᵀ is
-// the NN product of A, element for element — TN follows the NN order and, like
-// NN, skips no zero: 0·Inf and 0·NaN make the NaN they make in NN. A NaN's
-// sign and payload are not part of the invariant (x86 takes them from the
-// first operand, and the compiler may commute a product), so NaNs compare as
-// NaNs and everything else by bits.
-func TestGemmTNMatchesNNOnTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	inf := float32(math.Inf(1))
-	for _, dims := range [][3]int{{1, 1, 1}, {2, 5, 3}, {5, 9, 7}, {7, 33, 13}} {
-		m, n, k := dims[0], dims[1], dims[2]
-		tc := newOrderedCase(rng, false, m, n, k, orderedAlphas[2], 0.5, 0)
-		for i := range tc.b {
-			switch rng.Intn(8) {
-			case 0:
-				tc.b[i] = inf
-			case 1:
-				tc.b[i] = -inf
-			case 2:
-				tc.b[i] = float32(math.NaN())
-			}
-		}
-		ldat := m + 1
-		at := make([]float32, k*ldat)
-		for i := 0; i < m; i++ {
-			for p := 0; p < k; p++ {
-				at[p*ldat+i] = tc.a[i*tc.lda+p]
-			}
-		}
-		nn := append([]float32(nil), tc.c...)
-		tn := append([]float32(nil), tc.c...)
-		Gemm(false, false, m, n, k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, nn, tc.ldc)
-		Gemm(true, false, m, n, k, tc.alpha, at, ldat, tc.b, tc.ldb, tc.beta, tn, tc.ldc)
-		nans := 0
-		for i := range nn {
-			x, y := nn[i], tn[i]
-			if x != x && y != y {
-				nans++
-				continue
-			}
-			if math.Float32bits(x) != math.Float32bits(y) {
-				t.Fatalf("m=%d n=%d k=%d: c[%d] NN %g (%#08x), TN on the transpose %g (%#08x)",
-					m, n, k, i, x, math.Float32bits(x), y, math.Float32bits(y))
-			}
-		}
-		if k > 1 && nans == 0 {
-			t.Fatalf("m=%d n=%d k=%d: no NaN came out; the case does not test zero times Inf", m, n, k)
-		}
-	}
-}

@@ -44,10 +44,10 @@ func (s *StridedBatch) check(g int, transA, transB bool) {
 }
 
 // run computes problem i of the group, serially.
-func (s *StridedBatch) run(transA, transB bool, alpha, beta float32, i int) {
+func (s *StridedBatch) run(transB bool, alpha, beta float32, i int) {
 	c := s.C[i*s.StrideC:]
 	if scaleC(alpha, beta, c, s.M, s.N, s.K, s.Ldc) {
-		gemmBlock(transA, transB, 0, s.M, s.N, s.K, alpha, s.A[i*s.StrideA:], s.Lda, s.B[i*s.StrideB:], s.Ldb, c, s.Ldc)
+		gemmBlock(transB, 0, s.M, s.N, s.K, alpha, s.A[i*s.StrideA:], s.Lda, s.B[i*s.StrideB:], s.Ldb, c, s.Ldc)
 	}
 }
 
@@ -77,7 +77,7 @@ func GroupedStridedBatchedGemm(transA, transB bool, alpha, beta float32, groups 
 	if workers <= 1 || work < minWorkParallel {
 		for g := range groups {
 			for i := 0; i < groups[g].Count; i++ {
-				groups[g].run(transA, transB, alpha, beta, i)
+				groups[g].run(transB, alpha, beta, i)
 			}
 		}
 		return
@@ -90,7 +90,7 @@ func GroupedStridedBatchedGemm(transA, transB bool, alpha, beta float32, groups 
 		go func() {
 			defer wg.Done()
 			for p := range next {
-				groups[p.g].run(transA, transB, alpha, beta, p.i)
+				groups[p.g].run(transB, alpha, beta, p.i)
 			}
 		}()
 	}

@@ -68,18 +68,12 @@ type Options struct {
 	// so no FLOP is ever spent on a padding row and no mask exists. The
 	// padded path remains available as the reference oracle.
 	Packed bool
-	// PagedKV pages a GenEngine's self-attention KV through a fixed-size
-	// block pool instead of contiguous worst-case buffers: admission gates
-	// on actual block consumption, and retired generations are kept in a
-	// prefix cache so identical prompts replay (encoder skip + block-table
-	// sharing) instead of recomputing.
-	PagedKV bool
-	// PagedKVBlocks caps the block pool (0 derives a default from the
-	// decoder's MaxTargetLen — enough worst-case block tables for 8
-	// concurrent sessions).
+	// PagedKVBlocks caps a GenEngine's KV block pool (0 derives a default
+	// from the decoder's MaxTargetLen — enough worst-case block tables for
+	// 8 concurrent sessions).
 	PagedKVBlocks int
-	// PrefixEntries caps the prefix cache's retired-generation entries
-	// (0 = default 64). Only meaningful with PagedKV.
+	// PrefixEntries caps how many retired generations a GenEngine's prefix
+	// cache keeps for prompt-identical reuse (0 = default 64).
 	PrefixEntries int
 }
 

@@ -13,10 +13,11 @@ import (
 // serving path: an encoder that turns prompts into memory (its
 // intermediates planned by the sequence-length-aware allocator, Algorithm
 // 1) and a Generator that advances many sessions one token per iteration
-// through the grouped ragged decode kernels. All device memory — encoder
-// activation chunks, per-session KV caches, and the decode scratch — is
-// accounted on one simulated Device, so MemoryStats reflects the whole
-// workload.
+// through the grouped ragged decode kernels, paging their KV through a
+// block pool and replaying retired prompts from its prefix cache. All
+// device memory — encoder activation chunks, KV blocks, cross memories, and
+// the decode scratch — is accounted on one simulated Device, so MemoryStats
+// reflects the whole workload.
 type GenEngine struct {
 	Cfg    model.Config // encoder geometry (prompt side)
 	DecCfg model.Config // decoder geometry (generation side)
@@ -55,28 +56,12 @@ func NewGenEngine(encCfg, decCfg model.Config, opts Options) (*GenEngine, error)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := model.NewGenerator(decCfg, opts.Seed+10000, dev)
+	gen, err := model.NewGenerator(decCfg, opts.Seed+10000, dev, opts.PagedKVBlocks, opts.PrefixEntries)
 	if err != nil {
 		return nil, err
 	}
 	if opts.FP16 {
 		gen.EnableFP16()
-	}
-	if opts.PagedKV {
-		// One block = KVChunkTokens rows of one layer's K or V; a session's
-		// worst case is its full budget across every layer's K and V. The
-		// default pool carries 8 such worst-case tables — the admission gate
-		// and preemption handle running past it. The block size is fixed at
-		// the fp32 geometry: under FP16 the same blocks pack twice the
-		// tokens (BlockTokens doubles), so the pool admits ~2× the sessions
-		// instead of shrinking.
-		blockBytes := int64(model.KVChunkTokens) * int64(decCfg.Hidden) * 4
-		capBlocks := opts.PagedKVBlocks
-		if capBlocks <= 0 {
-			perSeq := 2 * decCfg.Layers * ((decCfg.MaxTargetLen + model.KVChunkTokens - 1) / model.KVChunkTokens)
-			capBlocks = 8 * perSeq
-		}
-		gen.EnablePagedKV(allocator.NewBlockPool(dev, blockBytes, capBlocks), opts.PrefixEntries)
 	}
 	return &GenEngine{
 		Cfg:       encCfg,
@@ -96,10 +81,10 @@ func (e *GenEngine) StartSession(id int64, promptTokens []int, maxNew int) (*mod
 	if len(promptTokens) == 0 {
 		return nil, fmt.Errorf("core: empty prompt")
 	}
-	if e.Generator.Paged() && e.Generator.PrefixKnown(promptTokens) {
+	if e.Generator.PrefixKnown(promptTokens) {
 		// Prefix hit: the cached entry carries the encoded memory, so the
 		// whole encoder pass is skipped — no prefill pass runs at all.
-		sess, err := e.Generator.NewPagedSession(id, promptTokens, nil, maxNew)
+		sess, err := e.Generator.NewSession(id, promptTokens, nil, maxNew)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +101,7 @@ func (e *GenEngine) StartSession(id int64, promptTokens []int, maxNew int) (*mod
 	}
 	srcLen := len(promptTokens)
 	memory := tensor.FromSlice(encoded.Data()[:srcLen*e.Cfg.Hidden], srcLen, e.Cfg.Hidden)
-	sess, err := e.newSession(id, promptTokens, memory, maxNew)
+	sess, err := e.Generator.NewSession(id, promptTokens, memory, maxNew)
 	if err != nil {
 		return nil, err
 	}
@@ -124,15 +109,6 @@ func (e *GenEngine) StartSession(id int64, promptTokens []int, maxNew int) (*mod
 	e.prefillPasses.Add(1)
 	e.prefillTokens.Add(int64(srcLen))
 	return sess, nil
-}
-
-// newSession opens a session over freshly encoded memory on whichever KV
-// path the generator runs.
-func (e *GenEngine) newSession(id int64, prompt []int, memory *tensor.Tensor, maxNew int) (*model.GenSession, error) {
-	if e.Generator.Paged() {
-		return e.Generator.NewPagedSession(id, prompt, memory, maxNew)
-	}
-	return e.Generator.NewSession(id, memory, maxNew)
 }
 
 // StartSessions encodes all admitted prompts in ONE packed (zero-padding)
@@ -154,11 +130,10 @@ func (e *GenEngine) StartSessions(ids []int64, prompts [][]int, maxNew []int) ([
 	if len(maxNew) != len(prompts) && len(maxNew) != 1 {
 		return nil, fmt.Errorf("core: %d budgets for %d prompts", len(maxNew), len(prompts))
 	}
-	// Paged mode: prompts the prefix cache already knows need no encoding —
-	// their session reuses the cached memory — so only the misses join the
-	// packed prefill pass. A batch of all-known prompts runs zero encoder
-	// passes, the prefill half of the shared-prefix win.
-	paged := e.Generator.Paged()
+	// Prompts the prefix cache already knows need no encoding — their
+	// session reuses the cached memory — so only the misses join the packed
+	// prefill pass. A batch of all-known prompts runs zero encoder passes,
+	// the prefill half of the shared-prefix win.
 	cached := make([]bool, len(prompts))
 	var toEncode [][]int
 	encTokens := 0
@@ -166,7 +141,7 @@ func (e *GenEngine) StartSessions(ids []int64, prompts [][]int, maxNew []int) ([
 		if len(p) == 0 {
 			return nil, fmt.Errorf("core: empty prompt at index %d", i)
 		}
-		if paged && e.Generator.PrefixKnown(p) {
+		if e.Generator.PrefixKnown(p) {
 			cached[i] = true
 			continue
 		}
@@ -195,7 +170,7 @@ func (e *GenEngine) StartSessions(ids []int64, prompts [][]int, maxNew []int) ([
 			memory = encoded.Request(slot)
 			slot++
 		}
-		sess, err := e.newSession(ids[i], prompts[i], memory, budget)
+		sess, err := e.Generator.NewSession(ids[i], prompts[i], memory, budget)
 		if err != nil {
 			for _, s := range sessions {
 				s.Close()
@@ -212,24 +187,17 @@ func (e *GenEngine) StartSessions(ids []int64, prompts [][]int, maxNew []int) ([
 	return sessions, nil
 }
 
-// Retire hands a finished session back to the engine: paged sessions are
-// donated to the prefix cache (the next identical prompt replays instead of
-// recomputing); everything else is closed.
+// Retire hands a finished session back to the engine: it is donated to the
+// prefix cache (the next identical prompt replays instead of recomputing),
+// or closed when it is not a valid replay.
 func (e *GenEngine) Retire(s *model.GenSession) {
 	e.Generator.Retire(s)
 }
 
-// Close releases the paged-KV machinery — the prefix cache's retired
-// entries, then the block pool itself. Every live session must already be
-// closed; a pool with blocks still held panics (a leak in the caller's
-// bookkeeping). No-op for a legacy engine.
-func (e *GenEngine) Close() {
-	if !e.Generator.Paged() {
-		return
-	}
-	e.Generator.ClosePrefix()
-	e.Generator.BlockPool().Close()
-}
+// Close releases the prefix cache's retired entries, then the block pool
+// itself. Every live session must already be closed; a pool with blocks
+// still held panics (a leak in the caller's bookkeeping).
+func (e *GenEngine) Close() { e.Generator.Close() }
 
 // DetachSession exports a session's full state (control stream, cross
 // memory, committed KV rows — raw bits) and then closes it, releasing
@@ -248,7 +216,7 @@ func (e *GenEngine) DetachSession(s *model.GenSession) (*model.SessionSnapshot, 
 // KV row are re-charged through the same allocator paths local decode
 // uses, so this engine's gauges end exactly where they would had the
 // session run here from the start. Fails with model.ErrKVPoolExhausted
-// (holding nothing) when a paged engine cannot supply the blocks.
+// (holding nothing) when the pool cannot supply the blocks.
 func (e *GenEngine) ImportSession(snap *model.SessionSnapshot) (*model.GenSession, error) {
 	return e.Generator.ImportSession(snap)
 }

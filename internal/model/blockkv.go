@@ -7,14 +7,13 @@ import (
 	"repro/internal/kernels"
 )
 
-// BlockKVCache is the paged replacement for KVCache: one generation
-// request's self-attention keys and values stored as fixed-size blocks from
-// a shared allocator.BlockPool instead of contiguous per-request buffers
-// reserved worst-case. Per layer it keeps two block tables (K and V); block
-// b holds rows [b*blockTok, (b+1)*blockTok). Blocks are acquired only as
-// decode depth actually reaches them, so a request that stops early never
-// claimed the pool space its budget implied — admission can pack by actual
-// consumption.
+// BlockKVCache is one generation request's self-attention key/value store:
+// fixed-size blocks from a shared allocator.BlockPool instead of contiguous
+// per-request buffers reserved worst-case. Per layer it keeps two block
+// tables (K and V); block b holds rows [b*blockTok, (b+1)*blockTok). Blocks
+// are acquired only as decode depth actually reaches them, so a request
+// that stops early never claimed the pool space its budget implied —
+// admission can pack by actual consumption.
 //
 // Sharing: MapFrom adopts another cache's blocks by reference (prompt-hash
 // prefix sharing), and owned[] tracks write permission per block index. A
@@ -29,7 +28,7 @@ import (
 // between AppendRow and Advance — releases blocks whose committed payload
 // is exactly what was charged, so the gauges return to zero.
 //
-// A BlockKVCache is confined to the decode loop's goroutine, like KVCache.
+// A BlockKVCache is confined to the decode loop's goroutine.
 type BlockKVCache struct {
 	pool     *allocator.BlockPool
 	hidden   int
@@ -92,12 +91,21 @@ func (c *BlockKVCache) setBlock(l int, isV bool, bi int, b *allocator.Block) {
 	if isV {
 		table, view = &c.v[l], &c.vs[l]
 	}
-	if bi == len(*table) {
-		*table = append(*table, b)
+	*table = setAt(*table, bi, b)
+	if c.half {
+		view.F16 = setAt(view.F16, bi, b.DataU16())
 	} else {
-		(*table)[bi] = b
+		view.F32 = setAt(view.F32, bi, b.Data())
 	}
-	setSpan(view, bi, b, c.half)
+}
+
+// setAt sets list[i], appending when i is one past the end.
+func setAt[T any](list []T, i int, v T) []T {
+	if i == len(list) {
+		return append(list, v)
+	}
+	list[i] = v
+	return list
 }
 
 // rowBytes returns the committed size of one [hidden] row.
@@ -221,7 +229,11 @@ func (c *BlockKVCache) EnsureAppendable() bool {
 			if w.isV {
 				old = c.v[w.layer][bi]
 			}
-			copyWords(b, old, tail*c.hidden, c.half)
+			if n := tail * c.hidden; c.half {
+				copy(b.DataU16()[:n], old.DataU16()[:n])
+			} else {
+				copy(b.Data()[:n], old.Data()[:n])
+			}
 			c.pool.Commit(b, int64(tail)*c.rowBytes())
 			c.pool.Release(old)
 		}
@@ -237,7 +249,8 @@ func (c *BlockKVCache) EnsureAppendable() bool {
 }
 
 // AppendRow stores one token's K and V rows for the given layer at the next
-// position, like KVCache.AppendRow. The caller must have run
+// position; every layer appends exactly once per step, then Advance
+// commits the token. The caller must have run
 // EnsureAppendable for this step; appending without capacity or into a
 // block another cache can see panics. Gauges do not move until Advance.
 func (c *BlockKVCache) AppendRow(layer int, kRow, vRow []float32) {

@@ -21,22 +21,21 @@ func viewUp(s *GenSession) bool {
 	return s.ccr.view != nil
 }
 
-// fp16PagedGenerator is a binary16 paged generator with a prefix cache, on its
-// own device and pool.
-func fp16PagedGenerator(t *testing.T, cfg Config) (*Generator, *allocator.Device, *allocator.BlockPool) {
+// fp16Generator is a binary16 generator with a four-entry prefix cache, on
+// its own device and pool.
+func fp16Generator(t *testing.T, cfg Config) (*Generator, *allocator.Device) {
 	t.Helper()
-	g, dev, pool := newPagedGenerator(t, cfg, 4096, 4)
+	g, dev, _ := newTestGenerator(t, cfg, 4096, 4)
 	g.EnableFP16()
-	return g, dev, pool
+	return g, dev
 }
 
 // mustDrain checks that everything a generator charged to its device is gone
 // once its prefix cache and pool are closed: both KV gauges at zero, and no
 // live byte but the decode scratch — so none of a decoded view's either.
-func mustDrain(t *testing.T, name string, g *Generator, dev *allocator.Device, pool *allocator.BlockPool) {
+func mustDrain(t *testing.T, name string, g *Generator, dev *allocator.Device) {
 	t.Helper()
-	g.ClosePrefix()
-	pool.Close()
+	g.Close()
 	snap := dev.Snapshot()
 	if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
 		t.Fatalf("%s: KV gauges not drained: reserved=%d used=%d", name, snap.KVReservedBytes, snap.KVUsedBytes)
@@ -61,8 +60,8 @@ func TestCrossViewLifetime(t *testing.T) {
 	m1, m2 := testMemory(71, 9, cfg.Hidden), testMemory(72, 5, cfg.Hidden)
 
 	drive := func(strip bool) (streams map[string][]int, migrated int64) {
-		g, dev, pool := fp16PagedGenerator(t, cfg)
-		g2, dev2, pool2 := fp16PagedGenerator(t, cfg)
+		g, dev := fp16Generator(t, cfg)
+		g2, dev2 := fp16Generator(t, cfg)
 		streams = map[string][]int{}
 		running := func(s *GenSession, err error) *GenSession {
 			t.Helper()
@@ -89,7 +88,7 @@ func TestCrossViewLifetime(t *testing.T) {
 		}
 
 		// Close: a client that vanished mid-run takes the view with it.
-		a := running(g.NewPagedSession(1, p1, m1, 6))
+		a := running(g.NewSession(1, p1, m1, 6))
 		viewBytes := a.ccr.view.Size
 		if want := int64(m1.Dim(0)) * int64(cfg.Layers) * 2 * int64(cfg.Hidden) * 4; viewBytes != want {
 			t.Fatalf("view charged %d bytes, want srcLen × layers × 2 × hidden × 4 = %d", viewBytes, want)
@@ -102,7 +101,7 @@ func TestCrossViewLifetime(t *testing.T) {
 		}
 
 		// Retire: the cache entry keeps the binary16 rows, not the view.
-		b := running(g.NewPagedSession(2, p1, m1, 4))
+		b := running(g.NewSession(2, p1, m1, 4))
 		streams["b"] = drain(t, g, b)
 		bcr := b.ccr
 		g.Retire(b)
@@ -112,8 +111,8 @@ func TestCrossViewLifetime(t *testing.T) {
 
 		// Prefix hit: one decode raises the view again; a second session on
 		// the prompt shares it.
-		c := running(g.NewPagedSession(3, p1, nil, 12))
-		d := running(g.NewPagedSession(4, p1, nil, 12))
+		c := running(g.NewSession(3, p1, nil, 12))
+		d := running(g.NewSession(4, p1, nil, 12))
 		if c.ccr != bcr || d.ccr != bcr || bcr.running != 2 {
 			t.Fatalf("prefix hits do not share the cached cross memory (running=%d)", bcr.running)
 		}
@@ -129,7 +128,7 @@ func TestCrossViewLifetime(t *testing.T) {
 			t.Fatal("preempting one session took the view from its batch-mate")
 		}
 		streams["c"] = drain(t, g, c)
-		d = running(g.NewPagedSession(4, p1, nil, 12))
+		d = running(g.NewSession(4, p1, nil, 12))
 		streams["d"] = drain(t, g, d)
 		g.Retire(c)
 		g.Retire(d)
@@ -139,7 +138,7 @@ func TestCrossViewLifetime(t *testing.T) {
 
 		// Export → import: the snapshot carries stored words only; the
 		// importer raises its own view and finishes the stream.
-		e := running(g.NewPagedSession(5, p2, m2, 10))
+		e := running(g.NewSession(5, p2, m2, 10))
 		step(g, 3, e)
 		used := dev.Snapshot().KVUsedBytes
 		snap, err := e.Export()
@@ -160,8 +159,8 @@ func TestCrossViewLifetime(t *testing.T) {
 		streams["e"] = drain(t, g2, moved)
 		moved.Close()
 
-		mustDrain(t, "exporter", g, dev, pool)
-		mustDrain(t, "importer", g2, dev2, pool2)
+		mustDrain(t, "exporter", g, dev)
+		mustDrain(t, "importer", g2, dev2)
 		return streams, migrated
 	}
 
@@ -188,8 +187,8 @@ func TestCrossViewSharedAcrossGoroutines(t *testing.T) {
 	prompt, memory := []int{3, 1, 4}, testMemory(73, 7, cfg.Hidden)
 	const budget = 10
 
-	ref, _, _ := fp16PagedGenerator(t, cfg)
-	solo, err := ref.NewPagedSession(0, prompt, memory, budget)
+	ref, _ := fp16Generator(t, cfg)
+	solo, err := ref.NewSession(0, prompt, memory, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +198,8 @@ func TestCrossViewSharedAcrossGoroutines(t *testing.T) {
 		t.Fatalf("the solo stream %v is too short to share a decode", want)
 	}
 
-	g, dev, pool := fp16PagedGenerator(t, cfg)
-	seed, err := g.NewPagedSession(0, prompt, memory, 2)
+	g, dev := fp16Generator(t, cfg)
+	seed, err := g.NewSession(0, prompt, memory, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +213,7 @@ func TestCrossViewSharedAcrossGoroutines(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for round := 0; round < 6; round++ {
-				s, err := g.NewPagedSession(int64(10*w+round), prompt, nil, budget)
+				s, err := g.NewSession(int64(10*w+round), prompt, nil, budget)
 				if err != nil {
 					t.Error(err)
 					return
@@ -233,5 +232,5 @@ func TestCrossViewSharedAcrossGoroutines(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	mustDrain(t, "shared", g, dev, pool)
+	mustDrain(t, "shared", g, dev)
 }

@@ -25,13 +25,17 @@ import (
 // grouped strided-batched GEMM over the flattened (session, span, head)
 // space with each session's own context length as its group shape, plus a
 // softmax over the concatenated score rows. No session is ever padded to a
-// batch-maximum context. Where a session's KV lives (one contiguous span or
-// pool blocks) and how it is stored (fp32 or binary16) reaches the kernel as
-// a kernels.KVSpans view, so there is one Step for all four combinations.
-// Because every (session, span, head) problem runs the same GEMM kernel the
-// per-row oracle uses, a session's token stream is bit-identical whether it
-// runs alone, batched with strangers, or through the PerRowAttention
-// reference path.
+// batch-maximum context. A session's self-attention KV lives in blocks of
+// the generator's pool (BlockKVCache), and how it is stored (fp32 or
+// binary16) reaches the kernel as a kernels.KVSpans view, so there is one
+// Step for both precisions. Because every (session, span, head) problem runs
+// the same GEMM kernel the per-row oracle uses, a session's token stream is
+// bit-identical whether it runs alone, batched with strangers, or through
+// the PerRowAttention reference path.
+//
+// Every Generator owns its KV block pool and a prefix cache of retired
+// generations for prompt-identical reuse (encoder skip, token replay, and
+// block-table sharing).
 //
 // Step draws its activations from the decoder's device-accounted decode
 // scratch, so concurrent Step calls on one Generator serialise on that
@@ -49,9 +53,6 @@ type Generator struct {
 	// not a serving mode.
 	PerRowAttention bool
 
-	// Paged-KV mode (EnablePagedKV): sessions draw fixed-size KV blocks from
-	// pool instead of contiguous worst-case buffers, and prefix caches
-	// retired generations for prompt-identical reuse.
 	pool   *allocator.BlockPool
 	prefix *PrefixCache
 
@@ -61,68 +62,52 @@ type Generator struct {
 	fusedLaunches atomic.Int64
 }
 
-// ErrKVPoolExhausted is returned by Step when a paged session cannot
-// acquire the blocks its next row needs. The serving loop reacts by
-// scavenging the prefix cache or preempting a session, then retries — it
-// pre-ensures block capacity before stepping, so Step itself should never
-// see this unless the pool is undersized for even one request.
+// ErrKVPoolExhausted is returned by Step when a session cannot acquire the
+// blocks its next row needs. The serving loop reacts by scavenging the
+// prefix cache or preempting a session, then retries — it pre-ensures block
+// capacity before stepping, so Step itself should never see this unless the
+// pool is undersized for even one request.
 var ErrKVPoolExhausted = fmt.Errorf("model: KV block pool exhausted")
 
-// EnablePagedKV switches the generator to paged KV: sessions opened with
-// NewPagedSession page their self-attention cache through pool, and up to
-// prefixCap retired generations are kept for prompt-identical reuse
-// (encoder skip, token replay, and block-table sharing). Must be called
-// before any session is opened.
-func (g *Generator) EnablePagedKV(pool *allocator.BlockPool, prefixCap int) {
-	g.pool = pool
-	g.prefix = newPrefixCache(prefixCap)
-}
-
-// Paged reports whether EnablePagedKV was called.
-func (g *Generator) Paged() bool { return g.pool != nil }
-
-// BlockPool returns the paged-KV block pool (nil in legacy mode).
+// BlockPool returns the generator's KV block pool.
 func (g *Generator) BlockPool() *allocator.BlockPool { return g.pool }
 
-// PrefixStats snapshots prefix-cache activity (zero value in legacy mode).
-func (g *Generator) PrefixStats() PrefixCacheStats {
-	if g.prefix == nil {
-		return PrefixCacheStats{}
-	}
-	return g.prefix.stats()
+// BlockTokens returns how many context rows one pool block holds on this
+// generator's numeric route: KVChunkTokens on fp32, twice that on fp16.
+func (g *Generator) BlockTokens() int {
+	return int(g.pool.BlockBytes() / (int64(g.Cfg.Hidden) * kvElemBytes(g.dec.fp16)))
 }
+
+// PrefixStats snapshots prefix-cache activity.
+func (g *Generator) PrefixStats() PrefixCacheStats { return g.prefix.stats() }
 
 // PrefixKnown reports whether the prefix cache holds an entry for this
 // exact prompt — the prefill loop's peek for deciding which admitted
 // prompts can skip the encoder pass. Hit/miss counters move only when a
-// session is actually opened (NewPagedSession).
-func (g *Generator) PrefixKnown(prompt []int) bool {
-	return g.prefix != nil && g.prefix.lookup(prompt) != nil
-}
+// session is actually opened (NewSession).
+func (g *Generator) PrefixKnown(prompt []int) bool { return g.prefix.lookup(prompt) != nil }
 
 // ScavengePrefix drops retired decode KV from least-recently-used prefix
 // entries until at least need pool blocks come free, returning the number
 // freed. Cached token streams stay replayable.
-func (g *Generator) ScavengePrefix(need int) int {
-	if g.prefix == nil {
-		return 0
-	}
-	return g.prefix.scavenge(need)
-}
+func (g *Generator) ScavengePrefix(need int) int { return g.prefix.scavenge(need) }
 
-// ClosePrefix releases every retired entry (server shutdown). The pool can
-// be Closed once live sessions are closed too.
-func (g *Generator) ClosePrefix() {
-	if g.prefix != nil {
-		g.prefix.drop()
-	}
+// ClosePrefix releases every retired entry, keeping the generator usable.
+func (g *Generator) ClosePrefix() { g.prefix.drop() }
+
+// Close releases the prefix cache's retired entries, then the block pool.
+// Every live session must already be closed: a pool with blocks still held
+// panics (a leak in the caller's bookkeeping).
+func (g *Generator) Close() {
+	g.prefix.drop()
+	g.pool.Close()
 }
 
 // KVRowBytes is the device footprint one token of decoder context costs
-// across all layers' K and V — the unit converting the continuous
-// scheduler's token ledger into the device's KV byte gauges. The fp16 fast
-// path halves it: binary16 rows cost 2 bytes per element, so the same
-// device budget admits ~2× the context tokens.
+// across all layers' K and V — the unit converting token counts into the
+// device's KV byte gauges. The fp16 fast path halves it: binary16 rows cost
+// 2 bytes per element, so the same device budget admits ~2× the context
+// tokens.
 func (g *Generator) KVRowBytes() int64 {
 	return int64(g.Cfg.Layers) * 2 * int64(g.Cfg.Hidden) * kvElemBytes(g.dec.fp16)
 }
@@ -140,9 +125,14 @@ func (g *Generator) FP16Enabled() bool { return g.dec.fp16 }
 // route has dispatched.
 func (g *Generator) FusedLaunches() int64 { return g.fusedLaunches.Load() }
 
-// NewGenerator builds a generator around a decoder configuration. KV-cache
-// buffers and the decode scratch are accounted on dev.
-func NewGenerator(cfg Config, seed int64, dev *allocator.Device) (*Generator, error) {
+// NewGenerator builds a generator around a decoder configuration. Its KV
+// block pool holds poolBlocks blocks of KVChunkTokens fp32 rows each — the
+// same blocks pack twice the binary16 rows, so an fp16 pool admits ~2× the
+// sessions instead of shrinking — and 0 sizes it for eight sessions at the
+// full MaxTargetLen budget; the admission gate and preemption handle running
+// past it. The prefix cache keeps up to prefixEntries retired generations
+// (0: 64). KV blocks and the decode scratch are accounted on dev.
+func NewGenerator(cfg Config, seed int64, dev *allocator.Device, poolBlocks, prefixEntries int) (*Generator, error) {
 	dec, err := NewDecoder(cfg, seed)
 	if err != nil {
 		return nil, err
@@ -153,26 +143,36 @@ func NewGenerator(cfg Config, seed int64, dev *allocator.Device) (*Generator, er
 	// Rebind the decoder's workspace to the shared device so decode
 	// activations are visible in the same MemoryStats as KV caches.
 	dec.scr = newDecodeScratch(dev)
-	return &Generator{Cfg: cfg, dec: dec, dev: dev}, nil
+	if poolBlocks <= 0 {
+		perSeq := 2 * cfg.Layers * ((cfg.MaxTargetLen + KVChunkTokens - 1) / KVChunkTokens)
+		poolBlocks = 8 * perSeq
+	}
+	return &Generator{
+		Cfg:    cfg,
+		dec:    dec,
+		dev:    dev,
+		pool:   allocator.NewBlockPool(dev, int64(KVChunkTokens)*int64(cfg.Hidden)*4, poolBlocks),
+		prefix: newPrefixCache(prefixEntries),
+	}, nil
 }
 
 // Decoder exposes the underlying decoder (for tests comparing against the
 // one-shot BeamSearch path).
 func (g *Generator) Decoder() *Decoder { return g.dec }
 
-// GenSession is one request's in-flight generation state: its private
-// cross-attention memory, its device-accounted KV cache, and the greedy
-// token stream so far.
+// GenSession is one request's in-flight generation state: its cross-
+// attention memory, its paged self-attention KV, and the greedy token
+// stream so far.
 type GenSession struct {
 	ID int64
 
 	cc     *crossCache
-	ccr    *ccRef  // refcounted, device-accounted handle on cc
-	kv     kvStore // self-attention KV: *KVCache or *BlockKVCache; nil once closed
-	prompt []int   // prompt tokens, paged mode only (prefix key)
-	toks   []int   // generated tokens, EOS included if hit
-	next   int     // token fed at the next step (BOS, then last generated)
-	pos    int     // next decode position
+	ccr    *ccRef        // refcounted, device-accounted handle on cc
+	kv     *BlockKVCache // self-attention KV; nil once closed
+	prompt []int         // prompt tokens (prefix key)
+	toks   []int         // generated tokens, EOS included if hit
+	next   int           // token fed at the next step (BOS, then last generated)
+	pos    int           // next decode position
 	maxNew int
 	done   bool
 	ctx    context.Context // nil = never cancelled
@@ -206,63 +206,27 @@ func (s *GenSession) SrcLen() int { return s.cc.srcLen }
 // KVBytes returns the session's current KV-cache device footprint.
 func (s *GenSession) KVBytes() int64 { return s.kv.Bytes() }
 
-// KVBlocks returns the pool blocks the session holds (0 in legacy mode).
-func (s *GenSession) KVBlocks() int {
-	if pkv, ok := s.kv.(*BlockKVCache); ok {
-		return pkv.Blocks()
-	}
-	return 0
-}
-
 // EnsureAppendable pre-acquires (and copy-on-writes) whatever blocks the
 // session's next decode row needs, returning false when the pool cannot
 // supply them — the serving loop's pre-step reservation hook. Always true
-// for legacy or finished sessions. Idempotent.
+// for finished or closed sessions. Idempotent.
 func (s *GenSession) EnsureAppendable() bool {
 	return s.kv == nil || s.done || s.kv.EnsureAppendable()
 }
 
-// NewSession opens a generation session over encoder memory
-// [srcLen, hidden], producing at most maxNew tokens (clamped to the
-// decoder's MaxTargetLen). The KV cache is reserved for the full budget up
-// front, so admission control can reason about worst-case footprint.
-func (g *Generator) NewSession(id int64, memory *tensor.Tensor, maxNew int) (*GenSession, error) {
-	if memory.Rank() != 2 || memory.Dim(1) != g.Cfg.Hidden {
-		return nil, fmt.Errorf("model %s: memory shape %v, want [srcLen, %d]",
-			g.Cfg.Name, memory.Shape(), g.Cfg.Hidden)
-	}
-	if maxNew <= 0 || maxNew > g.Cfg.MaxTargetLen {
-		maxNew = g.Cfg.MaxTargetLen
-	}
-	kv, err := newKVCache(g.dev, g.Cfg.Layers, g.Cfg.Hidden, maxNew, g.dec.fp16)
-	if err != nil {
-		return nil, err
-	}
-	ccr := newCCRef(g.dev, g.dec.newCrossCache(memory, g.dec.fp16))
-	return &GenSession{
-		ID:     id,
-		cc:     ccr.cc,
-		ccr:    ccr,
-		kv:     kv,
-		next:   TokBos,
-		maxNew: maxNew,
-	}, nil
-}
-
-// NewPagedSession opens a generation session in paged-KV mode, keyed by the
-// prompt's tokens. On a prefix hit (an identical prompt was retired before)
+// NewSession opens a generation session keyed by the prompt's tokens that
+// will produce at most maxNew tokens (clamped to the decoder's
+// MaxTargetLen). On a prefix hit (an identical prompt was retired before)
 // the cached cross cache is shared — memory may be nil, letting the caller
 // skip the encoder pass entirely — the cached greedy stream is replayed up
 // to maxNew (bit-identical to decoding, greedy is deterministic), and a
 // continuation past it maps the retired block tables copy-free. On a miss,
-// memory must be the encoded prompt and decoding starts from scratch over
-// an empty block table.
-func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tensor, maxNew int) (*GenSession, error) {
-	if g.pool == nil {
-		return nil, fmt.Errorf("model %s: paged session without EnablePagedKV", g.Cfg.Name)
-	}
+// memory must be the encoded prompt [srcLen, hidden] and decoding starts
+// from scratch over an empty block table, which acquires blocks only as
+// decode depth reaches them.
+func (g *Generator) NewSession(id int64, prompt []int, memory *tensor.Tensor, maxNew int) (*GenSession, error) {
 	if len(prompt) == 0 {
-		return nil, fmt.Errorf("model %s: paged session needs the prompt tokens", g.Cfg.Name)
+		return nil, fmt.Errorf("model %s: a session needs the prompt tokens", g.Cfg.Name)
 	}
 	if maxNew <= 0 || maxNew > g.Cfg.MaxTargetLen {
 		maxNew = g.Cfg.MaxTargetLen
@@ -331,22 +295,22 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 	return s, nil
 }
 
-// Retire donates a naturally-completed paged session to the prefix cache —
-// its cross cache, token stream, and block tables — instead of freeing
-// them, so the next identical prompt replays instead of recomputing. Falls
-// back to Close for legacy sessions, unfinished sessions (their stream is
-// not a valid replay), or when an existing entry already covers the prompt.
+// Retire donates a naturally-completed session to the prefix cache — its
+// cross cache, token stream, and block tables — instead of freeing them, so
+// the next identical prompt replays instead of recomputing. Falls back to
+// Close for closed or unfinished sessions (their stream is not a valid
+// replay), imports without a prompt, or when an existing entry already
+// covers the prompt.
 func (g *Generator) Retire(s *GenSession) {
 	if s == nil {
 		return
 	}
-	pkv, paged := s.kv.(*BlockKVCache)
-	if g.prefix == nil || !paged || s.prompt == nil || !s.done {
+	if s.kv == nil || s.prompt == nil || !s.done {
 		s.Close()
 		return
 	}
 	hitEos := len(s.toks) > 0 && s.toks[len(s.toks)-1] == TokEos
-	if g.prefix.insert(s.prompt, s.ccr, s.toks, hitEos, pkv) {
+	if g.prefix.insert(s.prompt, s.ccr, s.toks, hitEos, s.kv) {
 		// Ownership moved to the cache entry, which runs nothing.
 		s.ccr.park()
 		s.ccr, s.kv = nil, nil
@@ -399,7 +363,7 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 		sumSelf += s.ContextLen() + 1
 		sumCross += s.cc.srcLen
 	}
-	// Pre-acquire this step's rows (paged: boundary/CoW blocks) so the append
+	// Pre-acquire this step's rows (boundary and CoW blocks) so the append
 	// loop below cannot fail mid-iteration. Serving loops call
 	// EnsureAppendable themselves before stepping (to scavenge or preempt on
 	// exhaustion); this re-check is then a cheap no-op.

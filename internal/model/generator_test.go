@@ -34,13 +34,10 @@ func drain(t *testing.T, g *Generator, sess *GenSession) []int {
 // same token stream as the one-shot beam-1 decoder over the same weights.
 func TestGeneratorMatchesGreedy(t *testing.T) {
 	cfg := genTestConfig()
-	g, err := NewGenerator(cfg, 42, allocator.NewDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, _, _ := newTestGenerator(t, cfg, 0, 0)
 	mem := testMemory(7, 9, cfg.Hidden)
 
-	sess, err := g.NewSession(1, mem, 16)
+	sess, err := g.NewSession(1, []int{7}, mem, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +66,7 @@ func TestGeneratorMatchesGreedy(t *testing.T) {
 // or raggedly batched with strangers that join and leave mid-flight.
 func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 	cfg := genTestConfig()
-	dev := allocator.NewDevice()
-	g, err := NewGenerator(cfg, 42, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, dev, _ := newTestGenerator(t, cfg, 0, 0)
 	mems := []*tensor.Tensor{
 		testMemory(1, 5, cfg.Hidden),
 		testMemory(2, 13, cfg.Hidden),
@@ -81,10 +74,11 @@ func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 	}
 	budgets := []int{6, 14, 10}
 
-	// Reference streams: each request alone.
+	// Reference streams: each request alone (closed, not retired, so the
+	// ragged run below decodes rather than replays).
 	solo := make([][]int, len(mems))
 	for i, mem := range mems {
-		sess, err := g.NewSession(int64(100+i), mem, budgets[i])
+		sess, err := g.NewSession(int64(100+i), []int{i}, mem, budgets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +95,7 @@ func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 	for {
 		for i, at := range joinAt {
 			if at == step {
-				s, err := g.NewSession(int64(i), mems[i], budgets[i])
+				s, err := g.NewSession(int64(i), []int{i}, mems[i], budgets[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,8 +133,10 @@ func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 		}
 		s.Close()
 	}
-	// After all sessions close, only the plan-reused decode workspace stays
-	// live; every KV byte (and both KV gauges) must be back to zero.
+	// After all sessions close and the pool's free list is returned, only the
+	// plan-reused decode workspace stays live; every KV byte (and both KV
+	// gauges) must be back to zero.
+	g.Close()
 	snap := dev.Snapshot()
 	if want := g.Decoder().DecodeScratchBytes(); snap.LiveBytes != want {
 		t.Fatalf("KV memory leaked: %d live bytes, want only the %d-byte decode scratch", snap.LiveBytes, want)
@@ -150,22 +146,28 @@ func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestKVCacheGrowthAndAccounting checks the chunked growth policy and that
-// every byte is returned on Free.
+// TestKVCacheGrowthAndAccounting checks that a session's KV acquires no
+// block before its first row and then grows block by block, with every row
+// readable in place (blocks are never copied to grow), the device seeing
+// exactly the blocks held, and every byte returned on Free and pool Close.
 func TestKVCacheGrowthAndAccounting(t *testing.T) {
 	dev := allocator.NewDevice()
 	const layers, hidden = 2, 8
-	c, err := NewKVCache(dev, layers, hidden, 4)
+	pool := allocator.NewBlockPool(dev, KVChunkTokens*hidden*4, 64)
+	c, err := NewBlockKVCache(pool, layers, hidden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.CapTokens() != KVChunkTokens {
-		t.Fatalf("initial capacity %d, want one chunk (%d)", c.CapTokens(), KVChunkTokens)
+	if c.Blocks() != 0 || dev.Snapshot().LiveBytes != 0 {
+		t.Fatalf("an empty cache holds %d blocks", c.Blocks())
 	}
 	row := make([]float32, hidden)
 	for tok := 0; tok < KVChunkTokens+3; tok++ {
 		for i := range row {
 			row[i] = float32(tok*hidden + i)
+		}
+		if !c.EnsureAppendable() {
+			t.Fatal("pool exhausted in a sized test")
 		}
 		for l := 0; l < layers; l++ {
 			c.AppendRow(l, row, row)
@@ -175,47 +177,80 @@ func TestKVCacheGrowthAndAccounting(t *testing.T) {
 	if c.Len() != KVChunkTokens+3 {
 		t.Fatalf("len %d", c.Len())
 	}
-	if c.CapTokens() <= KVChunkTokens {
-		t.Fatal("cache did not grow past its first chunk")
+	if want := 2 * layers * 2; c.Blocks() != want {
+		t.Fatalf("cache holds %d blocks, want two per K and V table (%d)", c.Blocks(), want)
 	}
-	if c.CapTokens()%KVChunkTokens != 0 {
-		t.Fatalf("capacity %d not chunk-aligned", c.CapTokens())
-	}
-	// Rows must survive the growth copy.
 	ks, _ := c.Spans(1)
-	k := ks.F32[0]
 	for tok := 0; tok < c.Len(); tok++ {
-		if k[tok*hidden] != float32(tok*hidden) {
-			t.Fatalf("row %d corrupted after growth: %f", tok, k[tok*hidden])
+		if got := ks.F32[tok/KVChunkTokens][tok%KVChunkTokens*hidden]; got != float32(tok*hidden) {
+			t.Fatalf("row %d corrupted: %f", tok, got)
 		}
 	}
-	snap := dev.Snapshot()
-	if snap.LiveBytes != c.Bytes() {
-		t.Fatalf("device live %d != cache bytes %d", snap.LiveBytes, c.Bytes())
+	if live := dev.Snapshot().LiveBytes; live != c.Bytes() {
+		t.Fatalf("device live %d != cache bytes %d", live, c.Bytes())
 	}
 	c.Free()
-	if dev.Snapshot().LiveBytes != 0 {
-		t.Fatalf("free left %d live bytes", dev.Snapshot().LiveBytes)
+	pool.Close()
+	if live := dev.Snapshot().LiveBytes; live != 0 {
+		t.Fatalf("free left %d live bytes", live)
 	}
 }
 
-// TestSessionBudgetReservation: a session's KV is sized for its whole
-// budget up front, so admission control can reserve worst case.
-func TestSessionBudgetReservation(t *testing.T) {
-	cfg := genTestConfig()
+// TestKVCacheMidStepFreeZeroesGauges pins the eviction-between-AppendRow-
+// and-Advance path (mid-step cancel or deadline): a row appended to every
+// layer but never committed — here the first row of a fresh block — must
+// not leak into either KV gauge when the cache is freed.
+func TestKVCacheMidStepFreeZeroesGauges(t *testing.T) {
+	const layers, hidden, blockRows = 2, 8, 2
 	dev := allocator.NewDevice()
-	g, err := NewGenerator(cfg, 1, dev)
+	pool := allocator.NewBlockPool(dev, blockRows*hidden*4, 16)
+	c, err := NewBlockKVCache(pool, layers, hidden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := g.NewSession(1, testMemory(4, 6, cfg.Hidden), 20)
+	row := make([]float32, hidden)
+	// Two committed tokens fill a block, then a third is appended to a new
+	// block but NOT advanced — the state a mid-step eviction sees.
+	for tok := 0; tok < 3; tok++ {
+		if !c.EnsureAppendable() {
+			t.Fatal("pool exhausted in a sized test")
+		}
+		for l := 0; l < layers; l++ {
+			c.AppendRow(l, row, row)
+		}
+		if tok < 2 {
+			c.Advance()
+		}
+	}
+	c.Free()
+	c.Free() // idempotent
+	snap := dev.Snapshot()
+	if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
+		t.Fatalf("mid-step free left gauges non-zero: reserved=%d used=%d",
+			snap.KVReservedBytes, snap.KVUsedBytes)
+	}
+	pool.Close()
+	if live := dev.Snapshot().LiveBytes; live != 0 {
+		t.Fatalf("mid-step free left %d device bytes live", live)
+	}
+}
+
+// TestSessionBudgetReservation: a session whose whole budget fits one block
+// per table acquires every block it needs on its first step, so after that
+// neither its KV nor the decode workspace (whose plan covers the budget's
+// context growth) may allocate again.
+func TestSessionBudgetReservation(t *testing.T) {
+	cfg := genTestConfig()
+	dev := allocator.NewDevice()
+	g, err := NewGenerator(cfg, 1, dev, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := g.NewSession(1, []int{4}, testMemory(4, 6, cfg.Hidden), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	// The first Step plans the decode workspace; after that, neither the KV
-	// cache (reserved up front) nor the workspace (plan covers the whole
-	// budget's context growth) may allocate again.
 	if _, err := g.Step([]*GenSession{sess}); err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +261,6 @@ func TestSessionBudgetReservation(t *testing.T) {
 		}
 	}
 	if grew := dev.Snapshot().AllocCount - before; grew != 0 {
-		t.Fatalf("KV or scratch reallocated %d times mid-generation despite up-front reservation", grew)
+		t.Fatalf("KV or scratch allocated %d times after the first step", grew)
 	}
 }

@@ -21,11 +21,11 @@ import (
 // mid-migration window charges neither replica's allocator gauges.
 type SessionSnapshot struct {
 	ID     int64
-	Prompt []int // prompt tokens (paged sessions; nil on contiguous)
+	Prompt []int // prompt tokens (the importer's prefix-cache key)
 	Toks   []int // generated tokens so far, EOS included if hit
 	Next   int   // token fed at the next step
 	Pos    int   // next decode position
-	MaxNew int   // decode budget (the admission grant the importer re-reserves)
+	MaxNew int   // decode budget (what the importer's admission prices)
 	Done   bool
 
 	Half   bool // binary16 storage, cross memory and self KV alike
@@ -76,8 +76,8 @@ func (s *GenSession) Export() (*SessionSnapshot, error) {
 		SrcLen: s.cc.srcLen,
 		KVLen:  s.kv.Len(),
 	}
-	// Every layer's cross memory and committed self rows, raw, whatever the
-	// store's layout. Right after prefill the self part is empty — the
+	// Every layer's cross memory and committed self rows, raw, flattened out
+	// of their block tables. Right after prefill the self part is empty — the
 	// dominant hand-off migrates only the cross memory — but a mid-flight
 	// export (tests, future live migration) carries the full context.
 	for l := 0; l < layers; l++ {
@@ -140,7 +140,7 @@ func (s *SessionSnapshot) validate(cfg *Config, half bool) error {
 //
 // The destination must run the same geometry and numeric route as the
 // exporter, and the snapshot must hold the rows it declares; anything else
-// is rejected up front. A paged destination that cannot supply the blocks
+// is rejected up front. A destination whose pool cannot supply the blocks
 // returns ErrKVPoolExhausted. Every error return holds nothing.
 func (g *Generator) ImportSession(snap *SessionSnapshot) (*GenSession, error) {
 	if snap == nil {
@@ -151,13 +151,7 @@ func (g *Generator) ImportSession(snap *SessionSnapshot) (*GenSession, error) {
 	}
 	h := snap.Hidden
 
-	var kv kvStore
-	var err error
-	if g.pool != nil {
-		kv, err = newBlockKVCache(g.pool, snap.Layers, h, snap.Half)
-	} else {
-		kv, err = newKVCache(g.dev, snap.Layers, h, snap.MaxNew, snap.Half)
-	}
+	kv, err := newBlockKVCache(g.pool, snap.Layers, h, snap.Half)
 	if err != nil {
 		return nil, err
 	}

@@ -9,37 +9,26 @@ import (
 	"repro/internal/kernels"
 )
 
-// migrateKind is one of the four KV layouts a snapshot must round-trip
+// migrateKind is one of the two precisions a snapshot must round-trip
 // through bit-identically.
 type migrateKind struct {
-	name  string
-	paged bool
-	half  bool
+	name string
+	half bool
 }
 
 var migrateKinds = []migrateKind{
-	{"contiguous-fp32", false, false},
-	{"paged-fp32", true, false},
-	{"contiguous-fp16", false, true},
-	{"paged-fp16", true, true},
+	{"paged-fp32", false},
+	{"paged-fp16", true},
 }
 
 // newMigrateGenerator builds one generator of the given kind on its own
-// device (and pool, when paged), with the shared test seed so every
-// generator in a trial owns identical weights.
+// device and pool, with the shared test seed so every generator in a trial
+// owns identical weights.
 func newMigrateGenerator(t *testing.T, cfg Config, kind migrateKind) (*Generator, *allocator.Device) {
 	t.Helper()
-	dev := allocator.NewDevice()
-	g, err := NewGenerator(cfg, 42, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, dev, _ := newTestGenerator(t, cfg, 4096, 0)
 	if kind.half {
 		g.EnableFP16()
-	}
-	if kind.paged {
-		pool := allocator.NewBlockPool(dev, int64(KVChunkTokens)*int64(cfg.Hidden)*4, 4096)
-		g.EnablePagedKV(pool, 0)
 	}
 	return g, dev
 }
@@ -61,14 +50,14 @@ func stepAll(t *testing.T, g *Generator, sessions []*GenSession) {
 	}
 }
 
-// TestKVHandoffRoundTripFuzz is the hand-off property test: for every cache
-// kind (contiguous/paged × fp32/fp16) and fuzzed mixed context lengths, a
-// session exported mid-decode must import into a fresh same-weights
-// generator with (a) a bit-identical re-export — every KV word, fp16 rows
-// as raw binary16, survives the round trip — and (b) a continued stream
-// identical to the source session's, on both the same layout and the cross
-// layout (the snapshot is layout-free and not consumed by import). All
-// destination KV gauges must drain to exactly zero afterwards.
+// TestKVHandoffRoundTripFuzz is the hand-off property test: at both
+// precisions and on fuzzed mixed context lengths, a session exported
+// mid-decode must import into a fresh same-weights generator with (a) a
+// bit-identical re-export — every KV word, fp16 rows as raw binary16,
+// survives the round trip — and (b) a continued stream identical to the
+// source session's, on that generator and on a second one the same snapshot
+// is imported into (import does not consume it). All destination KV gauges
+// must drain to exactly zero afterwards.
 func TestKVHandoffRoundTripFuzz(t *testing.T) {
 	cfg := genTestConfig()
 	for _, kind := range migrateKinds {
@@ -86,7 +75,7 @@ func TestKVHandoffRoundTripFuzz(t *testing.T) {
 				for i := range sessions {
 					srcLen := 1 + rng.Intn(18)
 					budget := 4 + rng.Intn(20)
-					s, err := src.NewSession(int64(trial*100+i), testMemory(int64(i*31+trial), srcLen, cfg.Hidden), budget)
+					s, err := src.NewSession(int64(trial*100+i), []int{trial, i}, testMemory(int64(i*31+trial), srcLen, cfg.Hidden), budget)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -96,8 +85,6 @@ func TestKVHandoffRoundTripFuzz(t *testing.T) {
 					stepAll(t, src, sessions)
 				}
 
-				cross := kind
-				cross.paged = !kind.paged
 				for i, s := range sessions {
 					if s.Done() {
 						s.Close()
@@ -108,7 +95,7 @@ func TestKVHandoffRoundTripFuzz(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					// (a) Same-layout import must re-export bit-identically.
+					// (a) The import must re-export bit-identically.
 					dst, dstDev := newMigrateGenerator(t, cfg, kind)
 					imported, err := dst.ImportSession(snap)
 					if err != nil {
@@ -123,9 +110,9 @@ func TestKVHandoffRoundTripFuzz(t *testing.T) {
 					}
 
 					// (b) The snapshot is not consumed: a second import into
-					// the CROSS layout must also continue identically.
-					crossDst, crossDev := newMigrateGenerator(t, cfg, cross)
-					crossImported, err := crossDst.ImportSession(snap)
+					// another generator must also continue identically.
+					second, secondDev := newMigrateGenerator(t, cfg, kind)
+					secondImported, err := second.ImportSession(snap)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -136,19 +123,19 @@ func TestKVHandoffRoundTripFuzz(t *testing.T) {
 					for !imported.Done() {
 						stepAll(t, dst, []*GenSession{imported})
 					}
-					for !crossImported.Done() {
-						stepAll(t, crossDst, []*GenSession{crossImported})
+					for !secondImported.Done() {
+						stepAll(t, second, []*GenSession{secondImported})
 					}
 					want := s.Generated()
-					for name, got := range map[string][]int{"same-layout": imported.Generated(), "cross-layout": crossImported.Generated()} {
+					for name, got := range map[string][]int{"first import": imported.Generated(), "second import": secondImported.Generated()} {
 						if !reflect.DeepEqual(want, got) {
 							t.Fatalf("%s trial %d session %d (%s): migrated stream %v != source %v", kind.name, trial, i, name, got, want)
 						}
 					}
 					s.Close()
 					imported.Close()
-					crossImported.Close()
-					for name, dev := range map[string]*allocator.Device{"dest": dstDev, "cross-dest": crossDev} {
+					secondImported.Close()
+					for name, dev := range map[string]*allocator.Device{"dest": dstDev, "second dest": secondDev} {
 						snap := dev.Snapshot()
 						if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
 							t.Fatalf("%s trial %d session %d: %s KV gauges not drained: reserved=%d used=%d",
@@ -174,7 +161,7 @@ func TestKVHandoffSnapshotBytes(t *testing.T) {
 	for _, kind := range migrateKinds {
 		g, _ := newMigrateGenerator(t, cfg, kind)
 		const srcLen = 9
-		s, err := g.NewSession(1, testMemory(3, srcLen, cfg.Hidden), 12)
+		s, err := g.NewSession(1, []int{3}, testMemory(3, srcLen, cfg.Hidden), 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +192,7 @@ func TestKVHandoffSnapshotBytes(t *testing.T) {
 func TestKVHandoffExportClosedSession(t *testing.T) {
 	cfg := genTestConfig()
 	g, _ := newMigrateGenerator(t, cfg, migrateKinds[0])
-	s, err := g.NewSession(1, testMemory(3, 5, cfg.Hidden), 8)
+	s, err := g.NewSession(1, []int{3}, testMemory(3, 5, cfg.Hidden), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +208,7 @@ func TestKVHandoffExportClosedSession(t *testing.T) {
 func TestKVHandoffImportValidation(t *testing.T) {
 	cfg := genTestConfig()
 	src, _ := newMigrateGenerator(t, cfg, migrateKind{half: true})
-	s, err := src.NewSession(1, testMemory(3, 5, cfg.Hidden), 8)
+	s, err := src.NewSession(1, []int{3}, testMemory(3, 5, cfg.Hidden), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +270,7 @@ func TestKVHandoffImportRejectsMalformedSnapshots(t *testing.T) {
 	}
 	for _, kind := range migrateKinds {
 		src, _ := newMigrateGenerator(t, cfg, kind)
-		sess, err := src.NewSession(1, testMemory(3, 7, cfg.Hidden), 12)
+		sess, err := src.NewSession(1, []int{3}, testMemory(3, 7, cfg.Hidden), 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +279,7 @@ func TestKVHandoffImportRejectsMalformedSnapshots(t *testing.T) {
 		}
 		dst, dev := newMigrateGenerator(t, cfg, kind)
 		// A live neighbour, so "back to the pre-call values" is not just zero.
-		neighbour, err := dst.NewSession(2, testMemory(4, 3, cfg.Hidden), 4)
+		neighbour, err := dst.NewSession(2, []int{4}, testMemory(4, 3, cfg.Hidden), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +300,7 @@ func TestKVHandoffImportRejectsMalformedSnapshots(t *testing.T) {
 				t.Errorf("%s: %s: refused import left reserved/used/live %d/%d/%d, before %d/%d/%d", kind.name, tc.name,
 					after.KVReservedBytes, after.KVUsedBytes, after.LiveBytes, before.KVReservedBytes, before.KVUsedBytes, before.LiveBytes)
 			}
-			if kind.paged && dst.BlockPool().FreeBlocks() != dst.BlockPool().CapBlocks() {
+			if dst.BlockPool().FreeBlocks() != dst.BlockPool().CapBlocks() {
 				t.Errorf("%s: %s: refused import holds %d pool blocks", kind.name, tc.name, dst.BlockPool().CapBlocks()-dst.BlockPool().FreeBlocks())
 			}
 		}

@@ -11,11 +11,9 @@ import (
 // The projected encoder memory is real KV storage — per layer a [srcLen,
 // hidden] K and V — so it is charged to the device's KV gauges exactly once
 // however many sessions share it (prompt-identical requests through the
-// prefix cache), and released when the last holder closes. This is the
-// other half of the one-ledger reconciliation: with the prompt rows
-// accounted here and the decode grant accounted in the KV cache, the
-// device's KV-reserved gauge equals the continuous scheduler's
-// ReservedTokens (PromptLen + MaxNew) in bytes.
+// prefix cache), and released when the last holder closes — the prompt
+// half of the one KV ledger, whose decode half the block pool charges per
+// block held.
 //
 // On the binary16 route the handle also owns the cache's decoded view. The
 // cross memory never changes, yet every step of every session on it would
@@ -170,7 +168,7 @@ type prefixEntry struct {
 type PrefixCacheStats struct {
 	Entries    int
 	Hits       int64 // sessions opened against a cached prompt
-	Misses     int64 // paged sessions whose prompt was unknown
+	Misses     int64 // sessions whose prompt was unknown
 	Evictions  int64 // entries dropped by LRU capacity
 	Scavenges  int64 // entries whose decode KV was dropped under pool pressure
 	CCShared   int   // cached cross caches currently also held by live sessions
@@ -222,7 +220,7 @@ func (pc *PrefixCache) lookup(prompt []int) *prefixEntry {
 }
 
 // noteHit, noteMiss and noteReplay move the session-open counters, which
-// the Generator bumps as NewPagedSession decides how a prompt is served.
+// the Generator bumps as NewSession decides how a prompt is served.
 func (pc *PrefixCache) noteHit() {
 	pc.mu.Lock()
 	pc.hits++

@@ -8,13 +8,13 @@ import (
 )
 
 // scheduleRun drives a fuzzed continuous-batching schedule on g: session i
-// joins at joinAt[i] (a contiguous-KV session, or a paged one over a prompt
-// unique to it — no sharing, pure paging), steps raggedly with whoever is
-// live, and leaves when done or, if evictAt[i] is set, once it has
-// generated that many tokens (a request whose client vanished leaves the
-// batch even though it is not done). afterStep, if non-nil, sees the live
-// batch after every decode iteration. Returns each session's stream.
-func scheduleRun(t *testing.T, g *Generator, paged bool, mems, budgets, joinAt, evictAt []int, seed int64, afterStep func(live []*GenSession)) [][]int {
+// joins at joinAt[i] over a prompt unique to it (no prefix sharing, pure
+// paging), steps raggedly with whoever is live, and leaves when done or, if
+// evictAt[i] is set, once it has generated that many tokens (a request whose
+// client vanished leaves the batch even though it is not done). afterStep, if
+// non-nil, sees the live batch after every decode iteration. Returns each
+// session's stream.
+func scheduleRun(t *testing.T, g *Generator, mems, budgets, joinAt, evictAt []int, seed int64, afterStep func(live []*GenSession)) [][]int {
 	t.Helper()
 	n := len(mems)
 	opened := make([]bool, n)
@@ -27,7 +27,7 @@ func scheduleRun(t *testing.T, g *Generator, paged bool, mems, budgets, joinAt, 
 				continue
 			}
 			opened[i] = true
-			live = append(live, openScheduleSession(t, g, paged, i, mems[i], budgets[i], seed))
+			live = append(live, openScheduleSession(t, g, i, mems[i], budgets[i], seed))
 			started++
 		}
 		if len(live) == 0 {
@@ -60,43 +60,40 @@ func scheduleRun(t *testing.T, g *Generator, paged bool, mems, budgets, joinAt, 
 	return streams
 }
 
-// openScheduleSession opens session i of a fuzzed schedule on the store kind
-// asked for: a paged session keyed by a prompt unique to (i, seed, mem), or a
-// contiguous one.
-func openScheduleSession(tb testing.TB, g *Generator, paged bool, i, mem, budget int, seed int64) *GenSession {
+// openScheduleSession opens session i of a fuzzed schedule, keyed by a
+// prompt unique to (i, seed, mem).
+func openScheduleSession(tb testing.TB, g *Generator, i, mem, budget int, seed int64) *GenSession {
 	tb.Helper()
 	memory := testMemory(seed+int64(i), mem, g.Cfg.Hidden)
-	var s *GenSession
-	var err error
-	if paged {
-		s, err = g.NewPagedSession(int64(i), []int{1000 + i, int(seed), mem}, memory, budget)
-	} else {
-		s, err = g.NewSession(int64(i), memory, budget)
-	}
+	s, err := g.NewSession(int64(i), []int{1000 + i, int(seed), mem}, memory, budget)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return s
 }
 
-// raggedRun is scheduleRun over contiguous-KV sessions.
+// raggedRun is scheduleRun without a per-step hook.
 func raggedRun(t *testing.T, g *Generator, mems []int, budgets, joinAt, evictAt []int, seed int64) [][]int {
 	t.Helper()
-	return scheduleRun(t, g, false, mems, budgets, joinAt, evictAt, seed, nil)
+	return scheduleRun(t, g, mems, budgets, joinAt, evictAt, seed, nil)
 }
 
 // TestRaggedDecodeBitIdenticalToPerRowFuzz is the tentpole property test:
-// on fuzzed session sets with mixed prompt lengths, mixed context lengths,
-// and mid-run admit/evict, the grouped ragged decode path must produce
-// BIT-IDENTICAL token streams to the per-row reference attention. Streams
-// are compared exactly — any ulp drift in the grouped kernels would surface
-// as a diverging argmax somewhere across the fuzz corpus.
+// on fuzzed session sets with mixed prompt lengths, mixed context lengths —
+// budgets past KVChunkTokens cross block boundaries mid-decode — and mid-run
+// admit/evict, the grouped ragged decode path must produce BIT-IDENTICAL
+// token streams to the per-row reference attention over the same block
+// tables. Streams are compared exactly — any ulp drift in the grouped
+// kernels would surface as a diverging argmax somewhere across the fuzz
+// corpus. Once every session has closed, both pools hold no block and both
+// devices' KV gauges read zero.
 func TestRaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 	trials := 12
 	if testing.Short() {
 		trials = 4
 	}
 	cfg := genTestConfig()
+	cfg.MaxTargetLen = 2 * KVChunkTokens // allow boundary-crossing budgets
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		n := 1 + rng.Intn(5)
@@ -105,9 +102,9 @@ func TestRaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 		joinAt := make([]int, n)
 		evictAt := make([]int, n)
 		for i := 0; i < n; i++ {
-			mems[i] = 1 + rng.Intn(17)    // mixed prompt lengths
-			budgets[i] = 1 + rng.Intn(20) // mixed context budgets
-			joinAt[i] = rng.Intn(6)       // staggered admission
+			mems[i] = 1 + rng.Intn(17)                 // mixed prompt lengths
+			budgets[i] = 1 + rng.Intn(2*KVChunkTokens) // mixed context budgets
+			joinAt[i] = rng.Intn(6)                    // staggered admission
 			evictAt[i] = -1
 			if rng.Intn(4) == 0 { // occasional client-gone eviction
 				evictAt[i] = 1 + rng.Intn(8)
@@ -116,14 +113,8 @@ func TestRaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 		// At least one session must join at step 0 or the run stalls.
 		joinAt[0] = 0
 
-		ragged, err := NewGenerator(cfg, 42, allocator.NewDevice())
-		if err != nil {
-			t.Fatal(err)
-		}
-		perRow, err := NewGenerator(cfg, 42, allocator.NewDevice())
-		if err != nil {
-			t.Fatal(err)
-		}
+		ragged, dev, _ := newTestGenerator(t, cfg, 0, 0)
+		perRow, perRowDev, _ := newTestGenerator(t, cfg, 0, 0)
 		perRow.PerRowAttention = true
 
 		got := raggedRun(t, ragged, mems, budgets, joinAt, evictAt, int64(trial)*31)
@@ -139,6 +130,17 @@ func TestRaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 				}
 			}
 		}
+		for name, g := range map[string]*Generator{"ragged": ragged, "per-row": perRow} {
+			if used := g.BlockPool().Stats().UsedBlocks; used != 0 {
+				t.Fatalf("trial %d %s: %d blocks leaked", trial, name, used)
+			}
+			g.Close()
+		}
+		for name, d := range map[string]*allocator.Device{"ragged": dev, "per-row": perRowDev} {
+			if snap := d.Snapshot(); snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
+				t.Fatalf("trial %d %s: KV gauges not zero: %+v", trial, name, snap)
+			}
+		}
 	}
 }
 
@@ -148,13 +150,13 @@ func TestRaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 func TestDecodeScratchPlanReuse(t *testing.T) {
 	cfg := genTestConfig()
 	dev := allocator.NewDevice()
-	g, err := NewGenerator(cfg, 9, dev)
+	g, err := NewGenerator(cfg, 9, dev, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sessions []*GenSession
 	for i := 0; i < 3; i++ {
-		s, err := g.NewSession(int64(i), testMemory(int64(i), 4+i, cfg.Hidden), 24)
+		s, err := g.NewSession(int64(i), []int{i}, testMemory(int64(i), 4+i, cfg.Hidden), 24)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,57 +198,46 @@ func TestDecodeScratchPlanReuse(t *testing.T) {
 	}
 }
 
-// TestKVReservedVsUsedGauges: the device must report the up-front KV
-// reservation and the actually-occupied bytes separately, with used ≤
-// reserved throughout and both released on Free.
+// TestKVReservedVsUsedGauges: the device must report the KV blocks held and
+// the bytes actually occupied separately — reserved moving one block per
+// layer's K and V at each block boundary, used one committed row at a time —
+// with used ≤ reserved throughout and both released on Free.
 func TestKVReservedVsUsedGauges(t *testing.T) {
 	dev := allocator.NewDevice()
-	const layers, hidden, grant = 2, 8, 10
-	c, err := NewKVCache(dev, layers, hidden, grant)
+	const layers, hidden, blockRows = 2, 8, 4
+	pool := allocator.NewBlockPool(dev, blockRows*hidden*4, 64)
+	c, err := NewBlockKVCache(pool, layers, hidden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perTok := int64(layers) * 2 * hidden * 4
-	snap := dev.Snapshot()
-	// One ledger: the reserved gauge carries exactly the admission grant —
-	// not the chunk-rounded, headroom-scaled buffer capacity (that slack is
-	// capacity and lives in LiveBytes only).
-	if snap.KVReservedBytes != grant*perTok {
-		t.Fatalf("reserved %d, want the %d-token admission grant (%d)", snap.KVReservedBytes, grant, grant*perTok)
-	}
-	if c.Bytes() <= snap.KVReservedBytes {
-		t.Fatalf("buffer capacity %d not larger than the grant %d — growth headroom missing", c.Bytes(), snap.KVReservedBytes)
-	}
-	if snap.KVUsedBytes != 0 {
-		t.Fatalf("used %d before any token", snap.KVUsedBytes)
+	perDepth := int64(2*layers) * pool.BlockBytes() // one block per table
+	if snap := dev.Snapshot(); snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
+		t.Fatalf("gauges moved before any token: %+v", snap)
 	}
 	row := make([]float32, hidden)
-	for tok := 1; tok <= KVChunkTokens+2; tok++ { // outgrows the grant AND crosses a growth boundary
+	for tok := 1; tok <= 3*blockRows+1; tok++ { // crosses three block boundaries
+		if !c.EnsureAppendable() {
+			t.Fatal("pool exhausted in a sized test")
+		}
 		for l := 0; l < layers; l++ {
 			c.AppendRow(l, row, row)
 		}
 		c.Advance()
-		snap = dev.Snapshot()
+		snap := dev.Snapshot()
 		if snap.KVUsedBytes != int64(tok)*perTok {
 			t.Fatalf("after %d tokens: used %d, want %d", tok, snap.KVUsedBytes, int64(tok)*perTok)
+		}
+		if want := int64((tok+blockRows-1)/blockRows) * perDepth; snap.KVReservedBytes != want {
+			t.Fatalf("after %d tokens: reserved %d, want the %d bytes of the blocks held", tok, snap.KVReservedBytes, want)
 		}
 		if snap.KVUsedBytes > snap.KVReservedBytes {
 			t.Fatalf("used %d exceeds reserved %d", snap.KVUsedBytes, snap.KVReservedBytes)
 		}
-		// Past the grant the reservation extends row by row (admission
-		// under-budgeted); within it, it stays pinned to the grant.
-		wantRes := int64(grant) * perTok
-		if tok > grant {
-			wantRes = int64(tok) * perTok
-		}
-		if snap.KVReservedBytes != wantRes {
-			t.Fatalf("after %d tokens: reserved gauge %d, want %d", tok, snap.KVReservedBytes, wantRes)
-		}
 	}
 	c.Free()
 	c.Free() // idempotent
-	snap = dev.Snapshot()
-	if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
+	if snap := dev.Snapshot(); snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
 		t.Fatalf("gauges not released: reserved=%d used=%d", snap.KVReservedBytes, snap.KVUsedBytes)
 	}
 }

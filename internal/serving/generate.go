@@ -66,17 +66,16 @@ type liveGen struct {
 // the classify dispatcher's whole-batch scheduling). Each live session is
 // bound to its job's context, and the loop checks that context between
 // iterations — a disconnected client or a passed deadline is evicted
-// within one decode step, its KV reservation released.
+// within one decode step, its KV blocks released.
 type genDispatcher struct {
 	srv           *Server
 	engine        *core.GenEngine
 	sched         *sched.ContinuousScheduler
 	defaultMaxNew int
 
-	// Paged-KV mode: stepNeed is the worst-case block cost of one session's
-	// next decode row (a fresh K and V block on every layer) — the unit the
-	// admission gate, the scavenger, and the watermark all reason in.
-	paged    bool
+	// stepNeed is the worst-case block cost of one session's next decode row
+	// (a fresh K and V block on every layer) — the unit the admission gate,
+	// the scavenger, and the watermark all reason in.
 	stepNeed int
 
 	requests  atomic.Int64
@@ -85,28 +84,26 @@ type genDispatcher struct {
 	peakBatch atomic.Int64
 }
 
-func newGenDispatcher(srv *Server, engine *core.GenEngine, maxBatch, tokenBudget, defaultMaxNew int) *genDispatcher {
+func newGenDispatcher(srv *Server, engine *core.GenEngine, maxBatch, defaultMaxNew int) *genDispatcher {
 	if defaultMaxNew < 1 {
 		defaultMaxNew = 32
 	}
 	d := &genDispatcher{
 		srv:           srv,
 		engine:        engine,
-		sched:         sched.NewContinuousScheduler(maxBatch, tokenBudget),
+		sched:         sched.NewContinuousScheduler(maxBatch, 0),
 		defaultMaxNew: defaultMaxNew,
+		stepNeed:      2 * engine.DecCfg.Layers,
 	}
-	if gen := engine.Generator; gen.Paged() {
-		d.paged = true
-		d.stepNeed = 2 * engine.DecCfg.Layers
-		pool := gen.BlockPool()
-		d.sched.Gate = &sched.BlockGate{
-			// Retired prefix KV is scavengeable on demand, so it counts as
-			// free for admission — the pre-step hook reclaims it before ever
-			// preempting live work.
-			Free:      func() int { return pool.FreeBlocks() + gen.PrefixStats().KVBlocks },
-			Need:      func(*sched.GenRequest) int { return d.stepNeed },
-			Watermark: d.stepNeed,
-		}
+	gen := engine.Generator
+	pool := gen.BlockPool()
+	d.sched.Gate = &sched.BlockGate{
+		// Retired prefix KV is scavengeable on demand, so it counts as free
+		// for admission — the pre-step hook reclaims it before ever
+		// preempting live work.
+		Free:      func() int { return pool.FreeBlocks() + gen.PrefixStats().KVBlocks },
+		Need:      func(*sched.GenRequest) int { return d.stepNeed },
+		Watermark: d.stepNeed,
 	}
 	// The admission hook drops a queue-head job whose lifecycle ended while
 	// it waited — deadline passed or client gone — failing it (the events
@@ -143,9 +140,9 @@ func (d *genDispatcher) emit(lg *liveGen) {
 	lg.job.emitted = lg.sent
 }
 
-// finish closes out a completed generation: the session is retired — in
-// paged mode donated to the prefix cache so the next identical prompt
-// replays it — and the job's stream gets its terminal event.
+// finish closes out a completed generation: the session is retired —
+// donated to the prefix cache so the next identical prompt replays it — and
+// the job's stream gets its terminal event.
 func (d *genDispatcher) finish(lg *liveGen) {
 	d.sched.Evict(lg.id)
 	d.engine.Retire(lg.sess)
@@ -153,7 +150,7 @@ func (d *genDispatcher) finish(lg *liveGen) {
 	d.srv.completions.Add(1)
 }
 
-// ensureCapacity is the paged-mode pre-step reservation hook: every live
+// ensureCapacity is the pre-step reservation hook: every live
 // session must be able to append its next KV row BEFORE the iteration runs,
 // so Step itself never fails mid-batch. A shortfall escalates in order —
 // scavenge retired prefix KV, then preempt the most preemptible batch-mate
@@ -211,16 +208,14 @@ func (d *genDispatcher) ensureCapacity(live []*liveGen) []*liveGen {
 }
 
 // importSnap rebuilds a migrated session on this replica's device — the
-// decode-side admission path of a KV hand-off. In paged mode a pool
-// shortfall first scavenges retired prefix KV (sized to the snapshot's
-// committed rows) and retries once before failing the job. The router's
-// onImported hook fires only after the import actually succeeded, so
-// migration counters never count failed attempts.
+// decode-side admission path of a KV hand-off. A pool shortfall first
+// scavenges retired prefix KV and retries once before failing the job. The
+// router's onImported hook fires only after the import actually succeeded,
+// so migration counters never count failed attempts.
 func (d *genDispatcher) importSnap(id int64, j *Job) (*liveGen, error) {
 	sess, err := d.engine.ImportSession(j.snap)
-	if errors.Is(err, model.ErrKVPoolExhausted) && d.paged {
-		need := d.stepNeed * (j.snap.KVLen/model.KVChunkTokens + 1)
-		if d.engine.Generator.ScavengePrefix(need) > 0 {
+	if errors.Is(err, model.ErrKVPoolExhausted) {
+		if d.engine.Generator.ScavengePrefix(d.importBlocks(j.snap)) > 0 {
 			sess, err = d.engine.ImportSession(j.snap)
 		}
 	}
@@ -232,6 +227,14 @@ func (d *genDispatcher) importSnap(id int64, j *Job) (*liveGen, error) {
 	}
 	sess.Bind(j.Context())
 	return &liveGen{id: id, job: j, sess: sess, sent: j.emitted}, nil
+}
+
+// importBlocks is how many pool blocks importing snap takes here: a K and a
+// V table per layer covering the committed rows and the next decode row, at
+// this replica's rows per block — twice as many on binary16 as on fp32.
+func (d *genDispatcher) importBlocks(snap *model.SessionSnapshot) int {
+	rows := d.engine.Generator.BlockTokens()
+	return d.stepNeed * ((snap.KVLen + rows) / rows)
 }
 
 // Run implements Dispatcher: the continuous-batching decode loop. Each
@@ -385,13 +388,11 @@ func (d *genDispatcher) Run(q *Queue) {
 			continue
 		}
 
-		// Paged mode: reserve every session's next KV row before stepping
-		// (scavenging or preempting on shortfall), so Step never fails
-		// mid-batch on an exhausted pool.
-		if d.paged {
-			if live = d.ensureCapacity(live); len(live) == 0 {
-				continue
-			}
+		// Reserve every session's next KV row before stepping (scavenging or
+		// preempting on shortfall), so Step never fails mid-batch on an
+		// exhausted pool.
+		if live = d.ensureCapacity(live); len(live) == 0 {
+			continue
 		}
 
 		// One decode iteration over the ragged batch.

@@ -23,14 +23,14 @@ import (
 // genTestServer builds a server with both the classification and the
 // continuous-batching generation paths enabled, over tiny CPU-sized
 // models.
-func genTestServer(t *testing.T, genMaxBatch, tokenBudget int) (*Server, *httptest.Server) {
+func genTestServer(t *testing.T, genMaxBatch int) (*Server, *httptest.Server) {
 	t.Helper()
-	return genTestServerSeeded(t, genMaxBatch, tokenBudget, 5)
+	return genTestServerSeeded(t, genMaxBatch, 5)
 }
 
 // genTestServerSeeded picks the generator's weight seed: 5 answers every
 // prompt with an immediate EOS, 7 (the ledger's) decodes to the budget.
-func genTestServerSeeded(t *testing.T, genMaxBatch, tokenBudget int, genSeed int64) (*Server, *httptest.Server) {
+func genTestServerSeeded(t *testing.T, genMaxBatch int, genSeed int64) (*Server, *httptest.Server) {
 	t.Helper()
 	// Big enough that one decode step takes real time — a request's 64
 	// steps must span several HTTP arrivals so iteration-level batching has
@@ -54,7 +54,6 @@ func genTestServerSeeded(t *testing.T, genMaxBatch, tokenBudget int, genSeed int
 		MaxBatch:         8,
 		GenEngine:        genEngine,
 		GenMaxBatch:      genMaxBatch,
-		GenTokenBudget:   tokenBudget,
 		GenDefaultMaxNew: 16,
 	})
 	if err != nil {
@@ -87,7 +86,7 @@ func generate(t *testing.T, url, text string, maxNew int) generateResponse {
 }
 
 func TestGenerateEndToEnd(t *testing.T) {
-	_, ts := genTestServer(t, 8, 0)
+	_, ts := genTestServer(t, 8)
 	r := generate(t, ts.URL, "hello generation", 8)
 	if len(r.Tokens) == 0 || len(r.Tokens) > 8 {
 		t.Fatalf("generated %d tokens, want 1..8: %+v", len(r.Tokens), r)
@@ -95,7 +94,8 @@ func TestGenerateEndToEnd(t *testing.T) {
 	if r.PromptTokens != len("hello generation") {
 		t.Fatalf("prompt tokens %d", r.PromptTokens)
 	}
-	// Deterministic greedy decode: same prompt, same stream.
+	// Deterministic greedy decode: same prompt, same stream (the second one
+	// replayed from the prefix cache).
 	r2 := generate(t, ts.URL, "hello generation", 8)
 	if !reflect.DeepEqual(r.Tokens, r2.Tokens) {
 		t.Fatalf("same prompt produced %v then %v", r.Tokens, r2.Tokens)
@@ -105,25 +105,24 @@ func TestGenerateEndToEnd(t *testing.T) {
 // TestGenerateConcurrentMatchesSolo is the end-to-end continuous-batching
 // invariant: responses computed in a shared ragged batch must be identical
 // to the same prompts served alone, and the decode loop must actually have
-// shared iterations (batches > 1).
+// shared iterations (batches > 1). The solo references decode on a second
+// server, and every burst asks prompts new to the batching server, so its
+// prefix cache never answers a burst by replay.
 func TestGenerateConcurrentMatchesSolo(t *testing.T) {
-	srv, ts := genTestServer(t, 8, 0)
-	prompts := make([]string, 8)
-	for i := range prompts {
-		prompts[i] = fmt.Sprintf("prompt number %d %s", i, strings.Repeat("x", i*3))
-	}
+	srv, ts := genTestServer(t, 8)
+	_, soloTS := genTestServer(t, 8)
 
-	// Reference: sequential (each request has the decode loop to itself).
-	solo := make([][]int, len(prompts))
-	for i, p := range prompts {
-		solo[i] = generate(t, ts.URL, p, 64).Tokens
-	}
-
-	// Concurrent bursts of the same prompts. The tiny test model decodes a
-	// whole request in about a millisecond, so whether two HTTP requests
-	// overlap inside the decode loop is timing-dependent — repeat the burst
-	// until iteration-level batching is observed (first burst, in practice).
+	// The tiny test model decodes a whole request in about a millisecond, so
+	// whether two HTTP requests overlap inside the decode loop is
+	// timing-dependent — repeat the burst until iteration-level batching is
+	// observed (first burst, in practice).
 	for burst := 0; burst < 10; burst++ {
+		prompts := make([]string, 8)
+		solo := make([][]int, len(prompts))
+		for i := range prompts {
+			prompts[i] = fmt.Sprintf("burst %d prompt number %d %s", burst, i, strings.Repeat("x", i*3))
+			solo[i] = generate(t, soloTS.URL, prompts[i], 64).Tokens
+		}
 		results := make([][]int, len(prompts))
 		var wg sync.WaitGroup
 		for i, p := range prompts {
@@ -136,7 +135,7 @@ func TestGenerateConcurrentMatchesSolo(t *testing.T) {
 		wg.Wait()
 		for i := range prompts {
 			if !reflect.DeepEqual(solo[i], results[i]) {
-				t.Fatalf("prompt %d: solo %v vs batched %v", i, solo[i], results[i])
+				t.Fatalf("burst %d prompt %d: solo %v vs batched %v", burst, i, solo[i], results[i])
 			}
 		}
 		if srv.gen.peakBatch.Load() >= 2 {
@@ -155,7 +154,7 @@ func TestGenerateConcurrentMatchesSolo(t *testing.T) {
 // two workers share nothing, so both paths must stay correct and the
 // classifier must still form batches.
 func TestClassifyAndGenerateConcurrently(t *testing.T) {
-	srv, ts := genTestServer(t, 8, 0)
+	srv, ts := genTestServer(t, 8)
 	const n = 10
 	classes := make([]int, n)
 	gens := make([][]int, n)
@@ -193,7 +192,7 @@ func TestClassifyAndGenerateConcurrently(t *testing.T) {
 }
 
 func TestGenerateStreaming(t *testing.T) {
-	_, ts := genTestServer(t, 4, 0)
+	_, ts := genTestServer(t, 4)
 	body, _ := json.Marshal(generateRequest{Text: "stream me", MaxNewTokens: 6, Stream: true})
 	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -249,7 +248,7 @@ func (w *stepStampWriter) Write(p []byte) (int, error) {
 // not after the batch drained.
 func TestStreamedTokensStreamOnOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	srv, _ := genTestServerSeeded(t, 4, 0, 7)
+	srv, _ := genTestServerSeeded(t, 4, 7)
 	body, _ := json.Marshal(generateRequest{Text: "stream me", MaxNewTokens: 12, Stream: true})
 	w := &stepStampWriter{ResponseRecorder: *httptest.NewRecorder(), steps: srv.gen.stepsRun.Load}
 	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/generate", bytes.NewReader(body)))
@@ -262,36 +261,11 @@ func TestStreamedTokensStreamOnOneP(t *testing.T) {
 	}
 }
 
-// TestGenerateTokenBudgetStillServesAll: an aggressive KV budget forces
-// requests to take turns, but everyone still completes with the right
-// result.
-func TestGenerateTokenBudget(t *testing.T) {
-	_, ts := genTestServer(t, 8, 64)
-	var wg sync.WaitGroup
-	results := make([][]int, 6)
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = generate(t, ts.URL, fmt.Sprintf("budgeted %d", i), 8).Tokens
-		}(i)
-	}
-	wg.Wait()
-	for i, r := range results {
-		if len(r) == 0 {
-			t.Fatalf("request %d starved under token budget", i)
-		}
-		if got := generate(t, ts.URL, fmt.Sprintf("budgeted %d", i), 8).Tokens; !reflect.DeepEqual(got, r) {
-			t.Fatalf("request %d: budget run %v vs solo %v", i, r, got)
-		}
-	}
-}
-
 // TestGenerateClientDisconnectEvicts: a client that goes away mid-stream
 // must not hold its batch slot for the rest of its token budget — the
 // decode loop evicts the orphaned session at an iteration boundary.
 func TestGenerateClientDisconnectEvicts(t *testing.T) {
-	srv, ts := genTestServer(t, 4, 0)
+	srv, ts := genTestServer(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	body, _ := json.Marshal(generateRequest{Text: "abandoned stream", MaxNewTokens: 500, Stream: true})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/generate", bytes.NewReader(body))
@@ -323,7 +297,7 @@ func TestGenerateClientDisconnectEvicts(t *testing.T) {
 }
 
 func TestGenerateRejectsBadRequests(t *testing.T) {
-	_, ts := genTestServer(t, 4, 0)
+	_, ts := genTestServer(t, 4)
 	resp, err := http.Get(ts.URL + "/v1/generate")
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +330,7 @@ func TestGenerateDisabledReturns503(t *testing.T) {
 }
 
 func TestGenerateAfterCloseFails(t *testing.T) {
-	srv, ts := genTestServer(t, 4, 0)
+	srv, ts := genTestServer(t, 4)
 	srv.Close()
 	body, _ := json.Marshal(generateRequest{Text: "too late"})
 	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(body))

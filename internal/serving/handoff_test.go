@@ -223,6 +223,7 @@ func TestHandoffStreamsBitIdenticalToOracle(t *testing.T) {
 		t.Fatalf("per-replica roles = %q, want prefill,decode", got)
 	}
 	for i, g := range engines {
+		g.Generator.ClosePrefix() // retired generations are not leaks
 		snap := g.MemoryStats()
 		if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
 			t.Fatalf("replica %d KV gauges not drained: reserved=%d used=%d", i, snap.KVReservedBytes, snap.KVUsedBytes)
@@ -373,6 +374,7 @@ func TestRouterShutdownDuringHandoff(t *testing.T) {
 		t.Fatalf("prefill_queue_depth = %d after shutdown, want 0", stats.PrefillQueueDepth)
 	}
 	for i, g := range engines {
+		g.Generator.ClosePrefix() // retired generations are not leaks
 		snap := g.MemoryStats()
 		if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
 			t.Fatalf("replica %d KV gauges not drained after shutdown: reserved=%d used=%d",
@@ -428,5 +430,79 @@ func TestNewRouterRoleValidation(t *testing.T) {
 	}
 	if _, err := NewRouter(RouterConfig{Roles: []ReplicaRole{RolePrefill, RolePrefill}}, s1, s2); err == nil {
 		t.Fatal("prefill-only fleet accepted (no replica can decode)")
+	}
+}
+
+// TestHandoffImportScavengesOnlyWhatItNeeds: when a KV hand-off import finds
+// an fp16 replica's pool nearly full, it scavenges retired prefix KV sized to
+// the snapshot at THIS replica's rows per block — 64 binary16 rows, not the
+// 32 fp32 rows of KVChunkTokens — so retired entries the import does not need
+// keep their KV for later continuations.
+func TestHandoffImportScavengesOnlyWhatItNeeds(t *testing.T) {
+	encCfg := model.BertBase().Scaled(32, 4, 64, 2)
+	decCfg := model.Seq2SeqDecoder().Scaled(32, 4, 64, 2)
+	const retired = 5
+	stepBlocks := 2 * decCfg.Layers // one K and one V block per layer
+	engine := func(blocks int) *core.GenEngine {
+		t.Helper()
+		// Seed 7 decodes to the budget instead of stopping at EOS.
+		e, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 7, FP16: true, PagedKVBlocks: blocks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	start := func(e *core.GenEngine, id int64, maxNew int) *model.GenSession {
+		t.Helper()
+		sess, err := e.StartSessions([]int64{id}, [][]int{{3 + int(id), 9, 27}}, []int{maxNew})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess[0]
+	}
+
+	// The snapshot: 40 committed rows — one fp16 block per table, two at the
+	// fp32 block size.
+	src := engine(0)
+	s := start(src, 100, 48)
+	for s.ContextLen() < 40 {
+		if _, err := src.Step([]*model.GenSession{s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := src.DetachSession(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.KVLen != 40 {
+		t.Fatalf("fixture exported %d rows, want 40", snap.KVLen)
+	}
+
+	// The destination: retired entries holding one block per table each,
+	// and two free blocks — short of the import's one block per table.
+	dst := engine(retired*stepBlocks + 2)
+	defer dst.Close()
+	for i := int64(0); i < retired; i++ {
+		e := start(dst, i, 2)
+		for !e.Done() {
+			if _, err := dst.Step([]*model.GenSession{e}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst.Retire(e)
+	}
+	if st := dst.Generator.PrefixStats(); st.KVEntries != retired || st.KVBlocks != retired*stepBlocks {
+		t.Fatalf("fixture: %d entries hold %d blocks, want %d holding %d", st.KVEntries, st.KVBlocks, retired, retired*stepBlocks)
+	}
+
+	d := newGenDispatcher(nil, dst, 4, 8)
+	lg, err := d.importSnap(snap.ID, &Job{snap: snap, ctx: context.Background()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.sess.Close()
+	if kept := dst.Generator.PrefixStats().KVEntries; kept != retired-1 {
+		t.Fatalf("%d of %d retired entries kept their KV through the import, want %d: the scavenger dropped more than the import needed",
+			kept, retired, retired-1)
 	}
 }

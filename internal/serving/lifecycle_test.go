@@ -226,7 +226,7 @@ func TestDeadlineExpiredDroppedBeforeScheduling(t *testing.T) {
 // shorter than its token budget must stop within one iteration of the
 // deadline — 504, KV reservation released, jobs_expired counted.
 func TestGenerateDeadlineEvictsMidDecode(t *testing.T) {
-	srv, ts := genTestServer(t, 4, 0)
+	srv, ts := genTestServer(t, 4)
 	body, _ := json.Marshal(generateRequest{Text: "x", MaxNewTokens: 500, DeadlineMS: 30})
 	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -261,7 +261,7 @@ func waitReservationsReleased(t *testing.T, srv *Server) {
 // decode loop must evict it within an iteration, gen_reserved_tokens must
 // drain to 0, and the drop must be attributed to jobs_cancelled.
 func TestDisconnectReleasesKVReservation(t *testing.T) {
-	srv, ts := genTestServer(t, 4, 0)
+	srv, ts := genTestServer(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	body, _ := json.Marshal(generateRequest{Text: "x", MaxNewTokens: 500, Stream: true})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/generate", bytes.NewReader(body))
@@ -465,7 +465,7 @@ func TestShutdownAbortsOnExpiredContext(t *testing.T) {
 // TestMethodHandlingAndStructuredErrors: every endpoint must reject wrong
 // methods with 405 + Allow and answer every error as structured JSON.
 func TestMethodHandlingAndStructuredErrors(t *testing.T) {
-	_, ts := genTestServer(t, 4, 0)
+	_, ts := genTestServer(t, 4)
 	cases := []struct {
 		method, path, allow string
 	}{

@@ -35,7 +35,7 @@ func decodeJSON(t *testing.T, w *httptest.ResponseRecorder, v interface{}) {
 	}
 }
 
-// pagedTestServer builds a generation server whose KV is paged through a
+// pagedTestServer builds a generation server whose KV pages through a
 // block pool of kvBlocks (0 = the engine default). The cleanup closes the
 // engine too, so a block leaked across the server's whole lifetime panics
 // the test — the shutdown accounting check rides along for free.
@@ -47,7 +47,7 @@ func pagedTestServer(t *testing.T, genMaxBatch, kvBlocks int) (*Server, *core.Ge
 	if err != nil {
 		t.Fatal(err)
 	}
-	genEngine, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 5, PagedKV: true, PagedKVBlocks: kvBlocks})
+	genEngine, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 5, PagedKVBlocks: kvBlocks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func pagedTestServer(t *testing.T, genMaxBatch, kvBlocks int) (*Server, *core.Ge
 
 // serveGen runs one generate request straight through the server's job
 // path (no HTTP server needed — the recorder-level helpers below keep the
-// paged tests fast and deterministic).
+// tests fast and deterministic).
 func serveGen(t *testing.T, srv *Server, text string, maxNew int) []int {
 	t.Helper()
 	w, r := postJSON(t, "/v1/generate", generateRequest{Text: text, MaxNewTokens: maxNew})
@@ -87,25 +87,26 @@ func serveGen(t *testing.T, srv *Server, text string, maxNew int) []int {
 	return out.Tokens
 }
 
-// TestPagedGenerateMatchesLegacy pins the serving-level bit-identity of the
-// paged path: the same prompts produce exactly the streams the contiguous-KV
-// server produces, repeated prompts are answered from the prefix cache
-// (hits counted, replay tokens counted, no second encoder pass), and a
-// longer re-ask of a cached prompt continues off the donated block tables —
-// the copy-free sharing showing up in the pool's peak-shared gauge.
-func TestPagedGenerateMatchesLegacy(t *testing.T) {
-	legacy, _ := genTestServer(t, 8, 0)
-	paged, genEngine := pagedTestServer(t, 8, 0)
+// TestPrefixReplayMatchesFreshDecode pins the serving-level bit-identity of
+// the prefix cache: first asks produce exactly the streams a second server
+// decodes, repeated prompts are answered from the prefix cache (hits
+// counted, replay tokens counted, no second encoder pass), and a longer
+// re-ask of a cached prompt continues off the donated block tables — the
+// copy-free sharing showing up in the pool's peak-shared gauge — exactly as
+// a fresh decode at that budget does.
+func TestPrefixReplayMatchesFreshDecode(t *testing.T) {
+	fresh, _ := pagedTestServer(t, 8, 0)
+	srv, genEngine := pagedTestServer(t, 8, 0)
 
 	// A fixed-question mix: "hello"/"alpha"/"beta" decode their full budget
 	// under this seed (so continuations exist to share); the rest hit EOS
 	// immediately (so the born-done replay path is covered too).
 	prompts := []string{"hello", "alpha", "beta", "faq question 0", "faq question 1 " + strings.Repeat("q", 5)}
 	for _, p := range prompts {
-		want := legacyGen(t, legacy, p, 8)
-		got := serveGen(t, paged, p, 8)
+		want := serveGen(t, fresh, p, 8)
+		got := serveGen(t, srv, p, 8)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("prompt %q: paged %v != legacy %v", p, got, want)
+			t.Fatalf("prompt %q: %v != the other server's %v", p, got, want)
 		}
 	}
 
@@ -113,8 +114,8 @@ func TestPagedGenerateMatchesLegacy(t *testing.T) {
 	// whole round must replay — zero new encoder passes, hits counted.
 	_, passesBefore, _ := genEngine.PrefillCounters()
 	for _, p := range prompts {
-		first := serveGen(t, paged, p, 8)
-		again := serveGen(t, paged, p, 8)
+		first := serveGen(t, srv, p, 8)
+		again := serveGen(t, srv, p, 8)
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("prompt %q: replay %v != first %v", p, again, first)
 		}
@@ -126,17 +127,18 @@ func TestPagedGenerateMatchesLegacy(t *testing.T) {
 
 	// Continuation: a longer budget on a cached prompt maps the retired
 	// block tables (shared until copy-on-write) and extends them. The
-	// extension must be bit-identical to the legacy server's longer run.
-	want := legacyGen(t, legacy, prompts[0], 24)
-	got := serveGen(t, paged, prompts[0], 24)
+	// extension must be bit-identical to a fresh decode at that budget.
+	fresh2, _ := pagedTestServer(t, 8, 0)
+	want := serveGen(t, fresh2, prompts[0], 24)
+	got := serveGen(t, srv, prompts[0], 24)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("continuation: paged %v != legacy %v", got, want)
+		t.Fatalf("continuation %v != fresh decode %v", got, want)
 	}
 	if peak := genEngine.Generator.BlockPool().Stats().PeakShared; peak == 0 {
 		t.Fatalf("continuation never shared a block (peak shared = 0)")
 	}
 
-	st := paged.statsSnapshot()
+	st := srv.statsSnapshot()
 	if st.PrefixHits < int64(2*len(prompts)) {
 		t.Fatalf("prefix hits %d, want >= %d", st.PrefixHits, 2*len(prompts))
 	}
@@ -144,19 +146,11 @@ func TestPagedGenerateMatchesLegacy(t *testing.T) {
 		t.Fatalf("no tokens served from replay")
 	}
 	if st.KVBlocksTotal == 0 {
-		t.Fatalf("paged stats missing kv_blocks_total")
+		t.Fatalf("stats missing kv_blocks_total")
 	}
 	if st.GenKVUsedBytes > st.GenKVReservedBytes {
 		t.Fatalf("used %d > reserved %d", st.GenKVUsedBytes, st.GenKVReservedBytes)
 	}
-}
-
-// legacyGen is serveGen against the HTTP-test legacy server from
-// genTestServer (which returns an httptest URL, so route through its
-// handler directly for symmetry).
-func legacyGen(t *testing.T, srv *Server, text string, maxNew int) []int {
-	t.Helper()
-	return serveGen(t, srv, text, maxNew)
 }
 
 // TestPagedPreemptionLossless squeezes two long generations through a pool
@@ -217,5 +211,23 @@ func TestPagedGaugesDrainToZero(t *testing.T) {
 	if mem.KVReservedBytes != 0 || mem.KVUsedBytes != 0 {
 		t.Fatalf("KV gauges not zero after drain: reserved=%d used=%d",
 			mem.KVReservedBytes, mem.KVUsedBytes)
+	}
+}
+
+// TestKVBlocksUsedExcludesRetiredPrefix: at idle, retired generations still
+// hold their KV blocks in the prefix cache, but /v1/stats' kv_blocks_used —
+// the autoscaler's KV occupancy signal — counts only what running
+// generations hold: retired KV is scavenged on demand, as admission assumes.
+func TestKVBlocksUsedExcludesRetiredPrefix(t *testing.T) {
+	srv, genEngine := pagedTestServer(t, 4, 0)
+	for i := 0; i < 3; i++ {
+		serveGen(t, srv, fmt.Sprintf("retired prompt %d", i), 8)
+	}
+	held := genEngine.Generator.PrefixStats().KVBlocks
+	if held == 0 {
+		t.Fatal("fixture: no retired generation holds KV blocks")
+	}
+	if st := srv.statsSnapshot(); st.KVBlocksUsed != 0 {
+		t.Fatalf("idle server reports kv_blocks_used %d; the prefix cache holds %d scavengeable blocks and nothing runs", st.KVBlocksUsed, held)
 	}
 }

@@ -224,7 +224,7 @@ func TestQueueOrderedAtEnqueue(t *testing.T) {
 // finished generation streams, not just classify results — a generate-only
 // workload still produces a live drain rate for the Retry-After hint.
 func TestCompletionsCountBothKinds(t *testing.T) {
-	srv, ts := genTestServer(t, 4, 0)
+	srv, ts := genTestServer(t, 4)
 	body, _ := json.Marshal(map[string]interface{}{"text": "hi", "max_new_tokens": 3})
 	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(body))
 	if err != nil {

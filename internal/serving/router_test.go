@@ -239,6 +239,13 @@ func TestRouterPropertyNoLossNoDupStatsSum(t *testing.T) {
 				if rep.KVBytesPerToken > sum.KVBytesPerToken {
 					sum.KVBytesPerToken = rep.KVBytesPerToken
 				}
+				sum.KVBlocksTotal += rep.KVBlocksTotal
+				sum.KVBlocksUsed += rep.KVBlocksUsed
+				sum.KVBlocksShared += rep.KVBlocksShared
+				sum.PrefixHits += rep.PrefixHits
+				sum.PrefixMisses += rep.PrefixMisses
+				sum.ReplayTokens += rep.ReplayTokens
+				sum.GenPreemptions += rep.GenPreemptions
 			}
 			if t2 := sum.TokensProcessed + sum.TokensPadded; t2 > 0 {
 				sum.PaddingWaste = float64(sum.TokensPadded) / float64(t2)
@@ -375,6 +382,7 @@ func TestRouterScalePropertyNoLossUnderElasticity(t *testing.T) {
 	// gauges at exactly zero — nothing queued, nothing reserved, no KV
 	// bytes still on the device.
 	for i, srv := range removed {
+		srv.gen.engine.Generator.ClosePrefix() // retired generations are not leaks
 		snap := srv.statsSnapshot()
 		if snap.QueueDepth != 0 || snap.GenReservedTokens != 0 ||
 			snap.GenKVReservedBytes != 0 || snap.GenKVUsedBytes != 0 {

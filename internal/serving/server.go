@@ -123,9 +123,6 @@ type ServerConfig struct {
 	GenEngine *core.GenEngine
 	// GenMaxBatch caps concurrent decode sequences (default: MaxBatch).
 	GenMaxBatch int
-	// GenTokenBudget caps the summed worst-case context length across
-	// running generations (KV-footprint guard; 0 = unlimited).
-	GenTokenBudget int
 	// GenDefaultMaxNew is the token budget used when a request does not
 	// set max_new_tokens (default 32).
 	GenDefaultMaxNew int
@@ -175,7 +172,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		if genBatch < 1 {
 			genBatch = cfg.MaxBatch
 		}
-		s.gen = newGenDispatcher(s, cfg.GenEngine, genBatch, cfg.GenTokenBudget, cfg.GenDefaultMaxNew)
+		s.gen = newGenDispatcher(s, cfg.GenEngine, genBatch, cfg.GenDefaultMaxNew)
 		s.start(s.gen)
 	}
 	return s, nil
@@ -636,10 +633,9 @@ type statsResponse struct {
 	GenPrefillPasses  int64 `json:"gen_prefill_passes" agg:"sum"`
 	GenPrefillTokens  int64 `json:"gen_prefill_tokens" agg:"sum"`
 
-	// KV admission accounting: tokens currently reserved by the continuous
-	// scheduler, and reserved-vs-actually-used KV bytes on the device. The
-	// scheduler budgets by the reserved figure; the gap to used is the
-	// worst-case safety margin.
+	// KV accounting: the worst-case context (prompt plus budget) of the
+	// running generations in tokens, and on the device the KV bytes held
+	// (blocks and cross memories) against the bytes committed rows occupy.
 	GenReservedTokens  int64 `json:"gen_reserved_tokens" agg:"sum"`
 	GenKVReservedBytes int64 `json:"gen_kv_reserved_bytes" agg:"sum"`
 	GenKVUsedBytes     int64 `json:"gen_kv_used_bytes" agg:"sum"`
@@ -652,10 +648,13 @@ type statsResponse struct {
 	FusedLaunches   int64 `json:"fused_launches" agg:"sum"`
 	KVBytesPerToken int64 `json:"kv_bytes_per_token" agg:"max"`
 
-	// Paged-KV accounting (zero unless the engine runs paged): block-pool
+	// Paged-KV accounting (zero without a generation engine): block-pool
 	// occupancy, prefix-cache reuse, and preemptions — the shared-prefix
-	// admission-density win made visible. KVBlocksShared counts blocks
-	// mapped by two or more block tables at once.
+	// admission-density win made visible. KVBlocksUsed counts the blocks
+	// running generations hold: retired prefix KV is scavenged on demand,
+	// so — as at admission — it is free capacity, not decode pressure (the
+	// autoscaler reads this gauge). KVBlocksShared counts blocks mapped by
+	// two or more block tables at once.
 	KVBlocksTotal  int64 `json:"kv_blocks_total" agg:"sum"`
 	KVBlocksUsed   int64 `json:"kv_blocks_used" agg:"sum"`
 	KVBlocksShared int64 `json:"kv_blocks_shared" agg:"sum"`
@@ -790,17 +789,16 @@ func (s *Server) statsSnapshot() statsResponse {
 		mem := s.gen.engine.MemoryStats()
 		resp.GenKVReservedBytes = mem.KVReservedBytes
 		resp.GenKVUsedBytes = mem.KVUsedBytes
-		if gen := s.gen.engine.Generator; gen.Paged() {
-			ps := gen.BlockPool().Stats()
-			resp.KVBlocksTotal = int64(ps.CapBlocks)
-			resp.KVBlocksUsed = int64(ps.UsedBlocks)
-			resp.KVBlocksShared = int64(ps.SharedBlocks)
-			pf := gen.PrefixStats()
-			resp.PrefixHits = pf.Hits
-			resp.PrefixMisses = pf.Misses
-			resp.ReplayTokens = pf.ReplayToks
-			resp.GenPreemptions = s.gen.sched.Preemptions()
-		}
+		gen := s.gen.engine.Generator
+		ps := gen.BlockPool().Stats()
+		resp.KVBlocksTotal = int64(ps.CapBlocks)
+		pf := gen.PrefixStats()
+		resp.KVBlocksUsed = int64(ps.UsedBlocks - pf.KVBlocks)
+		resp.KVBlocksShared = int64(ps.SharedBlocks)
+		resp.PrefixHits = pf.Hits
+		resp.PrefixMisses = pf.Misses
+		resp.ReplayTokens = pf.ReplayToks
+		resp.GenPreemptions = s.gen.sched.Preemptions()
 	}
 	return resp
 }
