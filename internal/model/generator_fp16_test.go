@@ -66,6 +66,63 @@ func TestFP16RaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 	}
 }
 
+// TestFP16PagedBitIdenticalToContiguous closes the fp16 quartet: paged
+// grouped and paged per-row streams must match the contiguous fp16 streams
+// token for token — blocked binary16 K/V reads are exact resumptions of the
+// contiguous accumulation. The last session's budget runs past one 64-row
+// binary16 block.
+func TestFP16PagedBitIdenticalToContiguous(t *testing.T) {
+	cfg := genTestConfig()
+	cfg.MaxTargetLen = 3 * KVChunkTokens
+	mems := []int{5, 1, 11, 17, 3}
+	budgets := []int{9, 14, 3, 20, 3 * KVChunkTokens}
+	joinAt := []int{0, 2, 1, 0, 1}
+	evictAt := []int{-1, -1, -1, 6, -1}
+
+	most := 0
+	mk := func(paged, perRow bool) [][]int {
+		t.Helper()
+		var g *Generator
+		hook := blockWatch(t, 2*cfg.Layers, new(int))
+		if paged {
+			g, _, _ = newTestGenerator(t, cfg, 0, 0)
+			hook = blockWatch(t, 0, &most)
+		} else {
+			g, _ = newContiguousGenerator(t, cfg)
+		}
+		g.EnableFP16()
+		g.PerRowAttention = perRow
+		return scheduleRun(t, g, mems, budgets, joinAt, evictAt, 71, hook)
+	}
+
+	want := mk(false, false)
+	for _, variant := range []struct {
+		name   string
+		paged  bool
+		perRow bool
+	}{
+		{"contiguous-per-row", false, true},
+		{"paged-grouped", true, false},
+		{"paged-per-row", true, true},
+	} {
+		got := mk(variant.paged, variant.perRow)
+		for i := range want {
+			if len(got[i]) != len(want[i]) {
+				t.Fatalf("%s session %d: %v vs %v", variant.name, i, got[i], want[i])
+			}
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("%s session %d token %d: %d vs %d",
+						variant.name, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+	if most <= 2*cfg.Layers {
+		t.Fatalf("no paged fp16 session crossed a block boundary (most blocks held %d)", most)
+	}
+}
+
 // TestFP16KVBytesHalved pins the capacity claim at the accounting layer:
 // binary16 KV rows must cost exactly half the bytes — the per-token unit,
 // and the used gauge as tokens land in the same pool blocks — and both

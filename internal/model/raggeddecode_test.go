@@ -144,6 +144,104 @@ func TestRaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 	}
 }
 
+// newContiguousGenerator builds a generator whose pool blocks each hold a
+// whole MaxTargetLen context, so every session's K (and V) for one layer is
+// a single span — the contiguous layout, kept as the reference the
+// KVChunkTokens-row block tables must match bit for bit.
+func newContiguousGenerator(t testing.TB, cfg Config) (*Generator, *allocator.Device) {
+	t.Helper()
+	g, dev, pool := newTestGenerator(t, cfg, 0, 0)
+	pool.Close()
+	g.pool = allocator.NewBlockPool(dev, int64(cfg.MaxTargetLen)*int64(cfg.Hidden)*4, 16*cfg.Layers)
+	return g, dev
+}
+
+// blockWatch returns a scheduleRun hook that records the most blocks any
+// live session held, failing once one holds more than limit (0: no limit).
+func blockWatch(t *testing.T, limit int, most *int) func(live []*GenSession) {
+	return func(live []*GenSession) {
+		for _, s := range live {
+			n := s.kv.Blocks()
+			if limit > 0 && n > limit {
+				t.Fatalf("session %d holds %d blocks, want at most %d", s.ID, n, limit)
+			}
+			if n > *most {
+				*most = n
+			}
+		}
+	}
+}
+
+// TestPagedDecodeBitIdenticalToContiguousFuzz is the paging property: on
+// fuzzed session sets with mixed prompts, budgets that cross KVChunkTokens
+// block boundaries mid-decode, and mid-run admit/evict, the generator over
+// its KVChunkTokens-row block tables (read as one span per block) must
+// produce BIT-IDENTICAL token streams to the same schedule over contiguous
+// one-block-per-table KV, AND to the per-row oracle over the paged views.
+// Once every session has closed, the pools hold no block and the devices'
+// KV gauges read zero.
+func TestPagedDecodeBitIdenticalToContiguousFuzz(t *testing.T) {
+	trials := 10
+	if testing.Short() {
+		trials = 3
+	}
+	cfg := genTestConfig()
+	cfg.MaxTargetLen = 2 * KVChunkTokens // allow boundary-crossing budgets
+	mostPaged := 0
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(int64(7000 + trial)))
+		n := 1 + rng.Intn(5)
+		mems := make([]int, n)
+		budgets := make([]int, n)
+		joinAt := make([]int, n)
+		evictAt := make([]int, n)
+		for i := 0; i < n; i++ {
+			mems[i] = 1 + rng.Intn(17)
+			budgets[i] = 1 + rng.Intn(2*KVChunkTokens)
+			joinAt[i] = rng.Intn(6)
+			evictAt[i] = -1
+			if rng.Intn(4) == 0 {
+				evictAt[i] = 1 + rng.Intn(8)
+			}
+		}
+		joinAt[0] = 0
+
+		contiguous, contDev := newContiguousGenerator(t, cfg)
+		paged, pagedDev, _ := newTestGenerator(t, cfg, 0, 0)
+		oracle, oracleDev, _ := newTestGenerator(t, cfg, 0, 0)
+		oracle.PerRowAttention = true
+
+		seed := int64(trial) * 17
+		mostCont := 0
+		want := scheduleRun(t, contiguous, mems, budgets, joinAt, evictAt, seed, blockWatch(t, 2*cfg.Layers, &mostCont))
+		got := scheduleRun(t, paged, mems, budgets, joinAt, evictAt, seed, blockWatch(t, 0, &mostPaged))
+		ref := raggedRun(t, oracle, mems, budgets, joinAt, evictAt, seed)
+		for i := range want {
+			for j := 0; j < len(want[i]) || j < len(got[i]) || j < len(ref[i]); j++ {
+				if j >= len(want[i]) || j >= len(got[i]) || j >= len(ref[i]) ||
+					got[i][j] != want[i][j] || ref[i][j] != want[i][j] {
+					t.Fatalf("trial %d session %d: paged %v / oracle %v vs contiguous %v",
+						trial, i, got[i], ref[i], want[i])
+				}
+			}
+		}
+		gens := map[string]*Generator{"contiguous": contiguous, "paged": paged, "oracle": oracle}
+		devs := map[string]*allocator.Device{"contiguous": contDev, "paged": pagedDev, "oracle": oracleDev}
+		for name, g := range gens {
+			if used := g.BlockPool().Stats().UsedBlocks; used != 0 {
+				t.Fatalf("trial %d %s: %d blocks leaked", trial, name, used)
+			}
+			g.Close()
+			if snap := devs[name].Snapshot(); snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
+				t.Fatalf("trial %d %s: KV gauges not zero: %+v", trial, name, snap)
+			}
+		}
+	}
+	if mostPaged <= 2*cfg.Layers {
+		t.Fatalf("no paged session crossed a block boundary (most blocks held %d)", mostPaged)
+	}
+}
+
 // TestDecodeScratchPlanReuse: the decode workspace must be planned, reused
 // across iterations while the (rows, Σcontext) key fits, and replanned —
 // with Malloc/Free visible in device traffic — only when it grows.
