@@ -13,18 +13,22 @@
 // so results do not depend on how a problem is batched, split or unrolled,
 // nor on the architecture.
 //
-// The three inner loops (nnRows2, nnRow, dot2) have two bodies with the same
-// signatures, selected by build constraint alone. kernels_generic.go is the
-// portable Go and the readable definition; it writes each product as
-// float32(x*y), which forbids the compiler to fuse it into the following add
-// (it may otherwise, on arm64 and at GOAMD64=v3). kernels_amd64.s (amd64
-// without -tags purego) is baseline SSE2, four lanes: in NN a lane is a
-// column of C, an independent chain; in NT the four lanes are the four
-// partial sums. Nothing wider and no FMA: eight lanes would be eight NT
-// partials and a fused multiply-add rounds once, either of which moves bits,
-// and SSE2 needs no feature detection. Everything else in the package is Go
-// on every target. Timing of GPU GEMMs for the experiments is handled
-// separately by the analytic model in internal/perf.
+// The three inner loops (nnRows2, nnRow, dot2) are Go on every target but
+// amd64 and under -tags purego (kernels_generic.go, the readable definition;
+// it writes each product as float32(x*y), which forbids the compiler to fuse
+// it into the following add, as it may on arm64 and at GOAMD64=v3), and
+// assembly on amd64. The rule there: NN uses eight lanes, NT keeps four
+// partials, no FMA, and the probe picks the body. In NN a lane is a column
+// of C, an independent chain, so any width gives the same bits: the two NN
+// kernels have eight-lane AVX bodies (kernels_avx_amd64.s) beside baseline
+// SSE2 ones (kernels_amd64.s), and a CPUID probe at start-up picks AVX when
+// the CPU has AVX2 and the OS saves YMM state — there is no option. In NT
+// the four lanes are dot2's four partial sums; eight would be eight partials,
+// another fold, so dot2 is SSE2 on every amd64 CPU. A fused multiply-add
+// rounds once where the invariant rounds twice, so no body uses one.
+// Everything else in the package is Go on every target. Timing of GPU GEMMs
+// for the experiments is handled separately by the analytic model in
+// internal/perf.
 package blas
 
 import (
@@ -133,9 +137,10 @@ func gemmBlock(transB bool, i0, i1, n, k int, alpha float32, a []float32, lda in
 // Two rows advance together through four values of p per pass over the
 // columns (nnRows2), so each element of B loaded serves two rows and each
 // element of C loaded or stored serves four p. The odd last row runs the same
-// 4-p unroll alone (nnRow). Columns are not blocked: the six streams are
-// sequential, and splitting wide rows (n = 3072, 30000) into L1-sized
-// segments measured no faster.
+// 4-p unroll alone (nnRow). On amd64 both take eight columns per step when
+// the probe found AVX2 and four otherwise, which moves no bits. Columns are
+// not blocked: the six streams are sequential, and splitting wide rows
+// (n = 3072, 30000) into L1-sized segments measured no faster.
 func gemmNN(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
 	i := i0
 	for ; i+2 <= i1; i += 2 {

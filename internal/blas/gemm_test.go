@@ -338,8 +338,9 @@ func TestQuickGemmTransposeIdentity(t *testing.T) {
 // (hidden 128, 4 heads, FFN 512, max length 224 tokens per packed batch)
 // actually calls: NN for the projections at decode-step and packed-encoder
 // row counts plus attention's scores·V, NT for Q·Kᵀ at one decode row and at
-// a full packed batch. Names are m x n x k. A call that runs inline (one P,
-// or fewer than 16 rows) must report 0 allocs/op.
+// a full packed batch. Names are kind/m x n x k/body: NN runs on every body
+// this build and CPU have (avx, sse2 or go), NT on its one. A call that runs
+// inline (one P, or fewer than 16 rows) must report 0 allocs/op.
 func BenchmarkGemm(b *testing.B) {
 	type shape struct{ m, n, k int }
 	var nn []shape
@@ -348,26 +349,33 @@ func BenchmarkGemm(b *testing.B) {
 	}
 	nn = append(nn, shape{224, 32, 224})
 	nt := []shape{{1, 100, 32}, {224, 224, 32}}
-	run := func(kind string, transB bool, shapes []shape) {
+	run := func(kind string, transB bool, shapes []shape, bodies []nnBody) {
 		for _, s := range shapes {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", kind, s.m, s.n, s.k), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				a := randSlice(rng, s.m*s.k)
-				bb := randSlice(rng, s.k*s.n)
-				c := make([]float32, s.m*s.n)
-				ldb := s.n
-				if transB {
-					ldb = s.k
-				}
-				b.ReportAllocs()
-				for b.Loop() {
-					Gemm(false, transB, s.m, s.n, s.k, 1, a, s.k, bb, ldb, 0, c, s.n)
-				}
-				flop := 2 * float64(s.m) * float64(s.n) * float64(s.k) * float64(b.N)
-				b.ReportMetric(flop/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
+			for _, body := range bodies {
+				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", kind, s.m, s.n, s.k, body.name), func(b *testing.B) {
+					body.use()
+					rng := rand.New(rand.NewSource(1))
+					a := randSlice(rng, s.m*s.k)
+					bb := randSlice(rng, s.k*s.n)
+					c := make([]float32, s.m*s.n)
+					ldb := s.n
+					if transB {
+						ldb = s.k
+					}
+					b.ReportAllocs()
+					for b.Loop() {
+						Gemm(false, transB, s.m, s.n, s.k, 1, a, s.k, bb, ldb, 0, c, s.n)
+					}
+					flop := 2 * float64(s.m) * float64(s.n) * float64(s.k) * float64(b.N)
+					b.ReportMetric(flop/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
 		}
 	}
-	run("nn", false, nn)
-	run("nt", true, nt)
+	bodies := nnBodies()
+	defer bodies[0].use()
+	run("nn", false, nn, bodies)
+	// dot2's one body is the four-lane one: SSE2 where NN has assembly, Go
+	// where it has not — the last of nnBodies.
+	run("nt", true, nt, bodies[len(bodies)-1:])
 }

@@ -5,9 +5,11 @@
 // SSE2 bodies of the three inner GEMM kernels; kernels_generic.go states what
 // each computes. Baseline amd64 only: MULPS/ADDPS round every product and
 // every sum like the scalar MULSS/ADDSS, so a lane is one scalar chain.
-// NN: lanes are columns (independent chains). NT: lanes are the four strided
-// partial sums s0..s3. No FMA (one rounding instead of two), no AVX (eight
-// lanes would be eight partials).
+// NN: lanes are columns (independent chains), so NN also has an eight-lane
+// AVX body (kernels_avx_amd64.s) that the CPUID probe prefers; these two run
+// on CPUs without AVX2. NT: lanes are the four strided partial sums s0..s3,
+// so dot2 stays four lanes wide everywhere: eight lanes would be eight
+// partials, another fold. No FMA (one rounding instead of two).
 
 // Each column loop is written once and instantiated twice: with the packed
 // instructions for four columns at a time, and with the scalar ones for the
@@ -107,8 +109,8 @@ tail:                     \
 	JMP  tail             \
 done:
 
-// func nnRows2(n, k int, alpha float32, a0, a1, b []float32, ldb int, c0, c1 []float32)
-TEXT ·nnRows2(SB), NOSPLIT, $0-152
+// func nnRows2SSE2(n, k int, alpha float32, a0, a1, b []float32, ldb int, c0, c1 []float32)
+TEXT ·nnRows2SSE2(SB), NOSPLIT, $0-152
 	MOVQ  n+0(FP), CX
 	MOVQ  k+8(FP), DX
 	MOVSS alpha+16(FP), X15
@@ -158,8 +160,8 @@ rows2p1:
 rows2ret:
 	RET
 
-// func nnRow(n, k int, alpha float32, a0, b []float32, ldb int, c0 []float32)
-TEXT ·nnRow(SB), NOSPLIT, $0-104
+// func nnRowSSE2(n, k int, alpha float32, a0, b []float32, ldb int, c0 []float32)
+TEXT ·nnRowSSE2(SB), NOSPLIT, $0-104
 	MOVQ  n+0(FP), CX
 	MOVQ  k+8(FP), DX
 	MOVSS alpha+16(FP), X15

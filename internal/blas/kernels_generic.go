@@ -3,7 +3,8 @@
 package blas
 
 // The three inner kernels in Go: the build for every target without assembly
-// (and for -tags purego), and the definition kernels_amd64.s is held to.
+// (and for -tags purego), and the definition kernels_amd64.s and
+// kernels_avx_amd64.s are held to.
 // Each product is written float32(x*y) so that no compiler may fuse it into
 // the add that follows.
 

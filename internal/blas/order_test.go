@@ -100,6 +100,23 @@ func (tc *orderedCase) mismatch() (at int, got, want float32) {
 	return -1, 0, 0
 }
 
+// nnBody is one body of the NN kernels: use switches gemmNN to it.
+type nnBody struct {
+	name string
+	use  func()
+}
+
+// eachNNBody runs f as a subtest once per NN body this build and CPU have
+// (nnBodies), and leaves gemmNN on the one the probe picked.
+func eachNNBody(t *testing.T, f func(t *testing.T)) {
+	bodies := nnBodies()
+	defer bodies[0].use()
+	for _, body := range bodies {
+		body.use()
+		t.Run(body.name, f)
+	}
+}
+
 var (
 	orderedAlphas = []float32{1, 0.125, float32(1 / math.Sqrt(32))}
 	orderedBetas  = []float32{0, 1, 0.5}
@@ -110,67 +127,72 @@ var (
 // an odd last row), every p and column tail, a row split across workers,
 // padded leading dimensions, and the scalars serving uses (alpha =
 // 1/sqrt(head dim) folded into Q·Kᵀ, beta = 1 span rounds). The second sweep
-// is for what a vector kernel gets wrong: every boundary between a four-wide
-// body and its tail in n and in k, at every operand alignment, for the
-// one-row kernel, the two-row kernel and both.
+// is for what a vector kernel gets wrong: every boundary between an eight- or
+// four-wide body and its tail in n and in k, at every operand alignment, for
+// the one-row kernel, the two-row kernel and both. Each NN body runs it all.
 func TestGemmBitIdenticalToOrderedReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	check := func(transB bool, m, n, k int, alpha, beta float32, off int) {
-		tc := newOrderedCase(rng, transB, m, n, k, alpha, beta, off)
-		if at, got, want := tc.mismatch(); at >= 0 {
-			t.Fatalf("transB=%v m=%d n=%d k=%d alpha=%g beta=%g off=%d: c[%d] = %g (%#08x), ordered reference %g (%#08x)",
-				transB, m, n, k, alpha, beta, off, at, got, math.Float32bits(got), want, math.Float32bits(want))
+	eachNNBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(14))
+		check := func(transB bool, m, n, k int, alpha, beta float32, off int) {
+			tc := newOrderedCase(rng, transB, m, n, k, alpha, beta, off)
+			if at, got, want := tc.mismatch(); at >= 0 {
+				t.Fatalf("transB=%v m=%d n=%d k=%d alpha=%g beta=%g off=%d: c[%d] = %g (%#08x), ordered reference %g (%#08x)",
+					transB, m, n, k, alpha, beta, off, at, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
 		}
-	}
-	for _, transB := range []bool{false, true} {
-		for _, alpha := range orderedAlphas {
-			for _, beta := range orderedBetas {
-				for m := 1; m <= 9; m++ {
-					for _, n := range []int{1, 5, 37} {
-						for _, k := range []int{0, 1, 3, 4, 6, 13, 32, 35} {
-							check(transB, m, n, k, alpha, beta, 0)
+		for _, transB := range []bool{false, true} {
+			for _, alpha := range orderedAlphas {
+				for _, beta := range orderedBetas {
+					for m := 1; m <= 9; m++ {
+						for _, n := range []int{1, 5, 37} {
+							for _, k := range []int{0, 1, 3, 4, 6, 13, 32, 35} {
+								check(transB, m, n, k, alpha, beta, 0)
+							}
+						}
+					}
+					check(transB, 37, 11, 7, alpha, beta, 0)
+				}
+			}
+			for m := 1; m <= 3; m++ {
+				for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 24, 25, 31, 32, 33} {
+					for k := 0; k <= 9; k++ {
+						for off := 0; off < 4; off++ {
+							check(transB, m, n, k, orderedAlphas[2], 0.5, off)
 						}
 					}
 				}
-				check(transB, 37, 11, 7, alpha, beta, 0)
 			}
 		}
-		for m := 1; m <= 3; m++ {
-			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33} {
-				for k := 0; k <= 9; k++ {
-					for off := 0; off < 4; off++ {
-						check(transB, m, n, k, orderedAlphas[2], 0.5, off)
-					}
-				}
-			}
-		}
-	}
+	})
 }
 
 // TestGemmRowsIndependent: row i of an m-row call equals the one-row call on
-// that row, bit for bit — what batched == solo rests on.
+// that row, bit for bit — what batched == solo rests on — on each NN body.
 func TestGemmRowsIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, transB := range []bool{false, true} {
-		for m := 1; m <= 9; m++ {
-			tc := newOrderedCase(rng, transB, m, 37, 35, orderedAlphas[2], 0.5, m)
-			all := append([]float32(nil), tc.c...)
-			Gemm(false, transB, m, tc.n, tc.k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, all, tc.ldc)
-			for i := 0; i < m; i++ {
-				row := append([]float32(nil), tc.c[i*tc.ldc:(i+1)*tc.ldc]...)
-				Gemm(false, transB, 1, tc.n, tc.k, tc.alpha, tc.a[i*tc.lda:], tc.lda, tc.b, tc.ldb, tc.beta, row, tc.ldc)
-				for j := range row {
-					if math.Float32bits(row[j]) != math.Float32bits(all[i*tc.ldc+j]) {
-						t.Fatalf("transB=%v m=%d: row %d col %d alone %g, batched %g", transB, m, i, j, row[j], all[i*tc.ldc+j])
+	eachNNBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(15))
+		for _, transB := range []bool{false, true} {
+			for m := 1; m <= 9; m++ {
+				tc := newOrderedCase(rng, transB, m, 37, 35, orderedAlphas[2], 0.5, m)
+				all := append([]float32(nil), tc.c...)
+				Gemm(false, transB, m, tc.n, tc.k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, all, tc.ldc)
+				for i := 0; i < m; i++ {
+					row := append([]float32(nil), tc.c[i*tc.ldc:(i+1)*tc.ldc]...)
+					Gemm(false, transB, 1, tc.n, tc.k, tc.alpha, tc.a[i*tc.lda:], tc.lda, tc.b, tc.ldb, tc.beta, row, tc.ldc)
+					for j := range row {
+						if math.Float32bits(row[j]) != math.Float32bits(all[i*tc.ldc+j]) {
+							t.Fatalf("transB=%v m=%d: row %d col %d alone %g, batched %g", transB, m, i, j, row[j], all[i*tc.ldc+j])
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // FuzzGemmOrderedReference lets the fuzzer pick shape, scalars and data seed;
 // the seed's low bits also set how far the operands sit off their allocations.
+// Every NN body runs each input.
 func FuzzGemmOrderedReference(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(100), uint8(32), true, uint8(2), uint8(0))
 	f.Add(int64(2), uint8(8), uint8(128), uint8(128), false, uint8(0), uint8(0))
@@ -180,9 +202,14 @@ func FuzzGemmOrderedReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, m, n, k uint8, transB bool, alphaSel, betaSel uint8) {
 		alpha := orderedAlphas[int(alphaSel)%len(orderedAlphas)]
 		beta := orderedBetas[int(betaSel)%len(orderedBetas)]
-		tc := newOrderedCase(rand.New(rand.NewSource(seed)), transB, int(m), int(n), int(k), alpha, beta, int(seed&3))
-		if at, got, want := tc.mismatch(); at >= 0 {
-			t.Fatalf("c[%d] = %g, ordered reference %g", at, got, want)
+		bodies := nnBodies()
+		defer bodies[0].use()
+		for _, body := range bodies {
+			body.use()
+			tc := newOrderedCase(rand.New(rand.NewSource(seed)), transB, int(m), int(n), int(k), alpha, beta, int(seed&3))
+			if at, got, want := tc.mismatch(); at >= 0 {
+				t.Fatalf("%s: c[%d] = %g, ordered reference %g", body.name, at, got, want)
+			}
 		}
 	})
 }

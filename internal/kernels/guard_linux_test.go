@@ -3,37 +3,10 @@ package kernels
 import (
 	"math/rand"
 	"runtime/debug"
-	"syscall"
 	"testing"
-	"unsafe"
-)
 
-// guarded returns a copy of the non-empty src whose last element is the last
-// four bytes before an inaccessible page, so that touching src[len(src)]
-// faults. With readOnly the copy itself cannot be written either. (The twin of
-// blas's helper: the lane kernels check no bounds either.)
-func guarded(t *testing.T, src []float32, readOnly bool) []float32 {
-	t.Helper()
-	page := syscall.Getpagesize()
-	pages := (4*len(src)+page-1)/page + 1
-	mem, err := syscall.Mmap(-1, 0, pages*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-	if err != nil {
-		t.Skipf("mmap: %v", err)
-	}
-	t.Cleanup(func() { syscall.Munmap(mem) })
-	data, guard := mem[:(pages-1)*page], mem[(pages-1)*page:]
-	if err := syscall.Mprotect(guard, syscall.PROT_NONE); err != nil {
-		t.Skipf("mprotect: %v", err)
-	}
-	s := unsafe.Slice((*float32)(unsafe.Pointer(&data[len(data)-4*len(src)])), len(src))
-	copy(s, src)
-	if readOnly {
-		if err := syscall.Mprotect(data, syscall.PROT_READ); err != nil {
-			t.Skipf("mprotect: %v", err)
-		}
-	}
-	return s
-}
+	"repro/internal/guardpage"
+)
 
 // TestLanesStayInsideTheirOperands runs the softmax and the bias + GELU with
 // each row ending on a page boundary, the bias read-only: a load or store one
@@ -47,7 +20,7 @@ func TestLanesStayInsideTheirOperands(t *testing.T) {
 
 		want := append([]float32(nil), src...)
 		refSoftmaxRow(want)
-		row := guarded(t, src, false)
+		row := guardpage.Copy(t, src, false)
 		softmaxRow(row)
 		for j := range want {
 			if !sameBits(row[j], want[j]) {
@@ -55,8 +28,8 @@ func TestLanesStayInsideTheirOperands(t *testing.T) {
 			}
 		}
 
-		row = guarded(t, src, false)
-		AddBiasAct(ActGELU, row, guarded(t, bias, true), 1, n)
+		row = guardpage.Copy(t, src, false)
+		AddBiasAct(ActGELU, row, guardpage.Copy(t, bias, true), 1, n)
 		for j := range row {
 			if want := refGelu(src[j] + bias[j]); !sameBits(row[j], want) {
 				t.Fatalf("gelu n=%d [%d]: %g, reference %g", n, j, row[j], want)

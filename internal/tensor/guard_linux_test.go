@@ -2,38 +2,10 @@ package tensor
 
 import (
 	"runtime/debug"
-	"syscall"
 	"testing"
-	"unsafe"
+
+	"repro/internal/guardpage"
 )
-
-// guardedBytes returns n bytes whose last one is the last byte before an
-// inaccessible page, so that touching one byte past them faults. (The twin of
-// the helper in blas and kernels: the lane conversions check no bounds
-// either.)
-func guardedBytes(t *testing.T, n int) []byte {
-	t.Helper()
-	page := syscall.Getpagesize()
-	pages := (n+page-1)/page + 1
-	mem, err := syscall.Mmap(-1, 0, pages*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-	if err != nil {
-		t.Skipf("mmap: %v", err)
-	}
-	t.Cleanup(func() { syscall.Munmap(mem) })
-	data, guard := mem[:(pages-1)*page], mem[(pages-1)*page:]
-	if err := syscall.Mprotect(guard, syscall.PROT_NONE); err != nil {
-		t.Skipf("mprotect: %v", err)
-	}
-	return data[len(data)-n:]
-}
-
-func guardedF32(t *testing.T, n int) []float32 {
-	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(guardedBytes(t, 4*n)))), n)
-}
-
-func guardedU16(t *testing.T, n int) []uint16 {
-	return unsafe.Slice((*uint16)(unsafe.Pointer(unsafe.SliceData(guardedBytes(t, 2*n)))), n)
-}
 
 // TestF16LanesStayInsideTheirOperands runs both lane conversions with source
 // and destination each ending on a page boundary: a load or store one element
@@ -42,9 +14,9 @@ func TestF16LanesStayInsideTheirOperands(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	vals := activationMix()
 	for n := 1; n <= 19; n++ {
-		src := guardedF32(t, n)
+		src := guardpage.Slice[float32](t, n)
 		copy(src, vals[n:])
-		dst, enc := guardedF32(t, n), guardedU16(t, n)
+		dst, enc := guardpage.Slice[float32](t, n), guardpage.Slice[uint16](t, n)
 		RoundF16Into(dst, src)
 		EncodeF16Slice(enc, src)
 		for i, v := range src {
