@@ -55,7 +55,9 @@ func BenchmarkExtraCluster(b *testing.B)       { benchExperiment(b, "extra-clust
 // --- core-subsystem micro-benchmarks ----------------------------------------
 
 // BenchmarkEngineForwardVariableLen measures the functional CPU runtime on
-// a variable-length request (the quickstart path).
+// a variable-length request (the quickstart path). Engine.Encode runs the
+// packed path, so this measures the packed encoder plus the scatter into
+// the dense layout.
 func BenchmarkEngineForwardVariableLen(b *testing.B) {
 	cfg := turbo.BertBase().Scaled(64, 4, 256, 2)
 	rt, err := turbo.NewRuntime(cfg, turbo.WithSeed(1))

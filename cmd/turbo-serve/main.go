@@ -15,7 +15,7 @@
 //	                                     object when stream is false)
 //	GET  /v1/stats                     → serving counters (queue depth,
 //	                                     rejected/expired/cancelled jobs,
-//	                                     padding waste, KV reservations)
+//	                                     tokens processed, KV reservations)
 //
 // A full admission queue answers 429 + Retry-After; SIGINT/SIGTERM drains
 // in-flight work (bounded by -drain-timeout) before exiting.
@@ -46,10 +46,9 @@ func main() {
 	maxLen := flag.Int("max-len", 128, "maximum request length for the warm-up sweep")
 	cacheSize := flag.Int("cache", 1024, "response cache entries (0 disables)")
 	seed := flag.Int64("seed", 42, "weight seed")
-	costFile := flag.String("cost-file", "", "persist/reload the warm-up cost dictionary (§5: stored on disk, reloaded on restart); the packed engine and token-cost routing use its token-cost fit")
+	costFile := flag.String("cost-file", "", "persist/reload the warm-up cost dictionary (§5: stored on disk, reloaded on restart); the DP scheduler and token-cost routing price by its token-cost fit")
 	batchWindow := flag.Duration("batch-window", 0, "lazy-strategy accumulation window (0 = hungry strategy)")
 	fp16 := flag.Bool("fp16", false, "run the binary16 fast path: fp16-storage GEMMs, half-size KV cache, fused launch chains (fp32 stays the default)")
-	packed := flag.Bool("packed", false, "run the zero-padding (packed) engine: ragged batches, no padding FLOPs, token-based batch scheduling")
 	queueDepth := flag.Int("queue-depth", 256, "bounded admission queue depth per replica (submissions beyond it get 429)")
 	replicas := flag.Int("replicas", 1, "independent serving replicas behind the routed front door (1 = single server, no router)")
 	balance := flag.String("balance", "token-cost", "replica routing policy: round-robin, least-queue, or token-cost")
@@ -110,9 +109,6 @@ func main() {
 	if *sloBudget > 0 {
 		opts = append(opts, turbo.WithSLOBudget(*sloBudget, *sloWindow))
 	}
-	if *packed {
-		opts = append(opts, turbo.WithPacked())
-	}
 	if *fp16 {
 		opts = append(opts, turbo.WithFP16())
 	}
@@ -150,8 +146,10 @@ func main() {
 	}
 
 	// One sweep: reload a persisted dictionary if present, otherwise
-	// measure one and persist it. The packed engine and the token-cost
-	// routing policy read the dictionary's token-cost fit.
+	// measure one and persist it. The DP scheduler and the token-cost
+	// routing policy read the dictionary's token-cost fit: the engine is
+	// packed, so a mixed-length batch costs the work actually done, not
+	// batch·maxLen.
 	var cached *turbo.CachedCost
 	if *costFile != "" {
 		if loaded, err := turbo.LoadCost(*costFile); err == nil {
@@ -171,16 +169,10 @@ func main() {
 		}
 	}
 	fit := cached.Fit()
-	var cost turbo.CostModel = cached
-	if *packed {
-		// Packed engine: the DP scheduler prices mixed-length batches by
-		// work actually done, not by batch·maxLen.
-		log.Printf("token cost ready (packed engine): fixed=%.0fns perToken=%.1fns perTok²=%.3fns", fit.Fixed, fit.PerToken, fit.PerSqToken)
-		cost = fit
-	}
-	log.Printf("cost ready; e.g. cost(len=%d, batch=1) = %v", *maxLen, cost.BatchCost(sched.Uniform(*maxLen, 1)))
+	log.Printf("cost ready: fixed=%.0fns perToken=%.1fns perTok²=%.3fns; e.g. cost(len=%d, batch=1) = %v",
+		fit.Fixed, fit.PerToken, fit.PerSqToken, *maxLen, fit.BatchCost(sched.Uniform(*maxLen, 1)))
 
-	serveOpts := []turbo.Option{turbo.WithScheduler(turbo.NewDPScheduler(cost, *maxBatch))}
+	serveOpts := []turbo.Option{turbo.WithScheduler(turbo.NewDPScheduler(fit, *maxBatch))}
 	if len(roles) > 0 {
 		serveOpts = append(serveOpts, turbo.WithReplicaRoles(roles...))
 	}

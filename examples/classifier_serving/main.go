@@ -29,7 +29,8 @@ func main() {
 	}
 
 	// Warm-up phase: measure the real engine to build Algorithm 2's cost
-	// dictionary.
+	// dictionary, then fit it to the token cost — the engine is packed, so
+	// a mixed-length batch costs the tokens it computes, not batch·maxLen.
 	cost := turbo.WarmupCost(func(seqLen, batch int) time.Duration {
 		toks := make([][]int, batch)
 		for i := range toks {
@@ -44,7 +45,7 @@ func main() {
 			log.Fatal(err)
 		}
 		return time.Since(start)
-	}, 96, 8, 16)
+	}, 96, 8, 16).Fit()
 
 	schedulers := []struct {
 		name string

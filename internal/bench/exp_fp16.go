@@ -279,11 +279,11 @@ func runFP16Path(w io.Writer) error {
 	fmt.Fprintf(w, "predicted chain budget on lens %v: %d layers × (%d×%v launch + %v packed softmax + %v packed layernorm) = %v\n",
 		lens, encCfg.Layers, saved, pro32.LaunchOverhead, smPacked, lnPacked, predicted)
 
-	e32, err := core.NewEngine(encCfg, core.Options{Seed: 17, Packed: true})
+	e32, err := core.NewEngine(encCfg, core.Options{Seed: 17})
 	if err != nil {
 		return err
 	}
-	e16, err := core.NewEngine(encCfg, core.Options{Seed: 17, Packed: true, FP16: true})
+	e16, err := core.NewEngine(encCfg, core.Options{Seed: 17, FP16: true})
 	if err != nil {
 		return err
 	}

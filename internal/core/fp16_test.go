@@ -8,16 +8,17 @@ import (
 )
 
 // The §6.2.1 claim: Tensor-Core FP16 execution "introduces minimal and
-// acceptable precision loss to the FP32 version". Verified end-to-end:
-// FP16-operand/FP32-accumulate GEMMs through a full encoder stack stay
-// close to the FP32 outputs and do not change classifications.
-func TestTensorCorePrecisionLossMinimal(t *testing.T) {
+// acceptable precision loss to the FP32 version". Verified end-to-end on
+// the engine's fp16 route: FP16-operand/FP32-accumulate GEMMs through a
+// full encoder stack stay close to the FP32 outputs and do not change
+// classifications.
+func TestFP16EnginePrecisionLossMinimal(t *testing.T) {
 	cfg := model.BertBase().Scaled(64, 4, 256, 4)
 	fp32, err := NewEngine(cfg, Options{Seed: 21, Classes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := NewEngine(cfg, Options{Seed: 21, Classes: 4, TensorCore: true})
+	f16, err := NewEngine(cfg, Options{Seed: 21, Classes: 4, FP16: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,16 +31,16 @@ func TestTensorCorePrecisionLossMinimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := tc.Encode(toks)
+	b, _, err := f16.Encode(toks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.MaxAbsDiff(b) == 0 {
-		t.Fatal("TC emulation did not change numerics at all — not plugged in?")
+		t.Fatal("fp16 route did not change numerics at all — not plugged in?")
 	}
 	// Hidden states stay close (the paper's "minimal and acceptable").
 	if !a.AllClose(b, 5e-2, 5e-2) {
-		t.Fatalf("TC precision loss too large: maxdiff %g", a.MaxAbsDiff(b))
+		t.Fatalf("fp16 precision loss too large: maxdiff %g", a.MaxAbsDiff(b))
 	}
 
 	// Classifications are unchanged.
@@ -47,21 +48,21 @@ func TestTensorCorePrecisionLossMinimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := tc.Classify(context.Background(), toks)
+	pb, err := f16.Classify(context.Background(), toks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range pa {
 		if pa[i] != pb[i] {
-			t.Fatalf("TC changed classification %d: %d vs %d", i, pa[i], pb[i])
+			t.Fatalf("fp16 changed classification %d: %d vs %d", i, pa[i], pb[i])
 		}
 	}
 }
 
-// TC emulation must stay deterministic.
-func TestTensorCoreDeterministic(t *testing.T) {
+// The fp16 route must stay deterministic.
+func TestFP16EngineDeterministic(t *testing.T) {
 	cfg := model.BertBase().Scaled(32, 4, 64, 2)
-	e, err := NewEngine(cfg, Options{Seed: 3, TensorCore: true})
+	e, err := NewEngine(cfg, Options{Seed: 3, FP16: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +75,6 @@ func TestTensorCoreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.MaxAbsDiff(b) != 0 {
-		t.Fatal("TC emulation non-deterministic")
+		t.Fatal("fp16 route non-deterministic")
 	}
 }

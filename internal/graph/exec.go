@@ -27,13 +27,11 @@ type Executor struct {
 	// concatenated as the kernel takes them.
 	qkvBias map[*Op][]float32
 
-	// tensorCore selects the Turbo-TC numeric path: GEMM operands are
-	// binary16-valued (weights rounded once into halfWeights, activations
-	// rounded once per op into pooled scratch) while the GEMMs themselves
-	// and their accumulation stay FP32 — exactly what Tensor Cores compute.
-	// Enabled via EnableTensorCoreEmulation or EnableFP16; fp16 only records
-	// which of the two asked (the serving stack reports it).
-	tensorCore  bool
+	// fp16 selects the binary16 numeric path (Turbo-TC's numerics): GEMM
+	// operands are binary16-valued (weights rounded once into halfWeights,
+	// activations rounded once per op into pooled scratch) while the GEMMs
+	// themselves and their accumulation stay FP32 — exactly what Tensor
+	// Cores compute. Set by EnableFP16.
 	fp16        bool
 	halfWeights map[int]*tensor.Tensor
 
@@ -111,26 +109,19 @@ func (e *Executor) Run(input *tensor.Tensor, seqLens []int) (*tensor.Tensor, Run
 	return out, stats, err
 }
 
-// EnableTensorCoreEmulation switches GEMMs to the FP16-operand / FP32-
-// accumulate numeric path of the Turbo-TC configuration (§6.2.1). Weights
-// are rounded once; activations are rounded at each GEMM boundary.
-func (e *Executor) EnableTensorCoreEmulation() {
-	if e.tensorCore {
+// EnableFP16 switches GEMMs to the FP16-operand / FP32-accumulate numeric
+// path of the Turbo-TC configuration (§6.2.1): weights rounded through
+// binary16 once here, activations once at each GEMM boundary, FP32 kernels
+// on the binary16-valued result. Idempotent.
+func (e *Executor) EnableFP16() {
+	if e.fp16 {
 		return
 	}
-	e.tensorCore = true
+	e.fp16 = true
 	e.halfWeights = make(map[int]*tensor.Tensor, len(e.Weights))
 	for id, w := range e.Weights {
 		e.halfWeights[id] = w.RoundedF16()
 	}
-}
-
-// EnableFP16 is the serving name of the same numeric route: weights rounded
-// through binary16 once here, activations once at each GEMM boundary, FP32
-// kernels on the binary16-valued result. Idempotent.
-func (e *Executor) EnableFP16() {
-	e.EnableTensorCoreEmulation()
-	e.fp16 = true
 }
 
 // FP16Enabled reports whether EnableFP16 was called.
@@ -149,14 +140,14 @@ var roundScratch = sync.Pool{New: func() any { s := make([]float32, 0, 4096); re
 
 // gemmOperands hands one op the activation buffers to feed its GEMMs: the
 // raw data in FP32 mode, or a copy rounded through binary16 (one pass, into
-// pooled scratch) on the Turbo-TC route. release returns the copies.
+// pooled scratch) on the fp16 route. release returns the copies.
 type gemmOperands struct {
 	round bool
 	pins  [2]*[]float32 // no op feeds more than two activations to GEMMs
 	n     int
 }
 
-func (e *Executor) operands() gemmOperands { return gemmOperands{round: e.tensorCore} }
+func (e *Executor) operands() gemmOperands { return gemmOperands{round: e.fp16} }
 
 func (o *gemmOperands) get(in []float32) []float32 {
 	if !o.round {
@@ -183,7 +174,7 @@ func (o *gemmOperands) release() {
 // gemmWeight returns the weight buffer for a GEMM under the current
 // numeric mode.
 func (e *Executor) gemmWeight(id int) []float32 {
-	if e.tensorCore {
+	if e.fp16 {
 		return e.halfWeights[id].Data()
 	}
 	return e.Weights[id].Data()

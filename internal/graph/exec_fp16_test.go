@@ -95,59 +95,6 @@ func TestFuseChainsPassMatchesHandBuilt(t *testing.T) {
 	}
 }
 
-// TestFP16BitIdenticalToTensorCoreEmulation pins the fp16 fast path to the
-// legacy numerics reference: EnableFP16 (binary16 storage, fused softmax
-// cast) must compute bit for bit what EnableTensorCoreEmulation (fp32-copy
-// rounding at every GEMM boundary) computes on the same graph — the
-// decode∘encode == RoundF16 identity end to end.
-func TestFP16BitIdenticalToTensorCoreEmulation(t *testing.T) {
-	cfg := LayerConfig{Hidden: 24, Heads: 3, Inter: 48}
-	g := NewEncoderLayerFused(cfg)
-	weights := RandomWeights(g, 17)
-
-	exTC := newTestExecutor(t, g, weights)
-	exTC.EnableTensorCoreEmulation()
-	exF16 := newTestExecutor(t, g, weights)
-	exF16.EnableFP16()
-	if !exF16.FP16Enabled() || exTC.FP16Enabled() {
-		t.Fatal("FP16Enabled flags wrong")
-	}
-
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 8; trial++ {
-		batch := 1 + rng.Intn(3)
-		lens := make([]int, batch)
-		for i := range lens {
-			lens[i] = 1 + rng.Intn(9)
-		}
-		packedIn, paddedIn := raggedInput(rng, lens, cfg.Hidden)
-
-		wantPad, _, err := exTC.Run(paddedIn, lens)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotPad, _, err := exF16.Run(paddedIn, lens)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := gotPad.MaxAbsDiff(wantPad); d != 0 {
-			t.Fatalf("trial %d: padded fp16 diverges from tensor-core emulation by %g", trial, d)
-		}
-
-		wantPack, _, err := exTC.RunPacked(packedIn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotPack, _, err := exF16.RunPacked(packedIn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := gotPack.Data().MaxAbsDiff(wantPack.Data()); d != 0 {
-			t.Fatalf("trial %d: packed fp16 diverges from tensor-core emulation by %g", trial, d)
-		}
-	}
-}
-
 // TestFP16ToleranceVsFP32 is the model-level tolerance oracle: on fuzzed
 // mixed-length traffic through the fused-chain graph, the fp16 route's
 // outputs must stay within the documented relative-error bound of the fp32

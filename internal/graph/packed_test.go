@@ -102,31 +102,41 @@ func TestEvalTokensMatchesEvalOnUniformBatch(t *testing.T) {
 	}
 }
 
-// TestPackedTensorCoreEmulation: the packed path must honour the Turbo-TC
-// numeric mode the same way the padded path does.
-func TestPackedTensorCoreEmulation(t *testing.T) {
-	cfg := LayerConfig{Hidden: 16, Heads: 2, Inter: 32}
+// TestPackedFP16MatchesPadded: the packed path must honour the fp16
+// numeric mode the same way the padded path does — bit for bit, on fuzzed
+// mixed-length batches — and only an executor switched to it reports fp16.
+func TestPackedFP16MatchesPadded(t *testing.T) {
+	cfg := LayerConfig{Hidden: 24, Heads: 3, Inter: 48}
 	g := NewEncoderLayerFused(cfg)
-	weights := RandomWeights(g, 9)
-	rng := rand.New(rand.NewSource(10))
-	lens := []int{3, 7, 2}
-	packedIn, paddedIn := raggedInput(rng, lens, cfg.Hidden)
-
-	exPad := newTestExecutor(t, g, weights)
-	exPad.EnableTensorCoreEmulation()
-	exPack := newTestExecutor(t, g, weights)
-	exPack.EnableTensorCoreEmulation()
-
-	paddedOut, _, err := exPad.Run(paddedIn, lens)
-	if err != nil {
-		t.Fatal(err)
+	weights := RandomWeights(g, 17)
+	ex := newTestExecutor(t, g, weights)
+	if ex.FP16Enabled() {
+		t.Fatal("a fresh executor reports fp16")
 	}
-	packedOut, _, err := exPack.RunPacked(packedIn)
-	if err != nil {
-		t.Fatal(err)
+	ex.EnableFP16()
+	if !ex.FP16Enabled() {
+		t.Fatal("EnableFP16 did not set FP16Enabled")
 	}
-	want := tensor.PackPadded(paddedOut, lens)
-	if d := packedOut.Data().MaxAbsDiff(want.Data()); d != 0 {
-		t.Fatalf("TC packed diverges from TC padded: maxdiff=%g", d)
+
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 8; trial++ {
+		batch := 1 + rng.Intn(3)
+		lens := make([]int, batch)
+		for i := range lens {
+			lens[i] = 1 + rng.Intn(9)
+		}
+		packedIn, paddedIn := raggedInput(rng, lens, cfg.Hidden)
+		paddedOut, _, err := ex.Run(paddedIn, lens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packedOut, _, err := ex.RunPacked(packedIn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tensor.PackPadded(paddedOut, lens)
+		if d := packedOut.Data().MaxAbsDiff(want.Data()); d != 0 {
+			t.Fatalf("trial %d (lens %v): fp16 packed diverges from fp16 padded by %g", trial, lens, d)
+		}
 	}
 }

@@ -128,18 +128,9 @@ func (e *Encoder) ForwardPacked(hidden *tensor.Packed) (*tensor.Packed, EncoderS
 // NumLayers returns the stack depth.
 func (e *Encoder) NumLayers() int { return len(e.execs) }
 
-// EnableTensorCoreEmulation switches every layer to the FP16-operand /
-// FP32-accumulate GEMM path (the Turbo-TC numeric behaviour, §6.2.1).
-func (e *Encoder) EnableTensorCoreEmulation() {
-	for _, ex := range e.execs {
-		ex.EnableTensorCoreEmulation()
-	}
-}
-
-// EnableFP16 switches every layer to the binary16 fast path: weights
-// encoded once, activations rounded at each GEMM boundary, fp32
-// accumulation (bit-identical to EnableTensorCoreEmulation, with real
-// binary16 weight storage).
+// EnableFP16 switches every layer to the binary16 fast path, the Turbo-TC
+// numeric behaviour (§6.2.1): weights rounded once, activations rounded at
+// each GEMM boundary, fp32 accumulation.
 func (e *Encoder) EnableFP16() {
 	for _, ex := range e.execs {
 		ex.EnableFP16()

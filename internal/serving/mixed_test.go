@@ -21,7 +21,7 @@ func mixedTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	encCfg := model.BertBase().Scaled(128, 4, 512, 2)
 	decCfg := model.Seq2SeqDecoder().Scaled(128, 4, 512, 2)
-	engine, err := core.NewEngine(encCfg, core.Options{Seed: 1, Classes: 3, Packed: true})
+	engine, err := core.NewEngine(encCfg, core.Options{Seed: 1, Classes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func mixedTestServer(t *testing.T) (*Server, *httptest.Server) {
 // TestMixedEnginesEndToEnd drives concurrent /classify (packed encoder) and
 // /v1/generate (batched packed prefill + grouped ragged decode) traffic on
 // ONE server and pins the two invariants the ragged stack promises: batched
-// results identical to solo, and both engines' ragged counters advancing.
+// results identical to solo, and both engines' counters advancing.
 func TestMixedEnginesEndToEnd(t *testing.T) {
 	srv, ts := mixedTestServer(t)
 	// Generation references decode on a second server: asked here first,
@@ -97,13 +97,14 @@ func TestMixedEnginesEndToEnd(t *testing.T) {
 	}
 
 	stats := fetchStats(t, ts.URL)
-	// Packed classifier path: every batch ran ragged, no padding row ever
-	// materialised.
-	if stats.PackedBatches == 0 {
-		t.Fatal("packed classifier served traffic but packed_batches did not advance")
+	// Packed classifier path: every real token counted once per ask (no
+	// response cache), solo and burst.
+	wantTokens := int64(0)
+	for _, text := range texts {
+		wantTokens += 2 * int64(len(Tokenize(text, srv.engine.Cfg.Vocab)))
 	}
-	if stats.TokensPadded != 0 || stats.PaddingWaste != 0 {
-		t.Fatalf("packed engine reported padding: %+v", stats)
+	if stats.TokensProcessed != wantTokens {
+		t.Fatalf("tokens_processed %d, want %d", stats.TokensProcessed, wantTokens)
 	}
 	// Ragged decode path: steps ran, every prompt prefillled through the
 	// packed encoder, and passes never exceed prompts (one pass covers a
@@ -143,7 +144,7 @@ func TestStatsReportKVReservation(t *testing.T) {
 	// many quanta, keeping the in-flight window observable.
 	encCfg := model.BertBase().Scaled(256, 4, 1024, 4)
 	decCfg := model.Seq2SeqDecoder().Scaled(256, 4, 1024, 4)
-	engine, err := core.NewEngine(encCfg, core.Options{Seed: 1, Classes: 3, Packed: true})
+	engine, err := core.NewEngine(encCfg, core.Options{Seed: 1, Classes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,10 @@ import (
 	"repro/internal/sched"
 )
 
-func statsServer(t *testing.T, packed bool) (*Server, *httptest.Server) {
+func statsServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	engine, err := core.NewEngine(model.BertBase().Scaled(32, 4, 64, 2),
-		core.Options{Seed: 1, Classes: 3, Packed: packed})
+		core.Options{Seed: 1, Classes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func statsServer(t *testing.T, packed bool) (*Server, *httptest.Server) {
 }
 
 // mixedBatch pushes one deterministic two-request mixed-length batch
-// through the classify dispatcher's batch runner (5 and 17 tokens → a
-// padded engine executes 2·17 rows, 12 of them padding).
+// through the classify dispatcher's batch runner (5 and 17 tokens; a
+// padded execution would have run 2·17 rows, 12 of them padding).
 func mixedBatch(t *testing.T, srv *Server) {
 	t.Helper()
 	mk := func(id int64, text string) *Job {
@@ -81,49 +81,39 @@ func fetchStats(t *testing.T, url string) statsResponse {
 	return out
 }
 
-// TestStatsPaddingWasteCounters: a padded server must report the padding
-// rows it executed; a packed server must report zero — padding never
-// exists on that path — plus the packed-batch count. Both see the same 22
-// real tokens.
-func TestStatsPaddingWasteCounters(t *testing.T) {
-	srvPadded, tsPadded := statsServer(t, false)
-	mixedBatch(t, srvPadded)
-	got := fetchStats(t, tsPadded.URL)
-	if got.TokensProcessed != 22 {
-		t.Fatalf("padded tokens_processed = %d, want 22", got.TokensProcessed)
-	}
-	if got.TokensPadded != 12 {
-		t.Fatalf("padded tokens_padded = %d, want 12 (2·17 − 22)", got.TokensPadded)
-	}
-	if want := 12.0 / 34.0; got.PaddingWaste != want {
-		t.Fatalf("padding_waste = %g, want %g", got.PaddingWaste, want)
-	}
-	if got.PackedBatches != 0 {
-		t.Fatalf("padded server reports %d packed batches", got.PackedBatches)
-	}
-
-	srvPacked, tsPacked := statsServer(t, true)
-	mixedBatch(t, srvPacked)
-	got = fetchStats(t, tsPacked.URL)
-	if got.TokensProcessed != 22 || got.TokensPadded != 0 || got.PaddingWaste != 0 {
-		t.Fatalf("packed stats processed=%d padded=%d waste=%g, want 22/0/0",
-			got.TokensProcessed, got.TokensPadded, got.PaddingWaste)
-	}
-	if got.PackedBatches != 1 {
-		t.Fatalf("packed_batches = %d, want 1", got.PackedBatches)
+// TestStatsTokensProcessed: one mixed-length batch counts its 22 real
+// tokens — the rows the packed engine computes, with no padding on top —
+// as one batch run.
+func TestStatsTokensProcessed(t *testing.T) {
+	srv, ts := statsServer(t)
+	mixedBatch(t, srv)
+	got := fetchStats(t, ts.URL)
+	if got.TokensProcessed != 22 || got.BatchesRun != 1 {
+		t.Fatalf("tokens_processed=%d batches_run=%d, want 22/1", got.TokensProcessed, got.BatchesRun)
 	}
 }
 
-// TestPackedServerEndToEnd: the live HTTP path over a packed engine must
-// classify identically to the padded oracle server.
+// TestPackedServerEndToEnd: the live HTTP path must classify identically
+// to the padded oracle — Embedding.Encode → Encoder.Forward →
+// Classifier.Predict on the same engine.
 func TestPackedServerEndToEnd(t *testing.T) {
-	_, tsPadded := statsServer(t, false)
-	_, tsPacked := statsServer(t, true)
+	srv, ts := statsServer(t)
+	eng := srv.engine
 	for _, text := range []string{"x", "zero padding", "a considerably longer request body"} {
-		want := classify(t, tsPadded.URL, text)
-		got := classify(t, tsPacked.URL, text)
-		if got.Class != want.Class {
-			t.Fatalf("text %q: packed class %d != padded %d", text, got.Class, want.Class)
+		hidden, seqLens, err := eng.Embedding.Encode([][]int{Tokenize(text, eng.Cfg.Vocab)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := eng.Encoder.Forward(hidden, seqLens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.Classifier.Predict(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := classify(t, ts.URL, text); got.Class != want[0] {
+			t.Fatalf("text %q: served class %d != padded oracle %d", text, got.Class, want[0])
 		}
 	}
 }

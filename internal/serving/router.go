@@ -592,9 +592,8 @@ type RouterStats struct {
 // gauges add (instantaneous totals across devices), as do the drain rates
 // (jobs/sec add across independent queues); GenPeakBatch takes the max, since
 // batches never span replicas; flags are or-ed (the fleet's drain rate is
-// measured once any replica's meter is); PaddingWaste is recomputed from the
-// summed token counters. /v1/stats is polled at phase boundaries, never on
-// the request path, so the fold can afford reflection.
+// measured once any replica's meter is). /v1/stats is polled at phase
+// boundaries, never on the request path, so the fold can afford reflection.
 func aggregateStats(parts []statsResponse) statsResponse {
 	var agg statsResponse
 	out := reflect.ValueOf(&agg).Elem()
@@ -617,9 +616,6 @@ func aggregateStats(parts []statsResponse) statsResponse {
 				a.SetBool(a.Bool() || b.Bool())
 			}
 		}
-	}
-	if t := agg.TokensProcessed + agg.TokensPadded; t > 0 {
-		agg.PaddingWaste = float64(agg.TokensPadded) / float64(t)
 	}
 	return agg
 }

@@ -220,8 +220,6 @@ func TestRouterPropertyNoLossNoDupStatsSum(t *testing.T) {
 				sum.DrainRate += rep.DrainRate
 				sum.DrainMeasured = sum.DrainMeasured || rep.DrainMeasured
 				sum.TokensProcessed += rep.TokensProcessed
-				sum.TokensPadded += rep.TokensPadded
-				sum.PackedBatches += rep.PackedBatches
 				sum.GenRequests += rep.GenRequests
 				sum.GenTokens += rep.GenTokens
 				sum.GenSteps += rep.GenSteps
@@ -246,9 +244,6 @@ func TestRouterPropertyNoLossNoDupStatsSum(t *testing.T) {
 				sum.PrefixMisses += rep.PrefixMisses
 				sum.ReplayTokens += rep.ReplayTokens
 				sum.GenPreemptions += rep.GenPreemptions
-			}
-			if t2 := sum.TokensProcessed + sum.TokensPadded; t2 > 0 {
-				sum.PaddingWaste = float64(sum.TokensPadded) / float64(t2)
 			}
 			if sum != stats.statsResponse {
 				t.Fatalf("aggregate != Σ per-replica:\nagg %+v\nsum %+v", stats.statsResponse, sum)

@@ -95,13 +95,9 @@ type Server struct {
 	completions atomic.Int64
 	drain       drainMeter
 
-	// Padding-waste accounting per executed batch: real tokens vs padding
-	// rows the engine computed (zero on the packed path, where padding
-	// never materialises — the counter that makes the zero-padding win
-	// visible in a serving run).
+	// tokensProcessed counts the real tokens of every executed classify
+	// batch — all the rows the packed engine computes.
 	tokensProcessed atomic.Int64
-	tokensPadded    atomic.Int64
-	packedBatches   atomic.Int64
 }
 
 // ServerConfig configures NewServer — what the functional-options front
@@ -445,7 +441,7 @@ func (d *classifyDispatcher) runBatch(b sched.Batch) {
 	now := time.Now()
 	jobs := make([]*Job, 0, b.Size())
 	tokens := make([][]int, 0, b.Size())
-	total, maxLen := 0, 0
+	total := 0
 	for _, r := range b.Requests {
 		j := r.Payload.(*Job)
 		if err := j.dropErr(now); err != nil {
@@ -456,20 +452,12 @@ func (d *classifyDispatcher) runBatch(b sched.Batch) {
 		jobs = append(jobs, j)
 		tokens = append(tokens, j.Tokens)
 		total += len(j.Tokens)
-		if len(j.Tokens) > maxLen {
-			maxLen = len(j.Tokens)
-		}
 	}
 	if len(jobs) == 0 {
 		return
 	}
 	s.batchesRun.Add(1)
 	s.tokensProcessed.Add(int64(total))
-	if s.engine.PackedEnabled() {
-		s.packedBatches.Add(1)
-	} else {
-		s.tokensPadded.Add(int64(len(jobs)*maxLen - total))
-	}
 	classes, err := s.engine.Classify(s.root, tokens)
 	for i, j := range jobs {
 		s.completions.Add(1)
@@ -586,8 +574,8 @@ func (s *Server) writeJobError(w http.ResponseWriter, err error) {
 
 // statsResponse is the GET /v1/stats reply. Each field's agg tag says how a
 // Router folds it over replicas (aggregateStats): counters and instantaneous
-// totals across devices sum, a per-replica peak or constant takes the max, a
-// flag is or-ed, and a derived ratio is recomputed from the folded counters.
+// totals across devices sum, a per-replica peak or constant takes the max,
+// and a flag is or-ed.
 type statsResponse struct {
 	Served     int64 `json:"served" agg:"sum"`
 	Requests   int64 `json:"requests" agg:"sum"`
@@ -611,14 +599,8 @@ type statsResponse struct {
 	DrainRate     float64 `json:"drain_rate_jobs_per_sec" agg:"sum"`
 	DrainMeasured bool    `json:"drain_measured" agg:"or"`
 
-	// Zero-padding accounting: real tokens classified, padding rows the
-	// engine executed on top (always 0 when the packed path is active),
-	// the waste fraction padded/(padded+processed), and how many batches
-	// ran through the packed path.
-	TokensProcessed int64   `json:"tokens_processed" agg:"sum"`
-	TokensPadded    int64   `json:"tokens_padded" agg:"sum"`
-	PaddingWaste    float64 `json:"padding_waste" agg:"derived"`
-	PackedBatches   int64   `json:"packed_batches" agg:"sum"`
+	// Real tokens classified: every row the packed engine computed.
+	TokensProcessed int64 `json:"tokens_processed" agg:"sum"`
 
 	// Continuous-batching generation counters (zero unless enabled).
 	GenRequests  int64 `json:"gen_requests" agg:"sum"`
@@ -767,11 +749,6 @@ func (s *Server) statsSnapshot() statsResponse {
 		JobsCancelled:   s.jobsCancelled.Load(),
 		JobsShedSLO:     s.jobsShedSLO.Load(),
 		TokensProcessed: s.tokensProcessed.Load(),
-		TokensPadded:    s.tokensPadded.Load(),
-		PackedBatches:   s.packedBatches.Load(),
-	}
-	if t := resp.TokensProcessed + resp.TokensPadded; t > 0 {
-		resp.PaddingWaste = float64(resp.TokensPadded) / float64(t)
 	}
 	resp.DrainRate, resp.DrainMeasured = s.drain.observe(time.Now(), s.completions.Load())
 	resp.FP16Enabled = s.engine.FP16Enabled()

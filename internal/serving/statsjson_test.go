@@ -9,9 +9,8 @@ import (
 )
 
 // fillStats gives every statsResponse field a distinct non-zero value
-// (field i gets mul·i+add; bools get flag; PaddingWaste is left to be
-// derived), so a fold that drops, swaps or mis-combines a field changes the
-// marshalled bytes.
+// (field i gets mul·i+add; bools get flag), so a fold that drops, swaps or
+// mis-combines a field changes the marshalled bytes.
 func fillStats(mul, add int64, flag bool) statsResponse {
 	var s statsResponse
 	v := reflect.ValueOf(&s).Elem()
@@ -25,9 +24,6 @@ func fillStats(mul, add int64, flag bool) statsResponse {
 		case reflect.Bool:
 			f.SetBool(flag)
 		}
-	}
-	if t := s.TokensProcessed + s.TokensPadded; t > 0 {
-		s.PaddingWaste = float64(s.TokensPadded) / float64(t)
 	}
 	return s
 }
@@ -86,11 +82,9 @@ func TestEveryStatsFieldAggregates(t *testing.T) {
 			ok = kind == reflect.Int64
 		case "or":
 			ok = kind == reflect.Bool
-		case "derived":
-			ok = f.Name == "PaddingWaste" // recomputed by name in aggregateStats
 		}
 		if !ok {
-			t.Errorf("statsResponse.%s (%s): agg tag %q — want sum (int64/float64), max (int64), or (bool), or derived with its recomputation in aggregateStats", f.Name, kind, tag)
+			t.Errorf("statsResponse.%s (%s): agg tag %q — want sum (int64/float64), max (int64) or or (bool)", f.Name, kind, tag)
 		}
 		if f.Tag.Get("json") == "" {
 			t.Errorf("statsResponse.%s has no json tag", f.Name)

@@ -60,26 +60,21 @@ func WithAllocator(kind AllocatorKind) Option {
 	return func(c *runtimeConfig) { c.engine.Allocator = kind }
 }
 
-// WithPacked selects the zero-padding execution path: mixed-length batches
-// run as ragged [totalTokens, hidden] blocks, no FLOP is ever spent on a
-// padding row, and no mask exists.
-func WithPacked() Option { return func(c *runtimeConfig) { c.engine.Packed = true } }
+// WithPacked does nothing: every engine runs the zero-padding path.
+//
+// Deprecated: every engine is packed.
+func WithPacked() Option { return func(*runtimeConfig) {} }
 
 // WithUnfused executes the unfused Fig. 3a graph instead of the fused
 // runtime (for comparisons).
 func WithUnfused() Option { return func(c *runtimeConfig) { c.engine.Unfused = true } }
 
-// WithTensorCore emulates the Turbo-TC numeric path: FP16 GEMM operands
-// with FP32 accumulation.
-func WithTensorCore() Option { return func(c *runtimeConfig) { c.engine.TensorCore = true } }
-
-// WithFP16 switches the engine onto the binary16 fast path: fp16-storage
-// GEMMs end to end (activations and weights rounded through binary16, fp32
-// accumulation), binary16 KV storage at half the bytes per token, and the
-// fused launch chains on the packed attention core. Numerics are
-// bit-identical to WithTensorCore on the encoder; outputs stay within the
-// documented tolerance of the fp32 route (DESIGN.md §2d). fp32 remains the
-// default.
+// WithFP16 switches the engine onto the binary16 fast path, the Turbo-TC
+// numeric path: fp16-storage GEMMs end to end (activations and weights
+// rounded through binary16, fp32 accumulation), binary16 KV storage at half
+// the bytes per token, and the fused launch chains on the packed attention
+// core. Outputs stay within the documented tolerance of the fp32 route
+// (DESIGN.md §2d). fp32 remains the default.
 func WithFP16() Option { return func(c *runtimeConfig) { c.engine.FP16 = true } }
 
 // WithGeneration enables the continuous-batching generation path with the
@@ -119,8 +114,8 @@ func WithGenDefaultMaxNew(n int) Option { return func(c *runtimeConfig) { c.genD
 // WithScheduler sets the batch scheduler for the classify path. Without
 // it, Serve falls back to the DP scheduler over a crude linear cost —
 // fine for demos; production servers should warm up a real cost model —
-// WarmupCost's dictionary for the padded engine, its Fit (WarmupTokenCost)
-// for the packed one — and pass it here.
+// WarmupTokenCost, or a saved WarmupCost dictionary's Fit, which prices a
+// batch by the tokens the packed engine computes — and pass it here.
 func WithScheduler(s Scheduler) Option { return func(c *runtimeConfig) { c.scheduler = s } }
 
 // WithMaxBatch caps the classify batch size (default 8).
@@ -266,7 +261,7 @@ func (rt *Runtime) Classify(ctx context.Context, batchTokens [][]int) ([]int, er
 // after a warm-up pass over rt.Engine):
 //
 //	rt, _ := turbo.NewRuntime(cfg, turbo.WithClasses(4))
-//	cost := turbo.WarmupCost(price, maxLen, maxBatch, stride) // price via rt.Engine
+//	cost := turbo.WarmupTokenCost(price, maxLen, maxBatch, stride) // price via rt.Engine
 //	srv, _ := rt.Serve(turbo.WithScheduler(turbo.NewDPScheduler(cost, 8)))
 //
 // With WithReplicas(n>1) the returned Service is a serving.Router over n
@@ -282,11 +277,11 @@ func (rt *Runtime) Serve(opts ...Option) (Service, error) {
 		return nil, fmt.Errorf("turbo: WithGeneration must be given to NewRuntime, not Serve (the runtime owns the engines)")
 	}
 	// Engine-shaping options are NewRuntime's: the runtime's engines are
-	// already built, so a Serve-time WithSeed/WithPacked/... could at best
+	// already built, so a Serve-time WithSeed/WithFP16/... could at best
 	// apply to the extra replicas — giving replicas different weights and
 	// letting routing change answers. Refuse rather than silently diverge.
 	if rc.engine != rt.resolved.engine {
-		return nil, fmt.Errorf("turbo: engine options (WithSeed, WithPacked, WithClasses, ...) must be given to NewRuntime, not Serve (the runtime owns the engines)")
+		return nil, fmt.Errorf("turbo: engine options (WithSeed, WithFP16, WithClasses, ...) must be given to NewRuntime, not Serve (the runtime owns the engines)")
 	}
 	if rc.genDecCfg != nil && rt.resolved.genDecCfg != nil && *rc.genDecCfg != *rt.resolved.genDecCfg {
 		return nil, fmt.Errorf("turbo: the generation decoder config must be given to NewRuntime, not changed at Serve")
@@ -475,7 +470,6 @@ func (e *elasticService) Close() {
 //	dec := turbo.Seq2SeqDecoder().Scaled(128, 4, 512, 4)
 //	srv, err := turbo.Serve(enc,
 //		turbo.WithClasses(2),
-//		turbo.WithPacked(),
 //		turbo.WithGeneration(dec),
 //		turbo.WithQueueDepth(512))
 //	if err != nil { ... }

@@ -145,10 +145,10 @@ func WarmupCost(price func(seqLen, batchSize int) time.Duration, maxLen, maxBatc
 	return sched.BuildCachedCost(price, maxLen, maxBatch, lenStride)
 }
 
-// WarmupTokenCost runs the warm-up sweep for a packed (zero-padding)
-// engine: WarmupCost's dictionary, fitted to the three-term token cost
-// (overhead + per-token + per-token²) so Algorithm 2 can price
-// mixed-length batches by the work the packed engine actually does.
+// WarmupTokenCost runs the warm-up sweep and fits WarmupCost's dictionary
+// to the three-term token cost (overhead + per-token + per-token²), so
+// Algorithm 2 can price mixed-length batches by the work the packed
+// (zero-padding) engine actually does.
 func WarmupTokenCost(price func(seqLen, batchSize int) time.Duration, maxLen, maxBatch, lenStride int) *TokenCost {
 	return WarmupCost(price, maxLen, maxBatch, lenStride).Fit()
 }

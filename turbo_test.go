@@ -38,7 +38,6 @@ func TestFacadeRuntimeOptions(t *testing.T) {
 	rt, err := turbo.NewRuntime(cfg,
 		turbo.WithSeed(1),
 		turbo.WithClasses(2),
-		turbo.WithPacked(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +47,7 @@ func TestFacadeRuntimeOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.NewEngine(cfg, core.Options{Seed: 1, Classes: 2, Packed: true})
+	direct, err := core.NewEngine(cfg, core.Options{Seed: 1, Classes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
