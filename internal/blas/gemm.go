@@ -17,15 +17,17 @@
 // amd64 and under -tags purego (kernels_generic.go, the readable definition;
 // it writes each product as float32(x*y), which forbids the compiler to fuse
 // it into the following add, as it may on arm64 and at GOAMD64=v3), and
-// assembly on amd64. The rule there: NN uses eight lanes, NT keeps four
-// partials, no FMA, and the probe picks the body. In NN a lane is a column
-// of C, an independent chain, so any width gives the same bits: the two NN
-// kernels have eight-lane AVX bodies (kernels_avx_amd64.s) beside baseline
-// SSE2 ones (kernels_amd64.s), and a CPUID probe at start-up picks AVX when
-// the CPU has AVX2 and the OS saves YMM state — there is no option. In NT
-// the four lanes are dot2's four partial sums; eight would be eight partials,
-// another fold, so dot2 is SSE2 on every amd64 CPU. A fused multiply-add
-// rounds once where the invariant rounds twice, so no body uses one.
+// assembly on amd64. The rule there: NN uses the widest lanes the CPU has, NT
+// keeps four partials, no FMA, and the probe picks the body. In NN a lane is
+// a column of C, an independent chain, so any width gives the same bits: the
+// two NN kernels have sixteen-lane AVX-512 and eight-lane AVX bodies
+// (kernels_avx_amd64.s) beside baseline SSE2 ones (kernels_amd64.s), and one
+// CPUID/XGETBV probe at start-up (internal/cpufeat) picks AVX-512 when the
+// CPU has AVX-512F and the OS saves ZMM state, else AVX when it has AVX2 and
+// the OS saves YMM state — there is no option. In NT the four lanes are
+// dot2's four partial sums; eight would be eight partials, another fold, so
+// dot2 is SSE2 on every amd64 CPU. A fused multiply-add rounds once where the
+// invariant rounds twice, so no body uses one.
 // Everything else in the package is Go on every target. Timing of GPU GEMMs
 // for the experiments is handled separately by the analytic model in
 // internal/perf.
@@ -137,8 +139,9 @@ func gemmBlock(transB bool, i0, i1, n, k int, alpha float32, a []float32, lda in
 // Two rows advance together through four values of p per pass over the
 // columns (nnRows2), so each element of B loaded serves two rows and each
 // element of C loaded or stored serves four p. The odd last row runs the same
-// 4-p unroll alone (nnRow). On amd64 both take eight columns per step when
-// the probe found AVX2 and four otherwise, which moves no bits. Columns are
+// 4-p unroll alone (nnRow). On amd64 both take sixteen columns per step when
+// the probe found AVX-512F, eight when it found AVX2 and four otherwise,
+// which moves no bits. Columns are
 // not blocked: the six streams are sequential, and splitting wide rows
 // (n = 3072, 30000) into L1-sized segments measured no faster.
 func gemmNN(i0, i1, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {

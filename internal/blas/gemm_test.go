@@ -336,15 +336,16 @@ func TestQuickGemmTransposeIdentity(t *testing.T) {
 
 // BenchmarkGemm times the two kernels on the shapes the ledger's system
 // (hidden 128, 4 heads, FFN 512, max length 224 tokens per packed batch)
-// actually calls: NN for the projections at decode-step and packed-encoder
-// row counts plus attention's scores·V, NT for Q·Kᵀ at one decode row and at
-// a full packed batch. Names are kind/m x n x k/body: NN runs on every body
-// this build and CPU have (avx, sse2 or go), NT on its one. A call that runs
-// inline (one P, or fewer than 16 rows) must report 0 allocs/op.
+// actually calls: NN for the projections at decode-step, mean generate
+// prompt (m = 40, what TTFT's prefill runs at) and packed-encoder row counts
+// plus attention's scores·V, NT for Q·Kᵀ at one decode row and at a full
+// packed batch. Names are kind/m x n x k/body: NN runs on every body this
+// build and CPU have (avx512, avx, sse2 or go), NT on its one. A call that
+// runs inline (one P, or fewer than 16 rows) must report 0 allocs/op.
 func BenchmarkGemm(b *testing.B) {
 	type shape struct{ m, n, k int }
 	var nn []shape
-	for _, m := range []int{1, 4, 8, 14, 224} {
+	for _, m := range []int{1, 4, 8, 14, 40, 224} {
 		nn = append(nn, shape{m, 384, 128}, shape{m, 128, 128}, shape{m, 512, 128}, shape{m, 128, 512})
 	}
 	nn = append(nn, shape{224, 32, 224})

@@ -12,15 +12,16 @@ import (
 // TestGemmStaysInsideItsOperands runs NN and NT with A, B and C each ending on
 // a page boundary, A and B read-only: a load or store one element past any
 // operand, or a store into A or B, faults instead of going unnoticed. The n
-// set puts the end of the eight-lane loop, of the four-lane step and of the
-// scalar tail on the guard page, on every NN body.
+// set puts the end of the sixteen-lane loop, of the eight-lane loop or step,
+// of the four-lane step and of the scalar tail on the guard page, on every NN
+// body.
 func TestGemmStaysInsideItsOperands(t *testing.T) {
 	eachNNBody(t, func(t *testing.T) {
 		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // per goroutine: each subtest has its own
 		rng := rand.New(rand.NewSource(17))
 		for _, transB := range []bool{false, true} {
 			for m := 1; m <= 3; m++ {
-				for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 25, 33} {
+				for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49} {
 					for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
 						ldb := n
 						if transB {

@@ -5,11 +5,12 @@
 // SSE2 bodies of the three inner GEMM kernels; kernels_generic.go states what
 // each computes. Baseline amd64 only: MULPS/ADDPS round every product and
 // every sum like the scalar MULSS/ADDSS, so a lane is one scalar chain.
-// NN: lanes are columns (independent chains), so NN also has an eight-lane
-// AVX body (kernels_avx_amd64.s) that the CPUID probe prefers; these two run
-// on CPUs without AVX2. NT: lanes are the four strided partial sums s0..s3,
-// so dot2 stays four lanes wide everywhere: eight lanes would be eight
-// partials, another fold. No FMA (one rounding instead of two).
+// NN: lanes are columns (independent chains), so NN also has sixteen-lane
+// AVX-512 and eight-lane AVX bodies (kernels_avx_amd64.s) that the CPUID
+// probe prefers; these two run on CPUs without AVX2. NT: lanes are the four
+// strided partial sums s0..s3, so dot2 stays four lanes wide everywhere:
+// eight lanes would be eight partials, another fold. No FMA (one rounding
+// instead of two).
 
 // Each column loop is written once and instantiated twice: with the packed
 // instructions for four columns at a time, and with the scalar ones for the

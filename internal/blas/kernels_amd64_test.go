@@ -3,37 +3,45 @@
 package blas
 
 import (
-	"os"
-	"slices"
-	"strings"
 	"testing"
+
+	"repro/internal/cpufeat"
 )
 
 // nnBodies lists the NN bodies this CPU runs, the probe's pick first.
 func nnBodies() []nnBody {
-	sse2 := nnBody{"sse2", func() { nnAVX = false }}
-	if !haveAVX2() {
-		return []nnBody{sse2}
+	var bodies []nnBody
+	if cpufeat.AVX512() {
+		bodies = append(bodies, nnBody{"avx512", func() { nnLanes = 16 }})
 	}
-	return []nnBody{{"avx", func() { nnAVX = true }}, sse2}
+	if cpufeat.AVX2() {
+		bodies = append(bodies, nnBody{"avx", func() { nnLanes = 8 }})
+	}
+	return append(bodies, nnBody{"sse2", func() { nnLanes = 4 }})
 }
 
-// TestNNProbeMatchesCPUInfo: the probe picks the AVX bodies exactly when the
-// kernel reports avx2. A probe that wrongly said no would cost the eight-lane
+// TestNNProbeMatchesCPUInfo: gemmNN runs the AVX-512 bodies exactly when the
+// kernel reports avx512f, and the AVX ones exactly when it reports avx2 but
+// not avx512f. A probe that wrongly said no would cost the wide bodies'
 // speed-up with every other test still green.
 func TestNNProbeMatchesCPUInfo(t *testing.T) {
-	info, err := os.ReadFile("/proc/cpuinfo")
+	avx2, err := cpufeat.CPUInfoListed("avx2")
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo: %v", err)
 	}
-	listed := false
-	for _, line := range strings.Split(string(info), "\n") {
-		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			listed = slices.Contains(strings.Fields(flags), "avx2")
-			break
-		}
+	avx512, err := cpufeat.CPUInfoListed("avx512f")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if probed := haveAVX2(); probed != listed || nnAVX != probed {
-		t.Fatalf("/proc/cpuinfo lists avx2: %v; probe found AVX2: %v; gemmNN runs AVX: %v", listed, probed, nnAVX)
+	want := 4
+	switch {
+	case avx512:
+		want = 16
+	case avx2:
+		want = 8
+	}
+	if nnLanes != want || cpufeat.AVX2() != avx2 || cpufeat.AVX512() != avx512 {
+		t.Fatalf("/proc/cpuinfo lists avx2: %v, avx512f: %v; probe found AVX2: %v, AVX-512: %v; gemmNN runs %d lanes, want %d",
+			avx2, avx512, cpufeat.AVX2(), cpufeat.AVX512(), nnLanes, want)
 	}
 }

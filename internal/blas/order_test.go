@@ -127,8 +127,8 @@ var (
 // an odd last row), every p and column tail, a row split across workers,
 // padded leading dimensions, and the scalars serving uses (alpha =
 // 1/sqrt(head dim) folded into Q·Kᵀ, beta = 1 span rounds). The second sweep
-// is for what a vector kernel gets wrong: every boundary between an eight- or
-// four-wide body and its tail in n and in k, at every operand alignment, for
+// is for what a vector kernel gets wrong: every boundary between a sixteen-,
+// eight- or four-wide body and its tail in n and in k, at every operand alignment, for
 // the one-row kernel, the two-row kernel and both. Each NN body runs it all.
 func TestGemmBitIdenticalToOrderedReference(t *testing.T) {
 	eachNNBody(t, func(t *testing.T) {
@@ -154,7 +154,7 @@ func TestGemmBitIdenticalToOrderedReference(t *testing.T) {
 				}
 			}
 			for m := 1; m <= 3; m++ {
-				for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 24, 25, 31, 32, 33} {
+				for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49} {
 					for k := 0; k <= 9; k++ {
 						for off := 0; off < 4; off++ {
 							check(transB, m, n, k, orderedAlphas[2], 0.5, off)

@@ -22,6 +22,7 @@ package kernels
 
 import (
 	"math"
+	"runtime"
 
 	"repro/internal/parallel"
 )
@@ -92,26 +93,38 @@ func Act(a Activation, x []float32) {
 
 // AddBiasAct is the fused bias-add + activation kernel
 // ("add bias + activation" in Fig. 3b), applied in place to x (rows×n). The
-// activation is chosen once per row, not per element.
+// activation is chosen once per row, not per element. Where parallel.For
+// would run inline anyway — one P, or one goroutine's worth of rows — it runs
+// the rows directly and builds no closure, so it allocates nothing.
 func AddBiasAct(a Activation, x []float32, bias []float32, rows, n int) {
 	checkLen("AddBiasAct x", x, rows*n)
 	checkLen("AddBiasAct bias", bias, n)
 	bias = bias[:n]
+	if rows <= rowGrain || runtime.GOMAXPROCS(0) == 1 {
+		addBiasActRows(a, x, bias, 0, rows)
+		return
+	}
 	parallel.For(rows, rowGrain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := x[r*n : (r+1)*n]
-			switch a {
-			case ActGELU:
-				addBiasGelu(row, bias)
-			case ActReLU:
-				addBiasRelu(row, bias)
-			default:
-				for j, b := range bias {
-					row[j] = applyAct(a, row[j]+b)
-				}
+		addBiasActRows(a, x, bias, lo, hi)
+	})
+}
+
+// addBiasActRows is AddBiasAct on rows [lo,hi) of x, rows len(bias) wide.
+func addBiasActRows(a Activation, x, bias []float32, lo, hi int) {
+	n := len(bias)
+	for r := lo; r < hi; r++ {
+		row := x[r*n : (r+1)*n]
+		switch a {
+		case ActGELU:
+			addBiasGelu(row, bias)
+		case ActReLU:
+			addBiasRelu(row, bias)
+		default:
+			for j, b := range bias {
+				row[j] = applyAct(a, row[j]+b)
 			}
 		}
-	})
+	}
 }
 
 // addBiasRelu is row[j] = relu(row[j] + bias[j]) with applyAct's comparison:

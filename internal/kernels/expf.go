@@ -6,7 +6,8 @@ import "math"
 // order invariant (DESIGN.md §2): every element is one fixed chain of float32
 // operations, each product written float32(a*b) so that no compiler fuses it
 // into the add that follows. lanes_amd64.s runs the same chain four elements
-// at a time; this file is what it is held to, bit for bit.
+// at a time, and sixteen for bias + GELU on AVX-512; this file is what it is
+// held to, bit for bit.
 //
 //	t = min(x, expHi)·log2e + 1.5·2²³
 //	n = t − 1.5·2²³                        round to nearest even, no libm
@@ -71,7 +72,8 @@ func gelu(x float32) float32 {
 }
 
 // addBiasGelu is row[j] = gelu(row[j] + bias[j]): whole groups of four in
-// lanes, the last len mod 4 elements through the scalar chain — the same bits.
+// lanes (of sixteen first, where the AVX-512 body runs), the last len mod 4
+// elements through the scalar chain — the same bits.
 func addBiasGelu(row, bias []float32) {
 	n4 := len(row) &^ 3
 	addBiasGeluLanes(row[:n4], bias)

@@ -2,9 +2,13 @@
 
 #include "textflag.h"
 
-// SSE2 bodies of the lane kernels; expf.go states the chain. Baseline
-// amd64 only: MULPS/ADDPS/SUBPS/DIVPS round each lane like the scalar forms,
-// so a lane is one element's chain. No FMA, no AVX, no CPUID.
+// Bodies of the lane kernels; expf.go states the chain. SSE2 ones for both,
+// which every amd64 CPU runs, and a sixteen-lane AVX-512 one for bias + GELU,
+// which lanes_amd64.go calls when the probe (internal/cpufeat) found
+// AVX-512F. MULPS/ADDPS/SUBPS/DIVPS and their V…PS forms round each lane like
+// the scalar forms, so in expf and GELU a lane is one element's chain and the
+// width moves no bits. The softmax stays four lanes: there its sum lanes are
+// partials, and sixteen would be another fold. No FMA.
 
 // Every constant in all four lanes. They are used as memory operands, which
 // must be 16-byte aligned: the linker aligns a data symbol of 32 bytes or more
@@ -87,8 +91,8 @@ GLOBL lanek<>(SB), (NOPTR+RODATA), $256
 	CMPPS  EXPLO, X0, $5    \
 	ANDPS  X1, X0
 
-// func addBiasGeluLanes(x, bias []float32)
-TEXT ·addBiasGeluLanes(SB), NOSPLIT, $0-48
+// func addBiasGeluSSE2(x, bias []float32)
+TEXT ·addBiasGeluSSE2(SB), NOSPLIT, $0-48
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), CX
 	MOVQ bias_base+24(FP), DI
@@ -112,6 +116,98 @@ gelu4:
 	ADDQ   $4, AX
 	JMP    gelu4
 geludone:
+	RET
+
+// The AVX-512 twin of EXPF and the bias + GELU around it: the same operations
+// in the same order, each with the same first operand, sixteen lanes wide.
+// The fifteen constants sit broadcast in Z16-Z30 for the whole call.
+#define ZLOG2E Z16
+#define ZMAGIC Z17
+#define ZLN2HI Z18
+#define ZLN2LO Z19
+#define ZC0    Z20
+#define ZC1    Z21
+#define ZC2    Z22
+#define ZC3    Z23
+#define ZC4    Z24
+#define ZC5    Z25
+#define ZONE   Z26
+#define ZEXPLO Z27
+#define ZEXPHI Z28
+#define ZGELUC Z29
+#define ZGELUK Z30
+
+// EXPFZ: Z0 = expf(Z0) in every lane; Z1-Z4 are scratch and K1 the mask. The
+// low range rule is the compare into K1 (predicate 5, as in EXPF) and a
+// zeroing move: lanes with x < expLo get +0, as ANDPS gives them.
+#define EXPFZ \
+	VMINPS    ZEXPHI, Z0, Z1  \
+	VMULPS    ZLOG2E, Z1, Z1  \
+	VADDPS    ZMAGIC, Z1, Z1  \
+	VPSLLD    $23, Z1, Z2     \
+	VPADDD    ZONE, Z2, Z2    \
+	VSUBPS    ZMAGIC, Z1, Z1  \
+	VMULPS    ZLN2HI, Z1, Z3  \
+	VSUBPS    Z3, Z0, Z4      \
+	VMULPS    ZLN2LO, Z1, Z1  \
+	VSUBPS    Z1, Z4, Z4      \
+	VMULPS    Z4, Z4, Z3      \
+	VMULPS    Z4, ZC0, Z1     \
+	VADDPS    ZC1, Z1, Z1     \
+	VMULPS    Z4, Z1, Z1      \
+	VADDPS    ZC2, Z1, Z1     \
+	VMULPS    Z4, Z1, Z1      \
+	VADDPS    ZC3, Z1, Z1     \
+	VMULPS    Z4, Z1, Z1      \
+	VADDPS    ZC4, Z1, Z1     \
+	VMULPS    Z4, Z1, Z1      \
+	VADDPS    ZC5, Z1, Z1     \
+	VMULPS    Z3, Z1, Z1      \
+	VADDPS    Z4, Z1, Z1      \
+	VADDPS    ZONE, Z1, Z1    \
+	VMULPS    Z2, Z1, Z1      \
+	VCMPPS    $5, ZEXPLO, Z0, K1 \
+	VMOVAPS.Z Z1, K1, Z0
+
+// func addBiasGeluAVX512(x, bias []float32)
+TEXT ·addBiasGeluAVX512(SB), NOSPLIT, $0-48
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ bias_base+24(FP), DI
+	VBROADCASTSS LOG2E, ZLOG2E
+	VBROADCASTSS MAGIC, ZMAGIC
+	VBROADCASTSS LN2HI, ZLN2HI
+	VBROADCASTSS LN2LO, ZLN2LO
+	VBROADCASTSS C0, ZC0
+	VBROADCASTSS C1, ZC1
+	VBROADCASTSS C2, ZC2
+	VBROADCASTSS C3, ZC3
+	VBROADCASTSS C4, ZC4
+	VBROADCASTSS C5, ZC5
+	VBROADCASTSS ONE, ZONE
+	VBROADCASTSS EXPLO, ZEXPLO
+	VBROADCASTSS EXPHI, ZEXPHI
+	VBROADCASTSS GELUC, ZGELUC
+	VBROADCASTSS GELUK, ZGELUK
+	XORQ AX, AX
+gelu16:
+	CMPQ    AX, CX
+	JGE     gelu16done
+	VMOVUPS (SI)(AX*4), Z5
+	VADDPS  (DI)(AX*4), Z5, Z5 // x
+	VMULPS  Z5, Z5, Z0
+	VMULPS  Z5, Z0, Z0         // x³
+	VMULPS  ZGELUC, Z0, Z0
+	VADDPS  Z5, Z0, Z0
+	VMULPS  ZGELUK, Z0, Z0     // −2u
+	EXPFZ
+	VADDPS  ZONE, Z0, Z0
+	VDIVPS  Z0, Z5, Z5
+	VMOVUPS Z5, (SI)(AX*4)
+	ADDQ    $16, AX
+	JMP     gelu16
+gelu16done:
+	VZEROUPPER
 	RET
 
 // func softmaxRow(row []float32)

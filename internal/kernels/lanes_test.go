@@ -23,6 +23,23 @@ func sameBits(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
+// geluBody is one body of bias + GELU's lanes: use switches addBiasGelu to it.
+type geluBody struct {
+	name string
+	use  func()
+}
+
+// eachGeluBody runs f as a subtest once per bias + GELU body this build and
+// CPU have (geluBodies), and leaves addBiasGelu on the one the probe picked.
+func eachGeluBody(t *testing.T, f func(t *testing.T)) {
+	bodies := geluBodies()
+	defer bodies[0].use()
+	for _, body := range bodies {
+		body.use()
+		t.Run(body.name, f)
+	}
+}
+
 // refSoftmaxRow is §2's softmax: max, the row extended with −Inf to a multiple
 // of four — literally — e_j = expf(x_j − max), one partial sum per lane,
 // ((s0+s1)+s2)+s3, one reciprocal, e_j·inv.
@@ -181,53 +198,58 @@ func TestSoftmaxZeroExtension(t *testing.T) {
 	}
 }
 
+// TestGeluBitIdenticalToReference runs on each bias + GELU body.
 func TestGeluBitIdenticalToReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	edges := []float32{0, float32(math.Copysign(0, -1)), 1e-42, -1e-42, 1e-20, 3, -3, 8, -8, 10.05, -10.05, -10.1, -10.2,
-		12, -12, 40, -40, 1e6, -1e6, 7e12, -7e12, 1e20, -1e20, 3e38, -3e38, posInf, negInf, nan32}
-	for _, n := range refLengths() {
-		for trial := 0; trial < 12; trial++ {
-			src, bias := randSlice(rng, n), randSlice(rng, n)
-			for j := range src {
-				src[j] *= 3
-				if trial%3 == 1 && rng.Intn(3) == 0 {
-					src[j], bias[j] = edges[rng.Intn(len(edges))], 0
+	eachGeluBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(43))
+		edges := []float32{0, float32(math.Copysign(0, -1)), 1e-42, -1e-42, 1e-20, 3, -3, 8, -8, 10.05, -10.05, -10.1, -10.2,
+			12, -12, 40, -40, 1e6, -1e6, 7e12, -7e12, 1e20, -1e20, 3e38, -3e38, posInf, negInf, nan32}
+		for _, n := range refLengths() {
+			for trial := 0; trial < 12; trial++ {
+				src, bias := randSlice(rng, n), randSlice(rng, n)
+				for j := range src {
+					src[j] *= 3
+					if trial%3 == 1 && rng.Intn(3) == 0 {
+						src[j], bias[j] = edges[rng.Intn(len(edges))], 0
+					}
 				}
-			}
-			want := make([]float32, n)
-			for j := range want {
-				want[j] = refGelu(src[j] + bias[j])
-			}
-			fused := offAlloc(src, trial%4)
-			AddBiasAct(ActGELU, fused, offAlloc(bias, (trial+1)%4), 1, n)
-			unfused := offAlloc(src, (trial+2)%4)
-			AddBias(unfused, bias, 1, n)
-			Act(ActGELU, unfused)
-			for j := range want {
-				if !sameBits(fused[j], want[j]) || !sameBits(unfused[j], want[j]) {
-					t.Fatalf("n=%d trial %d [%d]: gelu(%g) fused %g (%#08x), unfused %g, reference %g (%#08x)",
-						n, trial, j, src[j]+bias[j], fused[j], math.Float32bits(fused[j]), unfused[j], want[j], math.Float32bits(want[j]))
+				want := make([]float32, n)
+				for j := range want {
+					want[j] = refGelu(src[j] + bias[j])
+				}
+				fused := offAlloc(src, trial%4)
+				AddBiasAct(ActGELU, fused, offAlloc(bias, (trial+1)%4), 1, n)
+				unfused := offAlloc(src, (trial+2)%4)
+				AddBias(unfused, bias, 1, n)
+				Act(ActGELU, unfused)
+				for j := range want {
+					if !sameBits(fused[j], want[j]) || !sameBits(unfused[j], want[j]) {
+						t.Fatalf("n=%d trial %d [%d]: gelu(%g) fused %g (%#08x), unfused %g, reference %g (%#08x)",
+							n, trial, j, src[j]+bias[j], fused[j], math.Float32bits(fused[j]), unfused[j], want[j], math.Float32bits(want[j]))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestLanesMatchScalarChainDense is the assembly == Go statement on volume:
-// the lanes against the scalar chain over a dense grid of GELU arguments and
-// a few thousand wide-ranging score rows.
+// the lanes against the scalar chain over a dense grid of GELU arguments, on
+// each bias + GELU body, and a few thousand wide-ranging score rows.
 func TestLanesMatchScalarChainDense(t *testing.T) {
 	var grid []float32
 	for i := -13 << 14; i <= 13<<14; i++ {
 		grid = append(grid, float32(i)/(1<<14))
 	}
-	got := append([]float32(nil), grid...)
-	AddBiasAct(ActGELU, got, make([]float32, len(grid)), 1, len(grid))
-	for j, x := range grid {
-		if want := refGelu(x); !sameBits(got[j], want) {
-			t.Fatalf("gelu(%g): lanes %g (%#08x), scalar chain %g (%#08x)", x, got[j], math.Float32bits(got[j]), want, math.Float32bits(want))
+	eachGeluBody(t, func(t *testing.T) {
+		got := append([]float32(nil), grid...)
+		AddBiasAct(ActGELU, got, make([]float32, len(grid)), 1, len(grid))
+		for j, x := range grid {
+			if want := refGelu(x); !sameBits(got[j], want) {
+				t.Fatalf("gelu(%g): lanes %g (%#08x), scalar chain %g (%#08x)", x, got[j], math.Float32bits(got[j]), want, math.Float32bits(want))
+			}
 		}
-	}
+	})
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 4096; trial++ {
 		src := randSlice(rng, 61+trial%7)
@@ -467,21 +489,29 @@ func BenchmarkSoftmaxRow(b *testing.B) {
 }
 
 // BenchmarkAddBiasAct is the FFN's bias + activation over one classify-varlen
-// batch's intermediate. The one allocation per call is parallel.For's closure.
+// batch's intermediate: GELU once per body this build and CPU have (avx512,
+// sse2 or go), ReLU on its one (go). At one P every body must report 0
+// allocs/op.
 func BenchmarkAddBiasAct(b *testing.B) {
 	const rows, n = 34, 512
 	rng := rand.New(rand.NewSource(2))
 	src, bias := randSlice(rng, rows*n), randSlice(rng, n)
 	x := make([]float32, rows*n)
-	for _, act := range []Activation{ActGELU, ActReLU} {
-		b.Run(act.String(), func(b *testing.B) {
+	run := func(name string, act Activation) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				copy(x, src)
 				AddBiasAct(act, x, bias, rows, n)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*n), "ns/elem")
 		})
 	}
+	bodies := geluBodies()
+	defer bodies[0].use()
+	for _, body := range bodies {
+		body.use()
+		run("gelu/"+body.name, ActGELU)
+	}
+	run("relu/go", ActReLU)
 }
