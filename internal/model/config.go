@@ -1,7 +1,7 @@
 // Package model implements the four transformer DNNs the paper evaluates
 // (Table 3): BERT, ALBERT, DistilBERT — encoder stacks executed through the
-// computation-graph runtime — and a Seq2Seq decoder with beam search for
-// the neural-machine-translation workload.
+// computation-graph runtime — and the Seq2Seq decoder of the
+// neural-machine-translation workload, served by greedy generation.
 package model
 
 import (
@@ -27,7 +27,9 @@ type Config struct {
 	// Vocab is the vocabulary size for embedding/projection layers.
 	Vocab int
 
-	// Decoder-only fields (Seq2Seq decoder, Table 3 bottom row).
+	// Decoder-only fields (Seq2Seq decoder, Table 3 bottom row). BeamSize
+	// is the paper's beam width; only the modeled decoder latency
+	// (perf.Estimator.DecoderLatency) reads it — the served decode is greedy.
 	IsDecoder    bool
 	BeamSize     int
 	MaxTargetLen int

@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/allocator"
 	"repro/internal/blas"
@@ -35,19 +34,18 @@ type decoderLayerWeights struct {
 }
 
 // Decoder is the Seq2Seq decoder of Table 3: an incremental (KV-cached)
-// transformer decoder with beam search, as used in the paper's
-// Chinese→English translation workload.
+// transformer decoder, the paper's Chinese→English translation model. It is
+// served through Generator.Step; greedy and step are its per-row oracle.
 type Decoder struct {
 	Cfg    Config
 	Embed  *Embedding
 	Proj   *tensor.Tensor // [hidden, vocab] output projection
 	layers []decoderLayerWeights
 
-	// scr is the shared decode-iteration workspace (see decodescratch.go):
-	// BeamSearch positions and Generator iterations draw activations,
-	// scores, and logits from it instead of making fresh slices per token.
-	// A standalone decoder accounts it on a private device; NewGenerator
-	// rebinds it to the engine's shared device so decode activations appear
+	// scr is the decode-iteration workspace (see decodescratch.go):
+	// Generator iterations draw activations, scores, and logits from it
+	// instead of making fresh slices per token. A standalone decoder
+	// accounts it on a private device; NewGenerator rebinds it to the engine's shared device so decode activations appear
 	// in the same MemoryStats as encoder activations and KV caches.
 	scr *decodeScratch
 
@@ -97,38 +95,20 @@ func NewDecoder(cfg Config, seed int64) (*Decoder, error) {
 }
 
 // DecodeScratchBytes returns the decode workspace's current device
-// footprint — the plan-reused buffer Generator.Step and stepAll draw
-// activations from (tests use it to separate workspace bytes from KV).
+// footprint — the plan-reused buffer Generator.Step draws activations from
+// (tests use it to separate workspace bytes from KV).
 func (d *Decoder) DecodeScratchBytes() int64 { return d.scr.bytes() }
 
-// decodeState is the per-beam incremental state: self-attention KV cache per
+// decodeState is greedy's incremental state: the self-attention KV cache per
 // layer (rows of [hidden] appended per generated token).
 type decodeState struct {
 	selfK [][]float32 // [layer][t*hidden]
 	selfV [][]float32
-	toks  []int
-	score float64
-	done  bool
 }
 
-func (s *decodeState) clone(layers int) *decodeState {
-	c := &decodeState{
-		selfK: make([][]float32, layers),
-		selfV: make([][]float32, layers),
-		toks:  append([]int(nil), s.toks...),
-		score: s.score,
-		done:  s.done,
-	}
-	for l := 0; l < layers; l++ {
-		c.selfK[l] = append([]float32(nil), s.selfK[l]...)
-		c.selfV[l] = append([]float32(nil), s.selfV[l]...)
-	}
-	return c
-}
-
-// crossCache holds the per-layer projected encoder memory, shared by all
-// beams (it depends only on the source sentence): per layer one K and one V
-// span of [srcLen, hidden] — binary16 storage on the fp16 route, since the
+// crossCache holds the per-layer projected encoder memory (it depends only
+// on the source sentence): per layer one K and one V span of
+// [srcLen, hidden] — binary16 storage on the fp16 route, since the
 // cross memory is KV storage like the decode cache and halves with it. While
 // a generation session runs on it, the binary16 spans also carry their
 // decoded view (kernels.KVSpans.View; ccRef owns it).
@@ -179,8 +159,7 @@ func (d *Decoder) newCrossCache(memory *tensor.Tensor, half bool) *crossCache {
 	return cc
 }
 
-// attend computes single-query multi-head attention for one beam or
-// session: q [hidden] against the first T rows of the keys/vals views,
+// attend computes single-query multi-head attention for one session: q [hidden] against the first T rows of the keys/vals views,
 // writing ctx [hidden]. This is the per-row reference oracle for the grouped
 // decode kernel (kernels.DecodeWorkspace.Attention) on every layout and
 // precision: each (span, head) score and context product goes through the
@@ -230,8 +209,8 @@ func linear(x []float32, w *tensor.Tensor, b *tensor.Tensor, y []float32) {
 	}
 }
 
-// step advances one beam by one token: embeds tok at position pos, runs all
-// decoder layers updating the beam's KV cache, and returns the vocab logits.
+// step advances one decode by one token: embeds tok at position pos, runs
+// all decoder layers updating st's KV cache, and returns the vocab logits.
 func (d *Decoder) step(st *decodeState, cc *crossCache, tok, pos int) []float32 {
 	h := d.Cfg.Hidden
 	x := make([]float32, h)
@@ -287,39 +266,12 @@ func (d *Decoder) step(st *decodeState, cc *crossCache, tok, pos int) []float32 
 	return logits
 }
 
-// logSoftmax converts logits to log-probabilities in place.
-func logSoftmax(logits []float32) {
-	maxv := float32(math.Inf(-1))
-	for _, v := range logits {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for _, v := range logits {
-		sum += math.Exp(float64(v - maxv))
-	}
-	lse := float32(math.Log(sum)) + maxv
-	for i := range logits {
-		logits[i] -= lse
-	}
-}
-
-// Hypothesis is one finished beam.
-type Hypothesis struct {
-	Tokens []int   // generated tokens, excluding BOS, including EOS if hit
-	Score  float64 // length-normalised log-probability
-}
-
-// lengthPenalty is GNMT's normalisation with α = 0.6.
-func lengthPenalty(length int) float64 {
-	return math.Pow((5+float64(length))/6, 0.6)
-}
-
-// BeamSearch decodes from encoder memory [srcLen, hidden] with the
-// configured beam size, up to maxLen tokens. It returns hypotheses sorted
-// best-first.
-func (d *Decoder) BeamSearch(memory *tensor.Tensor, maxLen int) ([]Hypothesis, error) {
+// greedy decodes from encoder memory [srcLen, hidden] one argmax token at a
+// time through step, up to maxLen tokens (0 or past MaxTargetLen: the
+// decoder's MaxTargetLen), stopping after EOS. It is the per-row oracle
+// Generator.Step's token streams are checked against; every buffer it
+// touches is its own, so concurrent calls on one decoder are safe.
+func (d *Decoder) greedy(memory *tensor.Tensor, maxLen int) ([]int, error) {
 	if memory.Rank() != 2 || memory.Dim(1) != d.Cfg.Hidden {
 		return nil, fmt.Errorf("model %s: memory shape %v, want [srcLen, %d]",
 			d.Cfg.Name, memory.Shape(), d.Cfg.Hidden)
@@ -327,132 +279,12 @@ func (d *Decoder) BeamSearch(memory *tensor.Tensor, maxLen int) ([]Hypothesis, e
 	if maxLen <= 0 || maxLen > d.Cfg.MaxTargetLen {
 		maxLen = d.Cfg.MaxTargetLen
 	}
-	beamSize := d.Cfg.BeamSize
 	cc := d.newCrossCache(memory, false)
-	layers := d.Cfg.Layers
-
-	// Hold the decode workspace for the whole search: every position reuses
-	// its buffers and consumes the logits views in place, so concurrent
-	// BeamSearch (or Translator.Translate) calls on one decoder serialise
-	// here instead of racing on the shared scratch.
-	d.scr.mu.Lock()
-	defer d.scr.mu.Unlock()
-
-	start := &decodeState{
-		selfK: make([][]float32, layers),
-		selfV: make([][]float32, layers),
+	st := &decodeState{selfK: make([][]float32, d.Cfg.Layers), selfV: make([][]float32, d.Cfg.Layers)}
+	var toks []int
+	for tok := TokBos; len(toks) < maxLen && tok != TokEos; {
+		tok = argmax(d.step(st, cc, tok, len(toks)))
+		toks = append(toks, tok)
 	}
-	beams := []*decodeState{start}
-	var finished []Hypothesis
-
-	for pos := 0; pos < maxLen; pos++ {
-		type cand struct {
-			parent int
-			tok    int
-			score  float64
-		}
-		var cands []cand
-		// Advance every beam together: one batched forward per position.
-		toks := make([]int, len(beams))
-		for bi, st := range beams {
-			toks[bi] = TokBos
-			if len(st.toks) > 0 {
-				toks[bi] = st.toks[len(st.toks)-1]
-			}
-		}
-		logitsAll := d.stepAllLocked(beams, cc, toks, pos)
-		for bi, st := range beams {
-			logits := logitsAll[bi]
-			logSoftmax(logits)
-			// Keep the top beamSize expansions of this beam.
-			top := topK(logits, beamSize)
-			for _, t := range top {
-				cands = append(cands, cand{parent: bi, tok: t, score: st.score + float64(logits[t])})
-			}
-		}
-		// Select the best beamSize candidates overall (ties broken by
-		// parent/token for determinism).
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].score != cands[j].score {
-				return cands[i].score > cands[j].score
-			}
-			if cands[i].parent != cands[j].parent {
-				return cands[i].parent < cands[j].parent
-			}
-			return cands[i].tok < cands[j].tok
-		})
-		if len(cands) > beamSize {
-			cands = cands[:beamSize]
-		}
-		var next []*decodeState
-		for _, c := range cands {
-			st := beams[c.parent].clone(layers)
-			st.toks = append(st.toks, c.tok)
-			st.score = c.score
-			if c.tok == TokEos {
-				finished = append(finished, Hypothesis{
-					Tokens: append([]int(nil), st.toks...),
-					Score:  c.score / lengthPenalty(len(st.toks)),
-				})
-				continue
-			}
-			next = append(next, st)
-		}
-		if len(next) == 0 {
-			break
-		}
-		beams = next
-	}
-	// Unfinished beams count as hypotheses too.
-	for _, st := range beams {
-		finished = append(finished, Hypothesis{
-			Tokens: append([]int(nil), st.toks...),
-			Score:  st.score / lengthPenalty(len(st.toks)),
-		})
-	}
-	sort.SliceStable(finished, func(i, j int) bool { return finished[i].Score > finished[j].Score })
-	if len(finished) > beamSize {
-		finished = finished[:beamSize]
-	}
-	return finished, nil
-}
-
-// Greedy decodes with beam size 1 (convenience for tests/examples).
-func (d *Decoder) Greedy(memory *tensor.Tensor, maxLen int) (Hypothesis, error) {
-	save := d.Cfg.BeamSize
-	d.Cfg.BeamSize = 1
-	defer func() { d.Cfg.BeamSize = save }()
-	hyps, err := d.BeamSearch(memory, maxLen)
-	if err != nil {
-		return Hypothesis{}, err
-	}
-	return hyps[0], nil
-}
-
-// topK returns the indices of the k largest values.
-func topK(vals []float32, k int) []int {
-	if k > len(vals) {
-		k = len(vals)
-	}
-	idx := make([]int, 0, k)
-	for i := 0; i < k; i++ {
-		best := -1
-		for j, v := range vals {
-			taken := false
-			for _, u := range idx {
-				if u == j {
-					taken = true
-					break
-				}
-			}
-			if taken {
-				continue
-			}
-			if best < 0 || v > vals[best] {
-				best = j
-			}
-		}
-		idx = append(idx, best)
-	}
-	return idx
+	return toks, nil
 }

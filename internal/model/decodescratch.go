@@ -14,9 +14,9 @@ import (
 // growth instead of reallocating every step.
 const decodeScratchRowChunk = 4
 
-// decodeScratch is the decode-iteration workspace shared by Generator.Step
-// and Decoder.stepAll: activations, attention scores, and logits for one
-// ragged decode iteration, carved out of a single device-accounted buffer.
+// decodeScratch is Generator.Step's decode-iteration workspace:
+// activations, attention scores, and logits for one ragged decode
+// iteration, carved out of a single device-accounted buffer.
 // Like the encoder's activation arena, the plan is keyed on the iteration
 // shape — (rows, Σcontext) — and reused as long as the request fits, so
 // decode activations show up in MemoryStats (and its reallocation traffic
@@ -24,9 +24,8 @@ const decodeScratchRowChunk = 4
 // decode loop stops allocating per-token activation buffers (a few small
 // descriptor/score-row allocations remain on the oracle and blas paths).
 //
-// The mutex serialises the decode paths sharing the workspace (Generator
-// iterations and BeamSearch positions on the same decoder); buffers handed
-// out by plan() are valid until the next plan() call.
+// The mutex serialises Generator iterations on the same decoder; buffers
+// handed out by plan() are valid until the next plan() call.
 type decodeScratch struct {
 	mu  sync.Mutex
 	dev *allocator.Device

@@ -13,10 +13,9 @@ import (
 )
 
 // Generator drives iteration-level (continuous-batching) autoregressive
-// generation on top of the Seq2Seq decoder: unlike BeamSearch, which owns a
-// whole request from start to finish, the Generator advances an arbitrary
-// set of live sessions by exactly one token per Step call, so a serving
-// loop can admit and evict requests between decode iterations.
+// generation on top of the Seq2Seq decoder: it advances an arbitrary set of
+// live sessions by exactly one token per Step call, so a serving loop can
+// admit and evict requests between decode iterations.
 //
 // Every projection is batched across sessions ([rows,H]×[H,N] GEMMs) even
 // though the sessions sit at different positions with different context
@@ -156,8 +155,8 @@ func NewGenerator(cfg Config, seed int64, dev *allocator.Device, poolBlocks, pre
 	}, nil
 }
 
-// Decoder exposes the underlying decoder (for tests comparing against the
-// one-shot BeamSearch path).
+// Decoder exposes the underlying decoder (for tests comparing against its
+// per-row greedy oracle).
 func (g *Generator) Decoder() *Decoder { return g.dec }
 
 // GenSession is one request's in-flight generation state: its cross-
@@ -511,4 +510,20 @@ func argmax(vals []float32) int {
 		}
 	}
 	return best
+}
+
+// tensorMat bundles a weight matrix with its optional bias for
+// batchedLinear.
+type tensorMat struct {
+	data []float32
+	bias []float32
+	k, n int
+}
+
+func mat(w, b *tensor.Tensor) *tensorMat {
+	m := &tensorMat{data: w.Data(), k: w.Dim(0), n: w.Dim(1)}
+	if b != nil {
+		m.bias = b.Data()
+	}
+	return m
 }

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/allocator"
@@ -31,33 +33,51 @@ func drain(t *testing.T, g *Generator, sess *GenSession) []int {
 }
 
 // TestGeneratorMatchesGreedy: the iteration-level path must produce the
-// same token stream as the one-shot beam-1 decoder over the same weights.
+// same token stream as the per-row greedy oracle over the same weights, for
+// prompt widths from one row up, and whether the stream ends at its budget
+// or at EOS (decoder seeds 9 and 2 emit EOS after eight tokens and at once).
 func TestGeneratorMatchesGreedy(t *testing.T) {
 	cfg := genTestConfig()
-	g, _, _ := newTestGenerator(t, cfg, 0, 0)
-	mem := testMemory(7, 9, cfg.Hidden)
+	for _, tc := range []struct {
+		decSeed, memSeed int64
+		width, budget    int
+		eos              bool // the stream ends at EOS, not at its budget
+	}{
+		{decSeed: 42, memSeed: 7, width: 9, budget: 16},
+		{decSeed: 42, memSeed: 1, width: 1, budget: 5},
+		{decSeed: 42, memSeed: 2, width: 3, budget: 24},
+		{decSeed: 42, memSeed: 3, width: 19, budget: 24},
+		{decSeed: 42, memSeed: 4, width: 12, budget: 1},
+		{decSeed: 9, memSeed: 3, width: 9, budget: 24, eos: true},
+		{decSeed: 9, memSeed: 1, width: 19, budget: 4},
+		{decSeed: 2, memSeed: 5, width: 5, budget: 24, eos: true},
+	} {
+		name := fmt.Sprintf("dec%d/mem%d/w%d/n%d", tc.decSeed, tc.memSeed, tc.width, tc.budget)
+		t.Run(name, func(t *testing.T) {
+			g, err := NewGenerator(cfg, tc.decSeed, nil, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			mem := testMemory(tc.memSeed, tc.width, cfg.Hidden)
+			sess, err := g.NewSession(1, []int{7}, mem, tc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			got := drain(t, g, sess)
 
-	sess, err := g.NewSession(1, []int{7}, mem, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	got := drain(t, g, sess)
-
-	hyp, err := g.Decoder().Greedy(mem, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("no tokens generated")
-	}
-	if len(got) != len(hyp.Tokens) {
-		t.Fatalf("generator %v vs greedy %v", got, hyp.Tokens)
-	}
-	for i := range got {
-		if got[i] != hyp.Tokens[i] {
-			t.Fatalf("token %d: generator %d vs greedy %d", i, got[i], hyp.Tokens[i])
-		}
+			want, err := g.Decoder().greedy(mem, tc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("generator %v vs greedy %v", got, want)
+			}
+			if hitEos := got[len(got)-1] == TokEos; hitEos != tc.eos || (!hitEos && len(got) != tc.budget) {
+				t.Fatalf("stream %v (budget %d) does not end the way the case says (eos %v)", got, tc.budget, tc.eos)
+			}
+		})
 	}
 }
 

@@ -19,12 +19,11 @@ type runtimeConfig struct {
 	engine core.Options
 
 	// Serving.
-	scheduler        Scheduler
-	schedulerFactory func() Scheduler
-	maxBatch         int
-	cacheSize        int
-	batchWindow      time.Duration
-	queueDepth       int
+	scheduler   Scheduler
+	maxBatch    int
+	cacheSize   int
+	batchWindow time.Duration
+	queueDepth  int
 
 	// Multi-replica routing.
 	replicas  int
@@ -64,10 +63,6 @@ func WithAllocator(kind AllocatorKind) Option {
 //
 // Deprecated: every engine is packed.
 func WithPacked() Option { return func(*runtimeConfig) {} }
-
-// WithUnfused executes the unfused Fig. 3a graph instead of the fused
-// runtime (for comparisons).
-func WithUnfused() Option { return func(c *runtimeConfig) { c.engine.Unfused = true } }
 
 // WithFP16 switches the engine onto the binary16 fast path, the Turbo-TC
 // numeric path: fp16-storage GEMMs end to end (activations and weights
@@ -115,7 +110,8 @@ func WithGenDefaultMaxNew(n int) Option { return func(c *runtimeConfig) { c.genD
 // it, Serve falls back to the DP scheduler over a crude linear cost —
 // fine for demos; production servers should warm up a real cost model —
 // WarmupTokenCost, or a saved WarmupCost dictionary's Fit, which prices a
-// batch by the tokens the packed engine computes — and pass it here.
+// batch by the tokens the packed engine computes — and pass it here. Every
+// replica shares the one instance; the built-in schedulers are stateless.
 func WithScheduler(s Scheduler) Option { return func(c *runtimeConfig) { c.scheduler = s } }
 
 // WithMaxBatch caps the classify batch size (default 8).
@@ -163,14 +159,6 @@ func WithRouteCost(c *TokenCost) Option { return func(rc *runtimeConfig) { rc.ro
 // prefill and one decode.
 func WithReplicaRoles(roles ...ReplicaRole) Option {
 	return func(c *runtimeConfig) { c.roles = roles }
-}
-
-// WithSchedulerFactory builds one batch scheduler per replica — required
-// instead of WithScheduler when the scheduler is stateful and must not be
-// shared across replicas. (The built-in schedulers are stateless, so
-// WithScheduler's single shared instance is fine for them.)
-func WithSchedulerFactory(f func() Scheduler) Option {
-	return func(c *runtimeConfig) { c.schedulerFactory = f }
 }
 
 // WithAutoscale serves through an ELASTIC replica fleet: the front door is
@@ -287,12 +275,7 @@ func (rt *Runtime) Serve(opts ...Option) (Service, error) {
 		return nil, fmt.Errorf("turbo: the generation decoder config must be given to NewRuntime, not changed at Serve")
 	}
 	newScheduler := func() Scheduler {
-		if rc.schedulerFactory != nil {
-			return rc.schedulerFactory()
-		}
 		if rc.scheduler != nil {
-			// The built-in schedulers are stateless; a stateful custom one
-			// must come through WithSchedulerFactory instead.
 			return rc.scheduler
 		}
 		// Demo fallback: linear cost, no warm-up. Real deployments warm up

@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/allocator"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/model"
@@ -78,27 +77,6 @@ const (
 	AllocCaching = core.AllocCaching
 	AllocNaive   = core.AllocNaive
 )
-
-// Decoder is the Seq2Seq decoder with beam search.
-type Decoder = model.Decoder
-
-// NewDecoder builds a decoder with deterministic random weights.
-func NewDecoder(cfg Config, seed int64) (*Decoder, error) {
-	return model.NewDecoder(cfg, seed)
-}
-
-// Translator is the full encoder→decoder NMT pipeline (Fig. 1).
-type Translator = model.Translator
-
-// Hypothesis is one beam-search result.
-type Hypothesis = model.Hypothesis
-
-// NewTranslator builds the encoder-decoder pipeline with the Turbo
-// allocator managing the encoder's intermediates.
-func NewTranslator(encCfg, decCfg Config, seed int64) (*Translator, error) {
-	return model.NewTranslator(encCfg, decCfg, seed,
-		allocator.NewTurbo(allocator.NewDevice()))
-}
 
 // Scheduling types (Algorithm 2 and baselines).
 type (

@@ -131,14 +131,6 @@ func TestFacadeServe(t *testing.T) {
 	}
 }
 
-func TestFacadeDecoder(t *testing.T) {
-	cfg := turbo.Seq2SeqDecoder().Scaled(32, 4, 64, 1)
-	cfg.MaxTargetLen = 8
-	if _, err := turbo.NewDecoder(cfg, 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeSchedulers(t *testing.T) {
 	cost := turbo.CostFunc(func(l, b int) time.Duration {
 		return time.Duration(l*b) * time.Microsecond
