@@ -9,21 +9,23 @@ import (
 
 // FP16 GEMM route: GEMMs over operands held as binary16 STORAGE. Tensor Cores
 // consume binary16 operands and accumulate in fp32 (§6.2.1), so this route
-// takes operands as binary16 bit patterns, decodes them into fp32 scratch at
-// the GEMM boundary (the "load conversion" a Tensor Core does in hardware),
-// and runs the exact same fp32-accumulating kernels as the fp32 route.
-// Because every binary16 value is exactly representable in float32, GemmF16
-// over encoded operands is bit-identical to Gemm over the same operands
-// rounded through tensor.RoundF16Into — the property the exactness tests pin,
-// and the reason the serving path does not come through here for weights or
-// activations: those are rounded once where they are produced and fed to
-// Gemm directly, with no per-call decode. What really is binary16 storage in
-// serving — KV blocks and the cross memory — is decoded by the one decode-
-// attention kernel (kernels.DecodeWorkspace.Attention) into its own scratch,
-// so GemmF16 is the oracle and the ledger's probe, not a serving call. The
-// decode scratch is host-side emulation cost and is not charged to the
-// simulated device; on real hardware the conversion happens inside the MMA
-// load, not in a separate buffer.
+// takes operands as binary16 bit patterns, converts them to fp32 at the GEMM
+// boundary (the "load conversion" a Tensor Core does in hardware), and keeps
+// the fp32 route's per-element operation sequence. Because every binary16
+// value is exactly representable in float32, the conversion moves no bits:
+// GemmF16 over encoded operands is bit-identical to Gemm over the same
+// operands rounded through tensor.RoundF16Into, and GemmHalfB to Gemm over
+// the decoded B.
+//
+// Serving uses GemmHalfB for the decoder's weights, which the fp16 route
+// stores as binary16 so that a decode step streams half the bytes; its
+// activations are rounded once where they are produced and stay fp32. What
+// else is binary16 storage in serving — KV blocks and the cross memory — is
+// decoded by the one decode-attention kernel (kernels.DecodeWorkspace.
+// Attention) into its own scratch, so GemmF16 is the oracle and the ledger's
+// probe, not a serving call. The decode scratch is host-side emulation cost
+// and is not charged to the simulated device; on real hardware the
+// conversion happens inside the MMA load, not in a separate buffer.
 
 // Half is a binary16-encoded operand: each element is an IEEE 754 binary16
 // bit pattern as produced by tensor.F32ToF16Bits. It aliases []uint16 so
@@ -76,6 +78,55 @@ func GemmF16(transA, transB bool, m, n, k int, alpha float32, a Half, lda int, b
 	Gemm(transA, transB, m, n, k, alpha, af, lda, bf, ldb, beta, c, ldc)
 	putF16Scratch(pa)
 	putF16Scratch(pb)
+}
+
+// halfLoadMaxRows is the most rows GemmHalfB runs with B converted in the
+// load; above it B is decoded once into pooled scratch and the fp32 kernels
+// run. A loaded B element serves at most two rows, so converting in the load
+// costs a conversion per element every two rows, where decoding once costs
+// one conversion and a store and a load per element — a price that pays only
+// while B streams from beyond L2, as a decode step's weights do
+// (BenchmarkDecodeStepWeights).
+const halfLoadMaxRows = 8
+
+// GemmHalfB is Gemm(false, false, …) with B stored as binary16: C = alpha·A·B
+// + beta·C, A m×k and C m×n in fp32, B k×n. Every output element keeps Gemm's
+// operation sequence (gemmNN) on B's exactly converted values, so the result
+// is bit-identical to Gemm over tensor.DecodeF16Slice of B. Up to
+// halfLoadMaxRows rows the NN kernels convert B in their load (nnRows2H,
+// nnRowH): a decode step reads half the bytes. Above it, and on a CPU without
+// F16C, B is decoded once.
+func GemmHalfB(m, n, k int, alpha float32, a []float32, lda int, b Half, ldb int, beta float32, c []float32, ldc int) {
+	checkGemmArgs(false, false, m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
+	if m > halfLoadMaxRows || !halfInLoad() {
+		gemmHalfBDecoded(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		return
+	}
+	gemmHalfBInLoad(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+}
+
+// gemmHalfBDecoded is GemmHalfB with B decoded once into pooled scratch.
+func gemmHalfBDecoded(m, n, k int, alpha float32, a []float32, lda int, b Half, ldb int, beta float32, c []float32, ldc int) {
+	nb := operandElems(false, k, n, ldb)
+	pb, bf := getF16Scratch(nb)
+	tensor.DecodeF16Slice(bf, b[:nb])
+	Gemm(false, false, m, n, k, alpha, a, lda, bf, ldb, beta, c, ldc)
+	putF16Scratch(pb)
+}
+
+// gemmHalfBInLoad is GemmHalfB with B converted in the kernels' load, on one
+// goroutine; halfInLoad must hold.
+func gemmHalfBInLoad(m, n, k int, alpha float32, a []float32, lda int, b Half, ldb int, beta float32, c []float32, ldc int) {
+	if !scaleC(alpha, beta, c, m, n, k, ldc) {
+		return
+	}
+	i := 0
+	for ; i+2 <= m; i += 2 {
+		nnRows2H(n, k, alpha, a[i*lda:], a[(i+1)*lda:], b, ldb, c[i*ldc:], c[(i+1)*ldc:])
+	}
+	if i < m {
+		nnRowH(n, k, alpha, a[i*lda:], b, ldb, c[i*ldc:])
+	}
 }
 
 // EncodeHalf rounds src through binary16 into a freshly allocated Half.

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,4 +88,64 @@ func TestGemmScaleInAlphaCommutes(t *testing.T) {
 		post[i] *= scale
 	}
 	bitsEqual(t, pre, post, "alpha-folded scale")
+}
+
+// BenchmarkDecodeStepWeights runs the weight products of one decode step of
+// the ledger's decoder (hidden 128, FFN 512, two layers, vocabulary 512:
+// per layer six 128×128 products, 128×512 and 512×128, then 128×512 for the
+// vocabulary) over distinct B buffers, m rows each — 2 MiB of fp32 weights,
+// the L2 of the host DESIGN.md §2d measures on, or 1 MiB of binary16. Unlike
+// BenchmarkGemm, whose B stays hot, it reads what the live step reads: every
+// weight once per step, so fp32 weights come from beyond L2 and binary16 ones
+// fit. Kinds: fp32 (Gemm), load (binary16 converted in the load) and decode
+// (binary16 decoded once, then Gemm) — where load stops beating decode as m
+// grows is halfLoadMaxRows. Names are kind/m<rows>/body; ns/op is one step's
+// products, and GFLOP/s their rate.
+func BenchmarkDecodeStepWeights(b *testing.B) {
+	const h, inter, vocab, layers = 128, 512, 512, 2
+	type shape struct{ k, n int }
+	var shapes []shape
+	for l := 0; l < layers; l++ {
+		shapes = append(shapes, shape{h, h}, shape{h, h}, shape{h, h}, shape{h, h}, shape{h, h}, shape{h, h}, shape{h, inter}, shape{inter, h})
+	}
+	shapes = append(shapes, shape{h, vocab})
+	rng := rand.New(rand.NewSource(3))
+	f32, f16 := make([][]float32, len(shapes)), make([]Half, len(shapes))
+	flop := 0.0
+	for i, s := range shapes {
+		f32[i] = randSlice(rng, s.k*s.n)
+		f16[i] = EncodeHalf(f32[i])
+		flop += 2 * float64(s.k) * float64(s.n)
+	}
+	bodies := nnBodies()
+	defer bodies[0].use()
+	for _, kind := range []string{"fp32", "load", "decode"} {
+		for _, m := range []int{1, 2, 3, 4, 6, 8, 16} {
+			for _, body := range bodies {
+				body.use()
+				if kind == "load" && !halfInLoad() {
+					continue
+				}
+				b.Run(fmt.Sprintf("%s/m%d/%s", kind, m, body.name), func(b *testing.B) {
+					body.use()
+					a := randSlice(rng, m*inter)
+					c := make([]float32, m*max(inter, vocab))
+					b.ReportAllocs()
+					for b.Loop() {
+						for i, s := range shapes {
+							switch kind {
+							case "fp32":
+								Gemm(false, false, m, s.n, s.k, 1, a, s.k, f32[i], s.n, 0, c, s.n)
+							case "load":
+								gemmHalfBInLoad(m, s.n, s.k, 1, a, s.k, f16[i], s.n, 0, c, s.n)
+							default:
+								gemmHalfBDecoded(m, s.n, s.k, 1, a, s.k, f16[i], s.n, 0, c, s.n)
+							}
+						}
+					}
+					b.ReportMetric(flop*float64(m)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
+	}
 }

@@ -27,7 +27,11 @@
 // the OS saves YMM state — there is no option. In NT the four lanes are
 // dot2's four partial sums; eight would be eight partials, another fold, so
 // dot2 is SSE2 on every amd64 CPU. A fused multiply-add rounds once where the
-// invariant rounds twice, so no body uses one.
+// invariant rounds twice, so no body uses one. NN with a binary16 B
+// (GemmHalfB, fp16.go) runs the same two kernels with B converted in the
+// load (nnRows2H, nnRowH): the AVX-512 and AVX bodies with VCVTPH2PS where
+// the CPU has F16C, the Go twins elsewhere — the conversion is exact, so it
+// moves no bits either. NT has no binary16 form.
 // Everything else in the package is Go on every target. Timing of GPU GEMMs
 // for the experiments is handled separately by the analytic model in
 // internal/perf.

@@ -339,9 +339,13 @@ func TestQuickGemmTransposeIdentity(t *testing.T) {
 // actually calls: NN for the projections at decode-step, mean generate
 // prompt (m = 40, what TTFT's prefill runs at) and packed-encoder row counts
 // plus attention's scores·V, NT for Q·Kᵀ at one decode row and at a full
-// packed batch. Names are kind/m x n x k/body: NN runs on every body this
-// build and CPU have (avx512, avx, sse2 or go), NT on its one. A call that
-// runs inline (one P, or fewer than 16 rows) must report 0 allocs/op.
+// packed batch. nnh is NN with a binary16 B (GemmHalfB) on the NN shapes:
+// B converted in the load up to halfLoadMaxRows rows, decoded once above
+// (and on sse2, which has no binary16 body). Names are kind/m x n x k/body:
+// NN and nnh run on every body this build and CPU have (avx512, avx, sse2 or
+// go), NT on its one. A call that runs inline (one P, or fewer than 16 rows)
+// must report 0 allocs/op. B is the same buffer every iteration, so it is
+// hot in cache; BenchmarkDecodeStepWeights streams it.
 func BenchmarkGemm(b *testing.B) {
 	type shape struct{ m, n, k int }
 	var nn []shape
@@ -358,6 +362,7 @@ func BenchmarkGemm(b *testing.B) {
 					rng := rand.New(rand.NewSource(1))
 					a := randSlice(rng, s.m*s.k)
 					bb := randSlice(rng, s.k*s.n)
+					bh := EncodeHalf(bb)
 					c := make([]float32, s.m*s.n)
 					ldb := s.n
 					if transB {
@@ -365,7 +370,11 @@ func BenchmarkGemm(b *testing.B) {
 					}
 					b.ReportAllocs()
 					for b.Loop() {
-						Gemm(false, transB, s.m, s.n, s.k, 1, a, s.k, bb, ldb, 0, c, s.n)
+						if kind == "nnh" {
+							GemmHalfB(s.m, s.n, s.k, 1, a, s.k, bh, ldb, 0, c, s.n)
+						} else {
+							Gemm(false, transB, s.m, s.n, s.k, 1, a, s.k, bb, ldb, 0, c, s.n)
+						}
 					}
 					flop := 2 * float64(s.m) * float64(s.n) * float64(s.k) * float64(b.N)
 					b.ReportMetric(flop/b.Elapsed().Seconds()/1e9, "GFLOP/s")
@@ -376,6 +385,7 @@ func BenchmarkGemm(b *testing.B) {
 	bodies := nnBodies()
 	defer bodies[0].use()
 	run("nn", false, nn, bodies)
+	run("nnh", false, nn, bodies)
 	// dot2's one body is the four-lane one: SSE2 where NN has assembly, Go
 	// where it has not — the last of nnBodies.
 	run("nt", true, nt, bodies[len(bodies)-1:])

@@ -22,7 +22,8 @@ func nnBodies() []nnBody {
 
 // TestNNProbeMatchesCPUInfo: gemmNN runs the AVX-512 bodies exactly when the
 // kernel reports avx512f, and the AVX ones exactly when it reports avx2 but
-// not avx512f. A probe that wrongly said no would cost the wide bodies'
+// not avx512f; GemmHalfB converts in the load exactly when it also reports
+// f16c. A probe that wrongly said no would cost the wide bodies'
 // speed-up with every other test still green.
 func TestNNProbeMatchesCPUInfo(t *testing.T) {
 	avx2, err := cpufeat.CPUInfoListed("avx2")
@@ -43,5 +44,13 @@ func TestNNProbeMatchesCPUInfo(t *testing.T) {
 	if nnLanes != want || cpufeat.AVX2() != avx2 || cpufeat.AVX512() != avx512 {
 		t.Fatalf("/proc/cpuinfo lists avx2: %v, avx512f: %v; probe found AVX2: %v, AVX-512: %v; gemmNN runs %d lanes, want %d",
 			avx2, avx512, cpufeat.AVX2(), cpufeat.AVX512(), nnLanes, want)
+	}
+	f16c, err := cpufeat.CPUInfoListed("f16c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantInLoad := f16c && want >= 8; cpufeat.F16C() != f16c || halfInLoad() != wantInLoad {
+		t.Fatalf("/proc/cpuinfo lists f16c: %v; probe found F16C: %v; GemmHalfB converts in the load: %v, want %v",
+			f16c, cpufeat.F16C(), halfInLoad(), wantInLoad)
 	}
 }

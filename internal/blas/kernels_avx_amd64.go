@@ -9,12 +9,21 @@ import "repro/internal/cpufeat"
 // AVX-512 ones (kernels_avx_amd64.s). The probe (internal/cpufeat) picks the
 // widest the CPU has, once, at start-up; there is no option. Every body keeps
 // every output element's operation sequence, so the pick moves no bits, only
-// time.
+// time. The NN kernels with a binary16 B (nnRows2H, nnRowH) have the AVX-512
+// and AVX bodies only, and need F16C besides: on a CPU without them GemmHalfB
+// decodes B once and runs the float32 kernels, which gives the same bits.
 
 // nnLanes is how many columns a step of nnRows2 and nnRow takes: 16
 // (AVX-512), 8 (AVX) or 4 (SSE2). Only tests change it, to run every body
 // this CPU has.
 var nnLanes = widestNNLanes()
+
+// f16c is whether the CPU converts binary16 in hardware.
+var f16c = cpufeat.F16C()
+
+// halfInLoad reports whether nnRows2H and nnRowH have a body on this CPU:
+// the eight- or sixteen-lane one, with F16C.
+func halfInLoad() bool { return f16c && nnLanes >= 8 }
 
 func widestNNLanes() int {
 	switch {
@@ -50,6 +59,24 @@ func nnRow(n, k int, alpha float32, a0, b []float32, ldb int, c0 []float32) {
 	}
 }
 
+// nnRows2H is nnRows2 with B stored as binary16; halfInLoad must hold.
+func nnRows2H(n, k int, alpha float32, a0, a1 []float32, b Half, ldb int, c0, c1 []float32) {
+	if nnLanes == 16 {
+		nnRows2HAVX512(n, k, alpha, a0, a1, b, ldb, c0, c1)
+	} else {
+		nnRows2HAVX(n, k, alpha, a0, a1, b, ldb, c0, c1)
+	}
+}
+
+// nnRowH is nnRows2H for a single row.
+func nnRowH(n, k int, alpha float32, a0 []float32, b Half, ldb int, c0 []float32) {
+	if nnLanes == 16 {
+		nnRowHAVX512(n, k, alpha, a0, b, ldb, c0)
+	} else {
+		nnRowHAVX(n, k, alpha, a0, b, ldb, c0)
+	}
+}
+
 //go:noescape
 func nnRows2AVX512(n, k int, alpha float32, a0, a1, b []float32, ldb int, c0, c1 []float32)
 
@@ -61,3 +88,15 @@ func nnRows2AVX(n, k int, alpha float32, a0, a1, b []float32, ldb int, c0, c1 []
 
 //go:noescape
 func nnRowAVX(n, k int, alpha float32, a0, b []float32, ldb int, c0 []float32)
+
+//go:noescape
+func nnRows2HAVX512(n, k int, alpha float32, a0, a1 []float32, b []uint16, ldb int, c0, c1 []float32)
+
+//go:noescape
+func nnRowHAVX512(n, k int, alpha float32, a0 []float32, b []uint16, ldb int, c0 []float32)
+
+//go:noescape
+func nnRows2HAVX(n, k int, alpha float32, a0, a1 []float32, b []uint16, ldb int, c0, c1 []float32)
+
+//go:noescape
+func nnRowHAVX(n, k int, alpha float32, a0 []float32, b []uint16, ldb int, c0 []float32)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // gemmOrdered spells, one scalar operation at a time, the float32 operation
@@ -89,15 +91,59 @@ func newOrderedCase(rng *rand.Rand, transB bool, m, n, k int, alpha, beta float3
 // mismatch runs Gemm on C where it sits and the ordered reference on a copy,
 // and returns the first element (padding included) whose bits differ, or -1.
 func (tc *orderedCase) mismatch() (at int, got, want float32) {
+	return tc.mismatchOf(func(c []float32) {
+		Gemm(false, tc.transB, tc.m, tc.n, tc.k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, c, tc.ldc)
+	})
+}
+
+// halfB stores the case's B (NN) as binary16, off+1 (mod 4) halves into its
+// allocation, salted with the halves a conversion must carry exactly: ±0 and
+// subnormals one element in eight, ±Inf and the encoder's quiet NaN one in
+// sixty-four. tc.b becomes their decoded values, the B the ordered reference
+// reads.
+func (tc *orderedCase) halfB(rng *rand.Rand, off int) Half {
+	bOff := (off + 1) & 3
+	h := make(Half, len(tc.b)+bOff)[bOff:]
+	tensor.EncodeF16Slice(h, tc.b)
+	for i := range h {
+		switch r := rng.Intn(64); {
+		case r < 8:
+			h[i] = [4]uint16{0x0000, 0x8000, 0x0001, 0x83ff}[r&3]
+		case r == 8:
+			h[i] = [4]uint16{0x7c00, 0xfc00, 0x7e00, 0xfe00}[rng.Intn(4)]
+		}
+	}
+	tensor.DecodeF16Slice(tc.b, h)
+	return h
+}
+
+// mismatchHalf is mismatch for GemmHalfB over h, B's binary16 storage.
+func (tc *orderedCase) mismatchHalf(h Half) (at int, got, want float32) {
+	return tc.mismatchOf(func(c []float32) {
+		GemmHalfB(tc.m, tc.n, tc.k, tc.alpha, tc.a, tc.lda, h, tc.ldb, tc.beta, c, tc.ldc)
+	})
+}
+
+// mismatchOf runs gemm on C where it sits and the ordered reference on a
+// copy, and returns the first element (padding included) whose bits differ,
+// or -1.
+func (tc *orderedCase) mismatchOf(gemm func(c []float32)) (at int, got, want float32) {
 	g, w := tc.c, append([]float32(nil), tc.c...)
-	Gemm(false, tc.transB, tc.m, tc.n, tc.k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, g, tc.ldc)
+	gemm(g)
 	gemmOrdered(tc.transB, tc.m, tc.n, tc.k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, w, tc.ldc)
 	for i := range g {
-		if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
+		if !sameBits(g[i], w[i]) {
 			return i, g[i], w[i]
 		}
 	}
 	return -1, 0, 0
+}
+
+// sameBits reports whether x and y have the same bits, or are both NaN: a
+// NaN's sign and payload come from whichever operand the hardware or the
+// compiler put first, and the order invariant does not fix that.
+func sameBits(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || math.IsNaN(float64(x)) && math.IsNaN(float64(y))
 }
 
 // nnBody is one body of the NN kernels: use switches gemmNN to it.
@@ -167,22 +213,72 @@ func TestGemmBitIdenticalToOrderedReference(t *testing.T) {
 }
 
 // TestGemmRowsIndependent: row i of an m-row call equals the one-row call on
-// that row, bit for bit — what batched == solo rests on — on each NN body.
+// that row, bit for bit — what batched == solo rests on — on each NN body,
+// for Gemm and for GemmHalfB, whose m-row calls above halfLoadMaxRows decode
+// B once where its one-row calls convert it in the load.
 func TestGemmRowsIndependent(t *testing.T) {
 	eachNNBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(15))
-		for _, transB := range []bool{false, true} {
+		for _, kind := range []string{"nn", "nt", "nnh"} {
+			transB := kind == "nt"
 			for m := 1; m <= 9; m++ {
 				tc := newOrderedCase(rng, transB, m, 37, 35, orderedAlphas[2], 0.5, m)
+				gemm := func(m int, a, c []float32) {
+					Gemm(false, transB, m, tc.n, tc.k, tc.alpha, a, tc.lda, tc.b, tc.ldb, tc.beta, c, tc.ldc)
+				}
+				if kind == "nnh" {
+					h := tc.halfB(rng, m)
+					gemm = func(m int, a, c []float32) {
+						GemmHalfB(m, tc.n, tc.k, tc.alpha, a, tc.lda, h, tc.ldb, tc.beta, c, tc.ldc)
+					}
+				}
 				all := append([]float32(nil), tc.c...)
-				Gemm(false, transB, m, tc.n, tc.k, tc.alpha, tc.a, tc.lda, tc.b, tc.ldb, tc.beta, all, tc.ldc)
+				gemm(m, tc.a, all)
 				for i := 0; i < m; i++ {
 					row := append([]float32(nil), tc.c[i*tc.ldc:(i+1)*tc.ldc]...)
-					Gemm(false, transB, 1, tc.n, tc.k, tc.alpha, tc.a[i*tc.lda:], tc.lda, tc.b, tc.ldb, tc.beta, row, tc.ldc)
+					gemm(1, tc.a[i*tc.lda:], row)
 					for j := range row {
-						if math.Float32bits(row[j]) != math.Float32bits(all[i*tc.ldc+j]) {
-							t.Fatalf("transB=%v m=%d: row %d col %d alone %g, batched %g", transB, m, i, j, row[j], all[i*tc.ldc+j])
+						if !sameBits(row[j], all[i*tc.ldc+j]) {
+							t.Fatalf("%s m=%d: row %d col %d alone %g, batched %g", kind, m, i, j, row[j], all[i*tc.ldc+j])
 						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGemmHalfBBitIdenticalToOrderedReference holds GemmHalfB to the ordered
+// reference over its decoded B, on each NN body: m 1…9 (the convert-in-load
+// kernels up to halfLoadMaxRows rows, B decoded once above), every n 1…49
+// against the sixteen-, eight-, four-lane and scalar steps, every k mod 4
+// tail, every operand alignment, and B holding ±0, subnormals, ±Inf and NaN.
+func TestGemmHalfBBitIdenticalToOrderedReference(t *testing.T) {
+	eachNNBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(39))
+		check := func(m, n, k int, alpha, beta float32, off int) {
+			tc := newOrderedCase(rng, false, m, n, k, alpha, beta, off)
+			if at, got, want := tc.mismatchHalf(tc.halfB(rng, off)); at >= 0 {
+				t.Fatalf("m=%d n=%d k=%d alpha=%g beta=%g off=%d: c[%d] = %g (%#08x), ordered reference %g (%#08x)",
+					m, n, k, alpha, beta, off, at, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+		}
+		for _, alpha := range orderedAlphas {
+			for _, beta := range orderedBetas {
+				for m := 1; m <= 9; m++ {
+					for _, n := range []int{1, 5, 37} {
+						for _, k := range []int{0, 1, 3, 4, 6, 13, 32, 35} {
+							check(m, n, k, alpha, beta, 0)
+						}
+					}
+				}
+			}
+		}
+		for _, m := range []int{1, 2, 3, 5} {
+			for n := 1; n <= 49; n++ {
+				for k := 0; k <= 9; k++ {
+					for off := 0; off < 4; off++ {
+						check(m, n, k, orderedAlphas[2], 0.5, off)
 					}
 				}
 			}
@@ -192,7 +288,8 @@ func TestGemmRowsIndependent(t *testing.T) {
 
 // FuzzGemmOrderedReference lets the fuzzer pick shape, scalars and data seed;
 // the seed's low bits also set how far the operands sit off their allocations.
-// Every NN body runs each input.
+// Every NN body runs each input, and an NN input runs again through GemmHalfB
+// with a binary16 B.
 func FuzzGemmOrderedReference(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(100), uint8(32), true, uint8(2), uint8(0))
 	f.Add(int64(2), uint8(8), uint8(128), uint8(128), false, uint8(0), uint8(0))
@@ -206,9 +303,17 @@ func FuzzGemmOrderedReference(f *testing.F) {
 		defer bodies[0].use()
 		for _, body := range bodies {
 			body.use()
-			tc := newOrderedCase(rand.New(rand.NewSource(seed)), transB, int(m), int(n), int(k), alpha, beta, int(seed&3))
+			rng := rand.New(rand.NewSource(seed))
+			tc := newOrderedCase(rng, transB, int(m), int(n), int(k), alpha, beta, int(seed&3))
 			if at, got, want := tc.mismatch(); at >= 0 {
 				t.Fatalf("%s: c[%d] = %g, ordered reference %g", body.name, at, got, want)
+			}
+			if transB {
+				continue
+			}
+			tc = newOrderedCase(rng, false, int(m), int(n), int(k), alpha, beta, int(seed&3))
+			if at, got, want := tc.mismatchHalf(tc.halfB(rng, int(seed&3))); at >= 0 {
+				t.Fatalf("%s, binary16 B: c[%d] = %g, ordered reference %g", body.name, at, got, want)
 			}
 		}
 	})

@@ -1,5 +1,5 @@
-// Package cpufeat is the one CPU feature probe: blas and kernels read it to
-// pick the widest assembly body of a kernel the CPU can run. It has no option,
+// Package cpufeat is the one CPU feature probe: blas, kernels and tensor read
+// it to pick the widest assembly body of a kernel the CPU can run. It has no option,
 // flag or environment variable. The probe exists where the assembly does, on
 // amd64 without -tags purego.
 package cpufeat

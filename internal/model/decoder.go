@@ -49,14 +49,45 @@ type Decoder struct {
 	// in the same MemoryStats as encoder activations and KV caches.
 	scr *decodeScratch
 
-	// fp16 fast path (EnableFP16): layersF16/projF16 carry every GEMM weight
-	// rounded through binary16 once — binary16-valued fp32, so the decode
-	// GEMMs are the plain fp32 kernels with no per-call conversion (biases
-	// and LayerNorm parameters are shared with layers). KV caches and the
-	// cross memory store real binary16.
+	// fp16 route (EnableFP16): layersF16 holds each layer's ten GEMM weights
+	// and projF16 the vocabulary projection as binary16 storage — half the
+	// bytes of layers' fp32, which a decode step streams from beyond L2 —
+	// read through blas.GemmHalfB. Biases and LayerNorm parameters are
+	// layers'. KV caches and the cross memory store binary16 too.
 	fp16      bool
-	layersF16 []decoderLayerWeights
-	projF16   *tensor.Tensor
+	layersF16 []layerHalves
+	projF16   blas.Half
+}
+
+// layerHalves is one decoder layer's GEMM weights as binary16 storage,
+// named as in decoderLayerWeights.
+type layerHalves struct {
+	selfWq, selfWk, selfWv, selfWo     blas.Half
+	crossWq, crossWk, crossWv, crossWo blas.Half
+	ffnW1, ffnW2                       blas.Half
+}
+
+// noHalves is the fp32 route's layerHalves: every weight reads as fp32.
+var noHalves layerHalves
+
+// halves returns layer l's binary16 weights on the fp16 route, noHalves on
+// fp32.
+func (d *Decoder) halves(l int) *layerHalves {
+	if d.fp16 {
+		return &d.layersF16[l]
+	}
+	return &noHalves
+}
+
+// project computes out = in·W over rows rows of in: through W's binary16
+// storage wh when it has one (the fp16 route), else through W.
+func project(rows int, in []float32, w *tensor.Tensor, wh blas.Half, out []float32) {
+	k, n := w.Dim(0), w.Dim(1)
+	if wh != nil {
+		blas.GemmHalfB(rows, n, k, 1, in, k, wh, n, 0, out, n)
+		return
+	}
+	blas.Gemm(false, false, rows, n, k, 1, in, k, w.Data(), n, 0, out, n)
 }
 
 // NewDecoder builds a decoder with deterministic random weights.
@@ -126,21 +157,22 @@ func (cc *crossCache) bytes() int64 {
 
 // newCrossCache projects the encoder memory through every layer's
 // cross-attention K/V weights once per request. On the fp16 route (half) the
-// memory rounds through binary16 once, the projections are fp32 GEMMs
-// against the pre-rounded weights, and the projected rows round through
-// binary16 where they stand: the binary16 words are encoded from them, and the
-// rounded buffer — bit for bit what decoding those words gives — stays on as
-// the spans' decoded view, so the rows convert once, not at every step.
+// memory rounds through binary16 once, the projections read the binary16
+// weights (srcLen rows: blas.GemmHalfB decodes them once per call), and the
+// projected rows round through binary16 where they stand: the binary16 words
+// are encoded from them, and the rounded buffer — bit for bit what decoding
+// those words gives — stays on as the spans' decoded view, so the rows
+// convert once, not at every step.
 func (d *Decoder) newCrossCache(memory *tensor.Tensor, half bool) *crossCache {
 	h := d.Cfg.Hidden
 	srcLen := memory.Dim(0)
-	layers, mem := d.layers, memory.Data()
+	mem := memory.Data()
 	if half {
-		layers, mem = d.layersF16, memory.RoundedF16().Data()
+		mem = memory.RoundedF16().Data()
 	}
-	project := func(w, bias *tensor.Tensor) kernels.KVSpans {
+	projectKV := func(w *tensor.Tensor, wh blas.Half, bias *tensor.Tensor) kernels.KVSpans {
 		rows := make([]float32, srcLen*h)
-		blas.Gemm(false, false, srcLen, h, h, 1, mem, h, w.Data(), h, 0, rows, h)
+		project(srcLen, mem, w, wh, rows)
 		kernels.AddBias(rows, bias.Data(), srcLen, h)
 		if !half {
 			return kernels.OneSpan(rows, srcLen, false)
@@ -151,10 +183,13 @@ func (d *Decoder) newCrossCache(memory *tensor.Tensor, half bool) *crossCache {
 		return span
 	}
 	cc := &crossCache{srcLen: srcLen, hidden: h}
-	for l := range layers {
-		lw := &layers[l]
-		cc.k = append(cc.k, project(lw.crossWk, lw.crossBk))
-		cc.v = append(cc.v, project(lw.crossWv, lw.crossBv))
+	for l := range d.layers {
+		lw, hw := &d.layers[l], &noHalves
+		if half {
+			hw = &d.layersF16[l]
+		}
+		cc.k = append(cc.k, projectKV(lw.crossWk, hw.crossWk, lw.crossBk))
+		cc.v = append(cc.v, projectKV(lw.crossWv, hw.crossWv, lw.crossBv))
 	}
 	return cc
 }

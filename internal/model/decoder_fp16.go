@@ -1,37 +1,38 @@
 package model
 
-import "repro/internal/tensor"
+import "repro/internal/blas"
 
 // FP16 decode support: the Turbo-TC route through the Seq2Seq decoder.
-// Weights are rounded to binary16 once at enable time and activations once
-// where they are produced (the Tensor Core load conversion), both kept as
-// binary16-VALUED fp32 so every weight GEMM is the plain fp32 kernel; KV rows
-// and the cross memory are binary16 STORAGE (see KVCache/BlockKVCache half
-// mode), decoded at access by the one decode-attention kernel and its per-row
-// oracle (Decoder.attend), which see the storage format on the span view —
-// except that the cross memory, which never changes, is decoded once per
-// running session and read from that view by the kernel (ccRef); accumulation
-// and all reductions stay fp32.
+// Weights are encoded to binary16 STORAGE once at enable time and read by
+// blas.GemmHalfB, which converts them exactly in the GEMM's load (the Tensor
+// Core load conversion), so a decode step streams half the weight bytes.
+// Activations round once where they are produced and stay binary16-VALUED
+// fp32. KV rows and the cross memory are binary16 storage (see
+// KVCache/BlockKVCache half mode), decoded at access by the one
+// decode-attention kernel and its per-row oracle (Decoder.attend), which see
+// the storage format on the span view — except that the cross memory, which
+// never changes, is decoded once per running session and read from that view
+// by the kernel (ccRef); accumulation and all reductions stay fp32.
 
 // EnableFP16 switches the decoder's generation route to binary16 numerics
-// with fp32 accumulation, rounding every GEMM weight through binary16 once.
-// Must be called before sessions are opened (existing fp32 KV caches are not
-// converted). Idempotent.
+// with fp32 accumulation, encoding every GEMM weight to binary16 once (the
+// fp32 weights stay, for the fp32 oracle). Must be called before sessions are
+// opened (existing fp32 KV caches are not converted). Idempotent.
 func (d *Decoder) EnableFP16() {
 	if d.fp16 {
 		return
 	}
 	d.fp16 = true
-	d.projF16 = d.Proj.RoundedF16()
-	d.layersF16 = append([]decoderLayerWeights(nil), d.layers...)
-	for l := range d.layersF16 {
-		lw := &d.layersF16[l]
-		for _, w := range []**tensor.Tensor{
-			&lw.selfWq, &lw.selfWk, &lw.selfWv, &lw.selfWo,
-			&lw.crossWq, &lw.crossWk, &lw.crossWv, &lw.crossWo,
-			&lw.ffnW1, &lw.ffnW2,
-		} {
-			*w = (*w).RoundedF16()
+	d.projF16 = blas.EncodeHalf(d.Proj.Data())
+	d.layersF16 = make([]layerHalves, len(d.layers))
+	for l := range d.layers {
+		lw, hw := &d.layers[l], &d.layersF16[l]
+		*hw = layerHalves{
+			selfWq: blas.EncodeHalf(lw.selfWq.Data()), selfWk: blas.EncodeHalf(lw.selfWk.Data()),
+			selfWv: blas.EncodeHalf(lw.selfWv.Data()), selfWo: blas.EncodeHalf(lw.selfWo.Data()),
+			crossWq: blas.EncodeHalf(lw.crossWq.Data()), crossWk: blas.EncodeHalf(lw.crossWk.Data()),
+			crossWv: blas.EncodeHalf(lw.crossWv.Data()), crossWo: blas.EncodeHalf(lw.crossWo.Data()),
+			ffnW1: blas.EncodeHalf(lw.ffnW1.Data()), ffnW2: blas.EncodeHalf(lw.ffnW2.Data()),
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -191,10 +192,12 @@ func TestGoldenFP16PackedLogits(t *testing.T) {
 }
 
 // TestFP16ProjectionMatchesGemmF16Oracle keeps the storage-form primitive as
-// the oracle of the convert-once route: a decoder projection computed the way
-// Step does it on the fp16 route — activation rounded once, fp32 GEMM against the weight
-// EnableFP16 pre-rounded — must equal blas.GemmF16 over the EncodeHalf'ed
-// activation and ORIGINAL weight bit for bit, bias and all.
+// the oracle of the fp16 route: a decoder projection computed the way Step
+// does it — activation rounded once, blas.GemmHalfB over the binary16 weight
+// EnableFP16 stored — must equal blas.GemmF16 over the EncodeHalf'ed
+// activation and ORIGINAL weight bit for bit, for all ten weights of every
+// layer and the vocabulary projection, at 1, 2 and 3 rows (B converted in
+// the GEMM's load) and 8 (B decoded once).
 func TestFP16ProjectionMatchesGemmF16Oracle(t *testing.T) {
 	cfg := genTestConfig()
 	d, err := NewDecoder(cfg, 42)
@@ -202,20 +205,29 @@ func TestFP16ProjectionMatchesGemmF16Oracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.EnableFP16()
-	const rows = 5
+	type weight struct {
+		name string
+		orig *tensor.Tensor
+		half blas.Half
+	}
+	weights := []weight{{"proj", d.Proj, d.projF16}}
 	for l := range d.layers {
-		orig, pre := &d.layers[l], &d.layersF16[l]
-		for _, w := range []struct {
-			name      string
-			orig, pre *tensor.Tensor
-		}{
-			{"selfWq", orig.selfWq, pre.selfWq},
-			{"crossWk", orig.crossWk, pre.crossWk},
-			{"ffnW1", orig.ffnW1, pre.ffnW1},
-			{"ffnW2", orig.ffnW2, pre.ffnW2},
+		lw, hw := &d.layers[l], d.halves(l)
+		for _, w := range []weight{
+			{"selfWq", lw.selfWq, hw.selfWq}, {"selfWk", lw.selfWk, hw.selfWk},
+			{"selfWv", lw.selfWv, hw.selfWv}, {"selfWo", lw.selfWo, hw.selfWo},
+			{"crossWq", lw.crossWq, hw.crossWq}, {"crossWk", lw.crossWk, hw.crossWk},
+			{"crossWv", lw.crossWv, hw.crossWv}, {"crossWo", lw.crossWo, hw.crossWo},
+			{"ffnW1", lw.ffnW1, hw.ffnW1}, {"ffnW2", lw.ffnW2, hw.ffnW2},
 		} {
-			k, n := w.orig.Dim(0), w.orig.Dim(1)
-			x := tensor.RandN(int64(300+l), 1.5, rows, k).Data()
+			w.name = fmt.Sprintf("layer %d %s", l, w.name)
+			weights = append(weights, w)
+		}
+	}
+	for wi, w := range weights {
+		k, n := w.orig.Dim(0), w.orig.Dim(1)
+		for _, rows := range []int{1, 2, 3, 8, 9} {
+			x := tensor.RandN(int64(300+wi), 1.5, rows, k).Data()
 
 			want := make([]float32, rows*n)
 			blas.GemmF16(false, false, rows, n, k, 1, blas.EncodeHalf(x), k, blas.EncodeHalf(w.orig.Data()), n, 0, want, n)
@@ -223,10 +235,10 @@ func TestFP16ProjectionMatchesGemmF16Oracle(t *testing.T) {
 			xr := make([]float32, len(x))
 			tensor.RoundF16Into(xr, x)
 			got := make([]float32, rows*n)
-			blas.Gemm(false, false, rows, n, k, 1, xr, k, w.pre.Data(), n, 0, got, n)
+			project(rows, xr, w.orig, w.half, got)
 
 			if digestFloats(got) != digestFloats(want) {
-				t.Fatalf("layer %d %s: rounded-fp32 projection diverges from GemmF16 over encoded operands", l, w.name)
+				t.Fatalf("%s, %d rows: binary16-weight projection diverges from GemmF16 over encoded operands", w.name, rows)
 			}
 		}
 	}

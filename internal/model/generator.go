@@ -335,11 +335,11 @@ func (s *GenSession) Close() {
 // continuous scheduler must evict them between iterations.
 //
 // On the fp16 route the loop is the same and every projection's operands are
-// binary16-valued: the weights were rounded once by EnableFP16, each
-// activation rounds once where it is produced, and the GEMM itself is the
-// fp32 kernel (bit-identical to blas.GemmF16 over the encoded operands,
-// without its per-call decode). The KV stores cast rows to binary16 as they
-// are appended, and the attention kernel reads that off the span views.
+// binary16: the weights were encoded once by EnableFP16 and blas.GemmHalfB
+// converts them in its load, and each activation rounds once where it is
+// produced (bit-identical to blas.GemmF16 over the encoded operands, without
+// its per-call decode). The KV stores cast rows to binary16 as they are
+// appended, and the attention kernel reads that off the span views.
 func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 	rows := len(sessions)
 	if rows == 0 {
@@ -403,11 +403,9 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 	// the next call. Activations with the GEMM as their only consumer
 	// (attention context, FFN intermediate, the final hidden rows) round in
 	// place. On fp32 both are the identity.
-	layers, vocabProj := d.layers, d.Proj
 	operand := func(in []float32) []float32 { return in }
 	roundInPlace := func([]float32) {}
 	if d.fp16 {
-		layers, vocabProj = d.layersF16, d.projF16
 		operand = func(in []float32) []float32 {
 			xr := scr.roundedIn(len(in))
 			tensor.RoundF16Into(xr, in)
@@ -415,16 +413,18 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 		}
 		roundInPlace = tensor.RoundSliceF16
 	}
-	batchedLinear := func(in []float32, w *tensorMat, out []float32) {
-		blas.Gemm(false, false, rows, w.n, w.k, 1, in, w.k, w.data, w.n, 0, out, w.n)
-		if w.bias != nil {
-			kernels.AddBias(out, w.bias, rows, w.n)
+	// batchedLinear is out = in·W + bias over the step's rows, W read as its
+	// binary16 storage wh on the fp16 route (nil on fp32).
+	batchedLinear := func(in []float32, w *tensor.Tensor, wh blas.Half, bias *tensor.Tensor, out []float32) {
+		project(rows, in, w, wh, out)
+		if bias != nil {
+			kernels.AddBias(out, bias.Data(), rows, w.Dim(1))
 		}
 	}
 	// projectNorm closes a sub-layer: x = LayerNorm(x + (in·W + bias)), the
 	// bias, residual and normalisation in one pass over the rows.
-	projectNorm := func(in []float32, w, bias, gamma, beta *tensor.Tensor) {
-		blas.Gemm(false, false, rows, h, w.Dim(0), 1, in, w.Dim(0), w.Data(), h, 0, proj, h)
+	projectNorm := func(in []float32, w *tensor.Tensor, wh blas.Half, bias, gamma, beta *tensor.Tensor) {
+		project(rows, in, w, wh, proj)
 		kernels.AddBiasLayerNorm(x, proj, bias.Data(), gamma.Data(), beta.Data(), rows, h, 1e-5)
 	}
 	// attention runs the gathered views (scr.keys/vals/lens, one entry per
@@ -443,16 +443,16 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 		roundInPlace(ctx)
 	}
 
-	for l := range layers {
-		lw := &layers[l]
+	for l := range d.layers {
+		lw, hw := &d.layers[l], d.halves(l)
 
 		// Self-attention: batched projections, then ragged attention over
 		// each session's own KV — the row just appended included — read
 		// straight through its span view, no gather copy.
 		xr := operand(x)
-		batchedLinear(xr, mat(lw.selfWq, lw.selfBq), q)
-		batchedLinear(xr, mat(lw.selfWk, lw.selfBk), kNew)
-		batchedLinear(xr, mat(lw.selfWv, lw.selfBv), vNew)
+		batchedLinear(xr, lw.selfWq, hw.selfWq, lw.selfBq, q)
+		batchedLinear(xr, lw.selfWk, hw.selfWk, lw.selfBk, kNew)
+		batchedLinear(xr, lw.selfWv, hw.selfWv, lw.selfBv, vNew)
 		scr.clearGather()
 		for ri, s := range sessions {
 			s.kv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
@@ -461,30 +461,30 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 			scr.lens = append(scr.lens, s.kv.Len()+1)
 		}
 		attention(sumSelf)
-		projectNorm(ctx, lw.selfWo, lw.selfBo, lw.selfLnG, lw.selfLnB)
+		projectNorm(ctx, lw.selfWo, hw.selfWo, lw.selfBo, lw.selfLnG, lw.selfLnB)
 
 		// Cross-attention against each session's own prompt memory, grouped
 		// the same way (ragged srcLen per session).
-		batchedLinear(operand(x), mat(lw.crossWq, lw.crossBq), q)
+		batchedLinear(operand(x), lw.crossWq, hw.crossWq, lw.crossBq, q)
 		scr.clearGather()
 		for _, s := range sessions {
 			scr.keys, scr.vals = append(scr.keys, s.cc.k[l]), append(scr.vals, s.cc.v[l])
 			scr.lens = append(scr.lens, s.cc.srcLen)
 		}
 		attention(sumCross)
-		projectNorm(ctx, lw.crossWo, lw.crossBo, lw.crossLnG, lw.crossLnB)
+		projectNorm(ctx, lw.crossWo, hw.crossWo, lw.crossBo, lw.crossLnG, lw.crossLnB)
 
 		// Feed-forward network, batched; bias and activation in one sweep.
-		batchedLinear(operand(x), mat(lw.ffnW1, nil), interBuf)
+		batchedLinear(operand(x), lw.ffnW1, hw.ffnW1, nil, interBuf)
 		kernels.AddBiasAct(g.Cfg.Act, interBuf, lw.ffnB1.Data(), rows, inter)
 		roundInPlace(interBuf)
-		projectNorm(interBuf, lw.ffnW2, lw.ffnB2, lw.ffnLnG, lw.ffnLnB)
+		projectNorm(interBuf, lw.ffnW2, hw.ffnW2, lw.ffnB2, lw.ffnLnG, lw.ffnLnB)
 	}
 
 	// Vocabulary projection and greedy argmax per session.
 	logits := scr.logits[:rows*vocab]
 	roundInPlace(x)
-	batchedLinear(x, mat(vocabProj, nil), logits)
+	batchedLinear(x, d.Proj, d.projF16, nil, logits)
 	out := make([]int, rows)
 	for ri, s := range sessions {
 		tok := argmax(logits[ri*vocab : (ri+1)*vocab])
@@ -510,20 +510,4 @@ func argmax(vals []float32) int {
 		}
 	}
 	return best
-}
-
-// tensorMat bundles a weight matrix with its optional bias for
-// batchedLinear.
-type tensorMat struct {
-	data []float32
-	bias []float32
-	k, n int
-}
-
-func mat(w, b *tensor.Tensor) *tensorMat {
-	m := &tensorMat{data: w.Data(), k: w.Dim(0), n: w.Dim(1)}
-	if b != nil {
-		m.bias = b.Data()
-	}
-	return m
 }

@@ -62,8 +62,9 @@ func closeAll(live []*GenSession) {
 // self-attention context is 250 rows, so on fp16 the decode of the binary16
 // self-KV dominates and the cross memory is invisible. ledger/ is the mix
 // behind the live benchmark's core.step_us_per_tok — a 40-row prompt memory,
-// a 24-token budget: the cross memory is most of what a step reads, and the
-// fp16 ÷ fp32 ratio there is what generate-fp16 pays against
+// a 24-token budget: the weights are most of what a step reads (2 MiB of
+// fp32, 1 MiB of binary16 on fp16, against ≈ 80 KiB of decoded cross K/V),
+// and the fp16 ÷ fp32 ratio there is what generate-fp16 pays against
 // generate-unshared.
 func BenchmarkGeneratorStep(b *testing.B) {
 	cell := func(fp16 bool, batch, mem, maxNew int) func(b *testing.B) {

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // IEEE 754 binary16 conversion, used to emulate the Turbo-TC path: Tensor
 // Cores consume FP16 inputs and accumulate in FP32, so rounding operands
@@ -53,33 +50,23 @@ func F32ToF16Bits(f float32) uint16 {
 	}
 }
 
-// F16BitsToF32 converts binary16 bits back to float32.
+// F16BitsToF32 converts binary16 bits back to float32: the exponent rebias
+// and fraction shift of a normal half, with Inf and NaN (the quiet NaN of the
+// sign) rebiased once more and a subnormal half m·2⁻²⁴ computed as
+// (2⁻¹⁴ + m·2⁻²⁴) − 2⁻¹⁴, which is exact. No call and no loop, so the Go loops
+// that convert in the load inline it.
 func F16BitsToF32(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h>>10) & 0x1f
-	frac := uint32(h & 0x3ff)
-
-	switch {
-	case exp == 0x1f: // Inf or NaN
-		if frac != 0 {
-			return math.Float32frombits(sign | 0x7fc00000)
+	u := uint32(h&0x7fff)<<13 + 112<<23
+	switch h & 0x7c00 {
+	case 0x7c00: // Inf or NaN
+		u += 112 << 23
+		if h&0x3ff != 0 {
+			u = 0x7fc00000
 		}
-		return math.Float32frombits(sign | 0x7f800000)
-	case exp == 0: // zero or denormal
-		if frac == 0 {
-			return math.Float32frombits(sign)
-		}
-		// Normalise the denormal.
-		e := uint32(113)
-		for frac&0x400 == 0 {
-			frac <<= 1
-			e--
-		}
-		frac &= 0x3ff
-		return math.Float32frombits(sign | (e << 23) | (frac << 13))
-	default:
-		return math.Float32frombits(sign | ((exp + 112) << 23) | (frac << 13))
+	case 0: // zero or subnormal
+		u = math.Float32bits(math.Float32frombits(u+1<<23) - 0x1p-14)
 	}
+	return math.Float32frombits(uint32(h&0x8000)<<16 | u)
 }
 
 // RoundF16 returns x rounded through binary16 (the value a Tensor Core
@@ -112,15 +99,14 @@ const (
 // round-to-nearest-even does the work and subtracting 0.5 is exact. From
 // 65520 up the result is ±Inf, and a NaN is the quiet NaN of its sign.
 //
-// Whole groups of four go through roundF16Lanes (SSE2 on amd64, roundF16Go
-// everywhere else and under -tags purego), the last len mod 4 elements
-// through roundF16Go; the build constraint is the only fork.
+// On amd64 with F16C, whole groups of eight go through the CPU's converter
+// (roundF16Lanes, lanes_amd64.s) and the rest through roundF16Go; everywhere
+// else, and under -tags purego, roundF16Go takes them all.
 func RoundF16Into(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: RoundF16Into length mismatch")
 	}
-	n := len(src) &^ 3
-	roundF16Lanes(dst[:n], src[:n])
+	n := roundF16Lanes(dst, src)
 	roundF16Go(dst[n:], src[n:])
 }
 
@@ -152,25 +138,6 @@ func (t *Tensor) RoundedF16() *Tensor {
 	return c
 }
 
-// f16DecodeTable maps every binary16 bit pattern to its float32 value. At
-// 65536 entries (256 KiB) it turns the branchy F16BitsToF32 into one load,
-// which matters on the fp16 fast path: every GEMM decodes its binary16
-// operands into fp32 scratch before accumulating.
-var (
-	f16DecodeOnce  sync.Once
-	f16DecodeTable []float32
-)
-
-func f16Table() []float32 {
-	f16DecodeOnce.Do(func() {
-		f16DecodeTable = make([]float32, 1<<16)
-		for h := 0; h < 1<<16; h++ {
-			f16DecodeTable[h] = F16BitsToF32(uint16(h))
-		}
-	})
-	return f16DecodeTable
-}
-
 // EncodeF16Slice rounds src through binary16 and stores the bit patterns in
 // dst (round-to-nearest-even, the Tensor Core load conversion). dst and src
 // must have equal length. Split over encodeF16Lanes and encodeF16Go the way
@@ -179,8 +146,7 @@ func EncodeF16Slice(dst []uint16, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: EncodeF16Slice length mismatch")
 	}
-	n := len(src) &^ 3
-	encodeF16Lanes(dst[:n], src[:n])
+	n := encodeF16Lanes(dst, src)
 	encodeF16Go(dst[n:], src[n:])
 }
 
@@ -194,17 +160,17 @@ func encodeF16Go(dst []uint16, src []float32) {
 // DecodeF16Slice expands binary16 bit patterns into float32 values. Because
 // every binary16 value is exactly representable in float32,
 // DecodeF16Slice∘EncodeF16Slice equals RoundSliceF16 bit for bit — the
-// identity the fp16 GEMM route's bit-exactness tests pin. Unlike the two
-// conversions above it has no lanes: a look-up in the warm table is one load
-// per element, and the shortest exact four-lane SSE2 sequence was measured
-// nearly twice as slow (DESIGN.md §2d; BenchmarkDecodeF16Slice keeps the
+// identity the fp16 GEMM route's bit-exactness tests pin. Split over
+// decodeF16Lanes and F16BitsToF32 the way RoundF16Into is: the conversion is
+// exact, so VCVTPH2PS gives the codec's value on every half but a NaN, whose
+// payload the lanes clear (DESIGN.md §2d; BenchmarkDecodeF16Slice keeps the
 // number re-checkable).
 func DecodeF16Slice(dst []float32, src []uint16) {
 	if len(dst) != len(src) {
 		panic("tensor: DecodeF16Slice length mismatch")
 	}
-	table := f16Table()
-	for i, h := range src {
-		dst[i] = table[h]
+	n := decodeF16Lanes(dst, src)
+	for i, h := range src[n:] {
+		dst[n+i] = F16BitsToF32(h)
 	}
 }

@@ -2,10 +2,11 @@
 
 package tensor
 
-// The two lane conversions in Go: the build for every target without
-// assembly (and for -tags purego), and the definition lanes_amd64.s is held
-// to.
+// Without the assembly (every target but amd64, and -tags purego) the Go
+// twins convert every element.
 
-func roundF16Lanes(dst, src []float32) { roundF16Go(dst, src) }
+func decodeF16Lanes(dst []float32, src []uint16) int { return 0 }
 
-func encodeF16Lanes(dst []uint16, src []float32) { encodeF16Go(dst, src) }
+func encodeF16Lanes(dst []uint16, src []float32) int { return 0 }
+
+func roundF16Lanes(dst, src []float32) int { return 0 }

@@ -6,9 +6,10 @@ import (
 )
 
 // checkLanes runs src through RoundF16Into (into a fresh destination and in
-// place) and EncodeF16Slice and holds every element to the scalar codec,
-// F32ToF16Bits and F16BitsToF32 of it. On amd64 that is assembly == Go twin
-// == codec; under -tags purego the Go twin alone.
+// place) and EncodeF16Slice, and the encoded halves through DecodeF16Slice,
+// and holds every element to the scalar codec, F32ToF16Bits and
+// F16BitsToF32 of it. On amd64 that is the converter body under test == Go
+// twin == codec; under -tags purego the Go twin alone.
 func checkLanes(t *testing.T, src []float32) {
 	t.Helper()
 	rounded := make([]float32, len(src))
@@ -17,6 +18,8 @@ func checkLanes(t *testing.T, src []float32) {
 	RoundF16Into(inPlace, inPlace)
 	enc := make([]uint16, len(src))
 	EncodeF16Slice(enc, src)
+	dec := make([]float32, len(src))
+	DecodeF16Slice(dec, enc)
 	twinR, twinE := make([]float32, len(src)), make([]uint16, len(src))
 	roundF16Go(twinR, src)
 	encodeF16Go(twinE, src)
@@ -36,6 +39,27 @@ func checkLanes(t *testing.T, src []float32) {
 		if enc[i] != h || twinE[i] != h {
 			t.Fatalf("EncodeF16Slice(%#08x) at %d of %d = %#04x, Go twin %#04x, codec %#04x", u, i, len(src), enc[i], twinE[i], h)
 		}
+		if got := math.Float32bits(dec[i]); got != want {
+			t.Fatalf("DecodeF16Slice(%#04x) at %d of %d = %#08x, codec %#08x", h, i, len(src), got, want)
+		}
+	}
+}
+
+// f16Body is one body of the slice conversions: use switches them to it.
+type f16Body struct {
+	name string
+	use  func()
+}
+
+// eachF16Body runs f as a subtest once per conversion body this build and
+// CPU have (f16Bodies), and leaves the conversions on the one the probe
+// picked.
+func eachF16Body(t *testing.T, f func(t *testing.T)) {
+	bodies := f16Bodies()
+	defer bodies[0].use()
+	for _, body := range bodies {
+		body.use()
+		t.Run(body.name, f)
 	}
 }
 
@@ -45,10 +69,10 @@ func checkLanes(t *testing.T, src []float32) {
 // exponent).
 var laneMantissas = []uint32{0, 1, 0xfff, 0x1000, 0x1001, 0x1fff, 0x2000, 0x3000, 0x7fffff}
 
-// TestF16LanesMatchCodec holds both lane conversions to the scalar codec on
-// every exponent × laneMantissas × both signs, each pattern in each of the
-// four lane positions among in-range neighbours (so it alone leaves the
-// whole-vector fast path, or does not) and among every other pattern's.
+// TestF16LanesMatchCodec holds the three slice conversions to the scalar
+// codec on every exponent × laneMantissas × both signs, each pattern in each
+// of sixteen lane positions among in-range neighbours (so it alone needs the
+// NaN fix, or does not) and among every other pattern's, on each body.
 func TestF16LanesMatchCodec(t *testing.T) {
 	var pats []float32
 	for exp := uint32(0); exp <= 0xff; exp++ {
@@ -58,29 +82,53 @@ func TestF16LanesMatchCodec(t *testing.T) {
 			}
 		}
 	}
-	// One pattern among three fast-path lanes, at every position.
+	// One pattern among fifteen ordinary lanes, at every position.
 	var src []float32
 	for _, p := range pats {
-		for pos := 0; pos < 4; pos++ {
-			g := [4]float32{1.5, -0.25, 0, 1000.25}
+		for pos := 0; pos < 16; pos++ {
+			g := [16]float32{1.5, -0.25, 0, 1000.25, 3, -7, 0.5, 2, 1.5, -0.25, 0, 1000.25, 3, -7, 0.5, 2}
 			g[pos] = p
 			src = append(src, g[:]...)
 		}
 	}
-	checkLanes(t, src)
-	// The patterns back to back at four alignments: slow-path lanes of every
-	// class share their vector with each other.
-	for shift := 0; shift < 4; shift++ {
-		checkLanes(t, pats[shift:])
-	}
+	eachF16Body(t, func(t *testing.T) {
+		checkLanes(t, src)
+		// The patterns back to back at every alignment of a vector: lanes
+		// of every class share their vector with each other.
+		for shift := 0; shift < 16; shift++ {
+			checkLanes(t, pats[shift:])
+		}
+	})
 }
 
-// TestF16LanesLengthsAndOffsets covers every length 0…33 (the group loop
-// against the element tail) on slices 0…3 elements off their allocation (no
-// alignment is assumed), with a mix of fast- and slow-path values, and checks
-// that nothing outside the destination is written.
+// TestF16DecodeAllHalves holds DecodeF16Slice to F16BitsToF32 on all 65 536
+// halves — NaN payloads included, where the converter needs its fix — at
+// every alignment of a vector, on each body.
+func TestF16DecodeAllHalves(t *testing.T) {
+	src := make([]uint16, 1<<16+16)
+	for i := range src {
+		src[i] = uint16(i)
+	}
+	dst := make([]float32, len(src))
+	eachF16Body(t, func(t *testing.T) {
+		for shift := 0; shift < 16; shift++ {
+			DecodeF16Slice(dst[shift:], src[shift:])
+			for i, h := range src[shift:] {
+				if got, want := math.Float32bits(dst[shift+i]), math.Float32bits(F16BitsToF32(h)); got != want {
+					t.Fatalf("shift %d: DecodeF16Slice(%#04x) = %#08x, codec %#08x", shift, h, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestF16LanesLengthsAndOffsets covers every length 0…49 (the sixteen- and
+// eight-lane loops against the element tail) on slices 0…3 elements off
+// their allocation (no alignment is assumed), with a mix of ordinary and
+// special values, and checks that nothing outside the destination is
+// written, on each body.
 func TestF16LanesLengthsAndOffsets(t *testing.T) {
-	vals := RandN(7, 1, 40).Data()
+	vals := RandN(7, 1, 56).Data()
 	for i := range vals {
 		switch i % 5 {
 		case 1:
@@ -89,27 +137,31 @@ func TestF16LanesLengthsAndOffsets(t *testing.T) {
 			vals[i] *= 1e6 // rounds to Inf
 		}
 	}
-	vals[11], vals[22] = float32(math.NaN()), float32(math.Inf(-1))
+	vals[11], vals[22], vals[37] = float32(math.NaN()), float32(math.Inf(-1)), math.Float32frombits(0xff800001)
 	const canary = 0x5a5a
-	for n := 0; n <= 33; n++ {
-		for off := 0; off < 4; off++ {
-			src := vals[off : off+n]
-			checkLanes(t, src)
+	eachF16Body(t, func(t *testing.T) {
+		for n := 0; n <= 49; n++ {
+			for off := 0; off < 4; off++ {
+				src := vals[off : off+n]
+				checkLanes(t, src)
 
-			dstF := make([]float32, off+n+1)
-			dstH := make([]uint16, off+n+1)
-			for i := range dstF {
-				dstF[i], dstH[i] = canary, canary
-			}
-			RoundF16Into(dstF[off:off+n], src)
-			EncodeF16Slice(dstH[off:off+n], src)
-			for i := range dstF {
-				if (i < off || i >= off+n) && (dstF[i] != canary || dstH[i] != canary) {
-					t.Fatalf("n=%d off=%d: wrote outside the destination at %d", n, off, i)
+				dstF := make([]float32, off+n+1)
+				dstH := make([]uint16, off+n+1)
+				dstD := make([]float32, off+n+1)
+				for i := range dstF {
+					dstF[i], dstH[i], dstD[i] = canary, canary, canary
+				}
+				RoundF16Into(dstF[off:off+n], src)
+				EncodeF16Slice(dstH[off:off+n], src)
+				DecodeF16Slice(dstD[off:off+n], dstH[off:off+n])
+				for i := range dstF {
+					if (i < off || i >= off+n) && (dstF[i] != canary || dstH[i] != canary || dstD[i] != canary) {
+						t.Fatalf("n=%d off=%d: wrote outside the destination at %d", n, off, i)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestF16ConversionsDoNotAllocate pins 0 allocs/op on the three slice
@@ -117,7 +169,6 @@ func TestF16LanesLengthsAndOffsets(t *testing.T) {
 func TestF16ConversionsDoNotAllocate(t *testing.T) {
 	src := RandN(9, 1, 131).Data()
 	dst, enc := make([]float32, len(src)), make([]uint16, len(src))
-	DecodeF16Slice(dst, enc) // builds the table
 	if a := testing.AllocsPerRun(20, func() {
 		RoundF16Into(dst, src)
 		EncodeF16Slice(enc, src)
@@ -143,19 +194,26 @@ func activationMix() []float32 {
 	return src
 }
 
-// benchElems runs fn over n elements per iteration and reports ns/element.
+// benchElems runs fn over n elements per iteration on each conversion body
+// this CPU has, as sub-benchmarks named after the body, and reports
+// ns/element.
 func benchElems(b *testing.B, n int, fn func()) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn()
+	bodies := f16Bodies()
+	defer bodies[0].use()
+	for _, body := range bodies {
+		b.Run(body.name, func(b *testing.B) {
+			body.use()
+			b.ReportAllocs()
+			for b.Loop() {
+				fn()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 }
 
 // BenchmarkRoundSliceF16 times the fp16 route's one conversion on the
-// activation mix (the rounding's blend path every other group) and on values
-// that are all in the normal half range (its whole-vector path).
+// activation mix and on values that are all in the normal half range.
 func BenchmarkRoundSliceF16(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -168,10 +226,10 @@ func BenchmarkRoundSliceF16(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeF16Slice and BenchmarkDecodeF16Slice sit beside it so the
-// decision DESIGN.md §2d records — lanes for round and encode, the table for
-// decode — stays re-checkable: ns/element, 0 allocs/op, against -tags purego
-// for the Go twins.
+// BenchmarkEncodeF16Slice and BenchmarkDecodeF16Slice sit beside it, so the
+// numbers DESIGN.md §2d records for the converter bodies stay re-checkable:
+// ns/element and 0 allocs/op on each body this CPU has (the sub-benchmark
+// names end in the body), against -tags purego for the Go twins.
 func BenchmarkEncodeF16Slice(b *testing.B) {
 	src := activationMix()
 	dst := make([]uint16, len(src))
