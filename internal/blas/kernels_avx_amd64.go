@@ -18,12 +18,9 @@ import "repro/internal/cpufeat"
 // this CPU has.
 var nnLanes = widestNNLanes()
 
-// f16c is whether the CPU converts binary16 in hardware.
-var f16c = cpufeat.F16C()
-
 // halfInLoad reports whether nnRows2H and nnRowH have a body on this CPU:
 // the eight- or sixteen-lane one, with F16C.
-func halfInLoad() bool { return f16c && nnLanes >= 8 }
+func halfInLoad() bool { return cpufeat.F16C() && nnLanes >= 8 }
 
 func widestNNLanes() int {
 	switch {
