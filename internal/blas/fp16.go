@@ -18,14 +18,15 @@ import (
 // the decoded B.
 //
 // Serving uses GemmHalfB for the decoder's weights, which the fp16 route
-// stores as binary16 so that a decode step streams half the bytes; its
-// activations are rounded once where they are produced and stay fp32. What
-// else is binary16 storage in serving — KV blocks and the cross memory — is
-// decoded by the one decode-attention kernel (kernels.DecodeWorkspace.
-// Attention) into its own scratch, so GemmF16 is the oracle and the ledger's
-// probe, not a serving call. The decode scratch is host-side emulation cost
-// and is not charged to the simulated device; on real hardware the
-// conversion happens inside the MMA load, not in a separate buffer.
+// stores as binary16 where HalfInLoad holds so that a decode step streams
+// half the bytes; its activations are rounded once where they are produced
+// and stay fp32. What else is binary16 storage in serving — KV blocks and
+// the cross memory — is decoded by the one decode-attention kernel
+// (kernels.DecodeWorkspace.Attention) into its own scratch, so GemmF16 is the
+// oracle and the ledger's probe, not a serving call. The decode scratch is
+// host-side emulation cost and is not charged to the simulated device; on
+// real hardware the conversion happens inside the MMA load, not in a separate
+// buffer.
 
 // Half is a binary16-encoded operand: each element is an IEEE 754 binary16
 // bit pattern as produced by tensor.F32ToF16Bits. It aliases []uint16 so
@@ -93,9 +94,9 @@ const halfLoadMaxRows = 8
 // + beta·C, A m×k and C m×n in fp32, B k×n. Every output element keeps Gemm's
 // operation sequence (gemmNN) on B's exactly converted values, so the result
 // is bit-identical to Gemm over tensor.DecodeF16Slice of B. Up to
-// halfLoadMaxRows rows the NN kernels convert B in their load (nnRows2H,
-// nnRowH): a decode step reads half the bytes. Above it, and on a CPU without
-// F16C, B is decoded once.
+// halfLoadMaxRows rows, where HalfInLoad holds, the NN kernels convert B in
+// their load (nnRows2H, nnRowH): a decode step reads half the bytes. Above
+// it, and everywhere else, B is decoded once.
 func GemmHalfB(m, n, k int, alpha float32, a []float32, lda int, b Half, ldb int, beta float32, c []float32, ldc int) {
 	checkGemmArgs(false, false, m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
 	if m > halfLoadMaxRows || !halfInLoad() {
@@ -105,6 +106,14 @@ func GemmHalfB(m, n, k int, alpha float32, a []float32, lda int, b Half, ldb int
 	gemmHalfBInLoad(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
+// HalfInLoad reports whether GemmHalfB converts B in the NN kernels' load on
+// this CPU and build: the AVX-512 and AVX bodies, with F16C. Where it does
+// not, every GemmHalfB call decodes B first, so a caller that multiplies by
+// the same binary16 values many times — the fp16 decoder's weights — keeps
+// them decoded instead and calls Gemm: the same bits, and the Go kernels read
+// twice the bytes faster than they convert them (kernels_generic.go).
+func HalfInLoad() bool { return halfInLoad() }
+
 // gemmHalfBDecoded is GemmHalfB with B decoded once into pooled scratch.
 func gemmHalfBDecoded(m, n, k int, alpha float32, a []float32, lda int, b Half, ldb int, beta float32, c []float32, ldc int) {
 	nb := operandElems(false, k, n, ldb)
@@ -112,21 +121,6 @@ func gemmHalfBDecoded(m, n, k int, alpha float32, a []float32, lda int, b Half, 
 	tensor.DecodeF16Slice(bf, b[:nb])
 	Gemm(false, false, m, n, k, alpha, a, lda, bf, ldb, beta, c, ldc)
 	putF16Scratch(pb)
-}
-
-// gemmHalfBInLoad is GemmHalfB with B converted in the kernels' load, on one
-// goroutine; halfInLoad must hold.
-func gemmHalfBInLoad(m, n, k int, alpha float32, a []float32, lda int, b Half, ldb int, beta float32, c []float32, ldc int) {
-	if !scaleC(alpha, beta, c, m, n, k, ldc) {
-		return
-	}
-	i := 0
-	for ; i+2 <= m; i += 2 {
-		nnRows2H(n, k, alpha, a[i*lda:], a[(i+1)*lda:], b, ldb, c[i*ldc:], c[(i+1)*ldc:])
-	}
-	if i < m {
-		nnRowH(n, k, alpha, a[i*lda:], b, ldb, c[i*ldc:])
-	}
 }
 
 // EncodeHalf rounds src through binary16 into a freshly allocated Half.

@@ -30,8 +30,9 @@
 // invariant rounds twice, so no body uses one. NN with a binary16 B
 // (GemmHalfB, fp16.go) runs the same two kernels with B converted in the
 // load (nnRows2H, nnRowH): the AVX-512 and AVX bodies with VCVTPH2PS where
-// the CPU has F16C, the Go twins elsewhere — the conversion is exact, so it
-// moves no bits either. NT has no binary16 form.
+// the CPU has F16C; elsewhere B is decoded once and the float32 kernels run
+// — the conversion is exact, so it moves no bits either. NT has no binary16
+// form.
 // Everything else in the package is Go on every target. Timing of GPU GEMMs
 // for the experiments is handled separately by the analytic model in
 // internal/perf.

@@ -56,6 +56,21 @@ func nnRow(n, k int, alpha float32, a0, b []float32, ldb int, c0 []float32) {
 	}
 }
 
+// gemmHalfBInLoad is GemmHalfB with B converted in the kernels' load, on one
+// goroutine; halfInLoad must hold.
+func gemmHalfBInLoad(m, n, k int, alpha float32, a []float32, lda int, b Half, ldb int, beta float32, c []float32, ldc int) {
+	if !scaleC(alpha, beta, c, m, n, k, ldc) {
+		return
+	}
+	i := 0
+	for ; i+2 <= m; i += 2 {
+		nnRows2H(n, k, alpha, a[i*lda:], a[(i+1)*lda:], b, ldb, c[i*ldc:], c[(i+1)*ldc:])
+	}
+	if i < m {
+		nnRowH(n, k, alpha, a[i*lda:], b, ldb, c[i*ldc:])
+	}
+}
+
 // nnRows2H is nnRows2 with B stored as binary16; halfInLoad must hold.
 func nnRows2H(n, k int, alpha float32, a0, a1 []float32, b Half, ldb int, c0, c1 []float32) {
 	if nnLanes == 16 {

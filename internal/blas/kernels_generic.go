@@ -2,8 +2,6 @@
 
 package blas
 
-import "repro/internal/tensor"
-
 // The inner kernels in Go: the build for every target without assembly (and
 // for -tags purego), and the definition kernels_amd64.s and
 // kernels_avx_amd64.s are held to.
@@ -58,59 +56,15 @@ func nnRow(n, k int, alpha float32, a0, b []float32, ldb int, c0 []float32) {
 	}
 }
 
-// halfInLoad: the Go kernels convert a binary16 B in the load on every
-// target.
-func halfInLoad() bool { return true }
+// halfInLoad: the Go kernels have no binary16-B form. Converting each B
+// element in a Go load measured no faster than decoding B once at one and two
+// rows and up to twice as slow from three (BenchmarkDecodeStepWeights' load
+// and decode kinds, -tags purego), so GemmHalfB decodes B once here, and
+// gemmHalfBInLoad does the same.
+func halfInLoad() bool { return false }
 
-// nnRows2H is nnRows2 with B stored as binary16, each element converted
-// where it is loaded. The conversion is exact, so every output bit equals
-// nnRows2 over the decoded B.
-func nnRows2H(n, k int, alpha float32, a0, a1 []float32, b Half, ldb int, c0, c1 []float32) {
-	a0, a1 = a0[:k], a1[:k]
-	c0, c1 = c0[:n], c1[:n]
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		x00, x01, x02, x03 := alpha*a0[p], alpha*a0[p+1], alpha*a0[p+2], alpha*a0[p+3]
-		x10, x11, x12, x13 := alpha*a1[p], alpha*a1[p+1], alpha*a1[p+2], alpha*a1[p+3]
-		b0, b1, b2, b3 := b[p*ldb:][:n], b[(p+1)*ldb:][:n], b[(p+2)*ldb:][:n], b[(p+3)*ldb:][:n]
-		for j := range c0 {
-			v0, v1 := tensor.F16BitsToF32(b0[j]), tensor.F16BitsToF32(b1[j])
-			v2, v3 := tensor.F16BitsToF32(b2[j]), tensor.F16BitsToF32(b3[j])
-			c0[j] = c0[j] + float32(x00*v0) + float32(x01*v1) + float32(x02*v2) + float32(x03*v3)
-			c1[j] = c1[j] + float32(x10*v0) + float32(x11*v1) + float32(x12*v2) + float32(x13*v3)
-		}
-	}
-	for ; p < k; p++ {
-		x0, x1 := alpha*a0[p], alpha*a1[p]
-		bp := b[p*ldb:][:n]
-		for j := range c0 {
-			v := tensor.F16BitsToF32(bp[j])
-			c0[j] += float32(x0 * v)
-			c1[j] += float32(x1 * v)
-		}
-	}
-}
-
-// nnRowH is nnRows2H for a single row.
-func nnRowH(n, k int, alpha float32, a0 []float32, b Half, ldb int, c0 []float32) {
-	a0 = a0[:k]
-	c0 = c0[:n]
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		x0, x1, x2, x3 := alpha*a0[p], alpha*a0[p+1], alpha*a0[p+2], alpha*a0[p+3]
-		b0, b1, b2, b3 := b[p*ldb:][:n], b[(p+1)*ldb:][:n], b[(p+2)*ldb:][:n], b[(p+3)*ldb:][:n]
-		for j := range c0 {
-			c0[j] = c0[j] + float32(x0*tensor.F16BitsToF32(b0[j])) + float32(x1*tensor.F16BitsToF32(b1[j])) +
-				float32(x2*tensor.F16BitsToF32(b2[j])) + float32(x3*tensor.F16BitsToF32(b3[j]))
-		}
-	}
-	for ; p < k; p++ {
-		x0 := alpha * a0[p]
-		bp := b[p*ldb:][:n]
-		for j := range c0 {
-			c0[j] += float32(x0 * tensor.F16BitsToF32(bp[j]))
-		}
-	}
+func gemmHalfBInLoad(m, n, k int, alpha float32, a []float32, lda int, b Half, ldb int, beta float32, c []float32, ldc int) {
+	gemmHalfBDecoded(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // dot2 returns x·y and x·z over len(x) elements in gemmNT's order.

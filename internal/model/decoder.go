@@ -50,28 +50,47 @@ type Decoder struct {
 	scr *decodeScratch
 
 	// fp16 route (EnableFP16): layersF16 holds each layer's ten GEMM weights
-	// and projF16 the vocabulary projection as binary16 storage — half the
-	// bytes of layers' fp32, which a decode step streams from beyond L2 —
-	// read through blas.GemmHalfB. Biases and LayerNorm parameters are
-	// layers'. KV caches and the cross memory store binary16 too.
+	// and projF16 the vocabulary projection with binary16 values — stored as
+	// binary16, half the bytes of layers' fp32, which a decode step streams
+	// from beyond L2, where blas.GemmHalfB converts them in its load (see
+	// halfWeight). Biases and LayerNorm parameters are layers'. KV caches and
+	// the cross memory store binary16 too.
 	fp16      bool
 	layersF16 []layerHalves
-	projF16   blas.Half
+	projF16   halfWeight
 }
 
-// layerHalves is one decoder layer's GEMM weights as binary16 storage,
-// named as in decoderLayerWeights.
+// layerHalves is one decoder layer's GEMM weights on the fp16 route, named
+// as in decoderLayerWeights.
 type layerHalves struct {
-	selfWq, selfWk, selfWv, selfWo     blas.Half
-	crossWq, crossWk, crossWv, crossWo blas.Half
-	ffnW1, ffnW2                       blas.Half
+	selfWq, selfWk, selfWv, selfWo     halfWeight
+	crossWq, crossWk, crossWv, crossWo halfWeight
+	ffnW1, ffnW2                       halfWeight
+}
+
+// halfWeight is one GEMM weight on the fp16 route, its values binary16. Where
+// blas.GemmHalfB converts B in the NN kernels' load (blas.HalfInLoad) they
+// are stored as binary16 (h); elsewhere GemmHalfB would decode B at every
+// call, slower than the fp32 kernels read twice the bytes, so they are
+// decoded once (f, binary16-valued fp32). Both give the same bits. The zero
+// halfWeight is the fp32 route's: project reads W itself.
+type halfWeight struct {
+	h blas.Half
+	f []float32
+}
+
+func newHalfWeight(w *tensor.Tensor) halfWeight {
+	if blas.HalfInLoad() {
+		return halfWeight{h: blas.EncodeHalf(w.Data())}
+	}
+	return halfWeight{f: w.RoundedF16().Data()}
 }
 
 // noHalves is the fp32 route's layerHalves: every weight reads as fp32.
 var noHalves layerHalves
 
-// halves returns layer l's binary16 weights on the fp16 route, noHalves on
-// fp32.
+// halves returns layer l's binary16-valued weights on the fp16 route,
+// noHalves on fp32.
 func (d *Decoder) halves(l int) *layerHalves {
 	if d.fp16 {
 		return &d.layersF16[l]
@@ -79,15 +98,19 @@ func (d *Decoder) halves(l int) *layerHalves {
 	return &noHalves
 }
 
-// project computes out = in·W over rows rows of in: through W's binary16
-// storage wh when it has one (the fp16 route), else through W.
-func project(rows int, in []float32, w *tensor.Tensor, wh blas.Half, out []float32) {
+// project computes out = in·W over rows rows of in: through W's fp16-route
+// form wh when it has one, else through W.
+func project(rows int, in []float32, w *tensor.Tensor, wh halfWeight, out []float32) {
 	k, n := w.Dim(0), w.Dim(1)
-	if wh != nil {
-		blas.GemmHalfB(rows, n, k, 1, in, k, wh, n, 0, out, n)
+	if wh.h != nil {
+		blas.GemmHalfB(rows, n, k, 1, in, k, wh.h, n, 0, out, n)
 		return
 	}
-	blas.Gemm(false, false, rows, n, k, 1, in, k, w.Data(), n, 0, out, n)
+	b := w.Data()
+	if wh.f != nil {
+		b = wh.f
+	}
+	blas.Gemm(false, false, rows, n, k, 1, in, k, b, n, 0, out, n)
 }
 
 // NewDecoder builds a decoder with deterministic random weights.
@@ -157,8 +180,9 @@ func (cc *crossCache) bytes() int64 {
 
 // newCrossCache projects the encoder memory through every layer's
 // cross-attention K/V weights once per request. On the fp16 route (half) the
-// memory rounds through binary16 once, the projections read the binary16
-// weights (srcLen rows: blas.GemmHalfB decodes them once per call), and the
+// memory rounds through binary16 once, the projections read the binary16-
+// valued weights (at srcLen rows blas.GemmHalfB decodes them once per call),
+// and the
 // projected rows round through binary16 where they stand: the binary16 words
 // are encoded from them, and the rounded buffer — bit for bit what decoding
 // those words gives — stays on as the spans' decoded view, so the rows
@@ -170,7 +194,7 @@ func (d *Decoder) newCrossCache(memory *tensor.Tensor, half bool) *crossCache {
 	if half {
 		mem = memory.RoundedF16().Data()
 	}
-	projectKV := func(w *tensor.Tensor, wh blas.Half, bias *tensor.Tensor) kernels.KVSpans {
+	projectKV := func(w *tensor.Tensor, wh halfWeight, bias *tensor.Tensor) kernels.KVSpans {
 		rows := make([]float32, srcLen*h)
 		project(srcLen, mem, w, wh, rows)
 		kernels.AddBias(rows, bias.Data(), srcLen, h)

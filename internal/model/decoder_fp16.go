@@ -1,12 +1,12 @@
 package model
 
-import "repro/internal/blas"
-
 // FP16 decode support: the Turbo-TC route through the Seq2Seq decoder.
-// Weights are encoded to binary16 STORAGE once at enable time and read by
-// blas.GemmHalfB, which converts them exactly in the GEMM's load (the Tensor
-// Core load conversion), so a decode step streams half the weight bytes.
-// Activations round once where they are produced and stay binary16-VALUED
+// Weights round to binary16 once at enable time. Where the CPU converts
+// binary16 in the GEMM's load (blas.HalfInLoad: AVX with F16C) they are
+// binary16 STORAGE read by blas.GemmHalfB, which converts them exactly in the
+// load (the Tensor Core load conversion), so a decode step streams half the
+// weight bytes; elsewhere they stay binary16-VALUED fp32 (halfWeight).
+// Activations round once where they are produced and stay binary16-valued
 // fp32. KV rows and the cross memory are binary16 storage (see
 // KVCache/BlockKVCache half mode), decoded at access by the one
 // decode-attention kernel and its per-row oracle (Decoder.attend), which see
@@ -15,24 +15,25 @@ import "repro/internal/blas"
 // by the kernel (ccRef); accumulation and all reductions stay fp32.
 
 // EnableFP16 switches the decoder's generation route to binary16 numerics
-// with fp32 accumulation, encoding every GEMM weight to binary16 once (the
-// fp32 weights stay, for the fp32 oracle). Must be called before sessions are
-// opened (existing fp32 KV caches are not converted). Idempotent.
+// with fp32 accumulation, rounding every GEMM weight through binary16 once
+// (the fp32 weights stay, for the fp32 oracle). Must be called before
+// sessions are opened (existing fp32 KV caches are not converted).
+// Idempotent.
 func (d *Decoder) EnableFP16() {
 	if d.fp16 {
 		return
 	}
 	d.fp16 = true
-	d.projF16 = blas.EncodeHalf(d.Proj.Data())
+	d.projF16 = newHalfWeight(d.Proj)
 	d.layersF16 = make([]layerHalves, len(d.layers))
 	for l := range d.layers {
-		lw, hw := &d.layers[l], &d.layersF16[l]
-		*hw = layerHalves{
-			selfWq: blas.EncodeHalf(lw.selfWq.Data()), selfWk: blas.EncodeHalf(lw.selfWk.Data()),
-			selfWv: blas.EncodeHalf(lw.selfWv.Data()), selfWo: blas.EncodeHalf(lw.selfWo.Data()),
-			crossWq: blas.EncodeHalf(lw.crossWq.Data()), crossWk: blas.EncodeHalf(lw.crossWk.Data()),
-			crossWv: blas.EncodeHalf(lw.crossWv.Data()), crossWo: blas.EncodeHalf(lw.crossWo.Data()),
-			ffnW1: blas.EncodeHalf(lw.ffnW1.Data()), ffnW2: blas.EncodeHalf(lw.ffnW2.Data()),
+		lw := &d.layers[l]
+		d.layersF16[l] = layerHalves{
+			selfWq: newHalfWeight(lw.selfWq), selfWk: newHalfWeight(lw.selfWk),
+			selfWv: newHalfWeight(lw.selfWv), selfWo: newHalfWeight(lw.selfWo),
+			crossWq: newHalfWeight(lw.crossWq), crossWk: newHalfWeight(lw.crossWk),
+			crossWv: newHalfWeight(lw.crossWv), crossWo: newHalfWeight(lw.crossWo),
+			ffnW1: newHalfWeight(lw.ffnW1), ffnW2: newHalfWeight(lw.ffnW2),
 		}
 	}
 }

@@ -193,11 +193,13 @@ func TestGoldenFP16PackedLogits(t *testing.T) {
 
 // TestFP16ProjectionMatchesGemmF16Oracle keeps the storage-form primitive as
 // the oracle of the fp16 route: a decoder projection computed the way Step
-// does it — activation rounded once, blas.GemmHalfB over the binary16 weight
-// EnableFP16 stored — must equal blas.GemmF16 over the EncodeHalf'ed
-// activation and ORIGINAL weight bit for bit, for all ten weights of every
-// layer and the vocabulary projection, at 1, 2 and 3 rows (B converted in
-// the GEMM's load) and 8 (B decoded once).
+// does it — activation rounded once, then the weight EnableFP16 stored —
+// must equal blas.GemmF16 over the EncodeHalf'ed activation and ORIGINAL
+// weight bit for bit, for all ten weights of every layer and the vocabulary
+// projection, at 1, 2, 3 and 8 rows (B converted in the GEMM's load, where
+// blas.HalfInLoad holds) and 9 (B decoded once). The other storage form —
+// binary16-valued fp32 where the CPU converts in the load, binary16 where it
+// does not — must match too.
 func TestFP16ProjectionMatchesGemmF16Oracle(t *testing.T) {
 	cfg := genTestConfig()
 	d, err := NewDecoder(cfg, 42)
@@ -208,7 +210,7 @@ func TestFP16ProjectionMatchesGemmF16Oracle(t *testing.T) {
 	type weight struct {
 		name string
 		orig *tensor.Tensor
-		half blas.Half
+		half halfWeight
 	}
 	weights := []weight{{"proj", d.Proj, d.projF16}}
 	for l := range d.layers {
@@ -225,6 +227,13 @@ func TestFP16ProjectionMatchesGemmF16Oracle(t *testing.T) {
 		}
 	}
 	for wi, w := range weights {
+		if (w.half.h != nil) != blas.HalfInLoad() {
+			t.Fatalf("%s: stored as binary16: %v, GemmHalfB converts in the load: %v", w.name, w.half.h != nil, blas.HalfInLoad())
+		}
+		other := halfWeight{h: blas.EncodeHalf(w.orig.Data())}
+		if w.half.h != nil {
+			other = halfWeight{f: w.orig.RoundedF16().Data()}
+		}
 		k, n := w.orig.Dim(0), w.orig.Dim(1)
 		for _, rows := range []int{1, 2, 3, 8, 9} {
 			x := tensor.RandN(int64(300+wi), 1.5, rows, k).Data()
@@ -234,11 +243,12 @@ func TestFP16ProjectionMatchesGemmF16Oracle(t *testing.T) {
 
 			xr := make([]float32, len(x))
 			tensor.RoundF16Into(xr, x)
-			got := make([]float32, rows*n)
-			project(rows, xr, w.orig, w.half, got)
-
-			if digestFloats(got) != digestFloats(want) {
-				t.Fatalf("%s, %d rows: binary16-weight projection diverges from GemmF16 over encoded operands", w.name, rows)
+			for form, hw := range []halfWeight{w.half, other} {
+				got := make([]float32, rows*n)
+				project(rows, xr, w.orig, hw, got)
+				if digestFloats(got) != digestFloats(want) {
+					t.Fatalf("%s, %d rows, storage form %d: fp16 projection diverges from GemmF16 over encoded operands", w.name, rows, form)
+				}
 			}
 		}
 	}

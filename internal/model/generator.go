@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/allocator"
-	"repro/internal/blas"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
@@ -335,9 +334,9 @@ func (s *GenSession) Close() {
 // continuous scheduler must evict them between iterations.
 //
 // On the fp16 route the loop is the same and every projection's operands are
-// binary16: the weights were encoded once by EnableFP16 and blas.GemmHalfB
-// converts them in its load, and each activation rounds once where it is
-// produced (bit-identical to blas.GemmF16 over the encoded operands, without
+// binary16: EnableFP16 rounded the weights once (stored as binary16, which
+// blas.GemmHalfB converts in its load, where the CPU has the converter), and
+// each activation rounds once where it is produced (bit-identical to blas.GemmF16 over the encoded operands, without
 // its per-call decode). The KV stores cast rows to binary16 as they are
 // appended, and the attention kernel reads that off the span views.
 func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
@@ -413,9 +412,9 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 		}
 		roundInPlace = tensor.RoundSliceF16
 	}
-	// batchedLinear is out = in·W + bias over the step's rows, W read as its
-	// binary16 storage wh on the fp16 route (nil on fp32).
-	batchedLinear := func(in []float32, w *tensor.Tensor, wh blas.Half, bias *tensor.Tensor, out []float32) {
+	// batchedLinear is out = in·W + bias over the step's rows, W read through
+	// its fp16-route form wh (the zero halfWeight on fp32).
+	batchedLinear := func(in []float32, w *tensor.Tensor, wh halfWeight, bias *tensor.Tensor, out []float32) {
 		project(rows, in, w, wh, out)
 		if bias != nil {
 			kernels.AddBias(out, bias.Data(), rows, w.Dim(1))
@@ -423,7 +422,7 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 	}
 	// projectNorm closes a sub-layer: x = LayerNorm(x + (in·W + bias)), the
 	// bias, residual and normalisation in one pass over the rows.
-	projectNorm := func(in []float32, w *tensor.Tensor, wh blas.Half, bias, gamma, beta *tensor.Tensor) {
+	projectNorm := func(in []float32, w *tensor.Tensor, wh halfWeight, bias, gamma, beta *tensor.Tensor) {
 		project(rows, in, w, wh, proj)
 		kernels.AddBiasLayerNorm(x, proj, bias.Data(), gamma.Data(), beta.Data(), rows, h, 1e-5)
 	}

@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // IEEE 754 binary16 conversion, used to emulate the Turbo-TC path: Tensor
 // Cores consume FP16 inputs and accumulate in FP32, so rounding operands
@@ -164,7 +167,8 @@ func encodeF16Go(dst []uint16, src []float32) {
 // decodeF16Lanes and F16BitsToF32 the way RoundF16Into is: the conversion is
 // exact, so VCVTPH2PS gives the codec's value on every half but a NaN, whose
 // payload the lanes clear (DESIGN.md §2d; BenchmarkDecodeF16Slice keeps the
-// number re-checkable).
+// number re-checkable). Without the converter decodeF16Lanes takes every
+// element through decodeF16Table.
 func DecodeF16Slice(dst []float32, src []uint16) {
 	if len(dst) != len(src) {
 		panic("tensor: DecodeF16Slice length mismatch")
@@ -173,4 +177,27 @@ func DecodeF16Slice(dst []float32, src []uint16) {
 	for i, h := range src[n:] {
 		dst[n+i] = F16BitsToF32(h)
 	}
+}
+
+// f16Table maps every binary16 bit pattern to F16BitsToF32's value (256 KiB),
+// built on first use: only builds and CPUs without the converter read it. A
+// Go load from it is about a third of F16BitsToF32's time
+// (BenchmarkDecodeF16Slice/go), and the fp16 route decodes KV rows at every
+// decode step.
+var f16Table = sync.OnceValue(func() []float32 {
+	t := make([]float32, 1<<16)
+	for h := range t {
+		t[h] = F16BitsToF32(uint16(h))
+	}
+	return t
+})
+
+// decodeF16Table is DecodeF16Slice through f16Table; it returns len(src).
+func decodeF16Table(dst []float32, src []uint16) int {
+	t := f16Table()
+	dst = dst[:len(src)]
+	for i, h := range src {
+		dst[i] = t[h]
+	}
+	return len(src)
 }

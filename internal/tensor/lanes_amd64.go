@@ -7,7 +7,8 @@ import "repro/internal/cpufeat"
 // The three slice conversions on amd64 run on the CPU's converter
 // (lanes_amd64.s): sixteen lanes when the probe (internal/cpufeat) found
 // AVX-512F and F16C, eight when it found F16C, none otherwise — then the Go
-// twins take every element, as they do under -tags purego. Each lanes
+// twins take every element (decode through its table), as they do under
+// -tags purego. Each lanes
 // function converts the longest prefix of whole groups of eight and returns
 // its length; the caller's Go twin takes the rest.
 
@@ -27,7 +28,7 @@ func widestF16CLanes() int {
 
 func decodeF16Lanes(dst []float32, src []uint16) int {
 	if f16cLanes == 0 {
-		return 0
+		return decodeF16Table(dst, src)
 	}
 	n := len(src) &^ 7
 	decodeF16C(dst[:n], src[:n], f16cLanes == 16)
