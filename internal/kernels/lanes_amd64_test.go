@@ -19,6 +19,11 @@ func geluBodies() []geluBody {
 	return []geluBody{{"avx512", func() { geluAVX512 = true }}, sse2}
 }
 
+// startGeluAVX512 is geluAVX512 as the package initialised it: the tests that
+// switch bodies restore the probe's pick, not the initial value, so the
+// probe test reads this one.
+var startGeluAVX512 = geluAVX512
+
 // TestGeluProbeMatchesCPUInfo: bias + GELU runs the AVX-512 body exactly when
 // the kernel reports avx512f. A probe that wrongly said no would cost the
 // sixteen-lane speed-up with every other test still green.
@@ -27,8 +32,8 @@ func TestGeluProbeMatchesCPUInfo(t *testing.T) {
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo: %v", err)
 	}
-	if probed := cpufeat.AVX512(); probed != listed || geluAVX512 != probed {
-		t.Fatalf("/proc/cpuinfo lists avx512f: %v; probe found AVX-512: %v; bias + GELU runs AVX-512: %v", listed, probed, geluAVX512)
+	if probed := cpufeat.AVX512(); probed != listed || startGeluAVX512 != probed {
+		t.Fatalf("/proc/cpuinfo lists avx512f: %v; probe found AVX-512: %v; bias + GELU runs AVX-512: %v", listed, probed, startGeluAVX512)
 	}
 }
 
