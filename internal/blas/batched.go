@@ -1,7 +1,5 @@
 package blas
 
-import "fmt"
-
 // StridedBatchedGemm performs batchCount independent GEMMs:
 //
 //	C_b = alpha * op(A_b) * op(B_b) + beta * C_b
@@ -23,23 +21,4 @@ func StridedBatchedGemm(transA, transB bool, m, n, k int, alpha float32,
 		C: c, Ldc: ldc, StrideC: strideC,
 		Count: batchCount,
 	}})
-}
-
-// BatchedGemm performs independent GEMMs over explicit slices. All problems
-// share the same dims and transpose flags.
-func BatchedGemm(transA, transB bool, m, n, k int, alpha float32,
-	as, bs [][]float32, beta float32, cs [][]float32) {
-
-	if len(as) != len(bs) || len(as) != len(cs) {
-		panic(fmt.Sprintf("blas: batched slice counts differ: %d %d %d", len(as), len(bs), len(cs)))
-	}
-	lda, ldb, ldc := k, n, n
-	if transB {
-		ldb = k
-	}
-	groups := make([]StridedBatch, len(as))
-	for i := range groups {
-		groups[i] = StridedBatch{M: m, N: n, K: k, A: as[i], Lda: lda, B: bs[i], Ldb: ldb, C: cs[i], Ldc: ldc, Count: 1}
-	}
-	GroupedStridedBatchedGemm(transA, transB, alpha, beta, groups)
 }

@@ -224,39 +224,6 @@ func TestStridedBatchedGemmZeroBatch(t *testing.T) {
 	StridedBatchedGemm(false, false, 2, 2, 2, 1, nil, 2, 0, nil, 2, 0, 0, nil, 2, 0, 0)
 }
 
-func TestBatchedGemmMatchesLoop(t *testing.T) {
-	const m, n, k, batch = 4, 6, 3, 5
-	rng := rand.New(rand.NewSource(4))
-	as := make([][]float32, batch)
-	bs := make([][]float32, batch)
-	cs := make([][]float32, batch)
-	want := make([][]float32, batch)
-	for i := range as {
-		as[i] = randSlice(rng, m*k)
-		bs[i] = randSlice(rng, k*n)
-		cs[i] = make([]float32, m*n)
-		want[i] = make([]float32, m*n)
-	}
-	BatchedGemm(false, false, m, n, k, 2, as, bs, 0, cs)
-	for i := range as {
-		gemmRef(false, m, n, k, 2, as[i], k, bs[i], n, 0, want[i], n)
-	}
-	for i := range cs {
-		if d := maxDiff(cs[i], want[i]); d > 1e-3 {
-			t.Fatalf("batch %d maxdiff=%g", i, d)
-		}
-	}
-}
-
-func TestBatchedGemmCountMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BatchedGemm(false, false, 1, 1, 1, 1, make([][]float32, 2), make([][]float32, 1), 0, make([][]float32, 2))
-}
-
 // Property: distributivity A(B+C) == AB + AC (within FP32 slack).
 func TestQuickGemmDistributive(t *testing.T) {
 	f := func(seed int64) bool {

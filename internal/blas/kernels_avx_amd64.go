@@ -4,18 +4,17 @@ package blas
 
 import "repro/internal/cpufeat"
 
-// The NN kernels on amd64 have three assembly bodies: the four-lane SSE2 ones
-// every amd64 CPU runs (kernels_amd64.s), and eight-lane AVX and sixteen-lane
-// AVX-512 ones (kernels_avx_amd64.s). The probe (internal/cpufeat) picks the
-// widest the CPU has, once, at start-up; there is no option. Every body keeps
-// every output element's operation sequence, so the pick moves no bits, only
-// time. The NN kernels with a binary16 B (nnRows2H, nnRowH) have the AVX-512
-// and AVX bodies only, and need F16C besides: on a CPU without them GemmHalfB
-// decodes B once and runs the float32 kernels, which gives the same bits.
+// The NN kernels on amd64 have three assembly bodies, picked as
+// internal/cpufeat's package doc says: the four-lane SSE2 ones every amd64
+// CPU runs (kernels_amd64.s), and eight-lane AVX and sixteen-lane AVX-512
+// ones (kernels_avx_amd64.s). Every body keeps every output element's
+// operation sequence. The NN kernels with a binary16 B (nnRows2H, nnRowH)
+// have the AVX-512 and AVX bodies only, and need F16C besides: on a CPU
+// without them GemmHalfB decodes B once and runs the float32 kernels, which
+// gives the same bits.
 
-// nnLanes is how many columns a step of nnRows2 and nnRow takes: 16
-// (AVX-512), 8 (AVX) or 4 (SSE2). Only tests change it, to run every body
-// this CPU has.
+// nnLanes, the pick, is how many columns a step of nnRows2 and nnRow takes:
+// 16 (AVX-512), 8 (AVX) or 4 (SSE2).
 var nnLanes = widestNNLanes()
 
 // halfInLoad reports whether nnRows2H and nnRowH have a body on this CPU:

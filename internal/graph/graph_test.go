@@ -21,6 +21,7 @@ func TestBuildersValidate(t *testing.T) {
 	for _, g := range []*Graph{
 		NewEncoderLayerUnfused(testConfig()),
 		NewEncoderLayerFused(testConfig()),
+		NewEncoderLayerFusedChains(testConfig()),
 	} {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
@@ -28,17 +29,46 @@ func TestBuildersValidate(t *testing.T) {
 	}
 }
 
-func TestUnfusedOpCount(t *testing.T) {
-	g := NewEncoderLayerUnfused(testConfig())
-	if g.NumOps() != 24 {
-		t.Fatalf("unfused encoder has %d ops, want 24 (Fig. 3a)", g.NumOps())
-	}
-}
-
-func TestFusedOpCount(t *testing.T) {
-	g := NewEncoderLayerFused(testConfig())
-	if g.NumOps() != 12 {
-		t.Fatalf("fused encoder has %d ops, want 12 (Fig. 3b)", g.NumOps())
+// TestBuilderOpSequences pins each builder's op count and, in topological
+// order, its literal op sequence: Fig. 3a, Fig. 3b, and Fig. 3b with the
+// attention core's four launches collapsed to two.
+func TestBuilderOpSequences(t *testing.T) {
+	for _, tc := range []struct {
+		build func(LayerConfig) *Graph
+		n     int
+		ops   []string
+	}{
+		{NewEncoderLayerUnfused, 24, []string{
+			"gemm", "add_bias", "transpose_for_score",
+			"gemm", "add_bias", "transpose_for_score",
+			"gemm", "add_bias", "transpose_for_score",
+			"batched_gemm_qk", "softmax", "batched_gemm_pv", "transpose_back",
+			"gemm", "add_bias", "residual_add", "layernorm",
+			"gemm", "add_bias", "activation",
+			"gemm", "add_bias", "residual_add", "layernorm",
+		}},
+		{NewEncoderLayerFused, 12, []string{
+			"fused_gemm012", "split_add_bias_transpose",
+			"batched_gemm_qk", "softmax", "batched_gemm_pv", "transpose_back",
+			"gemm", "add_bias_layernorm",
+			"gemm", "add_bias_act",
+			"gemm", "add_bias_layernorm",
+		}},
+		{NewEncoderLayerFusedChains, 10, []string{
+			"fused_gemm012", "split_add_bias_transpose",
+			"qk_scaled_softmax", "pv_transpose_back",
+			"gemm", "add_bias_layernorm",
+			"gemm", "add_bias_act",
+			"gemm", "add_bias_layernorm",
+		}},
+	} {
+		g := tc.build(testConfig())
+		if g.NumOps() != tc.n {
+			t.Errorf("%s has %d ops, want %d", g.Name, g.NumOps(), tc.n)
+		}
+		if got, want := g.Signature(), strings.Join(tc.ops, "→"); got != want {
+			t.Errorf("%s op sequence:\n got  %s\n want %s", g.Name, got, want)
+		}
 	}
 }
 
@@ -73,43 +103,6 @@ func TestCycleDetected(t *testing.T) {
 	g.AddOp(OpAddBias, "y", []int{b}, []int{a}, nil, Attr{})
 	if _, err := g.TopoOrder(); err == nil {
 		t.Fatal("cycle not detected")
-	}
-}
-
-func TestFusePassMatchesHandBuiltFusedGraph(t *testing.T) {
-	unfused := NewEncoderLayerUnfused(testConfig())
-	fused := Fuse(unfused)
-	if err := fused.Validate(); err != nil {
-		t.Fatalf("fused graph invalid: %v", err)
-	}
-	want := NewEncoderLayerFused(testConfig())
-	if fused.Signature() != want.Signature() {
-		t.Fatalf("fusion signature mismatch:\n got  %s\n want %s", fused.Signature(), want.Signature())
-	}
-	if fused.NumOps() != 12 {
-		t.Fatalf("fused graph has %d ops, want 12", fused.NumOps())
-	}
-}
-
-func TestFuseIdempotentOnFusedGraph(t *testing.T) {
-	g := NewEncoderLayerFused(testConfig())
-	again := Fuse(g)
-	if again.Signature() != g.Signature() {
-		t.Fatalf("fusing a fused graph changed it:\n got  %s\n want %s", again.Signature(), g.Signature())
-	}
-}
-
-func TestFusePreservesWeightReferences(t *testing.T) {
-	unfused := NewEncoderLayerUnfused(testConfig())
-	fused := Fuse(unfused)
-	// Every weight referenced by the fused graph must exist with the same
-	// name/ID as in the unfused graph.
-	for _, op := range fused.Ops {
-		for _, wid := range op.Weights {
-			if fused.Tensors[wid].Name != unfused.Tensors[wid].Name {
-				t.Fatalf("weight id %d renamed across fusion", wid)
-			}
-		}
 	}
 }
 

@@ -6,12 +6,11 @@ import "repro/internal/cpufeat"
 
 // The lane kernels in assembly (lanes_amd64.s): expf.go's chain on four
 // elements at a time in SSE2, which every amd64 CPU runs, and bias + GELU
-// also on sixteen in AVX-512, which the probe (internal/cpufeat) picks when
-// the CPU has it — there is no option. lanes_generic.go says what each
-// computes. They check no bounds.
+// also on sixteen in AVX-512, picked as internal/cpufeat's package doc says.
+// They check no bounds.
 
-// geluAVX512 is whether addBiasGeluLanes runs the AVX-512 body first. Only
-// tests change it, to run every body this CPU has.
+// geluAVX512, the pick, is whether addBiasGeluLanes runs the AVX-512 body
+// first.
 var geluAVX512 = cpufeat.AVX512()
 
 // addBiasGeluLanes is x[j] = gelu(x[j] + bias[j]); len(x) is a multiple of 4

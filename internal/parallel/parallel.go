@@ -46,13 +46,3 @@ func For(n, grain int, fn func(lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// ForEach runs fn(i) for i in [0,n) with bounded parallelism, one index at a
-// time. Use For when the per-index work is small.
-func ForEach(n int, fn func(i int)) {
-	For(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}

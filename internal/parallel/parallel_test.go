@@ -46,14 +46,6 @@ func TestForGrainClamp(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum int64
-	ForEach(100, func(i int) { atomic.AddInt64(&sum, int64(i)) })
-	if sum != 99*100/2 {
-		t.Fatalf("sum=%d", sum)
-	}
-}
-
 // Property: ranges partition [0,n) exactly for arbitrary n and grain.
 func TestQuickForPartitions(t *testing.T) {
 	f := func(rawN uint16, rawGrain uint8) bool {

@@ -5,15 +5,13 @@ package tensor
 import "repro/internal/cpufeat"
 
 // The three slice conversions on amd64 run on the CPU's converter
-// (lanes_amd64.s): sixteen lanes when the probe (internal/cpufeat) found
-// AVX-512F and F16C, eight when it found F16C, none otherwise — then the Go
-// twins take every element (decode through its table), as they do under
-// -tags purego. Each lanes
+// (lanes_amd64.s), picked as internal/cpufeat's package doc says: sixteen
+// lanes with AVX-512F and F16C, eight with F16C, none otherwise — then the
+// Go twins take every element (decode through its table). Each lanes
 // function converts the longest prefix of whole groups of eight and returns
 // its length; the caller's Go twin takes the rest.
 
-// f16cLanes is 16, 8 or 0. Only tests change it, to run every body this CPU
-// has.
+// f16cLanes, the pick, is 16, 8 or 0.
 var f16cLanes = widestF16CLanes()
 
 func widestF16CLanes() int {
