@@ -29,48 +29,55 @@ func TestBuildersValidate(t *testing.T) {
 	}
 }
 
-// TestBuilderOpSequences pins each builder's op count and, in topological
-// order, its literal op sequence: Fig. 3a, Fig. 3b, and Fig. 3b with the
-// attention core's four launches collapsed to two.
-func TestBuilderOpSequences(t *testing.T) {
-	for _, tc := range []struct {
-		build func(LayerConfig) *Graph
-		n     int
-		ops   []string
-	}{
-		{NewEncoderLayerUnfused, 24, []string{
-			"gemm", "add_bias", "transpose_for_score",
-			"gemm", "add_bias", "transpose_for_score",
-			"gemm", "add_bias", "transpose_for_score",
-			"batched_gemm_qk", "softmax", "batched_gemm_pv", "transpose_back",
-			"gemm", "add_bias", "residual_add", "layernorm",
-			"gemm", "add_bias", "activation",
-			"gemm", "add_bias", "residual_add", "layernorm",
-		}},
-		{NewEncoderLayerFused, 12, []string{
-			"fused_gemm012", "split_add_bias_transpose",
-			"batched_gemm_qk", "softmax", "batched_gemm_pv", "transpose_back",
-			"gemm", "add_bias_layernorm",
-			"gemm", "add_bias_act",
-			"gemm", "add_bias_layernorm",
-		}},
-		{NewEncoderLayerFusedChains, 10, []string{
-			"fused_gemm012", "split_add_bias_transpose",
-			"qk_scaled_softmax", "pv_transpose_back",
-			"gemm", "add_bias_layernorm",
-			"gemm", "add_bias_act",
-			"gemm", "add_bias_layernorm",
-		}},
-	} {
-		g := tc.build(testConfig())
-		if g.NumOps() != tc.n {
-			t.Errorf("%s has %d ops, want %d", g.Name, g.NumOps(), tc.n)
-		}
-		if got, want := g.Signature(), strings.Join(tc.ops, "→"); got != want {
-			t.Errorf("%s op sequence:\n got  %s\n want %s", g.Name, got, want)
-		}
+// builderOps is each builder's op count and, in topological order, its
+// literal op sequence: Fig. 3a, Fig. 3b, and Fig. 3b with the attention
+// core's four launches collapsed to two.
+var builderOps = []struct {
+	build func(LayerConfig) *Graph
+	n     int
+	ops   []string
+}{
+	{NewEncoderLayerUnfused, 24, []string{
+		"gemm", "add_bias", "transpose_for_score",
+		"gemm", "add_bias", "transpose_for_score",
+		"gemm", "add_bias", "transpose_for_score",
+		"batched_gemm_qk", "softmax", "batched_gemm_pv", "transpose_back",
+		"gemm", "add_bias", "residual_add", "layernorm",
+		"gemm", "add_bias", "activation",
+		"gemm", "add_bias", "residual_add", "layernorm",
+	}},
+	{NewEncoderLayerFused, 12, []string{
+		"fused_gemm012", "split_add_bias_transpose",
+		"batched_gemm_qk", "softmax", "batched_gemm_pv", "transpose_back",
+		"gemm", "add_bias_layernorm",
+		"gemm", "add_bias_act",
+		"gemm", "add_bias_layernorm",
+	}},
+	{NewEncoderLayerFusedChains, 10, []string{
+		"fused_gemm012", "split_add_bias_transpose",
+		"qk_scaled_softmax", "pv_transpose_back",
+		"gemm", "add_bias_layernorm",
+		"gemm", "add_bias_act",
+		"gemm", "add_bias_layernorm",
+	}},
+}
+
+// checkBuilderOps checks row i of builderOps.
+func checkBuilderOps(t *testing.T, i int) {
+	t.Helper()
+	tc := builderOps[i]
+	g := tc.build(testConfig())
+	if g.NumOps() != tc.n {
+		t.Errorf("%s has %d ops, want %d", g.Name, g.NumOps(), tc.n)
+	}
+	if got, want := g.Signature(), strings.Join(tc.ops, "→"); got != want {
+		t.Errorf("%s op sequence:\n got  %s\n want %s", g.Name, got, want)
 	}
 }
+
+func TestUnfusedOpCount(t *testing.T)     { checkBuilderOps(t, 0) }
+func TestFusedOpCount(t *testing.T)       { checkBuilderOps(t, 1) }
+func TestFusedChainsOpCount(t *testing.T) { checkBuilderOps(t, 2) }
 
 func TestTopoOrderRespectsEdges(t *testing.T) {
 	g := NewEncoderLayerUnfused(testConfig())
