@@ -9,7 +9,9 @@
 //	//turbovet:allow <analyzer>[,<analyzer>...] -- reason
 //
 // on the offending line or the line directly above. Run it from inside the
-// module (package loading resolves imports through the go tool). See
+// module (package loading resolves imports through the go tool). The
+// module-level testonly check runs only when the patterns include ./...,
+// the whole module; the per-package analyzers run on any patterns. See
 // `turbo-vet -help` for the analyzer roster.
 package main
 
@@ -29,11 +31,11 @@ func main() {
 	}
 	flag.Parse()
 
-	analyzers := analysis.All()
 	if *help {
-		for _, a := range analyzers {
+		for _, a := range analysis.All() {
 			fmt.Printf("%s\n\t%s\n\n", a.Name, a.Doc)
 		}
+		fmt.Printf("%s\n\t%s\n\n", analysis.TestOnlyName, analysis.TestOnlyDoc)
 		return
 	}
 
@@ -42,26 +44,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "turbo-vet:", err)
 		os.Exit(2)
 	}
-	loader := analysis.NewLoader()
-	pkgs, err := loader.LoadPatterns(root, flag.Args()...)
+	diags, err := analysis.Vet(root, flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "turbo-vet:", err)
 		os.Exit(2)
 	}
-	found := 0
-	for _, pkg := range pkgs {
-		diags, err := analysis.Run(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "turbo-vet:", err)
-			os.Exit(2)
-		}
-		for _, d := range diags {
-			fmt.Println(d)
-			found++
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-	if found > 0 {
-		fmt.Fprintf(os.Stderr, "turbo-vet: %d finding(s)\n", found)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "turbo-vet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

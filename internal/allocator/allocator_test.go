@@ -183,15 +183,15 @@ func TestTurboReleasesUnusedChunks(t *testing.T) {
 		{TensorID: 2, FirstOp: 0, LastOp: 1, Size: 3 << 20},
 	}
 	a.Plan(bigRecords)
-	if a.NumChunks() != 3 {
-		t.Fatalf("big inference chunks = %d, want 3", a.NumChunks())
+	if len(a.ChunkSizes()) != 3 {
+		t.Fatalf("big inference chunks = %d, want 3", len(a.ChunkSizes()))
 	}
 	// Small inference: only one chunk needed; the others must be freed
 	// immediately (Algorithm 1 line 41).
 	small := []UsageRecord{{TensorID: 0, FirstOp: 0, LastOp: 0, Size: 1 << 10}}
 	a.Plan(small)
-	if a.NumChunks() != 1 {
-		t.Fatalf("small inference should shrink chunks to 1, got %d", a.NumChunks())
+	if len(a.ChunkSizes()) != 1 {
+		t.Fatalf("small inference should shrink chunks to 1, got %d", len(a.ChunkSizes()))
 	}
 	if dev.Snapshot().LiveBytes != a.ChunkSizes()[0] {
 		t.Fatalf("device live bytes %d != remaining chunk %d", dev.Snapshot().LiveBytes, a.ChunkSizes()[0])
@@ -216,9 +216,9 @@ func TestTurboFootprintBeatsNoReuse(t *testing.T) {
 	records := randomRecords(rng, 30, 6, 1<<20)
 	a := NewTurbo(NewDevice())
 	p := a.Plan(records)
-	if p.FootprintBytes() >= TotalBytes(records) {
+	if p.FootprintBytes() >= totalBytes(records) {
 		t.Fatalf("turbo footprint %d should beat sum-of-sizes %d",
-			p.FootprintBytes(), TotalBytes(records))
+			p.FootprintBytes(), totalBytes(records))
 	}
 }
 
@@ -413,4 +413,14 @@ func TestPlanTensorData(t *testing.T) {
 	if p.TensorData(3, 16)[0] != 42 {
 		t.Fatal("TensorData must view stable storage")
 	}
+}
+
+// totalBytes sums the records' sizes — the footprint an allocator with no
+// reuse at all would need.
+func totalBytes(records []UsageRecord) int64 {
+	var total int64
+	for _, r := range records {
+		total += r.Size
+	}
+	return total
 }

@@ -85,9 +85,6 @@ func NewBlockPool(dev *Device, blockBytes int64, capBlocks int) *BlockPool {
 // BlockBytes returns the fixed size of every block.
 func (p *BlockPool) BlockBytes() int64 { return p.blockBytes }
 
-// CapBlocks returns the pool's total block capacity.
-func (p *BlockPool) CapBlocks() int { return p.capBlocks }
-
 // Alloc hands out a free block (ref = 1), or nil when the pool is
 // exhausted — the caller's cue to scavenge caches or preempt a session.
 // cow marks the allocation as a copy-on-write replacement in the stats.
@@ -143,13 +140,6 @@ func (p *BlockPool) Commit(b *Block, n int64) {
 	}
 	b.usedBytes += n
 	p.dev.AddKVUsed(n)
-}
-
-// Committed returns the block's committed payload bytes.
-func (b *Block) Committed() int64 {
-	b.pool.mu.Lock()
-	defer b.pool.mu.Unlock()
-	return b.usedBytes
 }
 
 // Retain adds a holder to the block (prefix sharing). The device gauges do

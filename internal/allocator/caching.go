@@ -121,12 +121,3 @@ func (a *CachingAllocator) Release() {
 	}
 	a.cache = nil
 }
-
-// CachedBytes reports the total bytes parked in the cache.
-func (a *CachingAllocator) CachedBytes() int64 {
-	var total int64
-	for _, b := range a.cache {
-		total += b.Size
-	}
-	return total
-}

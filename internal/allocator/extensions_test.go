@@ -15,22 +15,22 @@ func TestIdleTTLDelaysRelease(t *testing.T) {
 	small := []UsageRecord{{TensorID: 0, FirstOp: 0, LastOp: 0, Size: 1 << 10}}
 
 	a.Plan(big)
-	if a.NumChunks() != 2 {
-		t.Fatalf("chunks after big: %d", a.NumChunks())
+	if len(a.ChunkSizes()) != 2 {
+		t.Fatalf("chunks after big: %d", len(a.ChunkSizes()))
 	}
 	// Two idle inferences: the idle chunk survives (idle counts 1, 2).
 	a.Plan(small)
-	if a.NumChunks() != 2 {
-		t.Fatalf("TTL=2 should keep the idle chunk after 1 idle inference: %d", a.NumChunks())
+	if len(a.ChunkSizes()) != 2 {
+		t.Fatalf("TTL=2 should keep the idle chunk after 1 idle inference: %d", len(a.ChunkSizes()))
 	}
 	a.Plan(small)
-	if a.NumChunks() != 2 {
-		t.Fatalf("TTL=2 should keep the idle chunk after 2 idle inferences: %d", a.NumChunks())
+	if len(a.ChunkSizes()) != 2 {
+		t.Fatalf("TTL=2 should keep the idle chunk after 2 idle inferences: %d", len(a.ChunkSizes()))
 	}
 	// Third idle inference exceeds the TTL: released.
 	a.Plan(small)
-	if a.NumChunks() != 1 {
-		t.Fatalf("TTL=2 should release after 3 idle inferences: %d", a.NumChunks())
+	if len(a.ChunkSizes()) != 1 {
+		t.Fatalf("TTL=2 should release after 3 idle inferences: %d", len(a.ChunkSizes()))
 	}
 }
 
@@ -46,8 +46,8 @@ func TestIdleTTLResetOnReuse(t *testing.T) {
 	a.Plan(small) // chunk 2 idle: 1 (kept)
 	a.Plan(big)   // reused: idle resets
 	a.Plan(small) // idle: 1 again (kept)
-	if a.NumChunks() != 2 {
-		t.Fatalf("reuse should reset the idle counter: %d chunks", a.NumChunks())
+	if len(a.ChunkSizes()) != 2 {
+		t.Fatalf("reuse should reset the idle counter: %d chunks", len(a.ChunkSizes()))
 	}
 }
 

@@ -121,13 +121,3 @@ func Validate(p *Plan, records []UsageRecord) error {
 	}
 	return nil
 }
-
-// TotalBytes sums the records' sizes — the footprint an allocator with no
-// reuse at all would need.
-func TotalBytes(records []UsageRecord) int64 {
-	var total int64
-	for _, r := range records {
-		total += r.Size
-	}
-	return total
-}

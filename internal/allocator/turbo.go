@@ -192,10 +192,6 @@ func (a *TurboAllocator) Release() {
 	a.chunks = nil
 }
 
-// NumChunks reports how many chunks are currently cached (Fig. 6 shows the
-// chunk count growing from 2 to 3 when the sequence grows from 200 to 240).
-func (a *TurboAllocator) NumChunks() int { return len(a.chunks) }
-
 // ChunkSizes returns the current chunk sizes in order.
 func (a *TurboAllocator) ChunkSizes() []int64 {
 	sizes := make([]int64, len(a.chunks))

@@ -19,11 +19,26 @@
 //   - guardedby: fields annotated "guarded by <mu>" are only touched by
 //     functions that lock that mutex.
 //
+// Those four run package by package. One more check, testonly, runs over
+// the whole module at once (TestOnly, a plain function over the loaded
+// packages): every function or method of a served package must be reached
+// from a main package, an init function or package-level code without
+// passing through a _test.go file, and uses inside functions that only
+// tests reach do not count. Exempt are main and init; methods of a type
+// that implements, by types.Implements, an interface type named in non-test
+// code (or fmt.Stringer, which fmt asserts at run time); and test-support
+// packages, those no main package reaches through non-test imports. It runs
+// only when the load is the whole module (./... from the module root): on a
+// subset, a function whose callers sit outside it would read as unused.
+// Vet is the one entry point of turbo-vet and TestRepoClean: it loads once
+// and runs the analyzers and, on a whole-module load, testonly.
+//
 // Deliberate violations are suppressed in place with a directive comment on
 // the offending line or the line above:
 //
 //	//turbovet:allow wallclock -- live latency measurement
 //	//turbovet:allow kvbalance,guardedby -- ownership handed to caller
+//	//turbovet:allow testonly -- a test hook that needs unexported state
 package analysis
 
 import (
@@ -32,7 +47,6 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"sort"
 	"strings"
 )
 
@@ -174,17 +188,47 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			out = append(out, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Analyzer < b.Analyzer
-	})
+	sortDiagnostics(out)
 	return out, nil
+}
+
+// Check runs the per-package analyzers over every package and, when the
+// packages are the whole module, the module-level testonly check, whose
+// //turbovet:allow suppressions it applies itself. The diagnostics come back
+// sorted by position.
+func Check(pkgs []*Package, wholeModule bool) ([]Diagnostic, error) {
+	var out []Diagnostic
+	for _, pkg := range pkgs {
+		diags, err := Run(pkg, All())
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, diags...)
+	}
+	if wholeModule {
+		out = append(out, TestOnly(pkgs)...)
+	}
+	sortDiagnostics(out)
+	return out, nil
+}
+
+// Vet loads the go-list patterns from the module root once and runs Check
+// over the result: the entry point of turbo-vet and of TestRepoClean. The
+// load is the whole module when patterns is empty or names ./..., which
+// resolves from the root.
+func Vet(root string, patterns ...string) ([]Diagnostic, error) {
+	pkgs, err := NewLoader().LoadPatterns(root, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	if len(pkgs) == 0 {
+		return nil, fmt.Errorf("no packages match %s", strings.Join(patterns, " "))
+	}
+	whole := len(patterns) == 0
+	for _, p := range patterns {
+		whole = whole || p == "./..."
+	}
+	return Check(pkgs, whole)
 }
 
 // All returns the full turbo-vet suite in reporting order.

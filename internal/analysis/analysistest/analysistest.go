@@ -16,6 +16,7 @@
 package analysistest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -41,18 +42,52 @@ type expectation struct {
 // as an out-of-scope path asserts the analyzer stays quiet there.
 func Run(t *testing.T, a *analysis.Analyzer, dir, asPath string) {
 	t.Helper()
-	loader := analysis.NewLoader()
-	pkg, err := loader.LoadDir(dir, asPath)
+	pkg, err := loadDir(analysis.NewLoader(), dir, asPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-
-	wants := collectWants(t, pkg)
 	diags, err := analysis.Run(pkg, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
+	diff(t, []*analysis.Package{pkg}, diags)
+}
 
+// Load loads each subdirectory of dir, in the order given, as the package
+// asPath/sub. A package must come after the fixture packages it imports,
+// and asPath must be dir's real import path, so that the import resolves to
+// the loaded package.
+func Load(t *testing.T, dir, asPath string, subdirs ...string) []*analysis.Package {
+	t.Helper()
+	loader := analysis.NewLoader()
+	var pkgs []*analysis.Package
+	for _, sub := range subdirs {
+		pkg, err := loadDir(loader, filepath.Join(dir, sub), asPath+"/"+sub)
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", sub, err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs
+}
+
+// RunTestOnly runs the module-level testonly check over the packages Load
+// returns for the same arguments and diffs its findings against their want
+// comments.
+func RunTestOnly(t *testing.T, dir, asPath string, subdirs ...string) {
+	t.Helper()
+	pkgs := Load(t, dir, asPath, subdirs...)
+	diff(t, pkgs, analysis.TestOnly(pkgs))
+}
+
+// diff fails t for every diagnostic no want comment in pkgs expects and for
+// every want comment no diagnostic matches.
+func diff(t *testing.T, pkgs []*analysis.Package, diags []analysis.Diagnostic) {
+	t.Helper()
+	wants := map[string][]*expectation{}
+	for _, pkg := range pkgs {
+		collectWants(t, pkg, wants)
+	}
 	for _, d := range diags {
 		key := posKey(d.Pos.Filename, d.Pos.Line)
 		hit := false
@@ -76,15 +111,35 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, asPath string) {
 	}
 }
 
+// loadDir loads every non-test .go file in dir as the package asPath —
+// testdata directories are invisible to go list.
+func loadDir(l *analysis.Loader, dir, asPath string) (*analysis.Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		names = append(names, name)
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", dir)
+	}
+	return l.LoadFiles(dir, asPath, names)
+}
+
 func posKey(file string, line int) string {
 	return filepath.Base(file) + ":" + strconv.Itoa(line)
 }
 
-// collectWants scans every fixture file for want comments, keyed by
-// file:line.
-func collectWants(t *testing.T, pkg *analysis.Package) map[string][]*expectation {
+// collectWants adds the want comments of every file of pkg to wants, keyed
+// by file:line.
+func collectWants(t *testing.T, pkg *analysis.Package, wants map[string][]*expectation) {
 	t.Helper()
-	wants := map[string][]*expectation{}
 	for _, f := range pkg.Files {
 		filename := pkg.Fset.Position(f.Pos()).Filename
 		data, err := os.ReadFile(filename)
@@ -108,5 +163,4 @@ func collectWants(t *testing.T, pkg *analysis.Package) map[string][]*expectation
 			}
 		}
 	}
-	return wants
 }

@@ -12,7 +12,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -27,12 +26,15 @@ type Package struct {
 }
 
 // A Loader parses and type-checks packages. One Loader shares a FileSet and
-// a source importer across every package it loads, so each dependency
-// (stdlib included — there is no export data in this container) is
-// type-checked from source exactly once per vet run.
+// one importer across every package it loads, so each package (stdlib
+// included — there is no export data to read) is type-checked from source
+// exactly once per vet run: an import of a package the Loader has already
+// loaded resolves to that very *types.Package, and every other import goes
+// to the stdlib source importer, which caches what it checks.
 type Loader struct {
-	fset *token.FileSet
-	imp  types.Importer
+	fset   *token.FileSet
+	src    types.ImporterFrom
+	loaded map[string]*types.Package
 }
 
 // NewLoader returns a Loader backed by the stdlib source importer. Module
@@ -40,7 +42,25 @@ type Loader struct {
 // module being vetted.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	return &Loader{
+		fset:   fset,
+		src:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		loaded: map[string]*types.Package{},
+	}
+}
+
+// Import makes the Loader the types.Importer of the packages it checks.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, "", 0)
+}
+
+// ImportFrom returns the loaded package for path if there is one, and the
+// source importer's otherwise.
+func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg := l.loaded[path]; pkg != nil {
+		return pkg, nil
+	}
+	return l.src.ImportFrom(path, dir, mode)
 }
 
 func newInfo() *types.Info {
@@ -54,8 +74,9 @@ func newInfo() *types.Info {
 }
 
 // LoadFiles parses the named files in dir and type-checks them as the
-// package import path asPath. Comments are kept — directives and
-// "guarded by" annotations live there.
+// package import path asPath; later loads that import asPath get this
+// package. Comments are kept — directives and "guarded by" annotations live
+// there.
 func (l *Loader) LoadFiles(dir, asPath string, names []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range names {
@@ -66,34 +87,13 @@ func (l *Loader) LoadFiles(dir, asPath string, names []string) (*Package, error)
 		files = append(files, f)
 	}
 	info := newInfo()
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(asPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", asPath, err)
 	}
+	l.loaded[asPath] = pkg
 	return &Package{Path: asPath, Dir: dir, Fset: l.fset, Files: files, Types: pkg, Info: info}, nil
-}
-
-// LoadDir loads every non-test .go file in dir as the package asPath —
-// the fixture entry point (testdata directories are invisible to go list).
-func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	return l.LoadFiles(dir, asPath, names)
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -101,16 +101,20 @@ type listedPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
 }
 
 // LoadPatterns expands go-list package patterns (e.g. "./...") relative to
 // rootDir and loads each matched package. Build-constrained and test files
-// are excluded exactly as the go tool excludes them.
+// are excluded exactly as the go tool excludes them. The module packages
+// the matched ones import are loaded too, dependencies first, but only the
+// matched packages are returned.
 func (l *Loader) LoadPatterns(rootDir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-json"}, patterns...)
+	args := append([]string{"list", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = rootDir
 	var stdout, stderr bytes.Buffer
@@ -126,14 +130,16 @@ func (l *Loader) LoadPatterns(rootDir string, patterns ...string) ([]*Package, e
 		if err := dec.Decode(&lp); err != nil {
 			return nil, fmt.Errorf("decoding go list output: %v", err)
 		}
-		if len(lp.GoFiles) == 0 {
+		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
 		pkg, err := l.LoadFiles(lp.Dir, lp.ImportPath, lp.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }

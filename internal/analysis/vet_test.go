@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -35,4 +36,41 @@ func TestCtxFlow(t *testing.T) {
 
 func TestGuardedBy(t *testing.T) {
 	analysistest.Run(t, analysis.GuardedBy, fixture("guardedby", "a"), "repro/internal/serving")
+}
+
+// testonlyPath is the import path of the testonly fixture tree: its
+// packages import each other, so they load under their real paths.
+const testonlyPath = "repro/internal/analysis/testdata/src/testonly"
+
+func TestTestOnly(t *testing.T) {
+	analysistest.RunTestOnly(t, fixture("testonly"), testonlyPath, "lib", "support", "cmd", "other")
+}
+
+// TestTestOnlyNeedsWholeModule: a load that leaves out the fixture's cmd
+// package holds no caller of lib.Served. Run on that load, the check would
+// report it; Vet, seeing patterns that are not the whole module, does not
+// run the check at all.
+func TestTestOnlyNeedsWholeModule(t *testing.T) {
+	pkgs := analysistest.Load(t, fixture("testonly"), testonlyPath, "lib", "other")
+	forced := false
+	for _, d := range analysis.TestOnly(pkgs) {
+		forced = forced || strings.HasPrefix(d.Message, "Served ")
+	}
+	if !forced {
+		t.Fatal("on the partial load the check does not report Served; the case shows nothing")
+	}
+	root, err := analysis.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := func(sub string) string {
+		return "./" + filepath.ToSlash(filepath.Join("internal", "analysis", fixture("testonly", sub)))
+	}
+	diags, err := analysis.Vet(root, pattern("lib"), pattern("other"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("partial load reported %s", d)
+	}
 }

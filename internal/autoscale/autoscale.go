@@ -179,7 +179,6 @@ type Controller struct {
 
 	upStreak, downStreak int
 	cooldown             int
-	ups, downs           int64
 }
 
 // New validates cfg (after filling defaulted tuning fields) and returns a
@@ -194,10 +193,6 @@ func New(cfg Config) (*Controller, error) {
 
 // Config reports the resolved (defaulted) configuration.
 func (c *Controller) Config() Config { return c.cfg }
-
-// Counts reports how many scale-ups and scale-downs the controller has
-// decided.
-func (c *Controller) Counts() (ups, downs int64) { return c.ups, c.downs }
 
 // Tick consumes one signals sample and returns the action the caller
 // should execute. Bounds are enforced here: at Max no ScaleUp is ever
@@ -236,13 +231,11 @@ func (c *Controller) Tick(s Signals) Decision {
 	if c.upStreak >= c.cfg.UpTicks && s.Replicas < c.cfg.Max {
 		c.upStreak, c.downStreak = 0, 0
 		c.cooldown = c.cfg.Cooldown
-		c.ups++
 		return ScaleUp
 	}
 	if c.downStreak >= c.cfg.DownTicks && s.Replicas > c.cfg.Min {
 		c.upStreak, c.downStreak = 0, 0
 		c.cooldown = c.cfg.Cooldown
-		c.downs++
 		return ScaleDown
 	}
 	return Hold

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/servingsim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -168,7 +170,7 @@ func TestGenServingContinuousWins(t *testing.T) {
 		t.Skip("serving simulations are slow; skipped in -short mode")
 	}
 	for _, rate := range []float64{8, 16} {
-		st, ct := GenServingComparison(rate)
+		st, ct := genServingComparison(rate)
 		if ct.Served < st.Served {
 			t.Fatalf("rate %.0f: continuous served %d < static %d", rate, ct.Served, st.Served)
 		}
@@ -194,4 +196,11 @@ func TestChunkAblation(t *testing.T) {
 	if !strings.Contains(out, "K_SCALE") {
 		t.Fatal("ablation missing header")
 	}
+}
+
+// genServingComparison runs static-DP vs continuous at one offered rate on
+// the gen-serving experiment's setup.
+func genServingComparison(rate float64) (staticRes, contRes servingsim.GenResult) {
+	step, prefill, wl := genExperimentSetup()
+	return runGenSystem(rate, false, wl, step, prefill), runGenSystem(rate, true, wl, step, prefill)
 }

@@ -112,13 +112,6 @@ func genExperimentSetup() (servingsim.GenStepCost, func(int) time.Duration, genW
 	return step, prefill, defaultGenWorkload
 }
 
-// GenServingComparison runs static-DP vs continuous at one offered rate
-// (exported for the bench tests' acceptance check).
-func GenServingComparison(rate float64) (staticRes, contRes servingsim.GenResult) {
-	step, prefill, wl := genExperimentSetup()
-	return runGenSystem(rate, false, wl, step, prefill), runGenSystem(rate, true, wl, step, prefill)
-}
-
 func runGenServing(w io.Writer) error {
 	step, prefill, wl := genExperimentSetup()
 

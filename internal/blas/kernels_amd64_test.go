@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cpufeat"
+	"repro/internal/testutil"
 )
 
 // nnBodies lists the NN bodies this CPU runs, the probe's pick first.
@@ -31,11 +32,11 @@ var startNNLanes = nnLanes
 // f16c. A probe that wrongly said no would cost the wide bodies'
 // speed-up with every other test still green.
 func TestNNProbeMatchesCPUInfo(t *testing.T) {
-	avx2, err := cpufeat.CPUInfoListed("avx2")
+	avx2, err := testutil.CPUInfoListed("avx2")
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo: %v", err)
 	}
-	avx512, err := cpufeat.CPUInfoListed("avx512f")
+	avx512, err := testutil.CPUInfoListed("avx512f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestNNProbeMatchesCPUInfo(t *testing.T) {
 		t.Fatalf("/proc/cpuinfo lists avx2: %v, avx512f: %v; probe found AVX2: %v, AVX-512: %v; gemmNN runs %d lanes, want %d",
 			avx2, avx512, cpufeat.AVX2(), cpufeat.AVX512(), startNNLanes, want)
 	}
-	f16c, err := cpufeat.CPUInfoListed("f16c")
+	f16c, err := testutil.CPUInfoListed("f16c")
 	if err != nil {
 		t.Fatal(err)
 	}

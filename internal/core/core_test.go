@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/testutil"
 )
 
 func tinyCfg() model.Config {
@@ -91,7 +92,7 @@ func TestEngineFusedUnfusedAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.AllClose(b, 1e-3, 1e-3) {
+	if !testutil.AllClose(a.Data(), b.Data(), 1e-3, 1e-3) {
 		t.Fatalf("fused engine diverges from unfused: %g", a.MaxAbsDiff(b))
 	}
 }

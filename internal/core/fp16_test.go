@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/testutil"
 )
 
 // The §6.2.1 claim: Tensor-Core FP16 execution "introduces minimal and
@@ -39,7 +40,7 @@ func TestFP16EnginePrecisionLossMinimal(t *testing.T) {
 		t.Fatal("fp16 route did not change numerics at all — not plugged in?")
 	}
 	// Hidden states stay close (the paper's "minimal and acceptable").
-	if !a.AllClose(b, 5e-2, 5e-2) {
+	if !testutil.AllClose(a.Data(), b.Data(), 5e-2, 5e-2) {
 		t.Fatalf("fp16 precision loss too large: maxdiff %g", a.MaxAbsDiff(b))
 	}
 

@@ -73,50 +73,13 @@ func NewGenEngine(encCfg, decCfg model.Config, opts Options) (*GenEngine, error)
 	}, nil
 }
 
-// StartSession encodes one prompt through the padded encoder and opens a
-// generation session that will emit at most maxNew tokens. This is the
-// reference oracle for StartSessions — the serving path batches admitted
-// prompts through the packed encoder instead.
-func (e *GenEngine) StartSession(id int64, promptTokens []int, maxNew int) (*model.GenSession, error) {
-	if len(promptTokens) == 0 {
-		return nil, fmt.Errorf("core: empty prompt")
-	}
-	if e.Generator.PrefixKnown(promptTokens) {
-		// Prefix hit: the cached entry carries the encoded memory, so the
-		// whole encoder pass is skipped — no prefill pass runs at all.
-		sess, err := e.Generator.NewSession(id, promptTokens, nil, maxNew)
-		if err != nil {
-			return nil, err
-		}
-		e.prefillPrompts.Add(1)
-		return sess, nil
-	}
-	hidden, seqLens, err := e.Embedding.Encode([][]int{promptTokens})
-	if err != nil {
-		return nil, err
-	}
-	encoded, _, err := e.Encoder.Forward(hidden, seqLens)
-	if err != nil {
-		return nil, err
-	}
-	srcLen := len(promptTokens)
-	memory := tensor.FromSlice(encoded.Data()[:srcLen*e.Cfg.Hidden], srcLen, e.Cfg.Hidden)
-	sess, err := e.Generator.NewSession(id, promptTokens, memory, maxNew)
-	if err != nil {
-		return nil, err
-	}
-	e.prefillPrompts.Add(1)
-	e.prefillPasses.Add(1)
-	e.prefillTokens.Add(int64(srcLen))
-	return sess, nil
-}
-
 // StartSessions encodes all admitted prompts in ONE packed (zero-padding)
 // encoder pass — ragged [Σlen, hidden] execution, no prompt padded to the
 // batch maximum — and opens a session per prompt. The packed encoder is
 // property-tested bit-identical to the padded path, so sessions started
-// here produce exactly the streams StartSession would. maxNew[i] budgets
-// prompt i (a single value is broadcast when len(maxNew) == 1).
+// here produce exactly the streams of sessions opened on the padded
+// encoder's output. maxNew[i] budgets prompt i (a single value is broadcast
+// when len(maxNew) == 1).
 //
 // On error no session survives: already-opened sessions are closed so the
 // caller's admission bookkeeping can simply fail the whole batch.

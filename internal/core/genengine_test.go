@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 func genEngineCfgs() (model.Config, model.Config) {
@@ -84,14 +86,14 @@ func TestStartSessionsSinglePackedPass(t *testing.T) {
 	}
 	got := drainEngine(t, packed, sessions)
 
-	// Padded oracle: same engine seed, one StartSession per prompt.
+	// Padded oracle: same engine seed, one startSession per prompt.
 	oracle, err := NewGenEngine(encCfg, decCfg, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle.Generator.PerRowAttention = true
 	for i, p := range prompts {
-		sess, err := oracle.StartSession(ids[i], p, budgets[i])
+		sess, err := oracle.startSession(ids[i], p, budgets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +163,7 @@ func TestRaggedEnginePropertyFuzz(t *testing.T) {
 							live = append(live, sessions...)
 						} else {
 							for i := range bIds {
-								s, err := e.StartSession(bIds[i], bPrompts[i], bBudgets[i])
+								s, err := e.startSession(bIds[i], bPrompts[i], bBudgets[i])
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -234,4 +236,42 @@ func TestStartSessionsValidates(t *testing.T) {
 	if live := e.MemoryStats().KVReservedBytes; live != 0 {
 		t.Fatalf("failed batches leaked %d reserved KV bytes", live)
 	}
+}
+
+// startSession encodes one prompt through the padded encoder and opens a
+// generation session that will emit at most maxNew tokens. This is the
+// reference oracle for StartSessions — the serving path batches admitted
+// prompts through the packed encoder instead.
+func (e *GenEngine) startSession(id int64, promptTokens []int, maxNew int) (*model.GenSession, error) {
+	if len(promptTokens) == 0 {
+		return nil, fmt.Errorf("core: empty prompt")
+	}
+	if e.Generator.PrefixKnown(promptTokens) {
+		// Prefix hit: the cached entry carries the encoded memory, so the
+		// whole encoder pass is skipped — no prefill pass runs at all.
+		sess, err := e.Generator.NewSession(id, promptTokens, nil, maxNew)
+		if err != nil {
+			return nil, err
+		}
+		e.prefillPrompts.Add(1)
+		return sess, nil
+	}
+	hidden, seqLens, err := e.Embedding.Encode([][]int{promptTokens})
+	if err != nil {
+		return nil, err
+	}
+	encoded, _, err := e.Encoder.Forward(hidden, seqLens)
+	if err != nil {
+		return nil, err
+	}
+	srcLen := len(promptTokens)
+	memory := tensor.FromSlice(encoded.Data()[:srcLen*e.Cfg.Hidden], srcLen, e.Cfg.Hidden)
+	sess, err := e.Generator.NewSession(id, promptTokens, memory, maxNew)
+	if err != nil {
+		return nil, err
+	}
+	e.prefillPrompts.Add(1)
+	e.prefillPasses.Add(1)
+	e.prefillTokens.Add(int64(srcLen))
+	return sess, nil
 }

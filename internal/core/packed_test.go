@@ -6,12 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 // TestPackedEngineMatchesPaddedEngine: the engine's live (packed) Classify
 // must agree on every fuzzed mixed-length batch with the same engine's
-// padded stack — Embedding.Encode → Encoder.Forward → Classifier.Predict —
-// the reference oracle the padded path is kept for.
+// padded stack — Embedding.Encode → Encoder.Forward, then the classifier
+// head over each request's [CLS] row — the reference oracle the padded path
+// is kept for.
 func TestPackedEngineMatchesPaddedEngine(t *testing.T) {
 	cfg := model.BertBase().Scaled(32, 4, 64, 2)
 	eng, err := NewEngine(cfg, Options{Seed: 7, Classes: 4})
@@ -37,7 +39,7 @@ func TestPackedEngineMatchesPaddedEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cPad, err := eng.Classifier.Predict(out)
+		cPad, err := eng.Classifier.PredictPacked(tensor.PackPadded(out, seqLens))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +77,7 @@ func TestPackedEngineEncodeReturnsPaddedLayout(t *testing.T) {
 	}
 	for s := 1; s < 3; s++ {
 		for h := 0; h < cfg.Hidden; h++ {
-			if out.At(1, s, h) != 0 {
+			if out.Data()[(out.Dim(1)+s)*cfg.Hidden+h] != 0 { // row (1, s)
 				t.Fatalf("padding row (1,%d) not zero", s)
 			}
 		}

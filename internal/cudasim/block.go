@@ -23,16 +23,13 @@ func newBlock(idx, warps, sharedWords int, cfg *Config) *Block {
 	b := &Block{idx: idx, cfg: cfg, shared: make([]float32, sharedWords)}
 	b.warps = make([]*Warp, warps)
 	for i := range b.warps {
-		b.warps[i] = newWarp(i, cfg, b)
+		b.warps[i] = newWarp(cfg, b)
 	}
 	return b
 }
 
 // Idx returns the block's grid index.
 func (b *Block) Idx() int { return b.idx }
-
-// NumWarps returns the number of warps in the block.
-func (b *Block) NumWarps() int { return len(b.warps) }
 
 // Warp returns warp i.
 func (b *Block) Warp(i int) *Warp { return b.warps[i] }

@@ -5,10 +5,10 @@ import "testing"
 func TestChargeCyclesAdvancesClock(t *testing.T) {
 	b := newTestBlock(1)
 	w := b.Warp(0)
-	before := w.Clock()
+	before := w.clock
 	w.ChargeCycles(17)
-	if w.Clock() != before+17 {
-		t.Fatalf("clock %d, want %d", w.Clock(), before+17)
+	if w.clock != before+17 {
+		t.Fatalf("clock %d, want %d", w.clock, before+17)
 	}
 }
 
@@ -16,10 +16,10 @@ func TestChargeBoundaryCost(t *testing.T) {
 	cfg := TeslaV100()
 	b := newTestBlock(1)
 	w := b.Warp(0)
-	before := w.Clock()
+	before := w.clock
 	w.ChargeBoundary()
-	if w.Clock() != before+cfg.BoundaryCost {
-		t.Fatalf("boundary charge: %d", w.Clock()-before)
+	if w.clock != before+cfg.BoundaryCost {
+		t.Fatalf("boundary charge: %d", w.clock-before)
 	}
 }
 
@@ -56,10 +56,10 @@ func TestWarpsIndependentClocks(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Warp(0).Splat(0, 1)
 	}
-	if b.Warp(1).Clock() != 0 {
+	if b.Warp(1).clock != 0 {
 		t.Fatal("idle warp's clock moved")
 	}
-	if b.Warp(0).Clock() == 0 {
+	if b.Warp(0).clock == 0 {
 		t.Fatal("busy warp's clock did not move")
 	}
 }
@@ -72,7 +72,7 @@ func TestBlockCyclesIncludesInFlight(t *testing.T) {
 	w := b.Warp(0)
 	w.Splat(0, 1)
 	w.Exp(1, 0) // long-latency result, never consumed
-	if b.Cycles() < w.Clock()+cfg.SFULatency-cfg.IssueCost {
+	if b.Cycles() < w.clock+cfg.SFULatency-cfg.IssueCost {
 		t.Fatalf("Cycles %d should cover the SFU result", b.Cycles())
 	}
 }

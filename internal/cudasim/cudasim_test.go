@@ -62,7 +62,7 @@ func TestShflDownSemantics(t *testing.T) {
 	b := newTestBlock(1)
 	w := b.Warp(0)
 	for i := 0; i < 32; i++ {
-		w.SetLane(0, i, float32(i))
+		w.regs[0][i] = float32(i)
 	}
 	w.ShflDown(1, 0, 16)
 	if w.Lane(1, 0) != 16 {
@@ -78,7 +78,7 @@ func TestShflXorButterflyReducesAllLanes(t *testing.T) {
 	w := b.Warp(0)
 	var want float32
 	for i := 0; i < 32; i++ {
-		w.SetLane(0, i, float32(i+1))
+		w.regs[0][i] = float32(i + 1)
 		want += float32(i + 1)
 	}
 	for mask := 16; mask >= 1; mask >>= 1 {
@@ -95,7 +95,7 @@ func TestShflXorButterflyReducesAllLanes(t *testing.T) {
 func TestBroadcast(t *testing.T) {
 	b := newTestBlock(1)
 	w := b.Warp(0)
-	w.SetLane(0, 5, 42)
+	w.regs[0][5] = 42
 	w.Broadcast(1, 0, 5)
 	if w.Lane(1, 0) != 42 || w.Lane(1, 31) != 42 {
 		t.Fatal("Broadcast")
@@ -207,15 +207,15 @@ func TestSyncAlignsClocks(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w0.Splat(0, 1)
 	}
-	before0, before1 := b.Warp(0).Clock(), b.Warp(1).Clock()
+	before0, before1 := b.Warp(0).clock, b.Warp(1).clock
 	if before1 >= before0 {
 		t.Fatal("test setup: warp 0 should be ahead")
 	}
 	b.Sync()
-	if b.Warp(0).Clock() != b.Warp(1).Clock() {
+	if b.Warp(0).clock != b.Warp(1).clock {
 		t.Fatal("sync must align warp clocks")
 	}
-	if b.Warp(1).Clock() < before0+cfg.SyncCost {
+	if b.Warp(1).clock < before0+cfg.SyncCost {
 		t.Fatal("sync must charge barrier cost past the slowest warp")
 	}
 }

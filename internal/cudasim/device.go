@@ -53,6 +53,8 @@ func (d *Device) Config() Config { return d.cfg }
 // in cost, so device time is the number of waves times the representative
 // block time, lower-bounded by the DRAM bandwidth model, plus launch
 // overhead.
+//
+//turbovet:allow testonly -- the every-block functional launch the correctness tests of cudasim and reduction run; it builds blocks, which only cudasim can
 func (d *Device) Launch(k Kernel) Result {
 	if k.GridBlocks <= 0 {
 		panic(fmt.Sprintf("cudasim: kernel %q has no blocks", k.Name))

@@ -17,7 +17,6 @@ type Reg int
 // this is the mechanism that makes dependent shuffle→add chains slow and
 // interleaved independent chains fast (Fig. 4, right side).
 type Warp struct {
-	id    int
 	cfg   *Config
 	block *Block
 
@@ -29,19 +28,13 @@ type Warp struct {
 	stallCycles  int64 // statistics: cycles lost waiting on the scoreboard
 }
 
-func newWarp(id int, cfg *Config, block *Block) *Warp {
-	w := &Warp{id: id, cfg: cfg, block: block}
+func newWarp(cfg *Config, block *Block) *Warp {
+	w := &Warp{cfg: cfg, block: block}
 	for i := range w.regs {
 		w.regs[i] = make([]float32, cfg.WarpSize)
 	}
 	return w
 }
-
-// ID returns the warp's index within its block.
-func (w *Warp) ID() int { return w.id }
-
-// Clock returns the warp's current cycle count.
-func (w *Warp) Clock() int64 { return w.clock }
 
 // issue models issuing one instruction that reads srcs and writes dst with
 // the given result latency. It returns the issue cycle.
@@ -261,22 +254,6 @@ func (w *Warp) Broadcast(dst, src Reg, lane int) {
 
 // Lane returns the current value of one lane (test/debug helper; free).
 func (w *Warp) Lane(r Reg, lane int) float32 { return w.regs[r][lane] }
-
-// SetLane overwrites one lane (test helper; free).
-func (w *Warp) SetLane(r Reg, lane int, v float32) { w.regs[r][lane] = v }
-
-// StoreShared writes lanes i∈[0,count) of src into block shared memory at
-// base+i. Visibility to other warps requires a Sync.
-func (w *Warp) StoreShared(src Reg, base, count int) {
-	if count > w.cfg.WarpSize {
-		count = w.cfg.WarpSize
-	}
-	w.issueStore(src, w.cfg.SharedStoreLatency)
-	lanes := w.regs[src]
-	for i := 0; i < count; i++ {
-		w.block.shared[base+i] = lanes[i]
-	}
-}
 
 // StoreSharedLane writes a single lane of src into shared memory at addr.
 func (w *Warp) StoreSharedLane(src Reg, lane, addr int) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/allocator"
 	"repro/internal/blas"
@@ -36,14 +35,6 @@ type Executor struct {
 	halfWeights map[int]*tensor.Tensor
 
 	fusedLaunches atomic.Int64
-}
-
-// RunStats reports per-inference memory-planning metrics (Fig. 13 measures
-// PlanTime against inference latency).
-type RunStats struct {
-	PlanTime       time.Duration
-	FootprintBytes int64
-	NumRecords     int
 }
 
 // NewExecutor validates the graph and the weight binding and returns an
@@ -88,27 +79,6 @@ func NewExecutor(g *Graph, weights map[int]*tensor.Tensor, alloc allocator.Alloc
 	}, nil
 }
 
-// Run executes the graph on input [batch, seq, hidden]. seqLens gives each
-// request's true length for attention masking (nil means all full-length).
-// It returns the output as a fresh tensor plus planning stats.
-func (e *Executor) Run(input *tensor.Tensor, seqLens []int) (*tensor.Tensor, RunStats, error) {
-	batch, seq := input.Dim(0), input.Dim(1)
-	records := e.G.UsageRecords(batch, seq)
-	planStart := planClock()
-	plan := e.Alloc.Plan(records)
-	stats := RunStats{
-		PlanTime:       planSince(planStart),
-		FootprintBytes: plan.FootprintBytes(),
-		NumRecords:     len(records),
-	}
-	if err := allocator.Validate(plan, records); err != nil {
-		return nil, stats, fmt.Errorf("graph %s: allocator %s produced invalid plan: %w",
-			e.G.Name, e.Alloc.Name(), err)
-	}
-	out, err := e.RunWithPlan(input, seqLens, plan)
-	return out, stats, err
-}
-
 // EnableFP16 switches GEMMs to the FP16-operand / FP32-accumulate numeric
 // path of the Turbo-TC configuration (§6.2.1): weights rounded through
 // binary16 once here, activations once at each GEMM boundary, FP32 kernels
@@ -124,9 +94,6 @@ func (e *Executor) EnableFP16() {
 	}
 }
 
-// FP16Enabled reports whether EnableFP16 was called.
-func (e *Executor) FP16Enabled() bool { return e.fp16 }
-
 // FusedLaunches returns how many fused-chain kernel launches
 // (qk_scaled_softmax, pv_transpose_back) this executor has run. The bench
 // compares this against the launch count the unfused graphs would have paid
@@ -134,8 +101,8 @@ func (e *Executor) FP16Enabled() bool { return e.fp16 }
 func (e *Executor) FusedLaunches() int64 { return e.fusedLaunches.Load() }
 
 // roundScratch pools the binary16-rounded activation copies. Package-level
-// (not an executor field) because concurrent Run/RunPacked calls on one
-// executor are legal and must not share scratch.
+// (not an executor field) because concurrent RunWithPlan/RunPackedWithPlan
+// calls on one executor are legal and must not share scratch.
 var roundScratch = sync.Pool{New: func() any { s := make([]float32, 0, 4096); return &s }}
 
 // gemmOperands hands one op the activation buffers to feed its GEMMs: the

@@ -1,11 +1,14 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/allocator"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 func newTestExecutor(t *testing.T, g *Graph, weights map[int]*tensor.Tensor) *Executor {
@@ -39,7 +42,7 @@ func TestFusedEqualsUnfusedNumerically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !outU.AllClose(outF, 1e-4, 1e-4) {
+	if !testutil.AllClose(outU.Data(), outF.Data(), 1e-4, 1e-4) {
 		t.Fatalf("fused diverges from unfused: maxdiff=%g", outU.MaxAbsDiff(outF))
 	}
 }
@@ -70,7 +73,7 @@ func TestQuickFusionEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return outU.AllClose(outF, 1e-3, 1e-3)
+		return testutil.AllClose(outU.Data(), outF.Data(), 1e-3, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -166,7 +169,7 @@ func TestExecutorMasking(t *testing.T) {
 	}
 	got := tensor.FromSlice(outPadded.Data()[:4*cfg.Hidden], 4*cfg.Hidden)
 	want := tensor.FromSlice(outShort.Data(), 4*cfg.Hidden)
-	if !got.AllClose(want, 1e-4, 1e-4) {
+	if !testutil.AllClose(got.Data(), want.Data(), 1e-4, 1e-4) {
 		t.Fatalf("masked padded run diverges from unpadded run: %g", got.MaxAbsDiff(want))
 	}
 }
@@ -227,4 +230,32 @@ func TestRandomWeightsDeterministicAcrossGraphVariants(t *testing.T) {
 			t.Fatalf("weight %s differs across graph variants", name)
 		}
 	}
+}
+
+// RunStats reports the memory planning of one Run or RunPacked.
+type RunStats struct {
+	PlanTime       time.Duration
+	FootprintBytes int64
+	NumRecords     int
+}
+
+// Run executes the graph on input [batch, seq, hidden]. seqLens gives each
+// request's true length for attention masking (nil means all full-length).
+// It returns the output as a fresh tensor plus planning stats.
+func (e *Executor) Run(input *tensor.Tensor, seqLens []int) (*tensor.Tensor, RunStats, error) {
+	batch, seq := input.Dim(0), input.Dim(1)
+	records := e.G.UsageRecords(batch, seq)
+	planStart := time.Now()
+	plan := e.Alloc.Plan(records)
+	stats := RunStats{
+		PlanTime:       time.Since(planStart),
+		FootprintBytes: plan.FootprintBytes(),
+		NumRecords:     len(records),
+	}
+	if err := allocator.Validate(plan, records); err != nil {
+		return nil, stats, fmt.Errorf("graph %s: allocator %s produced invalid plan: %w",
+			e.G.Name, e.Alloc.Name(), err)
+	}
+	out, err := e.RunWithPlan(input, seqLens, plan)
+	return out, stats, err
 }

@@ -377,22 +377,5 @@ func (g *Graph) usageRecords(size func(DimExpr) int64) []allocator.UsageRecord {
 	return records
 }
 
-// Signature renders the op sequence as a canonical string for structural
-// comparison in tests (each builder emits exactly its Fig. 3 op sequence).
-func (g *Graph) Signature() string {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return "invalid:" + err.Error()
-	}
-	s := ""
-	for _, i := range order {
-		if s != "" {
-			s += "→"
-		}
-		s += g.Ops[i].Kind.String()
-	}
-	return s
-}
-
 // NumOps returns the operator count (24 unfused, 12 fused, 10 fused-chains).
 func (g *Graph) NumOps() int { return len(g.Ops) }

@@ -70,7 +70,7 @@ func checkBuilderOps(t *testing.T, i int) {
 	if g.NumOps() != tc.n {
 		t.Errorf("%s has %d ops, want %d", g.Name, g.NumOps(), tc.n)
 	}
-	if got, want := g.Signature(), strings.Join(tc.ops, "→"); got != want {
+	if got, want := g.signature(), strings.Join(tc.ops, "→"); got != want {
 		t.Errorf("%s op sequence:\n got  %s\n want %s", g.Name, got, want)
 	}
 }
@@ -169,8 +169,8 @@ func TestUsageRecordsScaleWithSeq(t *testing.T) {
 }
 
 func TestSignatureStable(t *testing.T) {
-	a := NewEncoderLayerFused(testConfig()).Signature()
-	b := NewEncoderLayerFused(testConfig()).Signature()
+	a := NewEncoderLayerFused(testConfig()).signature()
+	b := NewEncoderLayerFused(testConfig()).signature()
 	if a != b {
 		t.Fatal("signature not deterministic")
 	}
@@ -209,4 +209,21 @@ func TestHeadDimPanicsOnIndivisible(t *testing.T) {
 		}
 	}()
 	LayerConfig{Hidden: 10, Heads: 3}.HeadDim()
+}
+
+// signature renders the op sequence as a canonical string for structural
+// comparison in tests (each builder emits exactly its Fig. 3 op sequence).
+func (g *Graph) signature() string {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return "invalid:" + err.Error()
+	}
+	s := ""
+	for _, i := range order {
+		if s != "" {
+			s += "→"
+		}
+		s += g.Ops[i].Kind.String()
+	}
+	return s
 }

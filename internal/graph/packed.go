@@ -58,25 +58,6 @@ func newPackedDims(p *tensor.Packed) *packedDims {
 	return d
 }
 
-// RunPacked executes the graph on a packed batch, planning memory on the
-// batch's true token totals.
-func (e *Executor) RunPacked(input *tensor.Packed) (*tensor.Packed, RunStats, error) {
-	records := e.G.UsageRecordsPacked(input.Lens())
-	planStart := planClock()
-	plan := e.Alloc.Plan(records)
-	stats := RunStats{
-		PlanTime:       planSince(planStart),
-		FootprintBytes: plan.FootprintBytes(),
-		NumRecords:     len(records),
-	}
-	if err := allocator.Validate(plan, records); err != nil {
-		return nil, stats, fmt.Errorf("graph %s: allocator %s produced invalid plan: %w",
-			e.G.Name, e.Alloc.Name(), err)
-	}
-	out, err := e.RunPackedWithPlan(input, plan)
-	return out, stats, err
-}
-
 // RunPackedWithPlan executes the graph on a packed batch with a
 // pre-computed memory plan (the §6.2.2 repeated-structure trick: one plan
 // serves every layer of the stack).

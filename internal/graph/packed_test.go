@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/allocator"
 	"repro/internal/tensor"
@@ -110,12 +112,12 @@ func TestPackedFP16MatchesPadded(t *testing.T) {
 	g := NewEncoderLayerFused(cfg)
 	weights := RandomWeights(g, 17)
 	ex := newTestExecutor(t, g, weights)
-	if ex.FP16Enabled() {
+	if ex.fp16 {
 		t.Fatal("a fresh executor reports fp16")
 	}
 	ex.EnableFP16()
-	if !ex.FP16Enabled() {
-		t.Fatal("EnableFP16 did not set FP16Enabled")
+	if !ex.fp16 {
+		t.Fatal("EnableFP16 did not set fp16")
 	}
 
 	rng := rand.New(rand.NewSource(19))
@@ -139,4 +141,23 @@ func TestPackedFP16MatchesPadded(t *testing.T) {
 			t.Fatalf("trial %d (lens %v): fp16 packed diverges from fp16 padded by %g", trial, lens, d)
 		}
 	}
+}
+
+// RunPacked executes the graph on a packed batch, planning memory on the
+// batch's true token totals.
+func (e *Executor) RunPacked(input *tensor.Packed) (*tensor.Packed, RunStats, error) {
+	records := e.G.UsageRecordsPacked(input.Lens())
+	planStart := time.Now()
+	plan := e.Alloc.Plan(records)
+	stats := RunStats{
+		PlanTime:       time.Since(planStart),
+		FootprintBytes: plan.FootprintBytes(),
+		NumRecords:     len(records),
+	}
+	if err := allocator.Validate(plan, records); err != nil {
+		return nil, stats, fmt.Errorf("graph %s: allocator %s produced invalid plan: %w",
+			e.G.Name, e.Alloc.Name(), err)
+	}
+	out, err := e.RunPackedWithPlan(input, plan)
+	return out, stats, err
 }

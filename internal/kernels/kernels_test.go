@@ -354,22 +354,6 @@ func TestTransposeForScoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTranspose2DInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const rows, cols = 5, 9
-	x := randSlice(rng, rows*cols)
-	y := make([]float32, rows*cols)
-	z := make([]float32, rows*cols)
-	Transpose2D(x, rows, cols, y)
-	Transpose2D(y, cols, rows, z)
-	if d := maxDiff(x, z); d != 0 {
-		t.Fatalf("transpose twice diff %g", d)
-	}
-	if y[0*rows+1] != x[1*cols+0] {
-		t.Fatal("transpose element mapping wrong")
-	}
-}
-
 func TestCheckLenPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cpufeat"
+	"repro/internal/testutil"
 )
 
 // geluBodies lists the bias + GELU bodies this CPU runs, the probe's pick
@@ -28,7 +29,7 @@ var startGeluAVX512 = geluAVX512
 // the kernel reports avx512f. A probe that wrongly said no would cost the
 // sixteen-lane speed-up with every other test still green.
 func TestGeluProbeMatchesCPUInfo(t *testing.T) {
-	listed, err := cpufeat.CPUInfoListed("avx512f")
+	listed, err := testutil.CPUInfoListed("avx512f")
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo: %v", err)
 	}

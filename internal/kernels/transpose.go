@@ -86,18 +86,3 @@ func TransposeForScore(in []float32, batch, heads, seq, headDim int, out []float
 		}
 	})
 }
-
-// Transpose2D writes the transpose of x (rows×cols) into out (cols×rows).
-// This is the standalone "transpose" kernel of the unfused graph (Fig. 3a).
-func Transpose2D(x []float32, rows, cols int, out []float32) {
-	checkLen("Transpose2D x", x, rows*cols)
-	checkLen("Transpose2D out", out, rows*cols)
-	parallel.For(rows, rowGrain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := x[r*cols : (r+1)*cols]
-			for c, v := range row {
-				out[c*rows+r] = v
-			}
-		}
-	})
-}

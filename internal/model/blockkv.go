@@ -117,12 +117,6 @@ func (c *BlockKVCache) BlockTokens() int { return c.blockTok }
 // Len returns the number of committed tokens.
 func (c *BlockKVCache) Len() int { return c.length }
 
-// Bytes returns the device footprint of the blocks this cache holds
-// (shared blocks included — they are live memory the cache keeps alive).
-func (c *BlockKVCache) Bytes() int64 {
-	return int64(c.Blocks()) * c.pool.BlockBytes()
-}
-
 // Blocks returns how many pool blocks the cache currently holds.
 func (c *BlockKVCache) Blocks() int {
 	n := 0

@@ -33,21 +33,6 @@ func NewClassifier(hidden, classes int, seed int64) *Classifier {
 	}
 }
 
-// Logits pools position 0 of each sequence in hidden [batch, seq, hidden]
-// and returns class logits [batch, classes].
-func (c *Classifier) Logits(hidden *tensor.Tensor) (*tensor.Tensor, error) {
-	if hidden.Rank() != 3 || hidden.Dim(2) != c.Hidden {
-		return nil, fmt.Errorf("model: classifier input shape %v, want [batch, seq, %d]",
-			hidden.Shape(), c.Hidden)
-	}
-	batch, seq := hidden.Dim(0), hidden.Dim(1)
-	cls := tensor.New(batch, c.Hidden)
-	for b := 0; b < batch; b++ {
-		copy(cls.Data()[b*c.Hidden:(b+1)*c.Hidden], hidden.Data()[b*seq*c.Hidden:b*seq*c.Hidden+c.Hidden])
-	}
-	return c.logitsFromCLS(cls)
-}
-
 // LogitsPacked pools each request's [CLS] row out of a packed batch
 // (request i's first row sits at Offset(i) — no stride arithmetic over a
 // padded maxLen) and returns class logits [batch, classes]. The head's
@@ -81,15 +66,6 @@ func (c *Classifier) logitsFromCLS(cls *tensor.Tensor) (*tensor.Tensor, error) {
 		pooled.Data(), c.Hidden, c.OutW.Data(), c.Classes, 0, logits.Data(), c.Classes)
 	kernels.AddBias(logits.Data(), c.OutB.Data(), batch, c.Classes)
 	return logits, nil
-}
-
-// Predict returns the argmax class per request.
-func (c *Classifier) Predict(hidden *tensor.Tensor) ([]int, error) {
-	logits, err := c.Logits(hidden)
-	if err != nil {
-		return nil, err
-	}
-	return argmaxRows(logits, c.Classes), nil
 }
 
 // PredictPacked returns the argmax class per request of a packed batch.

@@ -102,11 +102,6 @@ func Seq2SeqDecoder() Config {
 	}
 }
 
-// AllConfigs returns the four evaluated models in the paper's order.
-func AllConfigs() []Config {
-	return []Config{BertBase(), Albert(), DistilBert(), Seq2SeqDecoder()}
-}
-
 // Scaled returns a structurally identical but smaller configuration for
 // functional tests and CPU examples (the full ALBERT at hidden 4096 is a
 // GPU-scale workload).

@@ -40,7 +40,7 @@ func mustDrain(t *testing.T, name string, g *Generator, dev *allocator.Device) {
 	if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
 		t.Fatalf("%s: KV gauges not drained: reserved=%d used=%d", name, snap.KVReservedBytes, snap.KVUsedBytes)
 	}
-	if want := g.Decoder().DecodeScratchBytes(); snap.LiveBytes != want {
+	if want := g.dec.scr.bytes(); snap.LiveBytes != want {
 		t.Fatalf("%s: %d live device bytes, want only the %d-byte decode scratch", name, snap.LiveBytes, want)
 	}
 }

@@ -37,6 +37,3 @@ func (d *Decoder) EnableFP16() {
 		}
 	}
 }
-
-// FP16Enabled reports whether EnableFP16 was called.
-func (d *Decoder) FP16Enabled() bool { return d.fp16 }

@@ -109,16 +109,6 @@ func (s *decodeScratch) plan(cfg *Config, rows, sumCtx int) {
 	s.planRows, s.planCtx = pr, pc
 }
 
-// bytes returns the workspace's current device footprint.
-func (s *decodeScratch) bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.buf == nil {
-		return 0
-	}
-	return s.buf.Size
-}
-
 // roundedIn returns the rounded-activation scratch sized for n elements,
 // growing it as needed. Must be called with mu held; the slice is valid
 // until the next roundedIn call.

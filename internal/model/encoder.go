@@ -125,9 +125,6 @@ func (e *Encoder) ForwardPacked(hidden *tensor.Packed) (*tensor.Packed, EncoderS
 	return x, stats, nil
 }
 
-// NumLayers returns the stack depth.
-func (e *Encoder) NumLayers() int { return len(e.execs) }
-
 // EnableFP16 switches every layer to the binary16 fast path, the Turbo-TC
 // numeric behaviour (§6.2.1): weights rounded once, activations rounded at
 // each GEMM boundary, fp32 accumulation.
@@ -135,11 +132,6 @@ func (e *Encoder) EnableFP16() {
 	for _, ex := range e.execs {
 		ex.EnableFP16()
 	}
-}
-
-// FP16Enabled reports whether EnableFP16 was called.
-func (e *Encoder) FP16Enabled() bool {
-	return len(e.execs) > 0 && e.execs[0].FP16Enabled()
 }
 
 // FusedLaunches sums the fused-chain kernel launches across the stack's
@@ -151,6 +143,3 @@ func (e *Encoder) FusedLaunches() int64 {
 	}
 	return n
 }
-
-// Allocator exposes the memory manager (for footprint experiments).
-func (e *Encoder) Allocator() allocator.Allocator { return e.alloc }

@@ -91,6 +91,8 @@ func (g *Generator) PrefixKnown(prompt []int) bool { return g.prefix.lookup(prom
 func (g *Generator) ScavengePrefix(need int) int { return g.prefix.scavenge(need) }
 
 // ClosePrefix releases every retired entry, keeping the generator usable.
+//
+//turbovet:allow testonly -- model's and serving's tests drain retired entries between phases to count leaks; the entries are unexported
 func (g *Generator) ClosePrefix() { g.prefix.drop() }
 
 // Close releases the prefix cache's retired entries, then the block pool.
@@ -154,10 +156,6 @@ func NewGenerator(cfg Config, seed int64, dev *allocator.Device, poolBlocks, pre
 	}, nil
 }
 
-// Decoder exposes the underlying decoder (for tests comparing against its
-// per-row greedy oracle).
-func (g *Generator) Decoder() *Decoder { return g.dec }
-
 // GenSession is one request's in-flight generation state: its cross-
 // attention memory, its paged self-attention KV, and the greedy token
 // stream so far.
@@ -197,12 +195,6 @@ func (s *GenSession) Done() bool { return s.done }
 
 // ContextLen returns the number of tokens in the self-attention cache.
 func (s *GenSession) ContextLen() int { return s.kv.Len() }
-
-// SrcLen returns the cross-attention memory length (the prompt width).
-func (s *GenSession) SrcLen() int { return s.cc.srcLen }
-
-// KVBytes returns the session's current KV-cache device footprint.
-func (s *GenSession) KVBytes() int64 { return s.kv.Bytes() }
 
 // EnsureAppendable pre-acquires (and copy-on-writes) whatever blocks the
 // session's next decode row needs, returning false when the pool cannot

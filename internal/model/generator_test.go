@@ -67,7 +67,7 @@ func TestGeneratorMatchesGreedy(t *testing.T) {
 			defer sess.Close()
 			got := drain(t, g, sess)
 
-			want, err := g.Decoder().greedy(mem, tc.budget)
+			want, err := g.dec.greedy(mem, tc.budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 	// gauges) must be back to zero.
 	g.Close()
 	snap := dev.Snapshot()
-	if want := g.Decoder().DecodeScratchBytes(); snap.LiveBytes != want {
+	if want := g.dec.scr.bytes(); snap.LiveBytes != want {
 		t.Fatalf("KV memory leaked: %d live bytes, want only the %d-byte decode scratch", snap.LiveBytes, want)
 	}
 	if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
@@ -283,4 +283,10 @@ func TestSessionBudgetReservation(t *testing.T) {
 	if grew := dev.Snapshot().AllocCount - before; grew != 0 {
 		t.Fatalf("KV or scratch allocated %d times after the first step", grew)
 	}
+}
+
+// Bytes returns the device footprint of the blocks this cache holds
+// (shared blocks included — they are live memory the cache keeps alive).
+func (c *BlockKVCache) Bytes() int64 {
+	return int64(c.Blocks()) * c.pool.BlockBytes()
 }

@@ -300,8 +300,8 @@ func TestKVHandoffImportRejectsMalformedSnapshots(t *testing.T) {
 				t.Errorf("%s: %s: refused import left reserved/used/live %d/%d/%d, before %d/%d/%d", kind.name, tc.name,
 					after.KVReservedBytes, after.KVUsedBytes, after.LiveBytes, before.KVReservedBytes, before.KVUsedBytes, before.LiveBytes)
 			}
-			if dst.BlockPool().FreeBlocks() != dst.BlockPool().CapBlocks() {
-				t.Errorf("%s: %s: refused import holds %d pool blocks", kind.name, tc.name, dst.BlockPool().CapBlocks()-dst.BlockPool().FreeBlocks())
+			if st := dst.BlockPool().Stats(); st.FreeBlocks != st.CapBlocks {
+				t.Errorf("%s: %s: refused import holds %d pool blocks", kind.name, tc.name, st.CapBlocks-st.FreeBlocks)
 			}
 		}
 		// The unmutated snapshot still imports and decodes.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/allocator"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // tiny returns a small-but-structural encoder config for CPU tests.
@@ -22,7 +23,7 @@ func tinyDecoder() Config {
 }
 
 func TestConfigsValidate(t *testing.T) {
-	for _, c := range AllConfigs() {
+	for _, c := range allConfigs() {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -70,14 +71,14 @@ func TestEncoderForwardShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.SameShape(in) {
+	if !slices.Equal(out.Shape(), in.Shape()) {
 		t.Fatalf("output shape %v", out.Shape())
 	}
 	if stats.FootprintBytes == 0 {
 		t.Fatal("stats missing")
 	}
-	if enc.NumLayers() != cfg.Layers {
-		t.Fatalf("layers = %d", enc.NumLayers())
+	if len(enc.execs) != cfg.Layers {
+		t.Fatalf("layers = %d", len(enc.execs))
 	}
 }
 
@@ -100,7 +101,7 @@ func TestEncoderFusedMatchesUnfused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.AllClose(b, 1e-3, 1e-3) {
+	if !testutil.AllClose(a.Data(), b.Data(), 1e-3, 1e-3) {
 		t.Fatalf("fused vs unfused stack diverges: %g", a.MaxAbsDiff(b))
 	}
 }
@@ -298,4 +299,33 @@ func TestScaled(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allConfigs returns the four evaluated models in the paper's order.
+func allConfigs() []Config {
+	return []Config{BertBase(), Albert(), DistilBert(), Seq2SeqDecoder()}
+}
+
+// Logits pools position 0 of each sequence in hidden [batch, seq, hidden]
+// and returns class logits [batch, classes].
+func (c *Classifier) Logits(hidden *tensor.Tensor) (*tensor.Tensor, error) {
+	if hidden.Rank() != 3 || hidden.Dim(2) != c.Hidden {
+		return nil, fmt.Errorf("model: classifier input shape %v, want [batch, seq, %d]",
+			hidden.Shape(), c.Hidden)
+	}
+	batch, seq := hidden.Dim(0), hidden.Dim(1)
+	cls := tensor.New(batch, c.Hidden)
+	for b := 0; b < batch; b++ {
+		copy(cls.Data()[b*c.Hidden:(b+1)*c.Hidden], hidden.Data()[b*seq*c.Hidden:b*seq*c.Hidden+c.Hidden])
+	}
+	return c.logitsFromCLS(cls)
+}
+
+// Predict returns the argmax class per request.
+func (c *Classifier) Predict(hidden *tensor.Tensor) ([]int, error) {
+	logits, err := c.Logits(hidden)
+	if err != nil {
+		return nil, err
+	}
+	return argmaxRows(logits, c.Classes), nil
 }

@@ -261,20 +261,20 @@ func TestDecodeScratchPlanReuse(t *testing.T) {
 		sessions = append(sessions, s)
 		defer s.Close()
 	}
-	if g.Decoder().DecodeScratchBytes() != 0 {
+	if g.dec.scr.bytes() != 0 {
 		t.Fatal("scratch allocated before any decode step")
 	}
 	if _, err := g.Step(sessions); err != nil {
 		t.Fatal(err)
 	}
-	scratch := g.Decoder().DecodeScratchBytes()
+	scratch := g.dec.scr.bytes()
 	if scratch == 0 {
 		t.Fatal("decode scratch not device-accounted")
 	}
 	// The workspace shows up in the same MemoryStats as the KV caches.
 	var kv int64
 	for _, s := range sessions {
-		kv += s.KVBytes()
+		kv += s.kv.Bytes()
 	}
 	if live := dev.Snapshot().LiveBytes; live != kv+scratch {
 		t.Fatalf("live %d != kv %d + scratch %d", live, kv, scratch)
@@ -338,4 +338,14 @@ func TestKVReservedVsUsedGauges(t *testing.T) {
 	if snap := dev.Snapshot(); snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
 		t.Fatalf("gauges not released: reserved=%d used=%d", snap.KVReservedBytes, snap.KVUsedBytes)
 	}
+}
+
+// bytes returns the workspace's current device footprint.
+func (s *decodeScratch) bytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.buf == nil {
+		return 0
+	}
+	return s.buf.Size
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cudasim"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // The timed problem's modulo row access must still produce functionally
@@ -19,19 +20,19 @@ func TestTimedProblemRepresentativeRowsCorrect(t *testing.T) {
 	want := tensor.FromSlice(append([]float32(nil), p.In...), len(p.In))
 	kernels.Softmax(want.Data(), g.rowsPerBlock, 64)
 	got := tensor.FromSlice(p.Out, len(p.Out))
-	if !got.AllClose(want, 1e-4, 1e-5) {
+	if !testutil.AllClose(got.Data(), want.Data(), 1e-4, 1e-5) {
 		t.Fatalf("timed problem rows diverge: %g", got.MaxAbsDiff(want))
 	}
 }
 
 func TestWithAffineValidation(t *testing.T) {
-	p := NewProblem(2, 8, make([]float32, 16))
+	p := newProblem(2, 8, make([]float32, 16))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	p.WithAffine(make([]float32, 4), make([]float32, 8))
+	p.withAffine(make([]float32, 4), make([]float32, 8))
 }
 
 func TestTimedProblemClampsMaterialRows(t *testing.T) {
@@ -94,8 +95,8 @@ func TestLayerNormTrafficRatio(t *testing.T) {
 func TestSoftmaxSingleColumn(t *testing.T) {
 	// cols=1: softmax of a single element is 1.0 everywhere.
 	in := tensor.RandN(5, 1, 7)
-	p := NewProblem(7, 1, in.Data())
-	RunSoftmax(dev(), SoftmaxTurbo, p)
+	p := newProblem(7, 1, in.Data())
+	runSoftmax(dev(), SoftmaxTurbo, p)
 	for i, v := range p.Out {
 		if v != 1 {
 			t.Fatalf("row %d: %v, want 1", i, v)

@@ -44,7 +44,7 @@ func (l LayerNormImpl) String() string {
 // LayerNormKernel builds the simulator kernel for the chosen implementation.
 func LayerNormKernel(cfg cudasim.Config, impl LayerNormImpl, p *Problem) cudasim.Kernel {
 	if p.Gamma == nil || p.Beta == nil {
-		panic("reduction: layernorm problem needs gamma/beta (WithAffine)")
+		panic("reduction: layernorm problem needs Gamma and Beta")
 	}
 	switch impl {
 	case LayerNormBaseline:
@@ -55,11 +55,6 @@ func LayerNormKernel(cfg cudasim.Config, impl LayerNormImpl, p *Problem) cudasim
 		return layerNormTwoPassButterflyKernel(cfg, p)
 	}
 	panic("reduction: unknown layernorm impl")
-}
-
-// RunLayerNorm executes the kernel functionally on every block.
-func RunLayerNorm(dev *cudasim.Device, impl LayerNormImpl, p *Problem) cudasim.Result {
-	return dev.Launch(LayerNormKernel(dev.Config(), impl, p))
 }
 
 // TimeLayerNorm returns extrapolated timing for the given shape.

@@ -23,20 +23,6 @@ type Problem struct {
 	availRows int
 }
 
-// NewProblem builds a fully-materialised problem from an input tensor of
-// Rows×Cols values (functional mode).
-func NewProblem(rows, cols int, in []float32) *Problem {
-	if len(in) < rows*cols {
-		panic("reduction: input shorter than rows*cols")
-	}
-	return &Problem{
-		Rows: rows, Cols: cols,
-		In:        in,
-		Out:       make([]float32, rows*cols),
-		availRows: rows,
-	}
-}
-
 // NewTimedProblem builds a problem that only materialises materialRows rows
 // of seeded random data — enough for the representative block to execute
 // functionally while the grid schedule is extrapolated (Device.LaunchTimed).
@@ -56,15 +42,6 @@ func NewTimedProblem(rows, cols, materialRows int, seed int64) *Problem {
 		Beta:      tensor.RandN(seed+2, 0.1, cols).Data(),
 		availRows: materialRows,
 	}
-}
-
-// WithAffine attaches LayerNorm gamma/beta parameters and returns p.
-func (p *Problem) WithAffine(gamma, beta []float32) *Problem {
-	if len(gamma) < p.Cols || len(beta) < p.Cols {
-		panic("reduction: gamma/beta shorter than Cols")
-	}
-	p.Gamma, p.Beta = gamma, beta
-	return p
 }
 
 // rowIn returns the input row for global row index r.

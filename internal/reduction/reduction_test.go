@@ -7,6 +7,7 @@ import (
 	"repro/internal/cudasim"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 func dev() *cudasim.Device { return cudasim.NewDevice(cudasim.TeslaV100()) }
@@ -16,12 +17,12 @@ func dev() *cudasim.Device { return cudasim.NewDevice(cudasim.TeslaV100()) }
 func checkSoftmaxFunctional(t *testing.T, impl SoftmaxImpl, rows, cols int, seed int64) {
 	t.Helper()
 	in := tensor.RandN(seed, 2, rows*cols)
-	p := NewProblem(rows, cols, in.Data())
-	RunSoftmax(dev(), impl, p)
-	want := in.Clone()
+	p := newProblem(rows, cols, in.Data())
+	runSoftmax(dev(), impl, p)
+	want := tensor.FromSlice(append([]float32(nil), in.Data()...), rows*cols)
 	kernels.Softmax(want.Data(), rows, cols)
 	got := tensor.FromSlice(p.Out, rows*cols)
-	if !got.AllClose(want, 1e-4, 1e-5) {
+	if !testutil.AllClose(got.Data(), want.Data(), 1e-4, 1e-5) {
 		t.Fatalf("%v softmax %dx%d diverges from CPU reference (maxdiff %g)",
 			impl, rows, cols, got.MaxAbsDiff(want))
 	}
@@ -50,12 +51,12 @@ func checkLayerNormFunctional(t *testing.T, impl LayerNormImpl, rows, cols int, 
 	in := tensor.RandN(seed, 2, rows*cols)
 	gamma := tensor.RandUniform(seed+1, 0.5, 1.5, cols)
 	beta := tensor.RandN(seed+2, 0.2, cols)
-	p := NewProblem(rows, cols, in.Data()).WithAffine(gamma.Data(), beta.Data())
-	RunLayerNorm(dev(), impl, p)
-	want := in.Clone()
+	p := newProblem(rows, cols, in.Data()).withAffine(gamma.Data(), beta.Data())
+	runLayerNorm(dev(), impl, p)
+	want := tensor.FromSlice(append([]float32(nil), in.Data()...), rows*cols)
 	kernels.LayerNorm(want.Data(), gamma.Data(), beta.Data(), rows, cols, lnEps)
 	got := tensor.FromSlice(p.Out, rows*cols)
-	if !got.AllClose(want, 1e-3, 1e-3) {
+	if !testutil.AllClose(got.Data(), want.Data(), 1e-3, 1e-3) {
 		t.Fatalf("%v layernorm %dx%d diverges from CPU reference (maxdiff %g)",
 			impl, rows, cols, got.MaxAbsDiff(want))
 	}
@@ -84,13 +85,13 @@ func TestQuickSoftmaxImplsAgree(t *testing.T) {
 		rows := int(rawRows%20) + 1
 		cols := int(rawCols%120) + 1
 		in := tensor.RandN(seed, 1, rows*cols)
-		pa := NewProblem(rows, cols, in.Data())
-		pb := NewProblem(rows, cols, in.Data())
-		RunSoftmax(dev(), SoftmaxBaseline, pa)
-		RunSoftmax(dev(), SoftmaxTurbo, pb)
+		pa := newProblem(rows, cols, in.Data())
+		pb := newProblem(rows, cols, in.Data())
+		runSoftmax(dev(), SoftmaxBaseline, pa)
+		runSoftmax(dev(), SoftmaxTurbo, pb)
 		a := tensor.FromSlice(pa.Out, rows*cols)
 		b := tensor.FromSlice(pb.Out, rows*cols)
-		return a.AllClose(b, 1e-4, 1e-5)
+		return testutil.AllClose(a.Data(), b.Data(), 1e-4, 1e-5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -221,11 +222,11 @@ func TestProblemValidation(t *testing.T) {
 			t.Fatal("expected panic on short input")
 		}
 	}()
-	NewProblem(4, 4, make([]float32, 3))
+	newProblem(4, 4, make([]float32, 3))
 }
 
 func TestLayerNormNeedsAffine(t *testing.T) {
-	p := NewProblem(2, 8, make([]float32, 16))
+	p := newProblem(2, 8, make([]float32, 16))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic without gamma/beta")
@@ -250,4 +251,38 @@ func TestGridFor(t *testing.T) {
 	if big.warps != cfg.MaxWarpsPerBlock || big.tiles != 2 {
 		t.Fatalf("wide row tiling: %+v", big)
 	}
+}
+
+// newProblem builds a fully-materialised problem from an input tensor of
+// Rows×Cols values (functional mode).
+func newProblem(rows, cols int, in []float32) *Problem {
+	if len(in) < rows*cols {
+		panic("reduction: input shorter than rows*cols")
+	}
+	return &Problem{
+		Rows: rows, Cols: cols,
+		In:        in,
+		Out:       make([]float32, rows*cols),
+		availRows: rows,
+	}
+}
+
+// withAffine attaches LayerNorm gamma/beta parameters and returns p.
+func (p *Problem) withAffine(gamma, beta []float32) *Problem {
+	if len(gamma) < p.Cols || len(beta) < p.Cols {
+		panic("reduction: gamma/beta shorter than Cols")
+	}
+	p.Gamma, p.Beta = gamma, beta
+	return p
+}
+
+// runSoftmax executes the kernel functionally on every block and returns
+// the timing result; p.Out holds the softmax values afterwards.
+func runSoftmax(dev *cudasim.Device, impl SoftmaxImpl, p *Problem) cudasim.Result {
+	return dev.Launch(SoftmaxKernel(dev.Config(), impl, p))
+}
+
+// runLayerNorm executes the kernel functionally on every block.
+func runLayerNorm(dev *cudasim.Device, impl LayerNormImpl, p *Problem) cudasim.Result {
+	return dev.Launch(LayerNormKernel(dev.Config(), impl, p))
 }

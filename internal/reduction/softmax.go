@@ -61,12 +61,6 @@ func SoftmaxKernel(cfg cudasim.Config, impl SoftmaxImpl, p *Problem) cudasim.Ker
 	panic("reduction: unknown softmax impl")
 }
 
-// RunSoftmax executes the kernel functionally on every block and returns
-// the timing result; p.Out holds the softmax values afterwards.
-func RunSoftmax(dev *cudasim.Device, impl SoftmaxImpl, p *Problem) cudasim.Result {
-	return dev.Launch(SoftmaxKernel(dev.Config(), impl, p))
-}
-
 // TimeSoftmax builds a minimally-materialised problem for the given shape
 // and returns the extrapolated timing (representative-block execution).
 func TimeSoftmax(dev *cudasim.Device, impl SoftmaxImpl, rows, cols int) cudasim.Result {

@@ -92,8 +92,8 @@ func TestPreemptLowestSelection(t *testing.T) {
 	if s.Preemptions() != 3 {
 		t.Fatalf("preemptions %d, want 3", s.Preemptions())
 	}
-	if s.RunningCount() != 1 {
-		t.Fatalf("running %d, want 1", s.RunningCount())
+	if len(s.running) != 1 {
+		t.Fatalf("running %d, want 1", len(s.running))
 	}
 }
 

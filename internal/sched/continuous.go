@@ -239,13 +239,6 @@ func (s *ContinuousScheduler) Preemptions() int64 {
 	return s.preempts
 }
 
-// RunningCount returns the current concurrent-sequence count.
-func (s *ContinuousScheduler) RunningCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.running)
-}
-
 // QueueLen returns the number of requests waiting for admission.
 func (s *ContinuousScheduler) QueueLen() int {
 	s.mu.Lock()

@@ -25,8 +25,8 @@ func TestContinuousAdmitRespectsMaxBatch(t *testing.T) {
 			t.Fatalf("admission order broken: %v", admitted)
 		}
 	}
-	if s.QueueLen() != 2 || s.RunningCount() != 3 {
-		t.Fatalf("queue %d running %d", s.QueueLen(), s.RunningCount())
+	if s.QueueLen() != 2 || len(s.running) != 3 {
+		t.Fatalf("queue %d running %d", s.QueueLen(), len(s.running))
 	}
 	// Nothing more fits until an eviction.
 	if more := s.Admit(); len(more) != 0 {

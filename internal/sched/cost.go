@@ -86,9 +86,6 @@ func BuildCachedCost(price func(seqLen, batchSize int) time.Duration, maxLen, ma
 	return c
 }
 
-// MaxBatch returns the largest batch size the dictionary covers.
-func (c *CachedCost) MaxBatch() int { return c.maxBatch }
-
 // BatchCost implements CostModel with linear interpolation between sampled
 // lengths. Lengths beyond the sampled maximum extrapolate along the last
 // segment's slope, never downward, so the price is never negative; batch

@@ -221,7 +221,7 @@ func FuzzLoadCachedCost(f *testing.F) {
 		for l := 1; l <= 1024 && l <= far; l++ {
 			lens = append(lens, l)
 		}
-		for size := 1; size <= 2*c.MaxBatch(); size++ {
+		for size := 1; size <= 2*c.maxBatch; size++ {
 			for _, l := range lens {
 				if got := c.BatchCost(Uniform(l, size)); got < 0 {
 					t.Fatalf("BatchCost(%d, %d) = %v", l, size, got)

@@ -236,7 +236,7 @@ func TestCachedCostExactAndInterpolated(t *testing.T) {
 	if got := c.BatchCost(Uniform(50, 8)); got != 2*c.BatchCost(Uniform(50, 4)) {
 		t.Fatalf("batch scaling: %v", got)
 	}
-	if c.MaxBatch() != 4 {
+	if c.maxBatch != 4 {
 		t.Fatal("MaxBatch")
 	}
 }

@@ -66,13 +66,6 @@ func (c *ResponseCache) Put(key string, value interface{}) {
 	}
 }
 
-// Len returns the number of cached entries.
-func (c *ResponseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats returns (hits, misses).
 func (c *ResponseCache) Stats() (hits, misses int64) {
 	c.mu.Lock()

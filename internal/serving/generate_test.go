@@ -284,9 +284,9 @@ func TestGenerateClientDisconnectEvicts(t *testing.T) {
 	cancel()
 	resp.Body.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.gen.sched.RunningCount() != 0 {
+	for !srv.gen.sched.Idle() {
 		if time.Now().After(deadline) {
-			t.Fatalf("orphaned session still running %d after disconnect", srv.gen.sched.RunningCount())
+			t.Fatal("orphaned session still running after disconnect")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -243,14 +243,14 @@ func TestGenerateDeadlineEvictsMidDecode(t *testing.T) {
 }
 
 // waitReservationsReleased polls until the continuous scheduler holds no
-// running requests and no reserved tokens.
+// queued or running requests and no reserved tokens.
 func waitReservationsReleased(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.gen.sched.RunningCount() != 0 || srv.gen.sched.ReservedTokens() != 0 {
+	for !srv.gen.sched.Idle() || srv.gen.sched.ReservedTokens() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("reservation not released: running %d, reserved %d",
-				srv.gen.sched.RunningCount(), srv.gen.sched.ReservedTokens())
+			t.Fatalf("reservation not released: idle %v, reserved %d",
+				srv.gen.sched.Idle(), srv.gen.sched.ReservedTokens())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sched"
+	"repro/internal/tensor"
 )
 
 func statsServer(t *testing.T) (*Server, *httptest.Server) {
@@ -94,8 +95,8 @@ func TestStatsTokensProcessed(t *testing.T) {
 }
 
 // TestPackedServerEndToEnd: the live HTTP path must classify identically
-// to the padded oracle — Embedding.Encode → Encoder.Forward →
-// Classifier.Predict on the same engine.
+// to the padded oracle — Embedding.Encode → Encoder.Forward, then the
+// classifier head over the [CLS] row, on the same engine.
 func TestPackedServerEndToEnd(t *testing.T) {
 	srv, ts := statsServer(t)
 	eng := srv.engine
@@ -108,7 +109,7 @@ func TestPackedServerEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := eng.Classifier.Predict(out)
+		want, err := eng.Classifier.PredictPacked(tensor.PackPadded(out, seqLens))
 		if err != nil {
 			t.Fatal(err)
 		}

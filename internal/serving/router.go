@@ -228,13 +228,6 @@ func NewRouter(cfg RouterConfig, servers ...*Server) (*Router, error) {
 	return rt, nil
 }
 
-// Replicas reports the count of replicas currently receiving traffic.
-func (rt *Router) Replicas() int {
-	rt.setMu.RLock()
-	defer rt.setMu.RUnlock()
-	return len(rt.replicas)
-}
-
 // AddReplica attaches an already-started Server as a new traffic-bearing
 // replica — the autoscaler's scale-up action. The server must be
 // configured identically to the existing replicas; ownership transfers to
@@ -324,9 +317,6 @@ func (rt *Router) RemoveReplica(ctx context.Context) (*Server, error) {
 	rt.scaleDowns.Add(1)
 	return victim.srv, err
 }
-
-// Policy reports the balancing policy.
-func (rt *Router) Policy() BalancePolicy { return rt.policy }
 
 // route picks the replica for a whole request among all replicas and
 // charges it; the returned release function refunds the charge when the

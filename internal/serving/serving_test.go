@@ -19,8 +19,8 @@ func TestResponseCacheLRU(t *testing.T) {
 	if _, ok := c.Get("c"); !ok {
 		t.Fatal("c should be present")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len: %d", c.Len())
+	if c.ll.Len() != 2 {
+		t.Fatalf("len: %d", c.ll.Len())
 	}
 	hits, misses := c.Stats()
 	if hits != 3 || misses != 1 {
@@ -35,7 +35,7 @@ func TestResponseCacheUpdate(t *testing.T) {
 	if v, _ := c.Get("a"); v.(int) != 9 {
 		t.Fatal("update failed")
 	}
-	if c.Len() != 1 {
+	if c.ll.Len() != 1 {
 		t.Fatal("duplicate key grew the cache")
 	}
 }

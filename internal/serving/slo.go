@@ -86,10 +86,3 @@ func (c *sloController) shed(class int, now time.Time) (retryAfterSec int, shed 
 	}
 	return retry, true
 }
-
-// missCount reports the class's current in-window miss count (stats/tests).
-func (c *sloController) missCount(class int, now time.Time) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.prune(class, now))
-}

@@ -89,9 +89,6 @@ func (s *Sim) Run(until float64) {
 	}
 }
 
-// Pending returns the number of queued events (for tests).
-func (s *Sim) Pending() int { return s.events.Len() }
-
 // PoissonArrivals schedules fn for each arrival of a Poisson process with
 // the given rate (events/second), from the current time until the limit.
 // The sequence is fully determined by seed.
@@ -141,16 +138,6 @@ func (s *Sim) VaryingArrivals(rate func(t float64) float64, maxRate float64, see
 			s.At(t, func() { fn(idx) })
 			i++
 		}
-	}
-}
-
-// DiurnalRate returns a day-shaped rate curve for VaryingArrivals: a raised
-// cosine oscillating between base (trough, at t=0) and peak with the given
-// period. base may be 0 (dead of night).
-func DiurnalRate(base, peak, period float64) func(t float64) float64 {
-	return func(t float64) float64 {
-		phase := 0.5 * (1 - math.Cos(2*math.Pi*t/period))
-		return base + (peak-base)*phase
 	}
 }
 

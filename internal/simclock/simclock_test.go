@@ -57,7 +57,7 @@ func TestRunStopsAtLimit(t *testing.T) {
 	if fired {
 		t.Fatal("event beyond limit fired")
 	}
-	if s.Pending() != 1 {
+	if s.events.Len() != 1 {
 		t.Fatal("event should remain queued")
 	}
 	s.Run(5)
@@ -189,7 +189,7 @@ func TestVaryingArrivalsDeterminismAndBound(t *testing.T) {
 	times := func() []float64 {
 		s := New()
 		var ts []float64
-		s.VaryingArrivals(DiurnalRate(10, 100, 20), 100, 7, 20, func(i int64) { ts = append(ts, s.Now()) })
+		s.VaryingArrivals(diurnalRate(10, 100, 20), 100, 7, 20, func(i int64) { ts = append(ts, s.Now()) })
 		s.Run(20)
 		return ts
 	}
@@ -211,9 +211,9 @@ func TestVaryingArrivalsDeterminismAndBound(t *testing.T) {
 	s.VaryingArrivals(func(float64) float64 { return 50 }, 10, 1, 5, func(int64) {})
 }
 
-// DiurnalRate troughs at t=0 and peaks at half period.
+// diurnalRate troughs at t=0 and peaks at half period.
 func TestDiurnalRateShape(t *testing.T) {
-	r := DiurnalRate(2, 10, 8)
+	r := diurnalRate(2, 10, 8)
 	if got := r(0); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("trough: %v", got)
 	}
@@ -222,5 +222,15 @@ func TestDiurnalRateShape(t *testing.T) {
 	}
 	if got := r(8); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("full period: %v", got)
+	}
+}
+
+// diurnalRate returns a day-shaped rate curve for VaryingArrivals: a raised
+// cosine oscillating between base (trough, at t=0) and peak with the given
+// period. base may be 0 (dead of night).
+func diurnalRate(base, peak, period float64) func(t float64) float64 {
+	return func(t float64) float64 {
+		phase := 0.5 * (1 - math.Cos(2*math.Pi*t/period))
+		return base + (peak-base)*phase
 	}
 }

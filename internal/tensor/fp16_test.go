@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestF16KnownValues(t *testing.T) {
@@ -114,7 +116,7 @@ func TestRoundedF16Tensor(t *testing.T) {
 	if x.MaxAbsDiff(r) == 0 {
 		t.Fatal("rounding should perturb random normals")
 	}
-	if !r.AllClose(x, 1e-3, 1e-4) {
+	if !testutil.AllClose(r.Data(), x.Data(), 1e-3, 1e-4) {
 		t.Fatalf("rounding error too large: %g", r.MaxAbsDiff(x))
 	}
 	// Original untouched.

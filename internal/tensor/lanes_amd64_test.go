@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cpufeat"
+	"repro/internal/testutil"
 )
 
 // f16Bodies lists the conversion bodies this CPU runs, the probe's pick
@@ -31,11 +32,11 @@ var startF16CLanes = f16cLanes
 // A probe that wrongly said no would cost the converter's speed-up with
 // every other test still green.
 func TestF16CProbeMatchesCPUInfo(t *testing.T) {
-	f16c, err := cpufeat.CPUInfoListed("f16c")
+	f16c, err := testutil.CPUInfoListed("f16c")
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo: %v", err)
 	}
-	avx512, err := cpufeat.CPUInfoListed("avx512f")
+	avx512, err := testutil.CPUInfoListed("avx512f")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,16 +97,6 @@ func (p *Packed) MaxLen() int {
 	return m
 }
 
-// SumSqLens returns Σ len_i² — the element count (per head) of the packed
-// attention-score blocks, the quadratic analogue of TotalTokens.
-func (p *Packed) SumSqLens() int64 {
-	var s int64
-	for _, n := range p.lens {
-		s += int64(n) * int64(n)
-	}
-	return s
-}
-
 // PaddedTokens returns Batch()*MaxLen(): the rows a padded execution of the
 // same batch would compute.
 func (p *Packed) PaddedTokens() int { return p.Batch() * p.MaxLen() }
@@ -133,13 +123,6 @@ func (p *Packed) ToPadded() *Tensor {
 		copy(dst, p.Request(b).Data())
 	}
 	return out
-}
-
-// Clone returns a deep copy sharing nothing with p.
-func (p *Packed) Clone() *Packed {
-	c := NewPacked(p.lens, p.Cols())
-	copy(c.data.Data(), p.data.Data())
-	return c
 }
 
 // LikePacked allocates a zero-filled packed batch with the same request

@@ -26,12 +26,3 @@ func RandUniform(seed int64, lo, hi float32, shape ...int) *Tensor {
 	}
 	return t
 }
-
-// Arange fills a new 1-D tensor with 0,1,...,n-1 scaled by step.
-func Arange(n int, step float32) *Tensor {
-	t := New(n)
-	for i := 0; i < n; i++ {
-		t.data[i] = float32(i) * step
-	}
-	return t
-}

@@ -1,7 +1,7 @@
 // Package tensor provides the dense FP32 tensor type used throughout the
 // runtime. Tensors are row-major and contiguous; lightweight views are
-// supported for reshape and leading-axis slicing, which is all the
-// transformer kernels need.
+// supported for leading-axis slicing, which is all the transformer kernels
+// need.
 //
 // The design mirrors the paper's runtime (§4.2): tensors are plain buffers
 // whose placement is decided by the memory manager, so Tensor deliberately
@@ -75,9 +75,6 @@ func (t *Tensor) WithName(name string) *Tensor {
 	return t
 }
 
-// Name returns the debug name (possibly empty).
-func (t *Tensor) Name() string { return t.name }
-
 // Shape returns the tensor shape. The returned slice must not be mutated.
 func (t *Tensor) Shape() []int { return t.shape }
 
@@ -90,60 +87,8 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 // NumElements returns the total element count.
 func (t *Tensor) NumElements() int { return len(t.data) }
 
-// Bytes returns the storage size in bytes (4 bytes per FP32 element).
-func (t *Tensor) Bytes() int64 { return int64(len(t.data)) * 4 }
-
 // Data returns the underlying storage. Mutations are visible to all views.
 func (t *Tensor) Data() []float32 { return t.data }
-
-// At returns the element at the given multi-index. Intended for tests and
-// small examples; kernels index Data() directly.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.data[t.offset(idx)]
-}
-
-// Set writes the element at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d != tensor rank %d", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %d out of range [0,%d) on axis %d", x, t.shape[i], i))
-		}
-		off += x * t.strides[i]
-	}
-	return off
-}
-
-// Reshape returns a view with a new shape covering the same data.
-// It panics if the volumes differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := checkShape(shape)
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: reshape volume %d != data length %d", n, len(t.data)))
-	}
-	return &Tensor{
-		shape:   append([]int(nil), shape...),
-		strides: contiguousStrides(shape),
-		data:    t.data,
-		name:    t.name,
-	}
-}
-
-// Row returns a view of row i of a rank-2 tensor (shape [cols]).
-func (t *Tensor) Row(i int) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Row requires rank 2")
-	}
-	cols := t.shape[1]
-	return FromSlice(t.data[i*cols:(i+1)*cols], cols)
-}
 
 // SliceAxis0 returns a view of rows [from,to) along the leading axis.
 func (t *Tensor) SliceAxis0(from, to int) *Tensor {
@@ -161,36 +106,6 @@ func (t *Tensor) SliceAxis0(from, to int) *Tensor {
 	return FromSlice(t.data[from*inner:to*inner], shape...)
 }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
-	copy(c.data, t.data)
-	c.name = t.name
-	return c
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
-// Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.data {
-		t.data[i] = 0
-	}
-}
-
-// CopyFrom copies src's data into t. Shapes must have equal volume.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(src.data) != len(t.data) {
-		panic(fmt.Sprintf("tensor: CopyFrom volume mismatch %d != %d", len(src.data), len(t.data)))
-	}
-	copy(t.data, src.data)
-}
-
 // MaxAbsDiff returns the maximum absolute element-wise difference between
 // t and other. Volumes must match.
 func (t *Tensor) MaxAbsDiff(other *Tensor) float64 {
@@ -205,37 +120,6 @@ func (t *Tensor) MaxAbsDiff(other *Tensor) float64 {
 		}
 	}
 	return maxd
-}
-
-// AllClose reports whether every element of t is within atol+rtol*|other|
-// of the corresponding element of other.
-func (t *Tensor) AllClose(other *Tensor, rtol, atol float64) bool {
-	if len(other.data) != len(t.data) {
-		return false
-	}
-	for i := range t.data {
-		a, b := float64(t.data[i]), float64(other.data[i])
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return false
-		}
-		if math.Abs(a-b) > atol+rtol*math.Abs(b) {
-			return false
-		}
-	}
-	return true
-}
-
-// SameShape reports whether t and other have identical shapes.
-func (t *Tensor) SameShape(other *Tensor) bool {
-	if len(t.shape) != len(other.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != other.shape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a short description, truncating large tensors.
@@ -263,13 +147,4 @@ func (t *Tensor) String() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// Volume returns the product of the dimensions in shape.
-func Volume(shape []int) int {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	return n
 }

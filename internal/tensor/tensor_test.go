@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestNewZeroFilled(t *testing.T) {
@@ -108,18 +110,6 @@ func TestReshapeVolumeMismatchPanics(t *testing.T) {
 	x.Reshape(5, 3)
 }
 
-func TestRowView(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	r := x.Row(1)
-	if r.NumElements() != 3 || r.At(0) != 4 {
-		t.Fatalf("Row(1) = %v", r.Data())
-	}
-	r.Set(40, 0)
-	if x.At(1, 0) != 40 {
-		t.Fatal("Row must return a view")
-	}
-}
-
 func TestSliceAxis0(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8}, 4, 2)
 	s := x.SliceAxis0(1, 3)
@@ -169,15 +159,6 @@ func TestFillZero(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	y := New(4)
-	y.CopyFrom(x)
-	if y.At(3) != 4 {
-		t.Fatalf("CopyFrom: %v", y.Data())
-	}
-}
-
 func TestMaxAbsDiffAllClose(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	b := FromSlice([]float32{1, 2.001, 3}, 3)
@@ -185,31 +166,11 @@ func TestMaxAbsDiffAllClose(t *testing.T) {
 	if math.Abs(d-0.001) > 1e-6 {
 		t.Fatalf("MaxAbsDiff = %v, want ~0.001", d)
 	}
-	if !a.AllClose(b, 1e-2, 1e-2) {
+	if !testutil.AllClose(a.Data(), b.Data(), 1e-2, 1e-2) {
 		t.Fatal("AllClose should accept small diff")
 	}
-	if a.AllClose(b, 0, 1e-6) {
+	if testutil.AllClose(a.Data(), b.Data(), 0, 1e-6) {
 		t.Fatal("AllClose should reject diff above atol")
-	}
-}
-
-func TestAllCloseNaN(t *testing.T) {
-	a := FromSlice([]float32{float32(math.NaN())}, 1)
-	b := FromSlice([]float32{0}, 1)
-	if a.AllClose(b, 1, 1) {
-		t.Fatal("AllClose must reject NaN")
-	}
-}
-
-func TestSameShape(t *testing.T) {
-	if !New(2, 3).SameShape(New(2, 3)) {
-		t.Fatal("equal shapes reported unequal")
-	}
-	if New(2, 3).SameShape(New(3, 2)) {
-		t.Fatal("unequal shapes reported equal")
-	}
-	if New(2, 3).SameShape(New(2, 3, 1)) {
-		t.Fatal("different rank reported equal")
 	}
 }
 
@@ -239,25 +200,6 @@ func TestRandUniformRange(t *testing.T) {
 		if v < -1 || v >= 1 {
 			t.Fatalf("uniform value %v outside [-1,1)", v)
 		}
-	}
-}
-
-func TestArange(t *testing.T) {
-	x := Arange(4, 0.5)
-	want := []float32{0, 0.5, 1, 1.5}
-	for i, v := range x.Data() {
-		if v != want[i] {
-			t.Fatalf("Arange = %v, want %v", x.Data(), want)
-		}
-	}
-}
-
-func TestVolume(t *testing.T) {
-	if Volume([]int{2, 3, 4}) != 24 {
-		t.Fatal("Volume failed")
-	}
-	if Volume(nil) != 1 {
-		t.Fatal("Volume of empty shape should be 1")
 	}
 }
 

@@ -55,12 +55,6 @@ type Config = model.Config
 // BertBase returns the BERT base configuration.
 func BertBase() Config { return model.BertBase() }
 
-// Albert returns the ALBERT configuration (Table 3 as printed).
-func Albert() Config { return model.Albert() }
-
-// DistilBert returns the DistilBERT configuration.
-func DistilBert() Config { return model.DistilBert() }
-
 // Seq2SeqDecoder returns the NMT decoder configuration.
 func Seq2SeqDecoder() Config { return model.Seq2SeqDecoder() }
 
@@ -188,10 +182,6 @@ const (
 // ParseBalancePolicy maps "round-robin", "least-queue", or "token-cost"
 // to its BalancePolicy (the -balance flag parser).
 func ParseBalancePolicy(s string) (BalancePolicy, error) { return serving.ParseBalancePolicy(s) }
-
-// ParseReplicaRole maps "mixed", "prefill", or "decode" to its
-// ReplicaRole (one element of the -roles flag).
-func ParseReplicaRole(s string) (ReplicaRole, error) { return serving.ParseReplicaRole(s) }
 
 // ParseReplicaRoles parses a comma-separated role list like
 // "prefill,decode,mixed" — the -roles flag parser, one entry per replica.

@@ -179,8 +179,8 @@ func TestFacadeServeReplicated(t *testing.T) {
 	if !ok {
 		t.Fatalf("Serve with replicas returned %T, want *turbo.Router", srv)
 	}
-	if router.Replicas() != 3 || router.Policy() != turbo.TokenCostRouting {
-		t.Fatalf("router shape: %d replicas, policy %v", router.Replicas(), router.Policy())
+	if st := router.Stats(); st.Replicas != 3 || st.Policy != turbo.TokenCostRouting.String() {
+		t.Fatalf("router shape: %d replicas, policy %s", st.Replicas, st.Policy)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
